@@ -21,6 +21,17 @@ Raw inputs (loaded by LoadInput) can be faulted transiently at each read but
 have no WriteOf site. Random draws are per-instruction-site seeded streams, so
 a plan never shifts the draws of untouched sites and faulted runs share their
 r values with the fault-free baseline.
+
+Programs run on two paths that give the same results:
+
+  * execute() is the reference interpreter. It runs every instruction and
+    records the trace and draws. It serves fault-free baselines, the `sign`
+    command, skip-fault subsumption, ExecOutcome.regs(), and the tests that
+    check the other path against it.
+  * FaultRunner runs faulted plans for campaigns (faultengine.run_campaign
+    and faultengine.replay_plan). It starts from a baseline execute() run
+    and re-evaluates only the instructions a plan can change, using the
+    program's compiled form (Program.compiled, built once per Program).
 """
 
 from __future__ import annotations
@@ -204,6 +215,11 @@ class Program:
 
     def __len__(self) -> int:
         return len(self.instrs)
+
+    @functools.cached_property
+    def compiled(self) -> CompiledProgram:
+        """The FaultRunner form of this program, built on first use."""
+        return _compile(self)
 
 
 # ------------------------------------------------------------------ validation
@@ -554,6 +570,214 @@ def execute(
             raise TypeError(f"unknown instruction {ins!r}")
     # Return was skipped: the output buffer keeps its zero initialization.
     return done(Signature(0))
+
+
+# ------------------------------------------------------------- campaign runner
+
+# opcodes of the compiled form; the two without a destination come last
+(_OP_ADD, _OP_SUB, _OP_MUL, _OP_DIV, _OP_EXP, _OP_REDUCE, _OP_INV, _OP_DRAW, _OP_KEEP,
+ _OP_CHECK, _OP_RET) = range(11)
+_BINOP_CODES = {"add": _OP_ADD, "sub": _OP_SUB, "mul": _OP_MUL, "div": _OP_DIV}
+
+
+@dataclass(frozen=True)
+class CompiledProgram:
+    """A program lowered to what FaultRunner needs, one row per instruction.
+
+    A register is named by the index of the instruction that writes it.
+    ops[i] is (opcode, operand writer indices in slot order, draw detail).
+    The detail of a DrawRandomPrime is (bits, writer indices of its
+    distinct_from registers, avoids_zero), where avoids_zero says some
+    distinct_from register is not yet written at i and so reads 0.
+    readers[i] is the bitmask of the instructions whose operands or
+    distinct_from lookups see the value instruction i stores.
+    """
+
+    ops: tuple[tuple[int, tuple[int, ...], tuple | None], ...]
+    readers: tuple[int, ...]
+
+
+def _compile(program: Program) -> CompiledProgram:
+    errors = [d for d in validate(program) if d.severity == "error"]
+    if errors:
+        raise ValueError(
+            f"{program.name} is not runnable: " + "; ".join(d.detail for d in errors)
+        )
+    writer: dict[str, int] = {}
+    ops = []
+    readers = [0] * len(program.instrs)
+    for i, ins in enumerate(program.instrs):
+        srcs = tuple(writer[reg] for _slot, reg in reads_of(ins))
+        detail = None
+        if isinstance(ins, DrawRandomPrime):
+            avoid = tuple(writer[r] for r in ins.distinct_from if r in writer)
+            detail = (ins.bits, avoid, len(avoid) < len(ins.distinct_from))
+            for s in avoid:
+                readers[s] |= 1 << i
+            op = _OP_DRAW
+        elif isinstance(ins, (LoadInput, Const)):
+            op = _OP_KEEP  # recomputing either stores its baseline value again
+        elif isinstance(ins, BinOp):
+            op = _BINOP_CODES[ins.op]
+        elif isinstance(ins, ModReduce):
+            op = _OP_REDUCE
+        elif isinstance(ins, ModExp):
+            op = _OP_EXP
+        elif isinstance(ins, ModInv):
+            op = _OP_INV
+        elif isinstance(ins, CheckEq):
+            op = _OP_CHECK
+        else:
+            op = _OP_RET
+        for s in srcs:
+            readers[s] |= 1 << i
+        ops.append((op, srcs, detail))
+        dst = dst_of(ins)
+        if dst is not None:
+            writer[dst] = i
+    return CompiledProgram(tuple(ops), tuple(readers))
+
+
+class FaultRunner:
+    """Faulted runs of one program on one input map and seed, for campaigns.
+
+    Construction runs the fault-free baseline through `execute` and keeps
+    it (`baseline`, `signature`). `run(plan)` gives the same ExecResult as
+    `execute(program, inputs, seed, plan).result`, without trace or draws,
+    by recomputing only what the plan can change: starting at its first
+    faulted index, an instruction is re-evaluated when it is faulted or
+    skipped, or when a register it reads now differs from the baseline.
+    Every other instruction keeps its baseline value; its checks pass and
+    the Return releases the baseline signature, as they did in the baseline
+    run. This relies on def-before-use, write-once registers, so a program
+    that `validate` rejects raises ValueError here.
+    """
+
+    def __init__(self, program: Program, inputs: dict[str, int], seed: int):
+        code = program.compiled
+        self.baseline = execute(program, inputs, seed=seed)
+        if not isinstance(self.baseline.result, Signature):
+            raise ValueError(f"fault-free baseline of {program.name} is {self.baseline.result}")
+        self.signature: int = self.baseline.result.value
+        self._seed = seed
+        self._ops = code.ops
+        self._readers = code.readers
+        self._base = [0] * len(code.ops)
+        for idx, _reg, val in self.baseline.trace:
+            self._base[idx] = val
+        self._ret_bit = 1 << (len(code.ops) - 1)  # validation puts Return last
+        self._fills: dict[int, int] = {}
+
+    def run(self, plan: FaultPlan) -> ExecResult:
+        n = len(self._ops)
+        writes: dict[int, int] = {}
+        reads: dict[int, dict[int, int]] = {}
+        skipped = 0
+        for act in plan:
+            site = act.site
+            val = (act.value or 0) if act.kind is FaultKind.RANDOMIZE else 0
+            if isinstance(site, WriteOf):
+                if 0 <= site.index < n:
+                    writes[site.index] = val
+            elif isinstance(site, ReadOf):
+                if 0 <= site.index < n:
+                    reads.setdefault(site.index, {})[site.slot] = val
+            else:
+                first, last = max(site.first, 0), min(site.last, n - 1)
+                if first <= last:
+                    skipped |= (1 << (last + 1)) - (1 << first)
+        pending = skipped
+        for i in writes:
+            pending |= 1 << i
+        for i in reads:
+            pending |= 1 << i
+
+        ops, readers, base = self._ops, self._readers, self._base
+        vals = base.copy()
+        while pending:
+            low = pending & -pending
+            pending ^= low
+            i = low.bit_length() - 1
+            op, srcs, detail = ops[i]
+            if skipped & low:
+                if op >= _OP_CHECK:
+                    continue  # a skipped check passes; a skipped Return is settled below
+                v = self._fills.get(i)
+                if v is None:
+                    v = self._fills[i] = skip_fill_value(self._seed, i)
+            else:
+                xs = [vals[s] for s in srcs]
+                rd = reads.get(i)
+                if rd:
+                    for slot, rv in rd.items():
+                        if 0 <= slot < len(xs):
+                            xs[slot] = rv
+                if op <= _OP_DIV:
+                    a, b = xs[0], xs[1]
+                    if op == _OP_MUL:
+                        v = a * b
+                    elif op == _OP_ADD:
+                        v = a + b
+                    elif op == _OP_SUB:
+                        v = a - b
+                    else:
+                        if b == 0 or a % b:
+                            return Crash("inexact-division")
+                        v = a // b
+                    if len(xs) == 3:
+                        m = xs[2]
+                        if m < 2:
+                            return Crash("bad-modulus")
+                        v %= m
+                elif op == _OP_EXP:
+                    m = xs[2]
+                    if m < 2:
+                        return Crash("bad-modulus")
+                    if xs[1] < 0:
+                        return Crash("bad-exponent")
+                    v = pow(xs[0], xs[1], m)
+                elif op == _OP_REDUCE:
+                    m = xs[1]
+                    if m < 2:
+                        return Crash("bad-modulus")
+                    v = xs[0] % m
+                elif op == _OP_INV:
+                    m = xs[1]
+                    if m < 2:
+                        return Crash("bad-modulus")
+                    try:
+                        v = pow(xs[0], -1, m)
+                    except ValueError:
+                        return Crash("not-invertible")
+                elif op == _OP_CHECK:
+                    if len(xs) == 3:
+                        m = xs[2]
+                        if m < 2:
+                            return Crash("bad-modulus")
+                        ok = (xs[0] - xs[1]) % m == 0
+                    else:
+                        ok = xs[0] == xs[1]
+                    if not ok:
+                        return ErrorOut(i)
+                    continue
+                elif op == _OP_RET:
+                    return Signature(xs[0])
+                elif op == _OP_DRAW:
+                    bits, avoid_srcs, avoids_zero = detail
+                    avoid = {vals[s] for s in avoid_srcs}
+                    if avoids_zero:
+                        avoid.add(0)
+                    v = draw_prime_value(self._seed, i, bits, avoid)
+                else:  # _OP_KEEP
+                    v = base[i]
+            if i in writes:
+                v = writes[i]
+            if v != base[i]:
+                vals[i] = v
+                pending |= readers[i]
+        if skipped & self._ret_bit:
+            return Signature(0)  # the output buffer keeps its zero initialization
+        return self.baseline.result
 
 
 # ----------------------------------------------------------------- text dumps

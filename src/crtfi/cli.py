@@ -181,7 +181,9 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--messages", help="comma list; default 2,3,N-2")
     p.add_argument("--plan-limit", type=int, default=10000)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers", type=int, default=1, help="accepted for compatibility; campaigns run serially"
+    )
     _add_build_flags(p)
     p.add_argument("--out", help="report file")
     p.add_argument("--format", choices=("report", "csv"), default="report")

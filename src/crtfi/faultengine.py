@@ -16,9 +16,15 @@ ones are sampled and classified by replaying each hit under two alternate
 seeds, which re-draws the checksum primes - a collision evaporates, a real
 break does not.
 
+Faulted runs go through circuit.FaultRunner, which replays each plan against
+the fault-free baseline of its message and recomputes only the instructions
+the plan can change; circuit.execute stays the reference that runs the
+baselines and the skip-subsumption search.
+
 Everything is deterministic in (spec, program): sampling is seeded per
-site, and the worker count only chunks the plan list before a canonical
-merge, so reports are byte-identical for any worker setting.
+site and plans are run and tallied one after another in plan order.
+CampaignSpec.workers is accepted for compatibility but runs nothing in
+parallel, so reports are byte-identical for any worker setting.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from .circuit import (
     FaultAction,
     FaultKind,
     FaultPlan,
+    FaultRunner,
     FaultSite,
     LoadInput,
     Program,
@@ -69,7 +76,12 @@ CLASS_COLLISION = "subring-collision"
 
 @dataclass(frozen=True)
 class CampaignSpec:
-    """One campaign configuration. Give either algo or a prebuilt program."""
+    """One campaign configuration. Give either algo or a prebuilt program.
+
+    A prebuilt program must pass circuit.validate. workers is checked but
+    not used: campaigns run on one thread, and the report does not depend
+    on it.
+    """
 
     key: CrtKey
     algo: str | None = None
@@ -377,9 +389,17 @@ def _messages_of(spec: CampaignSpec) -> tuple[int, ...]:
 # ------------------------------------------------------------ plan universes
 
 
+def _site_groups(table: list[SiteActions]) -> list[list[SiteActions]]:
+    """The table's rows grouped by site, sites in order of first appearance."""
+    groups: dict[FaultSite, list[SiteActions]] = {}
+    for t in table:
+        groups.setdefault(t.site, []).append(t)
+    return list(groups.values())
+
+
 def plan_space_size(table: list[SiteActions], order: int) -> int:
-    """Number of order-distinct-site plans: elementary symmetric sum e_k."""
-    counts = [len(t.values) for t in table]
+    """Number of plans faulting `order` distinct sites: elementary symmetric sum e_k."""
+    counts = [sum(len(t.values) for t in g) for g in _site_groups(table)]
     e = [0] * (order + 1)
     e[0] = 1
     for n in counts:
@@ -394,23 +414,22 @@ def build_plans(
     """The campaign's plan list and whether it had to be sampled.
 
     Order 1 ignores plan_limit: one plan per action. Higher orders take
-    every distinct-site combination when the exact count fits the limit,
-    otherwise plan_limit draws (site subset uniform, one action per site).
+    every combination of distinct sites when the exact count fits the
+    limit, otherwise plan_limit draws (site subset uniform, one of the
+    site's actions under any kind uniform). No plan faults a site twice.
     """
-
-    def action(t: SiteActions, v: int | None) -> FaultAction:
-        return FaultAction(t.site, t.kind, v)
-
     if spec.order == 1:
-        return [(action(t, v),) for t in table for v in t.values], False
+        return [(FaultAction(t.site, t.kind, v),) for t in table for v in t.values], False
+    groups = _site_groups(table)
     total = plan_space_size(table, spec.order)
     if total <= spec.plan_limit:
         plans = [
-            tuple(action(t, v) for t, v in zip(combo, vals))
-            for combo in combinations(table, spec.order)
-            for vals in _value_product(combo)
+            plan
+            for combo in combinations(groups, spec.order)
+            for plan in _action_product(combo)
         ]
         return plans, False
+    sizes = [sum(len(t.values) for t in g) for g in groups]
     rng = random.Random((spec.seed * 0x9E3779B1 + spec.order) & 0xFFFFFFFFFFFF)
     plans_set: set[FaultPlan] = set()
     guard = 0
@@ -418,23 +437,30 @@ def build_plans(
         guard += 1
         if guard > spec.plan_limit * 50:
             break  # space smaller than the limit in distinct terms
-        picks = rng.sample(range(len(table)), spec.order)
-        plan = tuple(
-            action(table[i], table[i].values[rng.randrange(len(table[i].values))])
-            for i in sorted(picks)
-        )
+        picks = rng.sample(range(len(groups)), spec.order)
+        plan = tuple(_nth_action(groups[i], rng.randrange(sizes[i])) for i in sorted(picks))
         plans_set.add(plan)
     return sorted(plans_set, key=_plan_sort_key), True
 
 
-def _value_product(combo: tuple[SiteActions, ...]):
+def _nth_action(group: list[SiteActions], k: int) -> FaultAction:
+    """Action k of one site, counting through its rows in table order."""
+    for t in group:
+        if k < len(t.values):
+            return FaultAction(t.site, t.kind, t.values[k])
+        k -= len(t.values)
+    raise IndexError(k)
+
+
+def _action_product(combo: tuple[list[SiteActions], ...]):
+    """Every plan taking one action per site of combo; the first site varies fastest."""
     if not combo:
         yield ()
         return
-    head, rest = combo[0], combo[1:]
-    for tail in _value_product(rest):
-        for v in head.values:
-            yield (v,) + tail
+    head = [FaultAction(t.site, t.kind, v) for t in combo[0] for v in t.values]
+    for tail in _action_product(combo[1:]):
+        for a in head:
+            yield (a,) + tail
 
 
 def _plan_sort_key(plan: FaultPlan):
@@ -473,14 +499,11 @@ def replay_plan(
     program: Program, key: CrtKey, message: int, plan: FaultPlan, seed: int
 ) -> tuple[object, bool, int | None]:
     """Run one plan; return (result, broke, factor). Baseline uses the same seed."""
-    inputs = program_inputs(program, key, message)
-    base = execute(program, inputs, seed=seed)
-    if not isinstance(base.result, Signature):
-        raise ValueError(f"fault-free baseline of {program.name} is {base.result}")
-    out = execute(program, inputs, seed=seed, plan=plan)
+    runner = FaultRunner(program, program_inputs(program, key, message), seed)
+    result = runner.run(plan)
     n = key.p * key.q
-    tally, factor, _side = score_outcome(n, key.p, key.q, base.result.value, out.result)
-    return out.result, tally == "success", factor
+    tally, factor, _side = score_outcome(n, key.p, key.q, runner.signature, result)
+    return result, tally == "success", factor
 
 
 def _alt_messages(n: int, message: int, count: int = 2) -> list[int]:
@@ -565,17 +588,12 @@ def run_campaign(spec: CampaignSpec) -> CampaignReport:
     n = key.p * key.q
     messages = _messages_of(spec)
 
-    baselines: dict[int, int] = {}
-    draws: dict[int, tuple[tuple[int, int], ...]] = {}
-    first_regs: dict[str, int] | None = None
-    for m in messages:
-        out = execute(program, program_inputs(program, key, m), seed=spec.seed)
-        if not isinstance(out.result, Signature):
-            raise ValueError(f"fault-free baseline of {program.name} at M={m} is {out.result}")
-        baselines[m] = out.result.value
-        draws[m] = out.draws
-        if first_regs is None:
-            first_regs = out.regs()
+    runners = {
+        m: FaultRunner(program, program_inputs(program, key, m), spec.seed) for m in messages
+    }
+    baselines = {m: r.signature for m, r in runners.items()}
+    draws = {m: r.baseline.draws for m, r in runners.items()}
+    first_regs = runners[messages[0]].baseline.regs()
     r_min = None
     if program.meta.r_regs:
         r_min = min(first_regs[r] for r in program.meta.r_regs)
@@ -583,9 +601,12 @@ def run_campaign(spec: CampaignSpec) -> CampaignReport:
     table = site_action_table(program, spec)
     plans, sampled = build_plans(program, spec, table)
 
+    site_keys: dict[FaultSite, str] = {}
     row_meta: dict[tuple[str, str], tuple[str, bool, int | None]] = {}
     for t in table:
-        k = (_site_key(program, t.site), t.kind.value)
+        if t.site not in site_keys:
+            site_keys[t.site] = _site_key(program, t.site)
+        k = (site_keys[t.site], t.kind.value)
         row_meta[k] = (site_phase(program, t.site), t.exhaustive, t.domain)
     rows: dict[tuple[str, str], SiteRow] = {}
 
@@ -597,28 +618,16 @@ def run_campaign(spec: CampaignSpec) -> CampaignReport:
         return rows[k]
 
     successes: list[AttackSuccess] = []
-
-    # worker chunks execute independently and merge in canonical plan order;
-    # the split is a topology knob, the tallies cannot depend on it
-    indexed = list(enumerate(plans))
-    chunk_results: dict[int, list[tuple[int, str, int | None, str | None]]] = {}
-    for w in range(spec.workers):
-        for pi, plan in indexed[w :: spec.workers]:
-            per_msg = []
-            for m in messages:
-                out = execute(program, program_inputs(program, key, m), seed=spec.seed, plan=plan)
-                tally, factor, side = score_outcome(n, key.p, key.q, baselines[m], out.result)
-                val = out.result.value if isinstance(out.result, Signature) else None
-                per_msg.append((m, tally, factor, side, val))
-            chunk_results[pi] = per_msg
-
     success_plans: list[FaultPlan] = []
     row_success_idx: dict[tuple[str, str], list[int]] = {}
-    for pi, plan in indexed:
-        touched = [(_site_key(program, a.site), a.kind.value, a.value) for a in plan]
-        for m, tally, factor, side, val in chunk_results[pi]:
-            for site_key, kind, _v in touched:
-                row = row_of(site_key, kind)
+    runs = [(m, runners[m].run, baselines[m]) for m in messages]
+    for plan in plans:
+        touched = tuple((site_keys[a.site], a.kind.value, a.value) for a in plan)
+        plan_rows = [row_of(site_key, kind) for site_key, kind, _v in touched]
+        for m, run, baseline_sig in runs:
+            result = run(plan)
+            tally, factor, side = score_outcome(n, key.p, key.q, baseline_sig, result)
+            for row in plan_rows:
                 row.attempts += 1
                 if tally == "success":
                     row.successes += 1
@@ -632,7 +641,7 @@ def run_campaign(spec: CampaignSpec) -> CampaignReport:
                     row.silent += 1
             if tally == "success":
                 idx = len(successes)
-                successes.append(AttackSuccess(m, tuple(touched), val, factor, side, None))
+                successes.append(AttackSuccess(m, touched, result.value, factor, side, None))
                 success_plans.append(plan)
                 for site_key, kind, _v in touched:
                     row_success_idx.setdefault((site_key, kind), []).append(idx)

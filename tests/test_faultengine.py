@@ -13,10 +13,13 @@ from crtfi.circuit import (
 from crtfi.countermeasures import build, program_inputs
 from crtfi.faultengine import (
     CampaignSpec,
+    build_plans,
     check_skip_subsumption,
     plan_persists,
+    plan_space_size,
     replay_plan,
     run_campaign,
+    site_action_table,
     site_domains,
     site_phase,
 )
@@ -70,6 +73,25 @@ def test_order_two_pairs_distinct_sites():
     rep = run_campaign(tiny_spec(order=2, kinds=("zero",)))
     assert rep.plans_total == 18 * 17 // 2
     assert not rep.sampled_plans
+
+
+def test_higher_order_plans_never_fault_a_site_twice():
+    # zero and randomize give each value site two table rows; a plan takes one
+    shamir = build("shamir", TINY, r_bits=5, build_seed=0)
+    for prog, kw in (
+        (tiny_unprotected(), dict(order=2, exhaustive_threshold=2, samples_per_site=1)),
+        (shamir, dict(algo="shamir", order=2, plan_limit=100)),
+        (shamir, dict(algo="shamir", order=3, plan_limit=100)),
+    ):
+        spec = tiny_spec(**kw)
+        table = site_action_table(prog, spec)
+        plans, sampled = build_plans(prog, spec, table)
+        assert plans
+        for plan in plans:
+            assert len({a.site for a in plan}) == spec.order, plan
+        if not sampled:
+            # 18 sites with two actions each: C(18, 2) * 2 * 2
+            assert len(plans) == plan_space_size(table, spec.order) == 612
 
 
 def test_oversized_spaces_sample_down_to_the_limit():

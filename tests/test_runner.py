@@ -1,0 +1,191 @@
+"""The campaign runner against the reference interpreter.
+
+FaultRunner.run(plan) must equal execute(..., plan=plan).result on every
+plan, so these tests compare the two on random plans of order 1 to 3 and on
+whole order-1 campaign plan lists.
+"""
+
+import functools
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from crtfi.circuit import (
+    BinOp,
+    Const,
+    DrawRandomPrime,
+    FaultAction,
+    FaultKind,
+    FaultRunner,
+    LoadInput,
+    Program,
+    ProgramMeta,
+    ReadOf,
+    Ret,
+    SkipRange,
+    WriteOf,
+    dst_of,
+    execute,
+)
+from crtfi.countermeasures import build, catalog, program_inputs
+from crtfi.faultengine import (
+    CampaignSpec,
+    build_plans,
+    replay_plan,
+    run_campaign,
+    site_action_table,
+)
+from crtfi.keytools import derive_crt
+from crtfi.transforms import harden
+
+TINY = derive_crt(7, 11, 43)
+MESSAGES = (2, 3, 75)
+SEEDS = (0, 42)
+
+PROGRAMS = {e.algo: build(e.algo, TINY, r_bits=5, build_seed=0) for e in catalog()}
+PROGRAMS["aumuller-infective-x2"] = harden(PROGRAMS["aumuller-infective"], 2)
+
+
+@functools.cache
+def runner(name, message, seed):
+    prog = PROGRAMS[name]
+    return FaultRunner(prog, program_inputs(prog, TINY, message), seed)
+
+
+def reference(name, message, seed, plan):
+    prog = PROGRAMS[name]
+    return execute(prog, program_inputs(prog, TINY, message), seed=seed, plan=plan).result
+
+
+# 0, negative, small (often a register's nominal value) and above every modulus
+VALUES = st.one_of(
+    st.just(0),
+    st.integers(-(10**6), -1),
+    st.integers(1, 80),
+    st.integers(77, 10**12),
+)
+
+
+def _value_action(draw, site):
+    if draw(st.booleans()):
+        return FaultAction(site, FaultKind.ZERO)
+    return FaultAction(site, FaultKind.RANDOMIZE, draw(VALUES))
+
+
+def _window(draw, n, around):
+    first = draw(st.integers(max(0, around - 2), around))
+    last = draw(st.integers(first, min(n - 1, first + 3)))
+    return FaultAction(SkipRange(first, last), FaultKind.SKIP)
+
+
+def _index_of(act):
+    return act.site.first if isinstance(act.site, SkipRange) else act.site.index
+
+
+@st.composite
+def plans(draw, n):
+    """Order 1-3 plans, later actions often aimed at an earlier one's site."""
+
+    def fresh():
+        shape = draw(st.sampled_from(("write", "read", "skip")))
+        i = draw(st.integers(0, n - 1))
+        if shape == "skip":
+            return _window(draw, n, i)
+        site = WriteOf(i) if shape == "write" else ReadOf(i, draw(st.integers(0, 2)))
+        return _value_action(draw, site)
+
+    acts = [fresh()]
+    for _ in range(draw(st.integers(0, 2))):
+        prev = draw(st.sampled_from(acts))
+        how = draw(st.sampled_from(("fresh", "same-site", "overlapping-skip", "write-in-skip")))
+        if how == "same-site" and not isinstance(prev.site, SkipRange):
+            acts.append(_value_action(draw, prev.site))
+        elif how == "same-site":
+            acts.append(prev)
+        elif how == "overlapping-skip":
+            acts.append(_window(draw, n, _index_of(prev)))
+        elif how == "write-in-skip":
+            if isinstance(prev.site, SkipRange):
+                i = draw(st.integers(prev.site.first, prev.site.last))
+                acts.append(_value_action(draw, WriteOf(i)))
+            else:
+                acts.append(_window(draw, n, prev.site.index))
+        else:
+            acts.append(fresh())
+    return tuple(acts)
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_runner_matches_the_reference_on_random_plans(name):
+    n = len(PROGRAMS[name].instrs)
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(plan=plans(n), message=st.sampled_from(MESSAGES), seed=st.sampled_from(SEEDS))
+    @example(  # skip, then a write override on the same index
+        plan=(FaultAction(SkipRange(8, 10), FaultKind.SKIP),
+              FaultAction(WriteOf(9), FaultKind.RANDOMIZE, 5)),
+        message=2, seed=0)
+    @example(  # overlapping windows over the Return
+        plan=(FaultAction(SkipRange(n - 3, n - 2), FaultKind.SKIP),
+              FaultAction(SkipRange(n - 2, n - 1), FaultKind.SKIP)),
+        message=3, seed=42)
+    @example(  # the later of two actions on one site wins
+        plan=(FaultAction(ReadOf(n - 1, 0), FaultKind.RANDOMIZE, -4),
+              FaultAction(ReadOf(n - 1, 0), FaultKind.ZERO)),
+        message=75, seed=0)
+    def check(plan, message, seed):
+        assert runner(name, message, seed).run(plan) == reference(name, message, seed, plan)
+
+    check()
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_runner_matches_the_reference_on_the_whole_order_one_plan_list(name):
+    prog = PROGRAMS[name]
+    spec = CampaignSpec(
+        key=TINY, program=prog, messages=(2,), kinds=("zero", "randomize", "skip"),
+        exhaustive_threshold=32, samples_per_site=8, r_bits=5,
+    )
+    plans_, _sampled = build_plans(prog, spec, site_action_table(prog, spec))
+    assert len(plans_) > len(prog.instrs)
+    for message in (2, 75):
+        run = runner(name, message, 42).run
+        for plan in plans_:
+            assert run(plan) == reference(name, message, 42, plan), plan
+
+
+def test_a_draw_moves_off_the_value_a_fault_plants_in_its_avoid_set():
+    checked = 0
+    for name, prog in PROGRAMS.items():
+        writer: dict[str, int] = {}
+        for i, ins in enumerate(prog.instrs):
+            if isinstance(ins, DrawRandomPrime):
+                for reg in ins.distinct_from:
+                    if reg not in writer:
+                        continue
+                    for seed in SEEDS:
+                        drawn = runner(name, 2, seed).baseline.regs()[ins.dst]
+                        plan = (FaultAction(WriteOf(writer[reg]), FaultKind.RANDOMIZE, drawn),)
+                        assert runner(name, 2, seed).run(plan) == reference(name, 2, seed, plan)
+                        checked += 1
+            if dst_of(ins) is not None:
+                writer[dst_of(ins)] = i
+    assert checked
+
+
+def test_runner_refuses_a_program_that_reads_before_writing():
+    prog = Program(
+        "ghost",
+        ("M",),
+        (LoadInput("m", "M"), BinOp("s", "add", "m", "g"), Const("g", 0), Ret("s")),
+        ProgramMeta(phases=("main",) * 4),
+    )
+    # the reference reads the unwritten register as 0 and signs anyway
+    assert execute(prog, {"M": 5}).result.value == 5
+    with pytest.raises(ValueError, match="not runnable"):
+        FaultRunner(prog, {"M": 5}, 0)
+    with pytest.raises(ValueError, match="not runnable"):
+        replay_plan(prog, TINY, 5, (FaultAction(WriteOf(1), FaultKind.ZERO),), 42)
+    with pytest.raises(ValueError, match="not runnable"):
+        run_campaign(CampaignSpec(key=TINY, program=prog, messages=(5,), kinds=("zero",)))
