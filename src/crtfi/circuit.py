@@ -32,6 +32,8 @@ Programs run on two paths that give the same results:
     and faultengine.replay_plan). It starts from a baseline execute() run
     and re-evaluates only the instructions a plan can change, using the
     program's compiled form (Program.compiled, built once per Program).
+    Program.runner keeps the runners it builds, so a baseline runs once per
+    (program, inputs, seed), however many plans replay against it.
 """
 
 from __future__ import annotations
@@ -48,6 +50,10 @@ from .modmath import is_prime
 
 
 ERROR_CONSTANT = "error"  # released instead of any residue when a check fails
+
+# runners one Program keeps (Program.runner); a campaign needs one per message
+# plus four per message for its replay probes
+_RUNNER_MEMO_SIZE = 64
 
 
 # ---------------------------------------------------------------- instructions
@@ -220,6 +226,28 @@ class Program:
     def compiled(self) -> CompiledProgram:
         """The FaultRunner form of this program, built on first use."""
         return _compile(self)
+
+    @functools.cached_property
+    def _runners(self) -> dict[tuple, FaultRunner]:
+        return {}
+
+    def runner(self, inputs: dict[str, int], seed: int) -> FaultRunner:
+        """The FaultRunner of this program on these inputs and seed.
+
+        Built once and kept, so its fault-free baseline runs once per
+        (program, inputs, seed). At most _RUNNER_MEMO_SIZE runners are kept;
+        the oldest goes first. A construction that raises is not kept, so
+        the next call raises again.
+        """
+        key = (tuple(inputs.items()), seed)
+        memo = self._runners
+        found = memo.get(key)
+        if found is None:
+            found = FaultRunner(self, inputs, seed)
+            if len(memo) >= _RUNNER_MEMO_SIZE:
+                del memo[next(iter(memo))]
+            memo[key] = found
+        return found
 
 
 # ------------------------------------------------------------------ validation
@@ -650,7 +678,8 @@ class FaultRunner:
     Every other instruction keeps its baseline value; its checks pass and
     the Return releases the baseline signature, as they did in the baseline
     run. This relies on def-before-use, write-once registers, so a program
-    that `validate` rejects raises ValueError here.
+    that `validate` rejects raises ValueError here. Campaigns get their
+    runners from Program.runner, which keeps them.
     """
 
     def __init__(self, program: Program, inputs: dict[str, int], seed: int):
@@ -1073,17 +1102,3 @@ def find_write(program: Program, reg: str) -> int:
         if dst_of(ins) == reg:
             return i
     raise KeyError(f"no instruction writes {reg!r}")
-
-
-def find_reads(program: Program, reg: str) -> tuple[tuple[int, int], ...]:
-    """All (instruction index, slot) pairs that read `reg`."""
-    out = []
-    for i, ins in enumerate(program.instrs):
-        for slot, r in reads_of(ins):
-            if r == reg:
-                out.append((i, slot))
-    return tuple(out)
-
-
-def check_indices(program: Program) -> tuple[int, ...]:
-    return tuple(i for i, ins in enumerate(program.instrs) if isinstance(ins, CheckEq))

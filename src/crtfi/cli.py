@@ -82,13 +82,10 @@ def _cmd_sign(args) -> int:
 
 def _cmd_campaign(args) -> int:
     key = _load_key(args.key)
-    messages = ()
-    if args.messages:
-        messages = tuple(int(tok) for tok in args.messages.split(","))
     spec = CampaignSpec(
         key=key,
         algo=args.algo,
-        messages=messages,
+        messages=args.messages,
         order=args.order,
         kinds=tuple(args.kinds.split(",")),
         max_skip_len=args.max_skip_len,
@@ -126,6 +123,13 @@ def _cmd_recover(args) -> int:
     e = recover_e(key)
     print(f"d={d} e={e} lambda={key.lam}")
     return 0
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(tok) for tok in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma list of integers: {text!r}") from None
 
 
 def _add_key_flag(p: argparse.ArgumentParser) -> None:
@@ -179,7 +183,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive-threshold", type=int, default=16384)
     p.add_argument("--samples", type=int, default=64, help="values per sampled site")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--messages", help="comma list; default 2,3,N-2")
+    p.add_argument("--messages", type=_int_list, default=(), help="comma list; default 2,3,N-2")
     p.add_argument("--plan-limit", type=int, default=10000)
     p.add_argument(
         "--workers", type=int, default=1, help="accepted for compatibility; campaigns run serially"

@@ -30,21 +30,6 @@ from .circuit import Program, ProgramBuilder
 from .keytools import CrtKey
 from .modmath import is_prime
 
-ALGO_IDS = (
-    "unprotected",
-    "straightforward",
-    "giraud-sketch",
-    "shamir",
-    "fixed-shamir",
-    "joye",
-    "ciet-joye",
-    "blomer",
-    "aumuller",
-    "aumuller-infective",
-    "vigilant",
-    "vigilant-simplified-infective",
-)
-
 
 class UnsatisfiableRandom(ValueError):
     """No admissible random draw exists within the retry budget."""

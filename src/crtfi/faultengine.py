@@ -19,7 +19,9 @@ break does not.
 Faulted runs go through circuit.FaultRunner, which replays each plan against
 the fault-free baseline of its message and recomputes only the instructions
 the plan can change; circuit.execute stays the reference that runs the
-baselines and the skip-subsumption search.
+baselines and the skip-subsumption search. Runners come from Program.runner,
+so each baseline runs once per (program, inputs, seed): the campaign's
+messages, the site-action table and every replay probe share them.
 
 Everything is deterministic in (spec, program): sampling is seeded per
 site and plans are run and tallied one after another in plan order.
@@ -44,16 +46,15 @@ from .circuit import (
     FaultAction,
     FaultKind,
     FaultPlan,
-    FaultRunner,
     FaultSite,
     LoadInput,
     Program,
     ReadOf,
     Ret,
-    Signature,
     SkipRange,
     WriteOf,
     dst_of,
+    enumerate_sites,
     execute,
     modulus_reg,
     program_digest,
@@ -78,9 +79,12 @@ CLASS_COLLISION = "subring-collision"
 class CampaignSpec:
     """One campaign configuration. Give either algo or a prebuilt program.
 
-    A prebuilt program must pass circuit.validate. workers is checked but
-    not used: campaigns run on one thread, and the report does not depend
-    on it.
+    A prebuilt program must pass circuit.validate. Every message must be a
+    unit mod N = p*q (0 < M < N and gcd(M, N) = 1): a message sharing a
+    factor with N leaks that factor on its own, so faulted outputs would
+    count as breaks the scheme did not cause, and one outside (0, N)
+    aliases another message. workers is checked but not used: campaigns
+    run on one thread, and the report does not depend on it.
     """
 
     key: CrtKey
@@ -108,6 +112,12 @@ class CampaignSpec:
         for k in self.kinds:
             if k not in KIND_NAMES:
                 raise ValueError(f"unknown fault kind {k!r}")
+        n = self.key.p * self.key.q
+        for m in self.messages:
+            if not 0 < m < n or math.gcd(m, n) != 1:
+                raise ValueError(
+                    f"message {m} is not a unit mod N={n}: need 0 < M < N and gcd(M, N) = 1"
+                )
 
 
 @dataclass
@@ -310,10 +320,6 @@ def site_phase(program: Program, site: FaultSite) -> str:
     return ph[site.index]
 
 
-def _site_key(program: Program, site: FaultSite) -> str:
-    return site.key(program)
-
-
 def _site_sample_rng(spec: CampaignSpec, site_key: str) -> random.Random:
     return random.Random(
         (spec.seed * 0x51ED2706 + zlib.crc32(site_key.encode())) & 0xFFFFFFFFFFFF
@@ -334,18 +340,14 @@ class SiteActions:
 def site_action_table(program: Program, spec: CampaignSpec) -> list[SiteActions]:
     """Deterministic per-site action lists for the spec's kinds."""
     inputs = program_inputs(program, spec.key, _messages_of(spec)[0])
-    base = execute(program, inputs, seed=spec.seed)
-    if not isinstance(base.result, Signature):
-        raise ValueError(f"fault-free baseline of {program.name} is {base.result}")
-    regs = base.regs()
-    domains = site_domains(program, regs)
+    domains = site_domains(program, program.runner(inputs, spec.seed).baseline.regs())
     want_data = "zero" in spec.kinds or "randomize" in spec.kinds
     want_skip = "skip" in spec.kinds
     sites = []
     if want_data or want_skip:
         sites = [
             s
-            for s in _enumerate(program, spec.max_skip_len if want_skip else 0)
+            for s in enumerate_sites(program, max_skip_len=spec.max_skip_len if want_skip else 0)
             if isinstance(s, SkipRange) or want_data
         ]
     table: list[SiteActions] = []
@@ -361,7 +363,7 @@ def site_action_table(program: Program, spec: CampaignSpec) -> list[SiteActions]
                 vals = tuple(v for v in range(dom) if v != nominal)
                 table.append(SiteActions(site, FaultKind.RANDOMIZE, vals, True, dom))
             else:
-                rng = _site_sample_rng(spec, _site_key(program, site))
+                rng = _site_sample_rng(spec, site.key(program))
                 picked: set[int] = set()
                 while len(picked) < min(spec.samples_per_site, dom - 1):
                     v = rng.randrange(dom)
@@ -371,12 +373,6 @@ def site_action_table(program: Program, spec: CampaignSpec) -> list[SiteActions]
                     SiteActions(site, FaultKind.RANDOMIZE, tuple(sorted(picked)), False, dom)
                 )
     return table
-
-
-def _enumerate(program: Program, max_skip_len: int) -> list[FaultSite]:
-    from .circuit import enumerate_sites
-
-    return enumerate_sites(program, max_skip_len=max_skip_len, include_output=False)
 
 
 def _messages_of(spec: CampaignSpec) -> tuple[int, ...]:
@@ -499,7 +495,7 @@ def replay_plan(
     program: Program, key: CrtKey, message: int, plan: FaultPlan, seed: int
 ) -> tuple[object, bool, int | None]:
     """Run one plan; return (result, broke, factor). Baseline uses the same seed."""
-    runner = FaultRunner(program, program_inputs(program, key, message), seed)
+    runner = program.runner(program_inputs(program, key, message), seed)
     result = runner.run(plan)
     n = key.p * key.q
     tally, factor, _side = score_outcome(n, key.p, key.q, runner.signature, result)
@@ -588,9 +584,7 @@ def run_campaign(spec: CampaignSpec) -> CampaignReport:
     n = key.p * key.q
     messages = _messages_of(spec)
 
-    runners = {
-        m: FaultRunner(program, program_inputs(program, key, m), spec.seed) for m in messages
-    }
+    runners = {m: program.runner(program_inputs(program, key, m), spec.seed) for m in messages}
     baselines = {m: r.signature for m, r in runners.items()}
     draws = {m: r.baseline.draws for m, r in runners.items()}
     first_regs = runners[messages[0]].baseline.regs()
@@ -605,7 +599,7 @@ def run_campaign(spec: CampaignSpec) -> CampaignReport:
     row_meta: dict[tuple[str, str], tuple[str, bool, int | None]] = {}
     for t in table:
         if t.site not in site_keys:
-            site_keys[t.site] = _site_key(program, t.site)
+            site_keys[t.site] = t.site.key(program)
         k = (site_keys[t.site], t.kind.value)
         row_meta[k] = (site_phase(program, t.site), t.exhaustive, t.domain)
     rows: dict[tuple[str, str], SiteRow] = {}
@@ -832,8 +826,6 @@ def _skip_witness(program, inputs, seed, window, target, baseline, run, ret_idx)
         return tuple(plan)
 
     # bounded fallback: singles then pairs of zero / fill-valued replacements
-    from .circuit import enumerate_sites
-
     sites = [
         s
         for s in enumerate_sites(program, max_skip_len=0, include_output=True)

@@ -101,8 +101,11 @@ def test_bad_inputs_exit_with_the_data_code(tmp_path, capsys):
     assert main(["sign", "--algo", "nosuch", "--message", "2"]) == 3
     assert main(["recover", "--key", str(tmp_path / "missing.json")]) == 3
     assert main(["campaign", "--algo", "unprotected", "--kinds", "melt"]) == 3
+    # 0 and p = 7 are no messages for the 7x11 demo key
+    assert main(["campaign", "--algo", "unprotected", "--messages", "0,7"]) == 3
     err = capsys.readouterr().err
-    assert err.count("error:") == 3
+    assert err.count("error:") == 4
+    assert "not a unit mod N=77" in err
 
 
 def test_flag_grammar_failures_use_the_argparse_code():
@@ -111,4 +114,7 @@ def test_flag_grammar_failures_use_the_argparse_code():
     assert info.value.code == 2
     with pytest.raises(SystemExit) as info:
         main(["campaign"])  # --algo is required
+    assert info.value.code == 2
+    with pytest.raises(SystemExit) as info:
+        main(["campaign", "--algo", "unprotected", "--messages", "a,b"])
     assert info.value.code == 2

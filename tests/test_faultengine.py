@@ -1,5 +1,7 @@
 """Campaign engine: plan spaces, scoring, reports, persistence probes."""
 
+import pytest
+
 from crtfi.circuit import (
     FaultAction,
     FaultKind,
@@ -238,11 +240,19 @@ def test_worker_pool_size_does_not_change_the_report():
 
 
 def test_spec_validation_rejects_nonsense():
-    import pytest
-
     with pytest.raises(ValueError):
         CampaignSpec(key=TINY, algo="unprotected", order=0)
     with pytest.raises(ValueError):
         CampaignSpec(key=TINY, algo="unprotected", kinds=("melt",))
     with pytest.raises(ValueError):
         CampaignSpec(key=TINY)  # neither algo nor program
+
+
+@pytest.mark.parametrize("message", [0, 7, 11, -2, 77, 80])  # zero, p, q, negative, N, above N
+def test_spec_refuses_messages_that_are_not_units_mod_n(message):
+    with pytest.raises(ValueError, match="not a unit"):
+        tiny_spec(messages=(2, message))
+
+
+def test_spec_accepts_messages_at_both_ends_of_the_unit_range():
+    assert tiny_spec(messages=(1, 76)).messages == (1, 76)

@@ -2,7 +2,9 @@
 
 FaultRunner.run(plan) must equal execute(..., plan=plan).result on every
 plan, so these tests compare the two on random plans of order 1 to 3 and on
-whole order-1 campaign plan lists.
+whole order-1 campaign plan lists. Program.runner keeps one runner per
+(inputs, seed); the last tests check that it runs each baseline once and
+changes no result.
 """
 
 import functools
@@ -11,8 +13,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import crtfi.circuit
 from crtfi.circuit import (
     BinOp,
+    CheckEq,
     Const,
     DrawRandomPrime,
     FaultAction,
@@ -185,7 +189,94 @@ def test_runner_refuses_a_program_that_reads_before_writing():
     assert execute(prog, {"M": 5}).result.value == 5
     with pytest.raises(ValueError, match="not runnable"):
         FaultRunner(prog, {"M": 5}, 0)
-    with pytest.raises(ValueError, match="not runnable"):
-        replay_plan(prog, TINY, 5, (FaultAction(WriteOf(1), FaultKind.ZERO),), 42)
+    for _ in range(2):  # a failed construction is not kept
+        with pytest.raises(ValueError, match="not runnable"):
+            replay_plan(prog, TINY, 5, (FaultAction(WriteOf(1), FaultKind.ZERO),), 42)
     with pytest.raises(ValueError, match="not runnable"):
         run_campaign(CampaignSpec(key=TINY, program=prog, messages=(5,), kinds=("zero",)))
+
+
+@pytest.fixture
+def execute_calls(monkeypatch):
+    """Count the reference runs FaultRunner makes for its baselines."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return execute(*args, **kwargs)
+
+    monkeypatch.setattr(crtfi.circuit, "execute", counting)
+    return calls
+
+
+def _first_data_write(prog):
+    return next(
+        i for i, ins in enumerate(prog.instrs)
+        if dst_of(ins) is not None and not isinstance(ins, LoadInput)
+    )
+
+
+def test_replay_plans_share_one_baseline_per_program_inputs_and_seed(execute_calls):
+    prog = build("aumuller-infective", TINY, r_bits=5, build_seed=0)  # a fresh memo
+    plan = (FaultAction(WriteOf(_first_data_write(prog)), FaultKind.RANDOMIZE, 5),)
+    first = replay_plan(prog, TINY, 2, plan, 42)
+    for _ in range(4):
+        assert replay_plan(prog, TINY, 2, plan, 42) == first
+    assert len(execute_calls) == 1
+    replay_plan(prog, TINY, 3, plan, 42)
+    replay_plan(prog, TINY, 2, plan, 43)
+    assert len(execute_calls) == 3
+
+
+def test_a_different_message_or_seed_gets_a_different_runner():
+    prog = build("shamir", TINY, r_bits=5, build_seed=0)
+    at2, at3 = program_inputs(prog, TINY, 2), program_inputs(prog, TINY, 3)
+    kept = prog.runner(at2, 42)
+    assert prog.runner(dict(at2), 42) is kept
+    assert prog.runner(at3, 42) is not kept
+    assert prog.runner(at2, 43) is not kept
+    assert prog.runner(at3, 42).signature != kept.signature
+
+
+def test_the_runner_memo_keeps_a_bounded_number_dropping_the_oldest(execute_calls):
+    prog = build("unprotected", TINY, r_bits=5, build_seed=0)
+    inputs = program_inputs(prog, TINY, 2)
+    bound = crtfi.circuit._RUNNER_MEMO_SIZE
+    for seed in range(bound + 5):
+        prog.runner(inputs, seed)
+        assert len(prog._runners) <= bound
+    assert len(prog._runners) == bound
+    assert len(execute_calls) == bound + 5
+    for seed in range(5, bound + 5):  # the newest are all kept
+        prog.runner(inputs, seed)
+    assert len(execute_calls) == bound + 5
+    prog.runner(inputs, 0)  # the oldest was dropped
+    assert len(execute_calls) == bound + 6
+
+
+def test_a_kept_runner_gives_what_a_fresh_one_gives_on_a_whole_plan_list():
+    prog = build("vigilant", TINY, r_bits=5, build_seed=0)
+    spec = CampaignSpec(
+        key=TINY, program=prog, messages=(2,), kinds=("zero", "randomize", "skip"),
+        exhaustive_threshold=32, samples_per_site=8, r_bits=5,
+    )
+    plans_, _sampled = build_plans(prog, spec, site_action_table(prog, spec))
+    inputs = program_inputs(prog, TINY, 2)
+    kept = prog.runner(inputs, 42)
+    assert prog.runner(inputs, 42) is kept
+    fresh = FaultRunner(prog, inputs, 42)
+    for plan in plans_ + plans_:  # the second pass runs on a kept, used runner
+        assert kept.run(plan) == fresh.run(plan), plan
+
+
+def test_a_baseline_that_is_not_a_signature_is_refused_on_every_call():
+    prog = Program(
+        "refuses",
+        ("M",),
+        (LoadInput("m", "M"), Const("z", 0), CheckEq("m", "z"), Ret("m")),
+        ProgramMeta(phases=("main",) * 4),
+    )
+    for _ in range(2):
+        with pytest.raises(ValueError, match="fault-free baseline"):
+            prog.runner({"M": 5}, 0)
+    assert not prog._runners
