@@ -22,6 +22,12 @@ have no WriteOf site. Random draws are per-instruction-site seeded streams, so
 a plan never shifts the draws of untouched sites and faulted runs share their
 r values with the fault-free baseline.
 
+Each instruction class is described once, in the OPCODES table: its dump
+keyword, its immediate fields, its register operands in slot order, the
+field naming the modulus it reduces by, and one kernel computing its result
+from its operand values. Operand reads, moduli, dumps, parsing, register
+renaming and both interpreters are derived from that table.
+
 Programs run on two paths that give the same results:
 
   * execute() is the reference interpreter. It runs every instruction and
@@ -41,8 +47,9 @@ from __future__ import annotations
 import functools
 import hashlib
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import Callable
 
 from .modmath import is_prime
 
@@ -138,43 +145,232 @@ class Ret:
 
 Instr = LoadInput | DrawRandomPrime | Const | BinOp | ModReduce | ModExp | ModInv | CheckEq | Ret
 
-_BINOPS = ("add", "sub", "mul", "div")
+
+# --------------------------------------------------------------------- results
+
+
+@dataclass(frozen=True)
+class Signature:
+    value: int
+
+
+@dataclass(frozen=True)
+class ErrorOut:
+    """The error constant was released; check_index is diagnostic only."""
+
+    check_index: int
+
+
+@dataclass(frozen=True)
+class Crash:
+    reason: str  # bad-modulus | not-invertible | inexact-division | bad-exponent
+
+
+ExecResult = Signature | ErrorOut | Crash
+
+_ENDS = (Signature, ErrorOut, Crash)
+_BAD_MODULUS = Crash("bad-modulus")
+_BAD_EXPONENT = Crash("bad-exponent")
+_INEXACT_DIVISION = Crash("inexact-division")
+_NOT_INVERTIBLE = Crash("not-invertible")
+
+
+# ---------------------------------------------------------------- opcode table
+
+# A kernel computes one instruction: kernel(ins, xs, index, (inputs, seed))
+# gets the values of the instruction's operands (with any read faults already
+# applied) and returns the value to store, None for a check that passed, or
+# the ExecResult that ends the run. A modulus below 2 crashes the run.
+
+
+def _k_input(ins, xs, i, env):
+    return env[0][ins.name]  # KeyError = caller bug, not a fault
+
+
+def _k_draw(ins, xs, i, env):
+    return draw_prime_value(env[1], i, ins.bits, set(xs))
+
+
+def _k_const(ins, xs, i, env):
+    return ins.value
+
+
+def _k_add(ins, xs, i, env):
+    v = xs[0] + xs[1]
+    if len(xs) == 2:
+        return v
+    return v % xs[2] if xs[2] >= 2 else _BAD_MODULUS
+
+
+def _k_sub(ins, xs, i, env):
+    v = xs[0] - xs[1]
+    if len(xs) == 2:
+        return v
+    return v % xs[2] if xs[2] >= 2 else _BAD_MODULUS
+
+
+def _k_mul(ins, xs, i, env):
+    v = xs[0] * xs[1]
+    if len(xs) == 2:
+        return v
+    return v % xs[2] if xs[2] >= 2 else _BAD_MODULUS
+
+
+def _k_div(ins, xs, i, env):
+    a, b = xs[0], xs[1]
+    if b == 0 or a % b:  # exact or crash, before the modulus is read
+        return _INEXACT_DIVISION
+    if len(xs) == 2:
+        return a // b
+    return a // b % xs[2] if xs[2] >= 2 else _BAD_MODULUS
+
+
+def _k_reduce(ins, xs, i, env):
+    m = xs[1]
+    if m < 2:
+        return _BAD_MODULUS
+    return xs[0] % m
+
+
+def _k_exp(ins, xs, i, env):
+    m = xs[2]
+    if m < 2:
+        return _BAD_MODULUS
+    if xs[1] < 0:
+        return _BAD_EXPONENT
+    return pow(xs[0], xs[1], m)
+
+
+def _k_inv(ins, xs, i, env):
+    m = xs[1]
+    if m < 2:
+        return _BAD_MODULUS
+    try:
+        return pow(xs[0], -1, m)
+    except ValueError:
+        return _NOT_INVERTIBLE
+
+
+def _k_check(ins, xs, i, env):
+    if len(xs) == 3:
+        m = xs[2]
+        if m < 2:
+            return _BAD_MODULUS
+        ok = (xs[0] - xs[1]) % m == 0
+    else:
+        ok = xs[0] == xs[1]
+    return None if ok else ErrorOut(i)
+
+
+def _k_ret(ins, xs, i, env):
+    return Signature(xs[0])
+
+
+_BINOP_KERNELS = {"add": _k_add, "sub": _k_sub, "mul": _k_mul, "div": _k_div}
+
+
+@dataclass(frozen=True)
+class Opcode:
+    """Everything the rest of the system knows about one instruction class.
+
+    keyword is the dump keyword; None means the instruction's op field holds
+    it (BinOp), and kernel maps each op to its own kernel. immediates are
+    the non-register fields printed after the keyword, with their types.
+    reads are the register operand fields in slot order; a trailing mod that
+    is None has no slot. reduces_by names the field holding the modulus the
+    stored value is reduced by; CheckEq's mod is a comparison ring, not
+    that. lookups names a field of registers the kernel also sees, after the
+    operands, without fault sites (the avoid set of a draw; an unwritten one
+    reads 0).
+    """
+
+    keyword: str | None
+    immediates: tuple[tuple[str, type], ...]
+    reads: tuple[str, ...]
+    reduces_by: str | None
+    kernel: Callable[[Instr, list[int], int, tuple], object] | dict[str, Callable]
+    lookups: str | None = None
+
+    @property
+    def printed(self) -> tuple[str, ...]:
+        """Fields in dump order after the keyword."""
+        tail = (self.lookups,) if self.lookups else ()
+        return tuple(f for f, _t in self.immediates) + self.reads + tail
+
+
+OPCODES: dict[type, Opcode] = {
+    LoadInput: Opcode("input", (("name", str),), (), None, _k_input),
+    DrawRandomPrime: Opcode("randprime", (("bits", int),), (), None, _k_draw, "distinct_from"),
+    Const: Opcode("const", (("value", int),), (), None, _k_const),
+    BinOp: Opcode(None, (), ("a", "b", "mod"), "mod", _BINOP_KERNELS),
+    ModReduce: Opcode("reduce", (), ("src", "mod"), "mod", _k_reduce),
+    ModExp: Opcode("modexp", (), ("base", "exp", "mod"), "mod", _k_exp),
+    ModInv: Opcode("modinv", (), ("src", "mod"), "mod", _k_inv),
+    CheckEq: Opcode("checkeq", (), ("a", "b", "mod"), None, _k_check),
+    Ret: Opcode("return", (), ("src",), None, _k_ret),
+}
+
+# fields a dump prints after a tag word, and leaves out when unset
+_TAGS = {"mod": "mod", "distinct_from": "avoid"}
+
+_BY_KEYWORD = {row.keyword: cls for cls, row in OPCODES.items() if row.keyword}
+_BY_KEYWORD.update(dict.fromkeys(_BINOP_KERNELS, BinOp))
 
 
 def dst_of(ins: Instr) -> str | None:
     return getattr(ins, "dst", None)
 
 
+def _kernel_of(ins: Instr) -> Callable:
+    row = OPCODES[type(ins)]
+    if row.keyword:
+        return row.kernel
+    if ins.op not in row.kernel:
+        raise ValueError(f"unknown op {ins.op!r}")
+    return row.kernel[ins.op]
+
+
+def _operand_regs(ins: Instr) -> tuple[tuple[str, ...], int]:
+    """Registers whose values ins's kernel gets, and how many are read slots."""
+    row = OPCODES[type(ins)]
+    regs = tuple(r for r in (getattr(ins, f) for f in row.reads) if r is not None)
+    if row.lookups:
+        return regs + getattr(ins, row.lookups), len(regs)
+    return regs, len(regs)
+
+
 def reads_of(ins: Instr) -> tuple[tuple[int, str], ...]:
     """Operand fetches of an instruction as (slot, register) pairs."""
-    if isinstance(ins, BinOp):
-        slots = [(0, ins.a), (1, ins.b)]
-        if ins.mod is not None:
-            slots.append((2, ins.mod))
-        return tuple(slots)
-    if isinstance(ins, ModReduce):
-        return ((0, ins.src), (1, ins.mod))
-    if isinstance(ins, ModExp):
-        return ((0, ins.base), (1, ins.exp), (2, ins.mod))
-    if isinstance(ins, ModInv):
-        return ((0, ins.src), (1, ins.mod))
-    if isinstance(ins, CheckEq):
-        slots = [(0, ins.a), (1, ins.b)]
-        if ins.mod is not None:
-            slots.append((2, ins.mod))
-        return tuple(slots)
-    if isinstance(ins, Ret):
-        return ((0, ins.src),)
-    return ()
+    regs, slots = _operand_regs(ins)
+    return tuple(enumerate(regs[:slots]))
 
 
 def modulus_reg(ins: Instr) -> str | None:
     """The register an instruction reduces by, if any."""
-    if isinstance(ins, (ModReduce, ModExp, ModInv)):
-        return ins.mod
-    if isinstance(ins, BinOp):
-        return ins.mod
-    return None
+    f = OPCODES[type(ins)].reduces_by
+    return None if f is None else getattr(ins, f)
+
+
+def registers_of(ins: Instr) -> tuple[str | None, ...]:
+    """Every register ins names: destination, operand fields, lookups.
+
+    An absent destination or mod is None, so two instructions of one class
+    give tuples that line up field by field.
+    """
+    row = OPCODES[type(ins)]
+    regs = (dst_of(ins),) + tuple(getattr(ins, f) for f in row.reads)
+    return regs + getattr(ins, row.lookups) if row.lookups else regs
+
+
+def rename_registers(ins: Instr, ren: dict[str, str]) -> Instr:
+    """ins with every register it names mapped through ren (others kept)."""
+    row = OPCODES[type(ins)]
+    changes = {
+        f: ren.get(r, r) for f in ("dst", *row.reads) if (r := getattr(ins, f, None)) is not None
+    }
+    if row.lookups:
+        changes[row.lookups] = tuple(ren.get(r, r) for r in getattr(ins, row.lookups))
+    return replace(ins, **changes)
 
 
 # ------------------------------------------------------------------- metadata
@@ -221,6 +417,18 @@ class Program:
 
     def __len__(self) -> int:
         return len(self.instrs)
+
+    @functools.cached_property
+    def steps(self) -> tuple[tuple[Instr, Callable, tuple[str, ...], int, str | None], ...]:
+        """(instruction, kernel, operand registers, read slots, destination)
+        per instruction.
+
+        Built on first use from OPCODES without validating, so execute runs
+        malformed programs too; only an unknown BinOp op raises ValueError.
+        """
+        return tuple(
+            (ins, _kernel_of(ins), *_operand_regs(ins), dst_of(ins)) for ins in self.instrs
+        )
 
     @functools.cached_property
     def compiled(self) -> CompiledProgram:
@@ -270,7 +478,7 @@ def validate(program: Program) -> list[Defect]:
     for idx, ins in enumerate(program.instrs):
         if ret_seen:
             defects.append(Defect("misplaced-return", idx, "instruction after Return", "error"))
-        if isinstance(ins, BinOp) and ins.op not in _BINOPS:
+        if isinstance(ins, BinOp) and ins.op not in _BINOP_KERNELS:
             defects.append(Defect("bad-op", idx, f"unknown op {ins.op!r}", "error"))
         if isinstance(ins, LoadInput) and ins.name not in program.inputs:
             defects.append(Defect("bad-input", idx, f"{ins.name!r} not declared", "error"))
@@ -406,26 +614,6 @@ def enumerate_sites(
 # ------------------------------------------------------------------ execution
 
 
-@dataclass(frozen=True)
-class Signature:
-    value: int
-
-
-@dataclass(frozen=True)
-class ErrorOut:
-    """The error constant was released; check_index is diagnostic only."""
-
-    check_index: int
-
-
-@dataclass(frozen=True)
-class Crash:
-    reason: str  # bad-modulus | not-invertible | inexact-division | bad-exponent
-
-
-ExecResult = Signature | ErrorOut | Crash
-
-
 def same_result(a: ExecResult, b: ExecResult) -> bool:
     """Observable equality: the error constant is opaque to the attacker."""
     if isinstance(a, Signature) and isinstance(b, Signature):
@@ -450,18 +638,30 @@ class ExecOutcome:
         return out
 
 
-class _PlanIndex:
-    def __init__(self, plan: FaultPlan):
-        self.writes: dict[int, tuple[FaultKind, int]] = {}
-        self.reads: dict[tuple[int, int], tuple[FaultKind, int]] = {}
-        self.skipped: set[int] = set()
-        for act in plan:
-            if isinstance(act.site, WriteOf):
-                self.writes[act.site.index] = (act.kind, act.value or 0)
-            elif isinstance(act.site, ReadOf):
-                self.reads[(act.site.index, act.site.slot)] = (act.kind, act.value or 0)
-            else:
-                self.skipped.update(range(act.site.first, act.site.last + 1))
+def _plan_faults(
+    plan: FaultPlan, n: int
+) -> tuple[dict[int, int], dict[int, dict[int, int]], int]:
+    """A plan over n instructions as (write replacements, read replacements
+    by index then slot, bitmask of skipped indices). Sites past either end
+    are dropped; of two actions on one site the later wins.
+    """
+    writes: dict[int, int] = {}
+    reads: dict[int, dict[int, int]] = {}
+    skipped = 0
+    for act in plan:
+        site = act.site
+        val = (act.value or 0) if act.kind is FaultKind.RANDOMIZE else 0
+        if isinstance(site, WriteOf):
+            if 0 <= site.index < n:
+                writes[site.index] = val
+        elif isinstance(site, ReadOf):
+            if 0 <= site.index < n:
+                reads.setdefault(site.index, {})[site.slot] = val
+        else:
+            first, last = max(site.first, 0), min(site.last, n - 1)
+            if first <= last:
+                skipped |= (1 << (last + 1)) - (1 << first)
+    return writes, reads, skipped
 
 
 def _site_rng(seed: int, index: int, salt: int) -> random.Random:
@@ -501,111 +701,42 @@ def execute(
     state induced by faults (modulus < 2, negative exponent, impossible
     inverse, inexact division) ends the run with a Crash.
     """
-    faults = _PlanIndex(plan)
+    steps = program.steps
+    writes, reads, skipped = _plan_faults(plan, len(steps))
+    env = (inputs, seed)
     regs: dict[str, int] = {}
     trace: list[tuple[int, str, int]] = []
     draws: list[tuple[int, int]] = []
-
-    def fetch(idx: int, slot: int, reg: str) -> int:
-        f = faults.reads.get((idx, slot))
-        if f is not None:
-            return f[1] if f[0] is FaultKind.RANDOMIZE else 0
-        return regs.get(reg, 0)
-
-    def store(idx: int, reg: str, val: int) -> None:
-        f = faults.writes.get(idx)
-        if f is not None:
-            val = f[1] if f[0] is FaultKind.RANDOMIZE else 0
-        regs[reg] = val
-        trace.append((idx, reg, val))
-
-    def done(res: ExecResult) -> ExecOutcome:
-        return ExecOutcome(res, tuple(trace), tuple(draws))
-
-    for idx, ins in enumerate(program.instrs):
-        if idx in faults.skipped:
-            dst = dst_of(ins)
-            if dst is not None:
-                store(idx, dst, skip_fill_value(seed, idx))
-            continue
-        if isinstance(ins, LoadInput):
-            store(idx, ins.dst, inputs[ins.name])  # KeyError = caller bug, not a fault
-        elif isinstance(ins, Const):
-            store(idx, ins.dst, ins.value)
-        elif isinstance(ins, DrawRandomPrime):
-            avoid = {regs.get(r, 0) for r in ins.distinct_from}
-            val = draw_prime_value(seed, idx, ins.bits, avoid)
-            draws.append((idx, val))
-            store(idx, ins.dst, val)
-        elif isinstance(ins, BinOp):
-            a = fetch(idx, 0, ins.a)
-            b = fetch(idx, 1, ins.b)
-            if ins.op == "add":
-                v = a + b
-            elif ins.op == "sub":
-                v = a - b
-            elif ins.op == "mul":
-                v = a * b
-            else:  # div: exact or crash
-                if b == 0 or a % b != 0:
-                    return done(Crash("inexact-division"))
-                v = a // b
-            if ins.mod is not None:
-                m = fetch(idx, 2, ins.mod)
-                if m < 2:
-                    return done(Crash("bad-modulus"))
-                v %= m
-            store(idx, ins.dst, v)
-        elif isinstance(ins, ModReduce):
-            v = fetch(idx, 0, ins.src)
-            m = fetch(idx, 1, ins.mod)
-            if m < 2:
-                return done(Crash("bad-modulus"))
-            store(idx, ins.dst, v % m)
-        elif isinstance(ins, ModExp):
-            b = fetch(idx, 0, ins.base)
-            e = fetch(idx, 1, ins.exp)
-            m = fetch(idx, 2, ins.mod)
-            if m < 2:
-                return done(Crash("bad-modulus"))
-            if e < 0:
-                return done(Crash("bad-exponent"))
-            store(idx, ins.dst, pow(b, e, m))
-        elif isinstance(ins, ModInv):
-            v = fetch(idx, 0, ins.src)
-            m = fetch(idx, 1, ins.mod)
-            if m < 2:
-                return done(Crash("bad-modulus"))
-            try:
-                store(idx, ins.dst, pow(v, -1, m))
-            except ValueError:
-                return done(Crash("not-invertible"))
-        elif isinstance(ins, CheckEq):
-            a = fetch(idx, 0, ins.a)
-            b = fetch(idx, 1, ins.b)
-            if ins.mod is not None:
-                m = fetch(idx, 2, ins.mod)
-                if m < 2:
-                    return done(Crash("bad-modulus"))
-                ok = (a - b) % m == 0
-            else:
-                ok = a == b
-            if not ok:
-                return done(ErrorOut(idx))
-        elif isinstance(ins, Ret):
-            return done(Signature(fetch(idx, 0, ins.src)))
-        else:  # pragma: no cover - the union is closed
-            raise TypeError(f"unknown instruction {ins!r}")
-    # Return was skipped: the output buffer keeps its zero initialization.
-    return done(Signature(0))
+    # a skipped Return releases the zero-initialized output buffer
+    result: ExecResult = Signature(0)
+    for idx, (ins, kernel, operands, slots, dst) in enumerate(steps):
+        if skipped >> idx & 1:
+            if dst is None:
+                continue  # a skipped check passes; a skipped Return is settled above
+            val = skip_fill_value(seed, idx)
+        else:
+            xs = [regs.get(r, 0) for r in operands]
+            rd = reads.get(idx)
+            if rd:
+                for slot, v in rd.items():
+                    if 0 <= slot < slots:
+                        xs[slot] = v
+            val = kernel(ins, xs, idx, env)
+            if val.__class__ is not int:
+                if val is None:
+                    continue  # a check that passed
+                if val.__class__ in _ENDS:
+                    result = val
+                    break
+            if ins.__class__ is DrawRandomPrime:
+                draws.append((idx, val))
+        val = writes.get(idx, val)
+        regs[dst] = val
+        trace.append((idx, dst, val))
+    return ExecOutcome(result, tuple(trace), tuple(draws))
 
 
 # ------------------------------------------------------------- campaign runner
-
-# opcodes of the compiled form; the two without a destination come last
-(_OP_ADD, _OP_SUB, _OP_MUL, _OP_DIV, _OP_EXP, _OP_REDUCE, _OP_INV, _OP_DRAW, _OP_KEEP,
- _OP_CHECK, _OP_RET) = range(11)
-_BINOP_CODES = {"add": _OP_ADD, "sub": _OP_SUB, "mul": _OP_MUL, "div": _OP_DIV}
 
 
 @dataclass(frozen=True)
@@ -613,15 +744,14 @@ class CompiledProgram:
     """A program lowered to what FaultRunner needs, one row per instruction.
 
     A register is named by the index of the instruction that writes it.
-    ops[i] is (opcode, operand writer indices in slot order, draw detail).
-    The detail of a DrawRandomPrime is (bits, writer indices of its
-    distinct_from registers, avoids_zero), where avoids_zero says some
-    distinct_from register is not yet written at i and so reads 0.
-    readers[i] is the bitmask of the instructions whose operands or
-    distinct_from lookups see the value instruction i stores.
+    ops[i] is (instruction, kernel, writer indices of its operand registers
+    in Program.steps order, read slots). A lookup of a register not yet
+    written at i names index len(ops), a slot that always reads 0.
+    readers[i] is the bitmask of the instructions whose operands see the
+    value instruction i stores.
     """
 
-    ops: tuple[tuple[int, tuple[int, ...], tuple | None], ...]
+    ops: tuple[tuple[Instr, Callable, tuple[int, ...], int], ...]
     readers: tuple[int, ...]
 
 
@@ -631,36 +761,17 @@ def _compile(program: Program) -> CompiledProgram:
         raise ValueError(
             f"{program.name} is not runnable: " + "; ".join(d.detail for d in errors)
         )
+    n = len(program.instrs)
     writer: dict[str, int] = {}
     ops = []
-    readers = [0] * len(program.instrs)
-    for i, ins in enumerate(program.instrs):
-        srcs = tuple(writer[reg] for _slot, reg in reads_of(ins))
-        detail = None
-        if isinstance(ins, DrawRandomPrime):
-            avoid = tuple(writer[r] for r in ins.distinct_from if r in writer)
-            detail = (ins.bits, avoid, len(avoid) < len(ins.distinct_from))
-            for s in avoid:
-                readers[s] |= 1 << i
-            op = _OP_DRAW
-        elif isinstance(ins, (LoadInput, Const)):
-            op = _OP_KEEP  # recomputing either stores its baseline value again
-        elif isinstance(ins, BinOp):
-            op = _BINOP_CODES[ins.op]
-        elif isinstance(ins, ModReduce):
-            op = _OP_REDUCE
-        elif isinstance(ins, ModExp):
-            op = _OP_EXP
-        elif isinstance(ins, ModInv):
-            op = _OP_INV
-        elif isinstance(ins, CheckEq):
-            op = _OP_CHECK
-        else:
-            op = _OP_RET
+    readers = [0] * n
+    for i, (ins, kernel, operands, slots, dst) in enumerate(program.steps):
+        # validation puts every read slot after its write; lookups may precede it
+        srcs = tuple(writer[r] if k < slots else writer.get(r, n) for k, r in enumerate(operands))
         for s in srcs:
-            readers[s] |= 1 << i
-        ops.append((op, srcs, detail))
-        dst = dst_of(ins)
+            if s < n:
+                readers[s] |= 1 << i
+        ops.append((ins, kernel, srcs, slots))
         if dst is not None:
             writer[dst] = i
     return CompiledProgram(tuple(ops), tuple(readers))
@@ -689,47 +800,49 @@ class FaultRunner:
             raise ValueError(f"fault-free baseline of {program.name} is {self.baseline.result}")
         self.signature: int = self.baseline.result.value
         self._seed = seed
+        self._env = (inputs, seed)
         self._ops = code.ops
         self._readers = code.readers
-        self._base = [0] * len(code.ops)
+        n = len(code.ops)
+        self._base = [0] * (n + 1)  # index n: the always-0 slot of _compile
         for idx, _reg, val in self.baseline.trace:
             self._base[idx] = val
-        self._ret_bit = 1 << (len(code.ops) - 1)  # validation puts Return last
+        self._ret_bit = 1 << (n - 1)  # validation puts Return last
         self._fills: dict[int, int] = {}
 
     def run(self, plan: FaultPlan) -> ExecResult:
+        # _plan_faults written out, with the pending mask built on the way:
+        # calling it once per plan costs about 5% of the runner's time
         n = len(self._ops)
         writes: dict[int, int] = {}
         reads: dict[int, dict[int, int]] = {}
-        skipped = 0
+        skipped = pending = 0
         for act in plan:
             site = act.site
             val = (act.value or 0) if act.kind is FaultKind.RANDOMIZE else 0
             if isinstance(site, WriteOf):
                 if 0 <= site.index < n:
                     writes[site.index] = val
+                    pending |= 1 << site.index
             elif isinstance(site, ReadOf):
                 if 0 <= site.index < n:
                     reads.setdefault(site.index, {})[site.slot] = val
+                    pending |= 1 << site.index
             else:
                 first, last = max(site.first, 0), min(site.last, n - 1)
                 if first <= last:
                     skipped |= (1 << (last + 1)) - (1 << first)
-        pending = skipped
-        for i in writes:
-            pending |= 1 << i
-        for i in reads:
-            pending |= 1 << i
+        pending |= skipped
 
-        ops, readers, base = self._ops, self._readers, self._base
+        ops, readers, base, env = self._ops, self._readers, self._base, self._env
         vals = base.copy()
         while pending:
             low = pending & -pending
             pending ^= low
             i = low.bit_length() - 1
-            op, srcs, detail = ops[i]
+            ins, kernel, srcs, slots = ops[i]
             if skipped & low:
-                if op >= _OP_CHECK:
+                if dst_of(ins) is None:
                     continue  # a skipped check passes; a skipped Return is settled below
                 v = self._fills.get(i)
                 if v is None:
@@ -739,66 +852,14 @@ class FaultRunner:
                 rd = reads.get(i)
                 if rd:
                     for slot, rv in rd.items():
-                        if 0 <= slot < len(xs):
+                        if 0 <= slot < slots:
                             xs[slot] = rv
-                if op <= _OP_DIV:
-                    a, b = xs[0], xs[1]
-                    if op == _OP_MUL:
-                        v = a * b
-                    elif op == _OP_ADD:
-                        v = a + b
-                    elif op == _OP_SUB:
-                        v = a - b
-                    else:
-                        if b == 0 or a % b:
-                            return Crash("inexact-division")
-                        v = a // b
-                    if len(xs) == 3:
-                        m = xs[2]
-                        if m < 2:
-                            return Crash("bad-modulus")
-                        v %= m
-                elif op == _OP_EXP:
-                    m = xs[2]
-                    if m < 2:
-                        return Crash("bad-modulus")
-                    if xs[1] < 0:
-                        return Crash("bad-exponent")
-                    v = pow(xs[0], xs[1], m)
-                elif op == _OP_REDUCE:
-                    m = xs[1]
-                    if m < 2:
-                        return Crash("bad-modulus")
-                    v = xs[0] % m
-                elif op == _OP_INV:
-                    m = xs[1]
-                    if m < 2:
-                        return Crash("bad-modulus")
-                    try:
-                        v = pow(xs[0], -1, m)
-                    except ValueError:
-                        return Crash("not-invertible")
-                elif op == _OP_CHECK:
-                    if len(xs) == 3:
-                        m = xs[2]
-                        if m < 2:
-                            return Crash("bad-modulus")
-                        ok = (xs[0] - xs[1]) % m == 0
-                    else:
-                        ok = xs[0] == xs[1]
-                    if not ok:
-                        return ErrorOut(i)
-                    continue
-                elif op == _OP_RET:
-                    return Signature(xs[0])
-                elif op == _OP_DRAW:
-                    bits, avoid_srcs, avoids_zero = detail
-                    avoid = {vals[s] for s in avoid_srcs}
-                    if avoids_zero:
-                        avoid.add(0)
-                    v = draw_prime_value(self._seed, i, bits, avoid)
-                else:  # _OP_KEEP
-                    v = base[i]
+                v = kernel(ins, xs, i, env)
+                if v.__class__ is not int:
+                    if v is None:
+                        continue  # a check that passed
+                    if v.__class__ in _ENDS:
+                        return v
             if i in writes:
                 v = writes[i]
             if v != base[i]:
@@ -813,28 +874,16 @@ class FaultRunner:
 
 
 def _instr_line(idx: int, ins: Instr) -> str:
-    if isinstance(ins, LoadInput):
-        return f"{idx}: {ins.dst} <- input {ins.name}"
-    if isinstance(ins, DrawRandomPrime):
-        extra = f" avoid {','.join(ins.distinct_from)}" if ins.distinct_from else ""
-        return f"{idx}: {ins.dst} <- randprime {ins.bits}{extra}"
-    if isinstance(ins, Const):
-        return f"{idx}: {ins.dst} <- const {ins.value}"
-    if isinstance(ins, BinOp):
-        tail = f" mod {ins.mod}" if ins.mod is not None else ""
-        return f"{idx}: {ins.dst} <- {ins.op} {ins.a} {ins.b}{tail}"
-    if isinstance(ins, ModReduce):
-        return f"{idx}: {ins.dst} <- reduce {ins.src} mod {ins.mod}"
-    if isinstance(ins, ModExp):
-        return f"{idx}: {ins.dst} <- modexp {ins.base} {ins.exp} mod {ins.mod}"
-    if isinstance(ins, ModInv):
-        return f"{idx}: {ins.dst} <- modinv {ins.src} mod {ins.mod}"
-    if isinstance(ins, CheckEq):
-        tail = f" mod {ins.mod}" if ins.mod is not None else ""
-        return f"{idx}: checkeq {ins.a} {ins.b}{tail}"
-    if isinstance(ins, Ret):
-        return f"{idx}: return {ins.src}"
-    raise TypeError(f"unknown instruction {ins!r}")
+    row = OPCODES[type(ins)]
+    dst, keyword = dst_of(ins), row.keyword or ins.op
+    words = [keyword] if dst is None else [dst, "<-", keyword]
+    for f in row.printed:
+        v = getattr(ins, f)
+        if f not in _TAGS:
+            words.append(str(v))
+        elif v:
+            words += [_TAGS[f], ",".join(v) if f == row.lookups else v]
+    return f"{idx}: " + " ".join(words)
 
 
 def dump_program(program: Program) -> str:
@@ -870,8 +919,41 @@ def program_digest(program: Program) -> str:
     return hashlib.sha256(dump_program(program).encode()).hexdigest()[:16]
 
 
+def _parse_instr(line: str) -> Instr:
+    """One instruction line of a dump; ValueError unless it is well formed."""
+    toks = line.partition(": ")[2].split()  # indices are positional
+    fields: dict[str, object] = {}
+    try:
+        if len(toks) > 1 and toks[1] == "<-":
+            fields["dst"], toks = toks[0], toks[2:]
+        cls = _BY_KEYWORD.get(toks[0] if toks else None)
+        if cls is None:
+            raise ValueError("no known keyword")
+        row = OPCODES[cls]
+        if row.keyword is None:
+            fields["op"] = toks[0]
+        plain = [f for f in row.printed if f not in _TAGS]
+        args, tagged = toks[1 : 1 + len(plain)], toks[1 + len(plain) :]
+        if len(tagged) % 2:
+            raise ValueError("a tag without its value")
+        types = dict(row.immediates)
+        for f, tok in zip(plain, args):
+            fields[f] = types.get(f, str)(tok)
+        tags = {_TAGS[f]: f for f in row.printed if f in _TAGS}
+        for tag, tok in zip(tagged[::2], tagged[1::2]):
+            f = tags[tag]
+            fields[f] = tuple(tok.split(",")) if f == row.lookups else tok
+        return cls(**fields)
+    except (KeyError, TypeError, ValueError) as exc:
+        # unknown tag, missing or unexpected field, bad integer
+        raise ValueError(f"cannot parse line {line!r}: {exc}") from None
+
+
 def parse_dump(text: str) -> Program:
-    """Inverse of dump_program (round-trips metadata)."""
+    """Inverse of dump_program (round-trips metadata).
+
+    A line that is not well formed raises ValueError naming it.
+    """
     name = "parsed"
     inputs: tuple[str, ...] = ()
     instrs: list[Instr] = []
@@ -887,11 +969,14 @@ def parse_dump(text: str) -> Program:
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("#"):
-            parts = line[1:].split()
-            if not parts:
-                continue
-            tag, rest = parts[0], parts[1:]
+        if not line.startswith("#"):
+            instrs.append(_parse_instr(line))
+            continue
+        parts = line[1:].split()
+        if not parts:
+            continue
+        tag, rest = parts[0], parts[1:]
+        try:
             if tag == "program" and rest:
                 name = rest[0]
             elif tag == "inputs":
@@ -917,39 +1002,8 @@ def parse_dump(text: str) -> Program:
                 n_reg = rest[0]
             elif tag == "onereg":
                 one_reg = rest[0]
-            continue
-        head, _, body = line.partition(": ")
-        del head  # indices are positional
-        toks = body.split()
-        if toks[0] == "checkeq":
-            mod = toks[4] if len(toks) > 3 and toks[3] == "mod" else None
-            instrs.append(CheckEq(toks[1], toks[2], mod))
-            continue
-        if toks[0] == "return":
-            instrs.append(Ret(toks[1]))
-            continue
-        dst, arrow, op = toks[0], toks[1], toks[2]
-        if arrow != "<-":
-            raise ValueError(f"cannot parse line {line!r}")
-        args = toks[3:]
-        if op == "input":
-            instrs.append(LoadInput(dst, args[0]))
-        elif op == "randprime":
-            avoid = tuple(args[2].split(",")) if len(args) > 2 and args[1] == "avoid" else ()
-            instrs.append(DrawRandomPrime(dst, int(args[0]), avoid))
-        elif op == "const":
-            instrs.append(Const(dst, int(args[0])))
-        elif op == "reduce":
-            instrs.append(ModReduce(dst, args[0], args[2]))
-        elif op == "modexp":
-            instrs.append(ModExp(dst, args[0], args[1], args[3]))
-        elif op == "modinv":
-            instrs.append(ModInv(dst, args[0], args[2]))
-        elif op in _BINOPS:
-            mod = args[3] if len(args) > 3 and args[2] == "mod" else None
-            instrs.append(BinOp(dst, op, args[0], args[1], mod))
-        else:
-            raise ValueError(f"cannot parse line {line!r}")
+        except (IndexError, ValueError):  # a missing or non-integer field
+            raise ValueError(f"cannot parse line {line!r}") from None
     meta = ProgramMeta(
         phases=phases,
         verification_checks=checks,

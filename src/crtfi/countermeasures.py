@@ -22,8 +22,9 @@ signature.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
+from typing import Callable
 
 from . import keytools
 from .circuit import Program, ProgramBuilder
@@ -42,33 +43,18 @@ class CatalogEntry:
     style: str  # test-based | infective | none
     claimed_order: int
     broken_at: int | None  # fault order at which a structural break is known
-
-
-_CATALOG = (
-    CatalogEntry("unprotected", "none", "none", 0, 1),
-    CatalogEntry("straightforward", "none", "test-based", 1, None),
-    CatalogEntry("giraud-sketch", "giraud", "test-based", 1, None),
-    CatalogEntry("shamir", "shamir", "test-based", 1, 1),
-    CatalogEntry("fixed-shamir", "shamir", "test-based", 1, None),
-    CatalogEntry("joye", "shamir", "test-based", 1, 1),
-    CatalogEntry("ciet-joye", "shamir", "infective", 2, 2),
-    CatalogEntry("blomer", "shamir", "infective", 1, None),
-    CatalogEntry("aumuller", "shamir", "test-based", 1, None),
-    CatalogEntry("aumuller-infective", "shamir", "infective", 1, None),
-    CatalogEntry("vigilant", "shamir", "test-based", 1, None),
-    CatalogEntry("vigilant-simplified-infective", "shamir", "infective", 1, None),
-)
+    builder: Callable[[CrtKey, int, int], Program] = field(repr=False, compare=False)
 
 
 def catalog() -> tuple[CatalogEntry, ...]:
-    return _CATALOG
+    return tuple(_CATALOG.values())
 
 
 def catalog_entry(algo: str) -> CatalogEntry:
-    for e in _CATALOG:
-        if e.algo == algo:
-            return e
-    raise ValueError(f"unknown algo id {algo!r}")
+    try:
+        return _CATALOG[algo]
+    except KeyError:
+        raise ValueError(f"unknown algo id {algo!r}") from None
 
 
 def _d_of(key: CrtKey) -> int:
@@ -109,6 +95,19 @@ def _load_d(b: ProgramBuilder) -> None:
     b.inp("q")
     b.inp("d")
     b.inp("iq")
+
+
+def _reduced_exponent(b: ProgramBuilder, x: str, r: str, dreg: str) -> None:
+    """d{x}{x} = dreg mod phi(x*r), for the prime x and the widened x{x} = x*r.
+
+    phi(x*r) is written as x*r - x - r + 1: an additive fault anywhere in
+    the chain shifts the residue mod r-1, so a wrong reduced exponent can
+    never slip past the mod-r comparison by staying congruent there.
+    """
+    b.sub(f"t{x}1", f"{x}{x}", x)
+    b.sub(f"t{x}2", f"t{x}1", r)
+    b.add(f"phi{x}", f"t{x}2", b.one())
+    b.reduce(f"d{x}{x}", dreg, f"phi{x}")
 
 
 def _build_unprotected(key: CrtKey, r_bits: int, build_seed: int) -> Program:
@@ -213,23 +212,14 @@ def _build_shamir(key: CrtKey, r_bits: int, build_seed: int) -> Program:
     b.set_phase("rng")
     b.draw("r", r_bits, avoid=("p", "q"))
     b.set_phase("precompute")
-    one = b.one()
+    b.one()
     b.mul("pp", "p", "r")
-    # phi(p*r) written as p*r - p - r + 1: an additive fault anywhere in the
-    # chain shifts the residue mod r-1, so a wrong reduced exponent can never
-    # slip past the mod-r comparison by staying congruent there
-    b.sub("tp1", "pp", "p")
-    b.sub("tp2", "tp1", "r")
-    b.add("phip", "tp2", one)
-    b.reduce("dpp", "d", "phip")
+    _reduced_exponent(b, "p", "r", "d")
     b.set_phase("exp-p")
     b.exp("spp", "m", "dpp", "pp")
     b.set_phase("precompute")
     b.mul("qq", "q", "r")
-    b.sub("tq1", "qq", "q")
-    b.sub("tq2", "tq1", "r")
-    b.add("phiq", "tq2", one)
-    b.reduce("dqq", "d", "phiq")
+    _reduced_exponent(b, "q", "r", "d")
     b.set_phase("exp-q")
     b.exp("sqq", "m", "dqq", "qq")
     b.set_phase("retrieve")
@@ -250,7 +240,7 @@ def _build_fixed_shamir(key: CrtKey, r_bits: int, build_seed: int) -> Program:
     b.set_phase("rng")
     b.draw("r", r_bits, avoid=("p", "q"))
     b.set_phase("precompute")
-    one = b.one()
+    b.one()
     b.const("zero", 0)
     b.mul("pp", "p", "r")
     b.mul("qq", "q", "r")
@@ -258,15 +248,8 @@ def _build_fixed_shamir(key: CrtKey, r_bits: int, build_seed: int) -> Program:
     b.check("pp", "zero", mod="p")
     b.check("qq", "zero", mod="q")
     b.set_phase("precompute")
-    # same subtractive totients as the plain variant, for the same reason
-    b.sub("tp1", "pp", "p")
-    b.sub("tp2", "tp1", "r")
-    b.add("phip", "tp2", one)
-    b.reduce("dpp", "d", "phip")
-    b.sub("tq1", "qq", "q")
-    b.sub("tq2", "tq1", "r")
-    b.add("phiq", "tq2", one)
-    b.reduce("dqq", "d", "phiq")
+    _reduced_exponent(b, "p", "r", "d")
+    _reduced_exponent(b, "q", "r", "d")
     b.set_phase("exp-p")
     b.exp("spp", "m", "dpp", "pp")
     b.set_phase("exp-q")
@@ -301,15 +284,8 @@ def _build_joye(key: CrtKey, r_bits: int, build_seed: int) -> Program:
     b.mul("qq", "q", "r2")
     b.inv("iqq", "qq", "pp")  # stored but never consumed: dead by design
     b.mul("n", "p", "q")  # likewise
-    # subtractive totients, see the shamir builder
-    b.sub("tp1", "pp", "p")
-    b.sub("tp2", "tp1", "r1")
-    b.add("phip", "tp2", one)
-    b.reduce("dpp", "dp", "phip")
-    b.sub("tq1", "qq", "q")
-    b.sub("tq2", "tq1", "r2")
-    b.add("phiq", "tq2", one)
-    b.reduce("dqq", "dq", "phiq")
+    _reduced_exponent(b, "p", "r1", "dp")
+    _reduced_exponent(b, "q", "r2", "dq")
     b.sub("r1m1", "r1", one)
     b.sub("r2m1", "r2", one)
     b.reduce("dpr", "dp", "r1m1")
@@ -354,14 +330,8 @@ def _build_ciet_joye(key: CrtKey, r_bits: int, build_seed: int) -> Program:
     b.mul("qq", "q", "r2")
     b.inv("iqq", "qq", "pp")
     b.mul("n", "p", "q")
-    b.sub("tp1", "pp", "p")
-    b.sub("tp2", "tp1", "r1")
-    b.add("phip", "tp2", one)
-    b.reduce("dpp", "dp", "phip")
-    b.sub("tq1", "qq", "q")
-    b.sub("tq2", "tq1", "r2")
-    b.add("phiq", "tq2", one)
-    b.reduce("dqq", "dq", "phiq")
+    _reduced_exponent(b, "p", "r1", "dp")
+    _reduced_exponent(b, "q", "r2", "dq")
     b.sub("r1m1", "r1", one)
     b.sub("r2m1", "r2", one)
     b.reduce("dpr", "dp", "r1m1")
@@ -441,15 +411,9 @@ def _build_blomer(key: CrtKey, r_bits: int, build_seed: int) -> Program:
     b.mul("n", "p", "q")
     b.mul("rr", "r1", "r2")
     b.mul("nn", "n", "rr")  # stored but never consumed: dead by design
-    b.sub("tp1", "pp", "p")
-    b.sub("tp2", "tp1", "r1")
-    b.add("phip", "tp2", one)
-    b.reduce("dpp", "d", "phip")
+    _reduced_exponent(b, "p", "r1", "d")
     b.inv("epp", "dpp", "phip")
-    b.sub("tq1", "qq", "q")
-    b.sub("tq2", "tq1", "r2")
-    b.add("phiq", "tq2", one)
-    b.reduce("dqq", "d", "phiq")
+    _reduced_exponent(b, "q", "r2", "d")
     b.inv("eqq", "dqq", "phiq")
     b.set_phase("exp-p")
     b.exp("spp", "m", "dpp", "pp")
@@ -494,14 +458,8 @@ def _build_aumuller(key: CrtKey, r_bits: int, build_seed: int) -> Program:
     b.check("pp", "zero", mod="p")
     b.check("qq", "zero", mod="q")
     b.set_phase("precompute")
-    b.sub("tp1", "pp", "p")
-    b.sub("tp2", "tp1", "r")
-    b.add("phip", "tp2", one)
-    b.reduce("dpp", "dp", "phip")
-    b.sub("tq1", "qq", "q")
-    b.sub("tq2", "tq1", "r")
-    b.add("phiq", "tq2", one)
-    b.reduce("dqq", "dq", "phiq")
+    _reduced_exponent(b, "p", "r", "dp")
+    _reduced_exponent(b, "q", "r", "dq")
     b.sub("rm1", "r", one)
     b.set_phase("exp-p")
     b.exp("spp", "m", "dpp", "pp")
@@ -680,19 +638,27 @@ def _build_aumuller_infective(key: CrtKey, r_bits: int, build_seed: int) -> Prog
     return to_infective(_build_aumuller(key, r_bits, build_seed))
 
 
-_BUILDERS = {
-    "unprotected": _build_unprotected,
-    "straightforward": _build_straightforward,
-    "giraud-sketch": _build_giraud,
-    "shamir": _build_shamir,
-    "fixed-shamir": _build_fixed_shamir,
-    "joye": _build_joye,
-    "ciet-joye": _build_ciet_joye,
-    "blomer": _build_blomer,
-    "aumuller": _build_aumuller,
-    "aumuller-infective": _build_aumuller_infective,
-    "vigilant": _build_vigilant,
-    "vigilant-simplified-infective": _build_vigilant_simplified,
+_CATALOG = {
+    e.algo: e
+    for e in (
+        CatalogEntry("unprotected", "none", "none", 0, 1, _build_unprotected),
+        CatalogEntry("straightforward", "none", "test-based", 1, None, _build_straightforward),
+        CatalogEntry("giraud-sketch", "giraud", "test-based", 1, None, _build_giraud),
+        CatalogEntry("shamir", "shamir", "test-based", 1, 1, _build_shamir),
+        CatalogEntry("fixed-shamir", "shamir", "test-based", 1, None, _build_fixed_shamir),
+        CatalogEntry("joye", "shamir", "test-based", 1, 1, _build_joye),
+        CatalogEntry("ciet-joye", "shamir", "infective", 2, 2, _build_ciet_joye),
+        CatalogEntry("blomer", "shamir", "infective", 1, None, _build_blomer),
+        CatalogEntry("aumuller", "shamir", "test-based", 1, None, _build_aumuller),
+        CatalogEntry(
+            "aumuller-infective", "shamir", "infective", 1, None, _build_aumuller_infective
+        ),
+        CatalogEntry("vigilant", "shamir", "test-based", 1, None, _build_vigilant),
+        CatalogEntry(
+            "vigilant-simplified-infective", "shamir", "infective", 1, None,
+            _build_vigilant_simplified,
+        ),
+    )
 }
 
 
@@ -703,10 +669,7 @@ def build(algo: str, key: CrtKey, r_bits: int = 8, build_seed: int = 0) -> Progr
     distinct small primes need a pool that survives the avoid sets; with
     very small keys use r_bits >= 5.
     """
-    try:
-        builder = _BUILDERS[algo]
-    except KeyError:
-        raise ValueError(f"unknown algo id {algo!r}") from None
+    builder = catalog_entry(algo).builder
     if r_bits < 2:
         raise ValueError("r_bits must be at least 2")
     return builder(key, r_bits, build_seed)

@@ -41,7 +41,6 @@ from itertools import combinations
 from .circuit import (
     CheckEq,
     Crash,
-    DrawRandomPrime,
     ErrorOut,
     FaultAction,
     FaultKind,
@@ -63,7 +62,7 @@ from .circuit import (
     skip_fill_value,
 )
 from .countermeasures import build, program_inputs
-from .keytools import CrtKey
+from .keytools import CrtKey, check_crt_key
 from .modmath import FactorClass, bellcore_extract
 
 KIND_NAMES = ("zero", "randomize", "skip")
@@ -79,12 +78,13 @@ CLASS_COLLISION = "subring-collision"
 class CampaignSpec:
     """One campaign configuration. Give either algo or a prebuilt program.
 
-    A prebuilt program must pass circuit.validate. Every message must be a
-    unit mod N = p*q (0 < M < N and gcd(M, N) = 1): a message sharing a
-    factor with N leaks that factor on its own, so faulted outputs would
-    count as breaks the scheme did not cause, and one outside (0, N)
-    aliases another message. workers is checked but not used: campaigns
-    run on one thread, and the report does not depend on it.
+    A prebuilt program must pass circuit.validate. The key must pass
+    keytools.check_crt_key. Every message must be a unit mod N = p*q
+    (0 < M < N and gcd(M, N) = 1): a message sharing a factor with N leaks
+    that factor on its own, so faulted outputs would count as breaks the
+    scheme did not cause, and one outside (0, N) aliases another message.
+    workers is checked but not used: campaigns run on one thread, and the
+    report does not depend on it.
     """
 
     key: CrtKey
@@ -112,6 +112,7 @@ class CampaignSpec:
         for k in self.kinds:
             if k not in KIND_NAMES:
                 raise ValueError(f"unknown fault kind {k!r}")
+        check_crt_key(self.key)
         n = self.key.p * self.key.q
         for m in self.messages:
             if not 0 < m < n or math.gcd(m, n) != 1:
@@ -579,6 +580,7 @@ def _resolve_program(spec: CampaignSpec) -> Program:
 
 
 def run_campaign(spec: CampaignSpec) -> CampaignReport:
+    """Run every plan of the spec on every message; ValueError if there are none."""
     program = _resolve_program(spec)
     key = spec.key
     n = key.p * key.q
@@ -594,6 +596,12 @@ def run_campaign(spec: CampaignSpec) -> CampaignReport:
 
     table = site_action_table(program, spec)
     plans, sampled = build_plans(program, spec, table)
+    if not plans:
+        # zero breaks over zero plans would read as "secure"
+        raise ValueError(
+            f"campaign on {program.name} has no fault plans: widen kinds, "
+            "max_skip_len, samples_per_site or plan_limit, or lower the order"
+        )
 
     site_keys: dict[FaultSite, str] = {}
     row_meta: dict[tuple[str, str], tuple[str, bool, int | None]] = {}

@@ -101,6 +101,24 @@ def derive_crt(p: int, q: int, d: int) -> CrtKey:
     return CrtKey(p=p, q=q, dp=dp, dq=dq, iq=iq, d=d, n=p * q)
 
 
+def check_crt_key(key: CrtKey) -> None:
+    """Raise KeyError_ unless key is a consistent CRT signing key.
+
+    p and q must be distinct primes and iq*q = 1 (mod p); when d is known,
+    dp = d (mod p-1) and dq = d (mod q-1). A key failing any of these signs
+    wrongly on its own, so a fault campaign on it measures nothing.
+    """
+    p, q = key.p, key.q
+    if not (is_prime(p) and is_prime(q)) or p == q:
+        raise KeyError_(f"key p={p}, q={q}: p and q must be distinct primes")
+    if key.iq * q % p != 1:
+        raise KeyError_(f"key iq={key.iq} is not the inverse of q={q} mod p={p}")
+    if key.d is not None:
+        for name, half, prime in (("dp", key.dp, p), ("dq", key.dq, q)):
+            if (half - key.d) % (prime - 1):
+                raise KeyError_(f"key {name}={half} is not d={key.d} mod {prime - 1}")
+
+
 def crt_from_rsa(key: RsaKey) -> CrtKey:
     c = derive_crt(key.p, key.q, key.d)
     return replace(c, e=key.e)

@@ -17,6 +17,8 @@ rewritten program different checksum primes than its source.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .circuit import (
     BinOp,
     BuildError,
@@ -28,10 +30,11 @@ from .circuit import (
     LoadInput,
     ModExp,
     Program,
-    ProgramMeta,
     Ret,
     dst_of,
     reads_of,
+    registers_of,
+    rename_registers,
     validate,
 )
 
@@ -62,10 +65,30 @@ def _phases_of(program: Program) -> list[str]:
     return ["main"] * len(program.instrs)
 
 
-def _assert_valid(program: Program) -> None:
-    errs = [d for d in validate(program) if d.severity == "error"]
-    if errs:
-        raise BuildError(f"{program.name}: " + "; ".join(d.detail for d in errs))
+class _Listing:
+    """A rewritten instruction stream, one phase tag per instruction."""
+
+    def __init__(self) -> None:
+        self.instrs: list[Instr] = []
+        self.phases: list[str] = []
+
+    def emit(self, ins: Instr, phase: str) -> int:
+        self.instrs.append(ins)
+        self.phases.append(phase)
+        return len(self.instrs) - 1
+
+    def program(self, source: Program, name: str, **meta) -> Program:
+        """The stream as a valid program with source's metadata, as updated."""
+        result = Program(
+            name,
+            source.inputs,
+            tuple(self.instrs),
+            replace(source.meta, phases=tuple(self.phases), **meta),
+        )
+        errs = [d for d in validate(result) if d.severity == "error"]
+        if errs:
+            raise BuildError(f"{result.name}: " + "; ".join(d.detail for d in errs))
+        return result
 
 
 # ----------------------------------------------------------- style rewrites
@@ -89,18 +112,12 @@ def to_infective(program: Program) -> Program:
             raise NotTestBased(f"{program.name} gives no way to form the public modulus")
         n_reg = N_RESERVED
 
-    out: list[Instr] = []
-    out_ph: list[str] = []
+    out = _Listing()
+    emit = out.emit
     idx_map: dict[int, int] = {}
     factors: list[InfectionFactor] = []
     infection: list[int] = []
     helper_tail: list[int] = []
-
-    def emit(ins: Instr, ph: str) -> int:
-        out.append(ins)
-        out_ph.append(ph)
-        return len(out) - 1
-
     k = 0
     for i, ins in enumerate(program.instrs):
         if isinstance(ins, CheckEq):
@@ -128,20 +145,16 @@ def to_infective(program: Program) -> Program:
             idx_map[i] = emit(ins, phases[i])
 
     tail = {idx_map[i] for i in program.meta.output_tail} | set(infection) | set(helper_tail)
-    meta = ProgramMeta(
-        phases=tuple(out_ph),
+    return out.program(
+        program,
+        program.name + "-infective",
         verification_checks=(),
         factors=tuple(factors),
         infection_indices=tuple(infection),
         output_tail=tuple(sorted(tail)),
-        checksum_power=program.meta.checksum_power,
-        r_regs=program.meta.r_regs,
         n_reg=n_reg,
         one_reg=one_reg,
     )
-    result = Program(program.name + "-infective", program.inputs, tuple(out), meta)
-    _assert_valid(result)
-    return result
 
 
 def _canonical_chain(program: Program) -> tuple[int, ModExp]:
@@ -219,16 +232,10 @@ def to_testbased(program: Program) -> Program:
         drop.add(f.c_idx)
 
     phases = _phases_of(program)
-    out: list[Instr] = []
-    out_ph: list[str] = []
+    out = _Listing()
+    emit = out.emit
     idx_map: dict[int, int] = {}
     new_checks: list[int] = []
-
-    def emit(ins: Instr, ph: str) -> int:
-        out.append(ins)
-        out_ph.append(ph)
-        return len(out) - 1
-
     ret_idx = len(instrs) - 1
     for i, ins in enumerate(instrs):
         if i == ret_idx:
@@ -244,23 +251,19 @@ def to_testbased(program: Program) -> Program:
             idx_map[i] = emit(ins, phases[i])
 
     # helper registers this module inserted are dropped once they go dead
-    read_now = {r for ins in out for _s, r in reads_of(ins)}
+    read_now = {r for ins in out.instrs for _s, r in reads_of(ins)}
     dead = {
         j
-        for j, ins in enumerate(out)
+        for j, ins in enumerate(out.instrs)
         if dst_of(ins) in (ONE_RESERVED, N_RESERVED) and dst_of(ins) not in read_now
     }
     if dead:
         shift: dict[int, int] = {}
-        kept: list[Instr] = []
-        kept_ph: list[str] = []
-        for j, ins in enumerate(out):
-            if j in dead:
-                continue
-            shift[j] = len(kept)
-            kept.append(ins)
-            kept_ph.append(out_ph[j])
-        out, out_ph = kept, kept_ph
+        kept = _Listing()
+        for j, ins in enumerate(out.instrs):
+            if j not in dead:
+                shift[j] = kept.emit(ins, out.phases[j])
+        out = kept
         idx_map = {i: shift[j] for i, j in idx_map.items() if j in shift}
         new_checks = [shift[j] for j in new_checks]
 
@@ -272,23 +275,19 @@ def to_testbased(program: Program) -> Program:
         # the reserved unit constant is dropped above; point back at a unit
         # constant surviving in the core, if the core carries one
         one_reg = next(
-            (ins.dst for ins in out if isinstance(ins, Const) and ins.value == 1),
+            (ins.dst for ins in out.instrs if isinstance(ins, Const) and ins.value == 1),
             None,
         )
-    meta = ProgramMeta(
-        phases=tuple(out_ph),
+    return out.program(
+        program,
+        name,
         verification_checks=tuple(new_checks),
         factors=(),
         infection_indices=(),
         output_tail=tuple(sorted(idx_map[i] for i in program.meta.output_tail if i in idx_map)),
-        checksum_power=program.meta.checksum_power,
-        r_regs=program.meta.r_regs,
         n_reg=None if program.meta.n_reg == N_RESERVED else program.meta.n_reg,
         one_reg=one_reg,
     )
-    result = Program(name, program.inputs, tuple(out), meta)
-    _assert_valid(result)
-    return result
 
 
 # -------------------------------------------------------------- replication
@@ -314,27 +313,6 @@ def _exclusive_slice(program: Program, unit: tuple[int, ...], readers: dict[str,
         if rs and rs <= sinks | members:
             members.add(i)
     return sorted(members)
-
-
-def _rename(ins: Instr, ren: dict[str, str]) -> Instr:
-    def g(r: str | None) -> str | None:
-        return None if r is None else ren.get(r, r)
-
-    if isinstance(ins, Const):
-        return Const(g(ins.dst), ins.value)
-    if isinstance(ins, BinOp):
-        return BinOp(g(ins.dst), ins.op, g(ins.a), g(ins.b), g(ins.mod))
-    if isinstance(ins, ModExp):
-        return ModExp(g(ins.dst), g(ins.base), g(ins.exp), g(ins.mod))
-    if isinstance(ins, CheckEq):
-        return CheckEq(g(ins.a), g(ins.b), g(ins.mod))
-    from .circuit import ModInv, ModReduce
-
-    if isinstance(ins, ModReduce):
-        return ModReduce(g(ins.dst), g(ins.src), g(ins.mod))
-    if isinstance(ins, ModInv):
-        return ModInv(g(ins.dst), g(ins.src), g(ins.mod))
-    raise TypeError(f"cannot replicate {ins!r}")
 
 
 def harden(program: Program, copies: int) -> Program:
@@ -375,16 +353,10 @@ def harden(program: Program, copies: int) -> Program:
 
     by_anchor = {unit[-1]: (ufs, unit) for ufs, unit in units}
     phases = _phases_of(program)
-    out: list[Instr] = []
-    out_ph: list[str] = []
+    out = _Listing()
+    emit = out.emit
     idx_map: dict[int, int] = {}
     copy_factors: dict[int, list[InfectionFactor]] = {}  # original factor c_idx -> copies
-
-    def emit(ins: Instr, ph: str) -> int:
-        out.append(ins)
-        out_ph.append(ph)
-        return len(out) - 1
-
     for i, ins in enumerate(instrs):
         idx_map[i] = emit(ins, phases[i])
         if i not in by_anchor:
@@ -400,7 +372,7 @@ def harden(program: Program, copies: int) -> Program:
             }
             placed: dict[int, int] = {}
             for j in block:
-                placed[j] = emit(_rename(instrs[j], ren), phases[j])
+                placed[j] = emit(rename_registers(instrs[j], ren), phases[j])
             for f in ufs:
                 copy_factors.setdefault(f.c_idx, []).append(
                     InfectionFactor(
@@ -416,36 +388,25 @@ def harden(program: Program, copies: int) -> Program:
 
     name = f"{program.name}-h{copies}"
     if check_idxs:
-        meta = ProgramMeta(
-            phases=tuple(out_ph),
+        return out.program(
+            program,
+            name,
             verification_checks=tuple(
-                j for j, ins in enumerate(out) if isinstance(ins, CheckEq)
+                j for j, ins in enumerate(out.instrs) if isinstance(ins, CheckEq)
             ),
             factors=(),
             infection_indices=(),
             output_tail=tuple(sorted(idx_map[i] for i in program.meta.output_tail)),
-            checksum_power=program.meta.checksum_power,
-            r_regs=program.meta.r_regs,
-            n_reg=program.meta.n_reg,
-            one_reg=program.meta.one_reg,
         )
-        result = Program(name, program.inputs, tuple(out), meta)
-        _assert_valid(result)
-        return result
 
     # infective: relocate factor records, then rebuild the chain over all copies
     new_factors: list[InfectionFactor] = []
     for f in factors:
-        new_factors.append(
-            InfectionFactor(
-                f.c_reg, f.a_reg, f.b_reg, f.mod_reg,
-                idx_map[f.diff_idx], idx_map[f.c_idx], f.group,
-            )
-        )
+        new_factors.append(replace(f, diff_idx=idx_map[f.diff_idx], c_idx=idx_map[f.c_idx]))
         new_factors.extend(copy_factors.get(f.c_idx, []))
     old_chain = {idx_map[i] for i in program.meta.infection_indices}
     exp_ins = program.instrs[program.meta.infection_indices[-1]]
-    existing = {dst_of(x) for x in out if dst_of(x) is not None}
+    existing = {dst_of(x) for x in out.instrs if dst_of(x) is not None}
 
     def fresh(stem: str) -> str:
         r = stem
@@ -454,17 +415,11 @@ def harden(program: Program, copies: int) -> Program:
         existing.add(r)
         return r
 
-    out2: list[Instr] = []
-    ph2: list[str] = []
+    out2 = _Listing()
+    emit2 = out2.emit
     map2: dict[int, int] = {}
     new_infection: list[int] = []
-
-    def emit2(ins: Instr, ph: str) -> int:
-        out2.append(ins)
-        ph2.append(ph)
-        return len(out2) - 1
-
-    for j, ins in enumerate(out):
+    for j, ins in enumerate(out.instrs):
         if j in old_chain:
             continue
         if isinstance(ins, Ret):
@@ -476,35 +431,25 @@ def harden(program: Program, copies: int) -> Program:
                 acc = reg
             sig = fresh("hs")
             new_infection.append(emit2(ModExp(sig, exp_ins.base, acc, exp_ins.mod), "output"))
-            map2[j] = emit2(Ret(sig), out_ph[j])
+            map2[j] = emit2(Ret(sig), out.phases[j])
         else:
-            map2[j] = emit2(ins, out_ph[j])
+            map2[j] = emit2(ins, out.phases[j])
 
     tail = {
         map2[idx_map[i]]
         for i in program.meta.output_tail
         if idx_map[i] in map2
     } | set(new_infection)
-    meta = ProgramMeta(
-        phases=tuple(ph2),
+    return out2.program(
+        program,
+        name,
         verification_checks=(),
         factors=tuple(
-            InfectionFactor(
-                f.c_reg, f.a_reg, f.b_reg, f.mod_reg,
-                map2[f.diff_idx], map2[f.c_idx], f.group,
-            )
-            for f in new_factors
+            replace(f, diff_idx=map2[f.diff_idx], c_idx=map2[f.c_idx]) for f in new_factors
         ),
         infection_indices=tuple(new_infection),
         output_tail=tuple(sorted(tail)),
-        checksum_power=program.meta.checksum_power,
-        r_regs=program.meta.r_regs,
-        n_reg=program.meta.n_reg,
-        one_reg=program.meta.one_reg,
     )
-    result = Program(name, program.inputs, tuple(out2), meta)
-    _assert_valid(result)
-    return result
 
 
 # -------------------------------------------------------------- comparison
@@ -526,26 +471,8 @@ def program_isomorphic(a: Program, b: Program) -> bool:
         return fwd.setdefault(x, y) == y and rev.setdefault(y, x) == x
 
     for ia, ib in zip(a.instrs, b.instrs):
-        if type(ia) is not type(ib):
+        # bind the registers field by field; what renaming leaves must match
+        pairs = list(zip(registers_of(ia), registers_of(ib)))
+        if not all(bind(x, y) for x, y in pairs) or rename_registers(ia, dict(pairs)) != ib:
             return False
-        if isinstance(ia, LoadInput) and ia.name != ib.name:
-            return False
-        if isinstance(ia, Const) and ia.value != ib.value:
-            return False
-        if isinstance(ia, BinOp) and ia.op != ib.op:
-            return False
-        if isinstance(ia, DrawRandomPrime):
-            if ia.bits != ib.bits or len(ia.distinct_from) != len(ib.distinct_from):
-                return False
-            for x, y in zip(ia.distinct_from, ib.distinct_from):
-                if not bind(x, y):
-                    return False
-        if not bind(dst_of(ia), dst_of(ib)):
-            return False
-        ra, rb = reads_of(ia), reads_of(ib)
-        if len(ra) != len(rb):
-            return False
-        for (sa, xa), (sb, xb) in zip(ra, rb):
-            if sa != sb or not bind(xa, xb):
-                return False
     return True

@@ -7,10 +7,14 @@ from crtfi.circuit import (
     CheckEq,
     Const,
     Crash,
+    DrawRandomPrime,
     ErrorOut,
     FaultAction,
     FaultKind,
     LoadInput,
+    ModExp,
+    ModInv,
+    ModReduce,
     ProgramBuilder,
     ReadOf,
     Ret,
@@ -23,6 +27,7 @@ from crtfi.circuit import (
     execute,
     find_write,
     is_well_formed,
+    modulus_reg,
     parse_dump,
     program_digest,
     reads_of,
@@ -265,6 +270,46 @@ def test_dump_parse_round_trip():
         prog = build(algo, TINY, r_bits=4, build_seed=1)
         assert parse_dump(dump_program(prog)) == prog
         assert program_digest(parse_dump(dump_program(prog))) == program_digest(prog)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "1: s <- modexp m m",  # no modulus
+        "1: s <- reduce m",
+        "1: s <- const",
+        "1: s <- const seven",
+        "1: s <- randprime 5 avoid",
+        "1: s <- add m",
+        "1: s <- add m m mod",
+        "1: s <- add m m modulo m",
+        "1: s <- add m m mod m extra",
+        "1: s <- melt m m",
+        "1: s <- checkeq m m",  # a check stores nothing
+        "1: return",
+        "1: m <-",
+        "1:",
+        "# nreg",
+        "# checksum-power two",
+        "# factor c a b",
+    ],
+)
+def test_malformed_program_lines_are_refused(line):
+    with pytest.raises(ValueError, match="cannot parse line"):
+        parse_dump(f"# inputs m\n0: m <- input m\n{line}\n")
+
+
+def test_operand_slots_and_moduli_per_instruction():
+    assert reads_of(BinOp("x", "add", "a", "b")) == ((0, "a"), (1, "b"))
+    assert reads_of(BinOp("x", "mul", "a", "b", "m")) == ((0, "a"), (1, "b"), (2, "m"))
+    assert reads_of(ModExp("x", "b", "e", "m")) == ((0, "b"), (1, "e"), (2, "m"))
+    assert reads_of(ModReduce("x", "a", "m")) == reads_of(ModInv("x", "a", "m"))
+    assert reads_of(DrawRandomPrime("r", 5, ("p",))) == ()
+    assert modulus_reg(BinOp("x", "add", "a", "b", "m")) == "m"
+    assert modulus_reg(BinOp("x", "add", "a", "b")) is None
+    assert modulus_reg(ModInv("x", "a", "m")) == "m"
+    # a check compares in its ring but stores nothing reduced by it
+    assert modulus_reg(CheckEq("a", "b", "m")) is None
 
 
 def test_unprotected_dump_text_is_stable():

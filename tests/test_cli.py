@@ -103,9 +103,27 @@ def test_bad_inputs_exit_with_the_data_code(tmp_path, capsys):
     assert main(["campaign", "--algo", "unprotected", "--kinds", "melt"]) == 3
     # 0 and p = 7 are no messages for the 7x11 demo key
     assert main(["campaign", "--algo", "unprotected", "--messages", "0,7"]) == 3
+    # keys that do not sign correctly on their own
+    for field, value in (("iq", "3"), ("p", "8"), ("d", "44")):
+        key = {"p": "7", "q": "11", "dp": "1", "dq": "3", "iq": "2", "d": "43", field: value}
+        path = tmp_path / f"bad-{field}.json"
+        path.write_text(json.dumps(key))
+        assert main(["campaign", "--algo", "unprotected", "--key", str(path)]) == 3
+    # campaigns with nothing to run
+    no_plans = (["--kinds", "skip", "--max-skip-len", "0"], ["--order", "2", "--plan-limit", "0"])
+    for flags in no_plans:
+        assert main(["campaign", "--algo", "unprotected", *flags]) == 3
+    # malformed program lines
+    bad_lines = ("1: s <- modexp m m", "1: s <- const", "1:", "1: s <- add m m mod", "1: checkeq m")
+    for line in bad_lines:
+        path = tmp_path / "bad.txt"
+        path.write_text(f"# program bad\n# inputs m\n0: m <- input m\n{line}\n")
+        assert main(["dump", "--program", str(path)]) == 3
     err = capsys.readouterr().err
-    assert err.count("error:") == 4
+    assert err.count("error:") == 14
     assert "not a unit mod N=77" in err
+    assert "no fault plans" in err
+    assert "cannot parse line '1: s <- const'" in err
 
 
 def test_flag_grammar_failures_use_the_argparse_code():

@@ -1,5 +1,7 @@
 """Campaign engine: plan spaces, scoring, reports, persistence probes."""
 
+from dataclasses import replace
+
 import pytest
 
 from crtfi.circuit import (
@@ -256,3 +258,36 @@ def test_spec_refuses_messages_that_are_not_units_mod_n(message):
 
 def test_spec_accepts_messages_at_both_ends_of_the_unit_range():
     assert tiny_spec(messages=(1, 76)).messages == (1, 76)
+
+
+@pytest.mark.parametrize(
+    "change, complaint",
+    [
+        ({"iq": 3}, "inverse of q"),
+        ({"p": 8}, "distinct primes"),
+        ({"q": 7, "iq": 1}, "distinct primes"),
+        ({"d": 44}, "dp=1 is not d=44"),
+        ({"dq": 4}, "dq=4 is not d=43"),
+    ],
+)
+def test_spec_refuses_inconsistent_keys(change, complaint):
+    with pytest.raises(ValueError, match=complaint):
+        CampaignSpec(key=replace(TINY, **change), algo="unprotected")
+
+
+def test_spec_checks_the_exponent_halves_only_against_a_known_d():
+    bare = replace(TINY, d=None, dp=5)
+    assert CampaignSpec(key=bare, algo="unprotected").key == bare
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        {"kinds": ("skip",), "max_skip_len": 0},
+        {"order": 2, "plan_limit": 0},
+        {"kinds": ("randomize",), "samples_per_site": 0, "exhaustive_threshold": 4},
+    ],
+)
+def test_a_campaign_without_plans_is_refused(options):
+    with pytest.raises(ValueError, match="no fault plans"):
+        run_campaign(CampaignSpec(key=TINY, algo="unprotected", **options))

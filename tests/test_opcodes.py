@@ -1,0 +1,199 @@
+"""Every opcode against plain Python arithmetic.
+
+The reference interpreter and the campaign runner share their arithmetic,
+so comparing them with each other cannot catch a wrong opcode. Here each
+opcode runs in a program that loads its operands and returns its result,
+on both paths, against an oracle written with Python's own operators. The
+operands reach the instruction once as inputs and once as read faults
+replacing benign baseline operands.
+"""
+
+from itertools import product
+
+import pytest
+
+from crtfi.circuit import (
+    BinOp,
+    CheckEq,
+    Const,
+    Crash,
+    DrawRandomPrime,
+    ErrorOut,
+    FaultAction,
+    FaultKind,
+    FaultRunner,
+    LoadInput,
+    ModExp,
+    ModInv,
+    ModReduce,
+    Program,
+    ReadOf,
+    Ret,
+    Signature,
+    WriteOf,
+    execute,
+)
+
+VALUES = (-7, -1, 0, 1, 2, 5, 12)
+MODULI = (-3, 0, 1, 2, 7, 12)
+BENIGN = {"a": 3, "b": 3, "m": 7}  # every opcode below runs cleanly on these
+PASSED = "passed"  # a check that passed: the program then returns its input a
+
+
+def _inverse(a, m):
+    """The x in [0, m) with a*x = 1 (mod m), by search; None if there is none."""
+    return next((x for x in range(m) if a * x % m == 1), None)
+
+
+def _crash_or(value, m):
+    if m is None:
+        return Signature(value)
+    if m < 2:
+        return Crash("bad-modulus")
+    return Signature(value % m)
+
+
+def oracle_binop(op, a, b, m):
+    if op == "div":
+        if b == 0 or a % b:
+            return Crash("inexact-division")  # before the modulus is looked at
+        return _crash_or(a // b, m)
+    return _crash_or({"add": a + b, "sub": a - b, "mul": a * b}[op], m)
+
+
+def oracle_reduce(a, m):
+    return _crash_or(a, m)
+
+
+def oracle_exp(a, e, m):
+    if m < 2:
+        return Crash("bad-modulus")
+    if e < 0:
+        return Crash("bad-exponent")
+    return Signature(a**e % m)
+
+
+def oracle_inv(a, m):
+    if m < 2:
+        return Crash("bad-modulus")
+    x = _inverse(a, m)
+    return Crash("not-invertible") if x is None else Signature(x)
+
+
+def oracle_check(a, b, m):
+    if m is not None and m < 2:
+        return Crash("bad-modulus")
+    ok = a == b if m is None else (a - b) % m == 0
+    return PASSED if ok else ErrorOut(3)
+
+
+def _program(ins, operands):
+    """Load a, b, m; run ins; return its result (or a, after a check)."""
+    loads = tuple(LoadInput(r, r) for r in ("a", "b", "m"))
+    out = "a" if isinstance(ins, CheckEq) else ins.dst
+    return Program("opcode", ("a", "b", "m"), loads + (ins, Ret(out)))
+
+
+def _cases():
+    for op, a, b in product(("add", "sub", "mul", "div"), VALUES, VALUES):
+        yield BinOp("x", op, "a", "b"), (a, b), oracle_binop(op, a, b, None)
+        for m in MODULI:
+            yield BinOp("x", op, "a", "b", "m"), (a, b, m), oracle_binop(op, a, b, m)
+    for a, m in product(VALUES, MODULI):
+        yield ModReduce("x", "a", "m"), (a, m), oracle_reduce(a, m)
+        yield ModInv("x", "a", "m"), (a, m), oracle_inv(a, m)
+    for a, e, m in product(VALUES, VALUES, MODULI):
+        yield ModExp("x", "a", "b", "m"), (a, e, m), oracle_exp(a, e, m)
+    for a, b in product(VALUES, VALUES):
+        yield CheckEq("a", "b"), (a, b), oracle_check(a, b, None)
+        for m in MODULI:
+            yield CheckEq("a", "b", "m"), (a, b, m), oracle_check(a, b, m)
+
+
+CASES = list(_cases())
+OPCODES = sorted({type(ins).__name__ + getattr(ins, "op", "") for ins, _x, _r in CASES})
+
+
+def _inputs(ins, operands):
+    fields = ("a", "b", "src", "base", "exp", "mod")
+    regs = [r for r in (getattr(ins, f, None) for f in fields) if r is not None]
+    return {**BENIGN, **dict(zip(regs, operands))}
+
+
+@pytest.mark.parametrize("opcode", OPCODES)
+def test_each_opcode_matches_python_on_both_paths(opcode):
+    runners = {}
+    checked = 0
+    for ins, operands, want in CASES:
+        if type(ins).__name__ + getattr(ins, "op", "") != opcode:
+            continue
+        prog = _program(ins, operands)
+        inputs = _inputs(ins, operands)
+        got = execute(prog, inputs).result
+        assert got == (Signature(inputs["a"]) if want == PASSED else want), (ins, operands)
+        # the same operands as read faults over a clean baseline
+        if want == PASSED:
+            want = Signature(BENIGN["a"])
+        plan = tuple(
+            FaultAction(ReadOf(3, slot), FaultKind.RANDOMIZE, v) for slot, v in enumerate(operands)
+        )
+        assert execute(prog, BENIGN, plan=plan).result == want, (ins, operands)
+        runner = runners.get(ins)
+        if runner is None:
+            runner = runners[ins] = FaultRunner(prog, BENIGN, 0)
+        assert runner.run(plan) == want, (ins, operands)
+        checked += 1
+    assert checked >= len(VALUES) * len(MODULI)
+
+
+@pytest.mark.parametrize(
+    "ins, operands, reason",
+    [
+        (BinOp("x", "div", "a", "b", "m"), (5, 0, 1), "inexact-division"),
+        (BinOp("x", "div", "a", "b", "m"), (5, 2, 0), "inexact-division"),
+        (BinOp("x", "div", "a", "b", "m"), (6, 2, 1), "bad-modulus"),
+        (ModExp("x", "a", "b", "m"), (2, -1, 1), "bad-modulus"),
+        (ModExp("x", "a", "b", "m"), (2, -1, 7), "bad-exponent"),
+        (ModInv("x", "a", "m"), (0, 1), "bad-modulus"),
+        (ModInv("x", "a", "m"), (6, 12), "not-invertible"),
+        (ModReduce("x", "a", "m"), (6, -3), "bad-modulus"),
+        (CheckEq("a", "b", "m"), (1, 2, 0), "bad-modulus"),
+    ],
+)
+def test_crash_reasons_and_their_precedence(ins, operands, reason):
+    prog = _program(ins, operands)
+    plan = tuple(
+        FaultAction(ReadOf(3, slot), FaultKind.RANDOMIZE, v) for slot, v in enumerate(operands)
+    )
+    assert execute(prog, _inputs(ins, operands)).result == Crash(reason)
+    assert FaultRunner(prog, BENIGN, 0).run(plan) == Crash(reason)
+
+
+def test_sources_store_their_values():
+    prog = Program(
+        "sources",
+        ("a",),
+        (LoadInput("x", "a"), Const("c", 12), BinOp("s", "add", "x", "c"), Ret("s")),
+    )
+    assert execute(prog, {"a": 5}).result == Signature(17)
+    plan = (FaultAction(WriteOf(0), FaultKind.RANDOMIZE, 30),)
+    assert execute(prog, {"a": 5}, plan=plan).result == Signature(42)
+    assert FaultRunner(prog, {"a": 5}, 0).run(plan) == Signature(42)
+
+
+def test_a_draw_is_a_prime_of_its_width_outside_its_avoid_set():
+    # the 3-bit primes are 5 and 7, so avoiding one leaves the other
+    prog = Program(
+        "draw",
+        ("a",),
+        (LoadInput("x", "a"), DrawRandomPrime("r", 3, ("x",)), Ret("r")),
+    )
+    for seed in range(8):
+        assert execute(prog, {"a": 5}, seed=seed).result == Signature(7)
+        assert execute(prog, {"a": 7}, seed=seed).result == Signature(5)
+        plan = (FaultAction(WriteOf(0), FaultKind.RANDOMIZE, 7),)
+        assert FaultRunner(prog, {"a": 5}, seed).run(plan) == Signature(5)
+        # the avoid lookup is no operand read: a read fault there changes nothing
+        plan = (FaultAction(ReadOf(1, 0), FaultKind.RANDOMIZE, 7),)
+        assert execute(prog, {"a": 5}, seed=seed, plan=plan).result == Signature(7)
+        assert FaultRunner(prog, {"a": 5}, seed).run(plan) == Signature(7)

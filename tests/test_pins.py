@@ -1,0 +1,127 @@
+"""Pinned bytes: program digests and campaign report hashes.
+
+Every catalog program is built for two keys, the 7x11 demo key and
+crt_from_rsa(gen_key(8, 2)), and run through a small order-1 campaign
+(r_bits=5, exhaustive_threshold=64, samples_per_site=8, default kinds and
+seed). The sha256 of each report's JSON and the digest of each program
+are pinned, so a change to how programs are built, dumped, executed or
+scored that moves a single byte fails here.
+"""
+
+import hashlib
+
+import pytest
+
+from crtfi.circuit import program_digest
+from crtfi.countermeasures import build, catalog
+from crtfi.faultengine import CampaignSpec, run_campaign
+from crtfi.keytools import crt_from_rsa, derive_crt, gen_key
+from crtfi.transforms import harden, to_testbased
+
+KEYS = {"demo": derive_crt(7, 11, 43), "g82": crt_from_rsa(gen_key(8, 2))}
+
+REPORT_SHA256 = {
+    "demo/unprotected": "d94c150d27c5e7a328ad6265f7f3a613a981aca951bbdfdc1127fba71d88f8cf",
+    "demo/straightforward": "382639aa11698cabad8d33d3c4f4d246320d886ac4b476bc112690d554d7a7d0",
+    "demo/giraud-sketch": "1c09b73e96f5fb0643f3ba939621533e7cae5e6c4745524f86d93d8e984ef7d3",
+    "demo/shamir": "dbe121c4ec0e43d512a9fc5e79bfa4c98678c235d5c994d3a8f79fb268c3666b",
+    "demo/fixed-shamir": "b87f97ad83b0a4c6e38bb8b46ab06515476dc0d43c13ad1e9c0cf210fb2eb056",
+    "demo/joye": "ae834f00f721ebdd1309f47089b149c53c5766ec7e1bda917449841c4707a3ec",
+    "demo/ciet-joye": "23ee5edad4602e74df4b6144754804037e6e0839f7ef964474d0ab228b931225",
+    "demo/blomer": "98e3c8a23c41e1bd63930f139637727b879b4d02288a8d2d9036da85d49151e0",
+    "demo/aumuller": "670a064a9a9330cb73a5c614dc20f5c9f0f9ce9efcc582a5a6fcf23eb19a66fd",
+    "demo/aumuller-infective": "ca1e7040dd51dbfce3f25130616c6b8156ee45841d3370ca09079b0a90e8a7df",
+    "demo/vigilant": "c98b6605d1ad82bc4122501c589730b3eeb3b98033f373ac2453be784fe09d85",
+    "demo/vigilant-simplified-infective": "8daecd9f24d12d9841156db139d3ec515e6d8accc61f23f258be2907236da344",
+    "g82/unprotected": "3fba2d8f34fe103bf5c68d7394862bc90b6ec8f2ab60158002320aa67a8dd921",
+    "g82/straightforward": "126aded565c714297b9a519aac59d16ae6d330478bb93ae0efe383471ccc9e3f",
+    "g82/giraud-sketch": "0c78803d69a44b9c17741041da7d4cd0eb74e7f140851d9b3b68931b719a3136",
+    "g82/shamir": "22fca16fce068c8e584cb723bd941111eec965339051aa1f4bcef3399303bbad",
+    "g82/fixed-shamir": "75911caccc33c9e892832e7f894dbcec30a0f95a2588488e0253e6ece1e29e46",
+    "g82/joye": "edc7062005bec2d36b6e40984fab5903e11d5161188ea018d0ed315633a3c38f",
+    "g82/ciet-joye": "63af5b25e15d438234d6b77a17aaf8df38ab8136b2326e67797bb459db6754a2",
+    "g82/blomer": "5a0998baedb0ff1f9a885a31cee38efd4e1c32f0f4cdd4a8df17e8143b9d55e2",
+    "g82/aumuller": "50a39d0721462982e21e8381a552e6b1efb443b4bc5d4e7e6660e198322b9a4a",
+    "g82/aumuller-infective": "08ced6bfe326c1383a5c9f9f72b29a3fa3116ff130585c24e9ce372ecf6924e8",
+    "g82/vigilant": "6fbc3746dd7179a1a2842bb1fcb4707a8ba2080e11bcccdb0ffa86cdaff613c3",
+    "g82/vigilant-simplified-infective": "0949468df5080281aa510bb42dace00559eb9af4ef82c6d15fe74002b61d47f9",
+}
+
+PROGRAM_DIGEST = {
+    "demo/unprotected": "cf15a37b51da087b",
+    "demo/straightforward": "a1fdf351eb2066f3",
+    "demo/giraud-sketch": "da346718bb069750",
+    "demo/shamir": "a5d7220bb97b1afb",
+    "demo/fixed-shamir": "baafb8c12598391c",
+    "demo/joye": "ac33f8172ccc2860",
+    "demo/ciet-joye": "c1516c4fce7e046b",
+    "demo/blomer": "1dd0ae338b8778f4",
+    "demo/aumuller": "80429e0ffa735f15",
+    "demo/aumuller-infective": "ccf2c419f423d8d5",
+    "demo/vigilant": "7db0b9ebe50d2890",
+    "demo/vigilant-simplified-infective": "933645d5c2e4ac14",
+    "g82/unprotected": "cf15a37b51da087b",
+    "g82/straightforward": "a1fdf351eb2066f3",
+    "g82/giraud-sketch": "7d24a7648a0d3af0",
+    "g82/shamir": "a5d7220bb97b1afb",
+    "g82/fixed-shamir": "baafb8c12598391c",
+    "g82/joye": "ac33f8172ccc2860",
+    "g82/ciet-joye": "c1516c4fce7e046b",
+    "g82/blomer": "1dd0ae338b8778f4",
+    "g82/aumuller": "80429e0ffa735f15",
+    "g82/aumuller-infective": "ccf2c419f423d8d5",
+    "g82/vigilant": "7db0b9ebe50d2890",
+    "g82/vigilant-simplified-infective": "933645d5c2e4ac14",
+}
+
+# derived programs on the demo key
+DERIVED_DIGEST = {
+    "harden(aumuller-infective, 2)": "98324526155ddef2",
+    "harden(shamir, 2)": "b6db50ea704da9c6",
+    "to_testbased(aumuller-infective)": "80429e0ffa735f15",
+    "to_testbased(blomer)": "eff64fd911641dc0",
+    "to_testbased(vigilant-simplified-infective)": "48b5012d70e29def",
+}
+
+CASES = [f"{k}/{e.algo}" for k in KEYS for e in catalog()]
+
+
+def _split(case):
+    kname, algo = case.split("/")
+    return KEYS[kname], algo
+
+
+def test_the_pins_cover_every_catalog_program_on_both_keys():
+    assert sorted(CASES) == sorted(REPORT_SHA256) == sorted(PROGRAM_DIGEST)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_program_digest_is_pinned(case):
+    key, algo = _split(case)
+    assert program_digest(build(algo, key, r_bits=5)) == PROGRAM_DIGEST[case]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_campaign_report_bytes_are_pinned(case):
+    key, algo = _split(case)
+    spec = CampaignSpec(key=key, algo=algo, r_bits=5, exhaustive_threshold=64, samples_per_site=8)
+    text = run_campaign(spec).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[case]
+
+
+def test_derived_program_digests_are_pinned():
+    key = KEYS["demo"]
+
+    def prog(algo):
+        return build(algo, key, r_bits=5)
+
+    got = {
+        "harden(aumuller-infective, 2)": harden(prog("aumuller-infective"), 2),
+        "harden(shamir, 2)": harden(prog("shamir"), 2),
+        "to_testbased(aumuller-infective)": to_testbased(prog("aumuller-infective")),
+        "to_testbased(blomer)": to_testbased(prog("blomer")),
+        "to_testbased(vigilant-simplified-infective)": to_testbased(
+            prog("vigilant-simplified-infective")
+        ),
+    }
+    assert {k: program_digest(p) for k, p in got.items()} == DERIVED_DIGEST

@@ -1,5 +1,7 @@
 """Style transforms: check-to-infection, its inverse, and replication."""
 
+from dataclasses import replace
+
 import pytest
 
 from crtfi.circuit import (
@@ -10,6 +12,8 @@ from crtfi.circuit import (
     WriteOf,
     execute,
     find_write,
+    registers_of,
+    rename_registers,
 )
 from crtfi.countermeasures import build, catalog, program_inputs
 from crtfi.keytools import derive_crt
@@ -211,6 +215,20 @@ def test_programs_are_isomorphic_to_themselves():
     for entry in catalog():
         p = build(entry.algo, TINY, r_bits=5, build_seed=0)
         assert program_isomorphic(p, p), entry.algo
+
+
+def test_renamed_programs_are_isomorphic_and_merged_registers_are_not():
+    for entry in catalog():
+        p = build(entry.algo, TINY, r_bits=5, build_seed=0)
+        regs = sorted({r for ins in p.instrs for r in registers_of(ins) if r is not None})
+        ren = {r: r + "_x" for r in regs}
+        q = replace(p, instrs=tuple(rename_registers(ins, ren) for ins in p.instrs))
+        assert all(r.endswith("_x") for ins in q.instrs for r in registers_of(ins) if r)
+        assert program_isomorphic(p, q), entry.algo
+        # two registers sent to one name is no renaming
+        merged = {regs[0]: regs[1]}
+        m = replace(p, instrs=tuple(rename_registers(ins, merged) for ins in p.instrs))
+        assert not program_isomorphic(p, m), entry.algo
 
 
 def test_distinct_schemes_are_not_isomorphic():
