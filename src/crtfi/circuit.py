@@ -40,6 +40,9 @@ Programs run on two paths that give the same results:
     program's compiled form (Program.compiled, built once per Program).
     Program.runner keeps the runners it builds, so a baseline runs once per
     (program, inputs, seed), however many plans replay against it.
+
+Both read plans through plan_faults, and a campaign decodes each plan once
+for all of its messages (FaultRunner.run_faults).
 """
 
 from __future__ import annotations
@@ -47,9 +50,9 @@ from __future__ import annotations
 import functools
 import hashlib
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from enum import Enum
-from typing import Callable
+from typing import Callable, get_type_hints
 
 from .modmath import is_prime
 
@@ -408,6 +411,33 @@ class ProgramMeta:
     one_reg: str | None = None
 
 
+# ProgramMeta in dump comment lines "# <tag> <words>", in dump order:
+# (tag, field, item type). A tuple field is one line of items and a scalar
+# one line of one item; factor is the one field whose items are records,
+# one line each. Unset fields (empty, 0, None) are not printed.
+_META_LINES = (
+    ("phases", "phases", str),
+    ("checks", "verification_checks", int),
+    ("factor", "factors", InfectionFactor),
+    ("infection", "infection_indices", int),
+    ("tail", "output_tail", int),
+    ("checksum-power", "checksum_power", int),
+    ("rregs", "r_regs", str),
+    ("nreg", "n_reg", str),
+    ("onereg", "one_reg", str),
+)
+_META_BY_TAG = {tag: (f, item) for tag, f, item in _META_LINES}
+_NO_META = ProgramMeta()
+_FACTOR_TYPES = tuple(get_type_hints(InfectionFactor).values())
+
+
+def _meta_value(typ: object, word: str) -> object:
+    """A record word read back as typ: int, str, or str | None ("-")."""
+    if typ is int:
+        return int(word)
+    return None if word == "-" and typ is not str else word
+
+
 @dataclass(frozen=True)
 class Program:
     name: str
@@ -511,6 +541,17 @@ def is_well_formed(program: Program) -> bool:
     return not any(d.severity == "error" for d in validate(program))
 
 
+class BuildError(ValueError):
+    """A program fails validation, so it cannot run."""
+
+
+def check_runnable(program: Program) -> None:
+    """Raise BuildError naming every error validate finds in program."""
+    errors = [d.detail for d in validate(program) if d.severity == "error"]
+    if errors:
+        raise BuildError(f"{program.name} is not runnable: " + "; ".join(errors))
+
+
 # ---------------------------------------------------------------- fault model
 
 
@@ -568,6 +609,8 @@ class FaultAction:
 
 
 FaultPlan = tuple[FaultAction, ...]
+# a plan as plan_faults decodes it: writes, reads, skipped, pending
+DecodedPlan = tuple[dict[int, int], dict[int, dict[int, int]], int, int]
 
 
 def enumerate_sites(
@@ -638,30 +681,31 @@ class ExecOutcome:
         return out
 
 
-def _plan_faults(
-    plan: FaultPlan, n: int
-) -> tuple[dict[int, int], dict[int, dict[int, int]], int]:
+def plan_faults(plan: FaultPlan, n: int) -> DecodedPlan:
     """A plan over n instructions as (write replacements, read replacements
-    by index then slot, bitmask of skipped indices). Sites past either end
-    are dropped; of two actions on one site the later wins.
+    by index then slot, bitmask of skipped indices, bitmask of the indices
+    FaultRunner must re-evaluate first). Sites past either end are dropped;
+    of two actions on one site the later wins.
     """
     writes: dict[int, int] = {}
     reads: dict[int, dict[int, int]] = {}
-    skipped = 0
+    skipped = pending = 0
     for act in plan:
         site = act.site
         val = (act.value or 0) if act.kind is FaultKind.RANDOMIZE else 0
         if isinstance(site, WriteOf):
             if 0 <= site.index < n:
                 writes[site.index] = val
+                pending |= 1 << site.index
         elif isinstance(site, ReadOf):
             if 0 <= site.index < n:
                 reads.setdefault(site.index, {})[site.slot] = val
+                pending |= 1 << site.index
         else:
             first, last = max(site.first, 0), min(site.last, n - 1)
             if first <= last:
                 skipped |= (1 << (last + 1)) - (1 << first)
-    return writes, reads, skipped
+    return writes, reads, skipped, pending | skipped
 
 
 def _site_rng(seed: int, index: int, salt: int) -> random.Random:
@@ -702,7 +746,7 @@ def execute(
     inverse, inexact division) ends the run with a Crash.
     """
     steps = program.steps
-    writes, reads, skipped = _plan_faults(plan, len(steps))
+    writes, reads, skipped, _pending = plan_faults(plan, len(steps))
     env = (inputs, seed)
     regs: dict[str, int] = {}
     trace: list[tuple[int, str, int]] = []
@@ -756,11 +800,7 @@ class CompiledProgram:
 
 
 def _compile(program: Program) -> CompiledProgram:
-    errors = [d for d in validate(program) if d.severity == "error"]
-    if errors:
-        raise ValueError(
-            f"{program.name} is not runnable: " + "; ".join(d.detail for d in errors)
-        )
+    check_runnable(program)
     n = len(program.instrs)
     writer: dict[str, int] = {}
     ops = []
@@ -789,7 +829,7 @@ class FaultRunner:
     Every other instruction keeps its baseline value; its checks pass and
     the Return releases the baseline signature, as they did in the baseline
     run. This relies on def-before-use, write-once registers, so a program
-    that `validate` rejects raises ValueError here. Campaigns get their
+    that `validate` rejects raises BuildError here. Campaigns get their
     runners from Program.runner, which keeps them.
     """
 
@@ -811,29 +851,11 @@ class FaultRunner:
         self._fills: dict[int, int] = {}
 
     def run(self, plan: FaultPlan) -> ExecResult:
-        # _plan_faults written out, with the pending mask built on the way:
-        # calling it once per plan costs about 5% of the runner's time
-        n = len(self._ops)
-        writes: dict[int, int] = {}
-        reads: dict[int, dict[int, int]] = {}
-        skipped = pending = 0
-        for act in plan:
-            site = act.site
-            val = (act.value or 0) if act.kind is FaultKind.RANDOMIZE else 0
-            if isinstance(site, WriteOf):
-                if 0 <= site.index < n:
-                    writes[site.index] = val
-                    pending |= 1 << site.index
-            elif isinstance(site, ReadOf):
-                if 0 <= site.index < n:
-                    reads.setdefault(site.index, {})[site.slot] = val
-                    pending |= 1 << site.index
-            else:
-                first, last = max(site.first, 0), min(site.last, n - 1)
-                if first <= last:
-                    skipped |= (1 << (last + 1)) - (1 << first)
-        pending |= skipped
+        return self.run_faults(plan_faults(plan, len(self._ops)))
 
+    def run_faults(self, faults: DecodedPlan) -> ExecResult:
+        """run(plan) for a plan already decoded by plan_faults."""
+        writes, reads, skipped, pending = faults
         ops, readers, base, env = self._ops, self._readers, self._base, self._env
         vals = base.copy()
         while pending:
@@ -890,28 +912,15 @@ def dump_program(program: Program) -> str:
     """Stable line-oriented text form, metadata in comment lines."""
     lines = [f"# program {program.name}", f"# inputs {' '.join(program.inputs)}"]
     lines += [_instr_line(i, ins) for i, ins in enumerate(program.instrs)]
-    m = program.meta
-    if m.phases:
-        lines.append("# phases " + " ".join(m.phases))
-    if m.verification_checks:
-        lines.append("# checks " + " ".join(map(str, m.verification_checks)))
-    for f in m.factors:
-        lines.append(
-            f"# factor {f.c_reg} {f.a_reg} {f.b_reg} {f.mod_reg or '-'} "
-            f"{f.diff_idx} {f.c_idx} {f.group}"
-        )
-    if m.infection_indices:
-        lines.append("# infection " + " ".join(map(str, m.infection_indices)))
-    if m.output_tail:
-        lines.append("# tail " + " ".join(map(str, m.output_tail)))
-    if m.checksum_power:
-        lines.append(f"# checksum-power {m.checksum_power}")
-    if m.r_regs:
-        lines.append("# rregs " + " ".join(m.r_regs))
-    if m.n_reg:
-        lines.append(f"# nreg {m.n_reg}")
-    if m.one_reg:
-        lines.append(f"# onereg {m.one_reg}")
+    for tag, f, item in _META_LINES:
+        v = getattr(program.meta, f)
+        if not v:
+            continue
+        if item is InfectionFactor:
+            words = (" ".join("-" if w is None else str(w) for w in astuple(x)) for x in v)
+            lines += [f"# {tag} {ws}" for ws in words]
+        else:
+            lines.append(f"# {tag} " + " ".join(map(str, v if isinstance(v, tuple) else (v,))))
     return "\n".join(lines) + "\n"
 
 
@@ -952,19 +961,13 @@ def _parse_instr(line: str) -> Instr:
 def parse_dump(text: str) -> Program:
     """Inverse of dump_program (round-trips metadata).
 
-    A line that is not well formed raises ValueError naming it.
+    A line that is not well formed raises ValueError naming it; a comment
+    line with an unknown tag is ignored.
     """
     name = "parsed"
     inputs: tuple[str, ...] = ()
     instrs: list[Instr] = []
-    phases: tuple[str, ...] = ()
-    checks: tuple[int, ...] = ()
-    factors: list[InfectionFactor] = []
-    infection: tuple[int, ...] = ()
-    tail: tuple[int, ...] = ()
-    power = 0
-    r_regs: tuple[str, ...] = ()
-    n_reg = one_reg = None
+    meta: dict[str, object] = {}
     for raw in text.splitlines():
         line = raw.strip()
         if not line:
@@ -981,48 +984,21 @@ def parse_dump(text: str) -> Program:
                 name = rest[0]
             elif tag == "inputs":
                 inputs = tuple(rest)
-            elif tag == "phases":
-                phases = tuple(rest)
-            elif tag == "checks":
-                checks = tuple(int(x) for x in rest)
-            elif tag == "factor":
-                c, a, b, m, di, ci, grp = rest
-                factors.append(
-                    InfectionFactor(c, a, b, None if m == "-" else m, int(di), int(ci), int(grp))
-                )
-            elif tag == "infection":
-                infection = tuple(int(x) for x in rest)
-            elif tag == "tail":
-                tail = tuple(int(x) for x in rest)
-            elif tag == "checksum-power":
-                power = int(rest[0])
-            elif tag == "rregs":
-                r_regs = tuple(rest)
-            elif tag == "nreg":
-                n_reg = rest[0]
-            elif tag == "onereg":
-                one_reg = rest[0]
-        except (IndexError, ValueError):  # a missing or non-integer field
+            elif tag in _META_BY_TAG:
+                f, item = _META_BY_TAG[tag]
+                if item is InfectionFactor:
+                    words = zip(_FACTOR_TYPES, rest, strict=True)
+                    meta[f] = meta.get(f, ()) + (item(*(_meta_value(t, w) for t, w in words)),)
+                elif isinstance(getattr(_NO_META, f), tuple):
+                    meta[f] = tuple(map(item, rest))
+                else:
+                    meta[f] = item(rest[0])
+        except (IndexError, ValueError):  # a missing, extra or non-integer field
             raise ValueError(f"cannot parse line {line!r}") from None
-    meta = ProgramMeta(
-        phases=phases,
-        verification_checks=checks,
-        factors=tuple(factors),
-        infection_indices=infection,
-        output_tail=tail,
-        checksum_power=power,
-        r_regs=r_regs,
-        n_reg=n_reg,
-        one_reg=one_reg,
-    )
-    return Program(name=name, inputs=inputs, instrs=tuple(instrs), meta=meta)
+    return Program(name=name, inputs=inputs, instrs=tuple(instrs), meta=ProgramMeta(**meta))
 
 
 # -------------------------------------------------------------------- builder
-
-
-class BuildError(ValueError):
-    """A builder produced a program that fails validation."""
 
 
 class ProgramBuilder:
@@ -1125,7 +1101,6 @@ class ProgramBuilder:
         checksum_power: int = 0,
         r_regs: tuple[str, ...] = (),
         n_reg: str | None = None,
-        allow_warnings: bool = True,
     ) -> Program:
         meta = ProgramMeta(
             phases=tuple(self._phases),
@@ -1139,11 +1114,7 @@ class ProgramBuilder:
             one_reg=self._one,
         )
         prog = Program(name=self.name, inputs=self.inputs, instrs=tuple(self._instrs), meta=meta)
-        defects = [d for d in validate(prog) if d.severity == "error"]
-        if defects:
-            raise BuildError(f"{self.name}: " + "; ".join(d.detail for d in defects))
-        if not allow_warnings and validate(prog):
-            raise BuildError(f"{self.name}: warnings present")
+        check_runnable(prog)
         return prog
 
 

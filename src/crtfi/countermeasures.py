@@ -80,21 +80,16 @@ def program_inputs(program: Program, key: CrtKey, message: int) -> dict[str, int
 # ------------------------------------------------------------------- builders
 
 
-def _load_crt(b: ProgramBuilder) -> None:
-    b.inp("m", "M")
-    b.inp("p")
-    b.inp("q")
-    b.inp("dp")
-    b.inp("dq")
-    b.inp("iq")
+_CRT_INPUTS = ("M", "p", "q", "dp", "dq", "iq")
+_D_INPUTS = ("M", "p", "q", "d", "iq")
 
 
-def _load_d(b: ProgramBuilder) -> None:
-    b.inp("m", "M")
-    b.inp("p")
-    b.inp("q")
-    b.inp("d")
-    b.inp("iq")
+def _loaded(name: str, inputs: tuple[str, ...]) -> ProgramBuilder:
+    """A builder for `name` with each input loaded in order, M into register m."""
+    b = ProgramBuilder(name, inputs)
+    for x in inputs:
+        b.inp("m" if x == "M" else x, x)
+    return b
 
 
 def _reduced_exponent(b: ProgramBuilder, x: str, r: str, dreg: str) -> None:
@@ -111,8 +106,7 @@ def _reduced_exponent(b: ProgramBuilder, x: str, r: str, dreg: str) -> None:
 
 
 def _build_unprotected(key: CrtKey, r_bits: int, build_seed: int) -> Program:
-    b = ProgramBuilder("unprotected", ("M", "p", "q", "dp", "dq", "iq"))
-    _load_crt(b)
+    b = _loaded("unprotected", _CRT_INPUTS)
     b.set_phase("exp-p")
     b.exp("sp", "m", "dp", "p")
     b.set_phase("exp-q")
@@ -128,8 +122,7 @@ def _build_straightforward(key: CrtKey, r_bits: int, build_seed: int) -> Program
     # Signature halves use totient-reduced exponents; the verification halves
     # recompute with the raw exponents. Layout keeps each half and its checker
     # non-adjacent so no short skip window erases a value and its verifier.
-    b = ProgramBuilder("straightforward", ("M", "p", "q", "dp", "dq", "iq"))
-    _load_crt(b)
+    b = _loaded("straightforward", _CRT_INPUTS)
     b.set_phase("precompute")
     one = b.one()
     b.sub("pm1", "p", one)
@@ -181,11 +174,7 @@ def _ladder(
 def _build_giraud(key: CrtKey, r_bits: int, build_seed: int) -> Program:
     # the pair ladder unrolls dp and dq at build time, so only the moduli
     # and the recombination constant are data
-    b = ProgramBuilder("giraud-sketch", ("M", "p", "q", "iq"))
-    b.inp("m", "M")
-    b.inp("p")
-    b.inp("q")
-    b.inp("iq")
+    b = _loaded("giraud-sketch", ("M", "p", "q", "iq"))
     b.set_phase("precompute")
     b.one()
     b.reduce("mp", "m", "p")
@@ -207,8 +196,7 @@ def _build_giraud(key: CrtKey, r_bits: int, build_seed: int) -> Program:
 
 
 def _build_shamir(key: CrtKey, r_bits: int, build_seed: int) -> Program:
-    b = ProgramBuilder("shamir", ("M", "p", "q", "d", "iq"))
-    _load_d(b)
+    b = _loaded("shamir", _D_INPUTS)
     b.set_phase("rng")
     b.draw("r", r_bits, avoid=("p", "q"))
     b.set_phase("precompute")
@@ -235,8 +223,7 @@ def _build_shamir(key: CrtKey, r_bits: int, build_seed: int) -> Program:
 
 
 def _build_fixed_shamir(key: CrtKey, r_bits: int, build_seed: int) -> Program:
-    b = ProgramBuilder("fixed-shamir", ("M", "p", "q", "d", "iq"))
-    _load_d(b)
+    b = _loaded("fixed-shamir", _D_INPUTS)
     b.set_phase("rng")
     b.draw("r", r_bits, avoid=("p", "q"))
     b.set_phase("precompute")
@@ -273,8 +260,7 @@ def _build_fixed_shamir(key: CrtKey, r_bits: int, build_seed: int) -> Program:
 
 
 def _build_joye(key: CrtKey, r_bits: int, build_seed: int) -> Program:
-    b = ProgramBuilder("joye", ("M", "p", "q", "dp", "dq", "iq"))
-    _load_crt(b)
+    b = _loaded("joye", _CRT_INPUTS)
     b.set_phase("rng")
     b.draw("r1", r_bits, avoid=("p", "q"))
     b.draw("r2", r_bits, avoid=("p", "q", "r1"))
@@ -312,12 +298,7 @@ def _build_joye(key: CrtKey, r_bits: int, build_seed: int) -> Program:
 def _build_ciet_joye(key: CrtKey, r_bits: int, build_seed: int) -> Program:
     # recombination runs in the widened ring with its own inverse constant,
     # so the plain iq is not part of this program's data
-    b = ProgramBuilder("ciet-joye", ("M", "p", "q", "dp", "dq"))
-    b.inp("m", "M")
-    b.inp("p")
-    b.inp("q")
-    b.inp("dp")
-    b.inp("dq")
+    b = _loaded("ciet-joye", ("M", "p", "q", "dp", "dq"))
     b.set_phase("rng")
     b.draw("r1", r_bits, avoid=("p", "q"))
     b.draw("r2", r_bits, avoid=("p", "q", "r1"))
@@ -395,11 +376,7 @@ def _build_blomer(key: CrtKey, r_bits: int, build_seed: int) -> Program:
         raise UnsatisfiableRandom(
             f"no invertible masking pair of width {r_bits} for this key"
         )
-    b = ProgramBuilder("blomer", ("M", "p", "q", "d"))
-    b.inp("m", "M")
-    b.inp("p")
-    b.inp("q")
-    b.inp("d")
+    b = _loaded("blomer", ("M", "p", "q", "d"))
     b.set_phase("rng")
     b.const("r1", r1)
     b.const("r2", r2)
@@ -445,8 +422,7 @@ def _build_blomer(key: CrtKey, r_bits: int, build_seed: int) -> Program:
 
 
 def _build_aumuller(key: CrtKey, r_bits: int, build_seed: int) -> Program:
-    b = ProgramBuilder("aumuller", ("M", "p", "q", "dp", "dq", "iq"))
-    _load_crt(b)
+    b = _loaded("aumuller", _CRT_INPUTS)
     b.set_phase("rng")
     b.draw("r", r_bits, avoid=("p", "q"))
     b.set_phase("precompute")
@@ -510,8 +486,7 @@ def _vigilant_phi(b: ProgramBuilder, side: str, prime: str, dreg: str) -> None:
 
 
 def _build_vigilant(key: CrtKey, r_bits: int, build_seed: int) -> Program:
-    b = ProgramBuilder("vigilant", ("M", "p", "q", "dp", "dq", "iq"))
-    _load_crt(b)
+    b = _loaded("vigilant", _CRT_INPUTS)
     b.set_phase("rng")
     b.draw("r", r_bits, avoid=("p", "q"))
     b.draw("br1", r_bits)
@@ -575,10 +550,7 @@ def _build_vigilant(key: CrtKey, r_bits: int, build_seed: int) -> Program:
 
 
 def _build_vigilant_simplified(key: CrtKey, r_bits: int, build_seed: int) -> Program:
-    b = ProgramBuilder(
-        "vigilant-simplified-infective", ("M", "p", "q", "dp", "dq", "iq")
-    )
-    _load_crt(b)
+    b = _loaded("vigilant-simplified-infective", _CRT_INPUTS)
     b.set_phase("rng")
     b.draw("r", r_bits, avoid=("p", "q"))
     b.set_phase("precompute")

@@ -21,7 +21,9 @@ the fault-free baseline of its message and recomputes only the instructions
 the plan can change; circuit.execute stays the reference that runs the
 baselines and the skip-subsumption search. Runners come from Program.runner,
 so each baseline runs once per (program, inputs, seed): the campaign's
-messages, the site-action table and every replay probe share them.
+messages, the site-action table and every replay probe share them. A
+campaign decodes each plan once with circuit.plan_faults and hands the
+decoded plan to the runner of every message.
 
 Everything is deterministic in (spec, program): sampling is seeded per
 site and plans are run and tallied one after another in plan order.
@@ -35,7 +37,7 @@ import json
 import math
 import random
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import combinations
 
 from .circuit import (
@@ -56,6 +58,7 @@ from .circuit import (
     enumerate_sites,
     execute,
     modulus_reg,
+    plan_faults,
     program_digest,
     reads_of,
     same_result,
@@ -68,6 +71,7 @@ from .modmath import FactorClass, bellcore_extract
 KIND_NAMES = ("zero", "randomize", "skip")
 _ALT_SEED_STEPS = (1_000_003, 2_000_003, 3_000_017, 4_000_037)
 _REPLAY_CAP = 8
+_SUCCESSES_PER_ROW = 5  # successes to_json lists per (first site, kind)
 
 CLASS_NONE = "none"
 CLASS_STRUCTURAL = "structural-break"
@@ -144,6 +148,27 @@ class SiteRow:
         return self.successes / self.attempts if self.attempts else 0.0
 
 
+# a SiteRow as one report row: to_json's keys and the CSV columns, in order
+_COLUMNS = (
+    "site", "kind", "phase", "attempts", "successes", "factor_p", "factor_q",
+    "no_output", "silent", "fraction", "exhaustive", "domain", "persistent", "classification",
+)
+
+
+def _json_cell(v: object) -> object:
+    return round(v, 8) if isinstance(v, float) else v
+
+
+def _csv_cell(v: object) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return str(int(v))
+    if isinstance(v, float):
+        return f"{v:.8f}"
+    return str(v)
+
+
 @dataclass(frozen=True)
 class AttackSuccess:
     """One breaking plan: the released value leaked a factor of N."""
@@ -194,23 +219,14 @@ class CampaignReport:
             out = [s for s in out if not _touches_rng(phases, s)]
         return out
 
-    def to_json(self, cap_per_row: int = 5) -> str:
+    def to_json(self) -> str:
         capped: list[dict] = []
         seen: dict[tuple[str, str], int] = {}
         for s in self.successes:
             head = (s.actions[0][0], s.actions[0][1])
             seen[head] = seen.get(head, 0) + 1
-            if seen[head] <= cap_per_row:
-                capped.append(
-                    {
-                        "message": s.message,
-                        "actions": [list(a) for a in s.actions],
-                        "signature": s.signature,
-                        "factor": s.factor,
-                        "side": s.side,
-                        "persistent": s.persistent,
-                    }
-                )
+            if seen[head] <= _SUCCESSES_PER_ROW:
+                capped.append(asdict(s))
         doc = {
             "name": self.name,
             "digest": self.digest,
@@ -221,25 +237,7 @@ class CampaignReport:
             "r_min": self.r_min,
             "plans_total": self.plans_total,
             "sampled_plans": self.sampled_plans,
-            "rows": [
-                {
-                    "site": r.site,
-                    "kind": r.kind,
-                    "phase": r.phase,
-                    "attempts": r.attempts,
-                    "successes": r.successes,
-                    "factor_p": r.factor_p,
-                    "factor_q": r.factor_q,
-                    "no_output": r.no_output,
-                    "silent": r.silent,
-                    "fraction": round(r.fraction, 8),
-                    "exhaustive": r.exhaustive,
-                    "domain": r.domain,
-                    "persistent": r.persistent,
-                    "classification": r.classification,
-                }
-                for r in self.rows
-            ],
+            "rows": [{c: _json_cell(getattr(r, c)) for c in _COLUMNS} for r in self.rows],
             "successes_total": len(self.successes),
             "successes": capped,
             "totals": self.totals,
@@ -248,18 +246,8 @@ class CampaignReport:
         return json.dumps(doc, sort_keys=True, indent=2)
 
     def to_csv(self) -> str:
-        lines = [
-            "site,kind,phase,attempts,successes,factor_p,factor_q,no_output,"
-            "silent,fraction,exhaustive,domain,persistent,classification"
-        ]
-        for r in self.rows:
-            dom = "" if r.domain is None else str(r.domain)
-            per = "" if r.persistent is None else str(r.persistent)
-            lines.append(
-                f"{r.site},{r.kind},{r.phase},{r.attempts},{r.successes},"
-                f"{r.factor_p},{r.factor_q},{r.no_output},{r.silent},"
-                f"{r.fraction:.8f},{int(r.exhaustive)},{dom},{per},{r.classification}"
-            )
+        lines = [",".join(_COLUMNS)]
+        lines += [",".join(_csv_cell(getattr(r, c)) for c in _COLUMNS) for r in self.rows]
         return "\n".join(lines) + "\n"
 
 
@@ -503,11 +491,11 @@ def replay_plan(
     return result, tally == "success", factor
 
 
-def _alt_messages(n: int, message: int, count: int = 2) -> list[int]:
-    """The first `count` candidate messages distinct from `message` mod n."""
+def _alt_messages(n: int, message: int) -> list[int]:
+    """The first two candidate messages distinct from `message` mod n."""
     alts: list[int] = []
     m = 2
-    while len(alts) < count:
+    while len(alts) < 2:
         if m % n != message % n and math.gcd(m, n) == 1:
             alts.append(m)
         m += 1
@@ -603,31 +591,27 @@ def run_campaign(spec: CampaignSpec) -> CampaignReport:
             "max_skip_len, samples_per_site or plan_limit, or lower the order"
         )
 
-    site_keys: dict[FaultSite, str] = {}
-    row_meta: dict[tuple[str, str], tuple[str, bool, int | None]] = {}
-    for t in table:
-        if t.site not in site_keys:
-            site_keys[t.site] = t.site.key(program)
-        k = (site_keys[t.site], t.kind.value)
-        row_meta[k] = (site_phase(program, t.site), t.exhaustive, t.domain)
-    rows: dict[tuple[str, str], SiteRow] = {}
-
-    def row_of(site_key: str, kind: str) -> SiteRow:
-        k = (site_key, kind)
-        if k not in rows:
-            phase, exhaustive, domain = row_meta[k]
-            rows[k] = SiteRow(site_key, kind, phase, exhaustive=exhaustive, domain=domain)
-        return rows[k]
-
+    rows = {
+        (t.site, t.kind): SiteRow(
+            t.site.key(program),
+            t.kind.value,
+            site_phase(program, t.site),
+            exhaustive=t.exhaustive,
+            domain=t.domain,
+        )
+        for t in table
+    }
     successes: list[AttackSuccess] = []
     success_plans: list[FaultPlan] = []
-    row_success_idx: dict[tuple[str, str], list[int]] = {}
-    runs = [(m, runners[m].run, baselines[m]) for m in messages]
+    row_success_idx: dict[tuple[FaultSite, FaultKind], list[int]] = {}
+    runs = [(m, runners[m].run_faults, baselines[m]) for m in messages]
+    size = len(program)
     for plan in plans:
-        touched = tuple((site_keys[a.site], a.kind.value, a.value) for a in plan)
-        plan_rows = [row_of(site_key, kind) for site_key, kind, _v in touched]
+        faults = plan_faults(plan, size)
+        plan_rows = [rows[a.site, a.kind] for a in plan]
+        touched = tuple((row.site, row.kind, a.value) for row, a in zip(plan_rows, plan))
         for m, run, baseline_sig in runs:
-            result = run(plan)
+            result = run(faults)
             tally, factor, side = score_outcome(n, key.p, key.q, baseline_sig, result)
             for row in plan_rows:
                 row.attempts += 1
@@ -645,8 +629,8 @@ def run_campaign(spec: CampaignSpec) -> CampaignReport:
                 idx = len(successes)
                 successes.append(AttackSuccess(m, touched, result.value, factor, side, None))
                 success_plans.append(plan)
-                for site_key, kind, _v in touched:
-                    row_success_idx.setdefault((site_key, kind), []).append(idx)
+                for a in plan:
+                    row_success_idx.setdefault((a.site, a.kind), []).append(idx)
 
     # Replay pass.  Fraction bands settle most randomize rows outright; the
     # ambiguous middle band, the single-shot zero and skip rows, and every
@@ -677,10 +661,10 @@ def run_campaign(spec: CampaignSpec) -> CampaignReport:
         if replayed:
             row.persistent = sum(replayed)
 
-    for row in rows.values():
+    # table entries no plan touched (most of them at order >= 2) are not reported
+    ordered = sorted((r for r in rows.values() if r.attempts), key=lambda r: (r.site, r.kind))
+    for row in ordered:
         row.classification = _classify(row, bound)
-
-    ordered = sorted(rows.values(), key=lambda r: (r.site, r.kind))
     totals = {
         "order": spec.order,
         "attempts": sum(r.attempts for r in ordered),

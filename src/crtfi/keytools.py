@@ -191,7 +191,10 @@ def write_key_file(key: CrtKey, path: str | Path) -> None:
 
 
 def read_key_file(path: str | Path) -> CrtKey:
-    """Parse a key file; p, q, dp, dq, iq are required, the rest optional."""
+    """Parse a key file; p, q, dp, dq, iq are required, the rest optional.
+
+    A key that fails check_crt_key raises KeyError_.
+    """
     try:
         obj = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -208,7 +211,7 @@ def read_key_file(path: str | Path) -> CrtKey:
     for name in ("p", "q", "dp", "dq", "iq"):
         if name not in vals:
             raise MissingKeyField(f"key file {path} lacks field {name!r}")
-    return CrtKey(
+    key = CrtKey(
         p=vals["p"],
         q=vals["q"],
         dp=vals["dp"],
@@ -218,3 +221,5 @@ def read_key_file(path: str | Path) -> CrtKey:
         d=vals.get("d"),
         n=vals.get("N"),
     )
+    check_crt_key(key)
+    return key

@@ -21,7 +21,6 @@ from dataclasses import replace
 
 from .circuit import (
     BinOp,
-    BuildError,
     CheckEq,
     Const,
     DrawRandomPrime,
@@ -31,11 +30,11 @@ from .circuit import (
     ModExp,
     Program,
     Ret,
+    check_runnable,
     dst_of,
     reads_of,
     registers_of,
     rename_registers,
-    validate,
 )
 
 ONE_RESERVED = "onei"  # unit constant owned by the infection factors
@@ -85,9 +84,7 @@ class _Listing:
             tuple(self.instrs),
             replace(source.meta, phases=tuple(self.phases), **meta),
         )
-        errs = [d for d in validate(result) if d.severity == "error"]
-        if errs:
-            raise BuildError(f"{result.name}: " + "; ".join(d.detail for d in errs))
+        check_runnable(result)
         return result
 
 

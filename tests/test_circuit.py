@@ -35,9 +35,18 @@ from crtfi.circuit import (
     skip_fill_value,
     validate,
 )
-from crtfi.countermeasures import build, program_inputs
+from crtfi.countermeasures import build, catalog, program_inputs
 from crtfi.keytools import derive_crt
 from crtfi.modmath import bellcore_extract, mod_exp
+from crtfi.transforms import (
+    NoVerifications,
+    NotInfective,
+    NotTestBased,
+    UnrecognizedInfectionShape,
+    harden,
+    to_infective,
+    to_testbased,
+)
 
 TINY = derive_crt(7, 11, 43)
 
@@ -266,8 +275,23 @@ def test_site_listing_matches_a_manual_walk():
 
 
 def test_dump_parse_round_trip():
-    for algo in ("unprotected", "shamir", "aumuller", "vigilant", "ciet-joye"):
-        prog = build(algo, TINY, r_bits=4, build_seed=1)
+    # the transforms add the infection, onereg and factor metadata lines
+    refusals = (NotTestBased, NotInfective, UnrecognizedInfectionShape, NoVerifications)
+    rewrites = (to_infective, to_testbased, lambda prog: harden(prog, 2))
+    b = ProgramBuilder("unreduced-factor", ("M",))  # a factor without a ring
+    b.inp("m", "M")
+    b.factor("m", "m", "m", None, 0, 0, 0)
+    b.ret("m")
+    progs = [b.build()]
+    for entry in catalog():
+        source = build(entry.algo, TINY, r_bits=5, build_seed=1)
+        progs.append(source)
+        for rewrite in rewrites:
+            try:
+                progs.append(rewrite(source))
+            except refusals:
+                pass
+    for prog in progs:
         assert parse_dump(dump_program(prog)) == prog
         assert program_digest(parse_dump(dump_program(prog))) == program_digest(prog)
 

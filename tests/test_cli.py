@@ -109,6 +109,11 @@ def test_bad_inputs_exit_with_the_data_code(tmp_path, capsys):
         path = tmp_path / f"bad-{field}.json"
         path.write_text(json.dumps(key))
         assert main(["campaign", "--algo", "unprotected", "--key", str(path)]) == 3
+    # every other subcommand taking a key refuses one too
+    bad_iq = str(tmp_path / "bad-iq.json")
+    assert main(["sign", "--algo", "unprotected", "--message", "2", "--key", bad_iq]) == 3
+    assert main(["dump", "--algo", "unprotected", "--key", bad_iq]) == 3
+    assert main(["recover", "--key", bad_iq]) == 3
     # campaigns with nothing to run
     no_plans = (["--kinds", "skip", "--max-skip-len", "0"], ["--order", "2", "--plan-limit", "0"])
     for flags in no_plans:
@@ -120,7 +125,7 @@ def test_bad_inputs_exit_with_the_data_code(tmp_path, capsys):
         path.write_text(f"# program bad\n# inputs m\n0: m <- input m\n{line}\n")
         assert main(["dump", "--program", str(path)]) == 3
     err = capsys.readouterr().err
-    assert err.count("error:") == 14
+    assert err.count("error:") == 17
     assert "not a unit mod N=77" in err
     assert "no fault plans" in err
     assert "cannot parse line '1: s <- const'" in err

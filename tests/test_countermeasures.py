@@ -8,6 +8,7 @@ from crtfi.circuit import (
     DrawRandomPrime,
     FaultAction,
     FaultKind,
+    ProgramBuilder,
     Signature,
     WriteOf,
     execute,
@@ -50,6 +51,16 @@ def test_catalog_rows_frozen():
 def test_unknown_algo_rejected():
     with pytest.raises(ValueError, match="unknown algo"):
         build("nosuch", TINY)
+
+
+def test_a_builder_reading_before_writing_is_refused():
+    b = ProgramBuilder("ghost", ("M",))
+    b.inp("m", "M")
+    b.add("s", "m", "g")
+    b.const("g", 0)
+    b.ret("s")
+    with pytest.raises(BuildError, match="ghost is not runnable: 'g' read before any write"):
+        b.build()
 
 
 def test_builder_warnings_are_only_dead_stores():

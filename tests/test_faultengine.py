@@ -13,7 +13,9 @@ from crtfi.circuit import (
     enumerate_sites,
     execute,
     find_write,
+    plan_faults,
 )
+from crtfi import faultengine
 from crtfi.countermeasures import build, program_inputs
 from crtfi.faultengine import (
     CampaignSpec,
@@ -220,6 +222,27 @@ def test_skip_faults_reduce_to_value_faults():
 
 
 # --------------------------------------------------------------------- reports
+
+
+def test_a_campaign_decodes_each_plan_once_for_all_messages(monkeypatch):
+    decoded = []
+
+    def counting(plan, n):
+        decoded.append(plan)
+        return plan_faults(plan, n)
+
+    monkeypatch.setattr(faultengine, "plan_faults", counting)
+    rep = run_campaign(tiny_spec(messages=(2, 3, 5)))
+    assert len(decoded) == rep.plans_total == len(set(decoded))
+    assert rep.totals["attempts"] == 3 * rep.plans_total
+
+
+def test_sampled_campaigns_report_only_the_rows_they_touched():
+    spec = tiny_spec(order=2, plan_limit=10)
+    rep = run_campaign(spec)
+    assert rep.sampled_plans
+    assert len(rep.rows) < len(site_action_table(tiny_unprotected(), spec))
+    assert all(r.attempts for r in rep.rows)
 
 
 def test_reports_serialize_deterministically():

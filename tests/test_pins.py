@@ -3,8 +3,8 @@
 Every catalog program is built for two keys, the 7x11 demo key and
 crt_from_rsa(gen_key(8, 2)), and run through a small order-1 campaign
 (r_bits=5, exhaustive_threshold=64, samples_per_site=8, default kinds and
-seed). The sha256 of each report's JSON and the digest of each program
-are pinned, so a change to how programs are built, dumped, executed or
+seed). The sha256 of each report's JSON and CSV and the digest of each
+program are pinned, so a change to how programs are built, dumped, executed or
 scored that moves a single byte fails here.
 """
 
@@ -45,6 +45,33 @@ REPORT_SHA256 = {
     "g82/aumuller-infective": "08ced6bfe326c1383a5c9f9f72b29a3fa3116ff130585c24e9ce372ecf6924e8",
     "g82/vigilant": "6fbc3746dd7179a1a2842bb1fcb4707a8ba2080e11bcccdb0ffa86cdaff613c3",
     "g82/vigilant-simplified-infective": "0949468df5080281aa510bb42dace00559eb9af4ef82c6d15fe74002b61d47f9",
+}
+
+CSV_SHA256 = {
+    "demo/unprotected": "f862bdf125f827572c8c57bd942d6de4c6a043959089548f3afd38272528f6ca",
+    "demo/straightforward": "b77b08b648478cd60327dac7a14f6d6c957dc462b9abc98b4e6bc1aeee0abcb6",
+    "demo/giraud-sketch": "f7d1a6e6ea8fd4d50e4fa02ec966116ce81d89d2449141032e44dcf698f2da48",
+    "demo/shamir": "951811af8e80bb93384d6eda1fb0cff048dd15f27177df4bbb86df56ebc0b7ec",
+    "demo/fixed-shamir": "93d6903373879356eaae802ad350980799f3c0020c2a949d4b5d41c273c14335",
+    "demo/joye": "96c6d26193a555da10d086edf3c5d80f0711a489eb5b4eba5b74b18ee85c6c9a",
+    "demo/ciet-joye": "f729d320063e2f1fe77c58b909243e5a6805df99de07ef76792bd4c3ca02aac5",
+    "demo/blomer": "2f6733aeeb0fd4bec242e8f98572199a07c60f9d0212f19e0957e29a5da55311",
+    "demo/aumuller": "e64d6e1ce61d969dbf47dfca103abe1faeed9520643df3429519a87219bfc644",
+    "demo/aumuller-infective": "b0971a9828ca43eac8aedaf2cd425e0403fe3aa429a0caf06f56f9e4d4855493",
+    "demo/vigilant": "8d6c5c65d47c48bf9768c135912e4609fcbf6617f97e21c599aedaa791c0ad67",
+    "demo/vigilant-simplified-infective": "d32ea4dcf3dc70cc4c9e5cdc80eb408e0617f970dfd6db9e53eb353d9793f112",
+    "g82/unprotected": "4988c95bc7e6f03330d817e3096e8c47a84c268591415161fad85c592a8391eb",
+    "g82/straightforward": "664077307b2ebfc29dead58e57dfa2f6d2130f5c4c3015da425d39e92347e4ef",
+    "g82/giraud-sketch": "29d99baa9544a4127b38357306c756d64c27959e2984e600f7b1bf4f2353b691",
+    "g82/shamir": "011f02888c5f61f610476bf9e5f75502b1c00223fd3ff8365bbe7852b6f2b8f5",
+    "g82/fixed-shamir": "309b1880fb2e6aaf167eff053a3d4b51a6cbdd2dd971197d1e4095634f5451cf",
+    "g82/joye": "98a509c376ee54223ccbd5f9a5fc70e55ee9522d1bc722079f6e5f23033306d5",
+    "g82/ciet-joye": "fda3540c3ca181741c6279163a62de59db8c4fa47129a4d84034252bc74db450",
+    "g82/blomer": "caae222ffc3d409efe9c0e04bef60e6326b6516e34cee4d1fce8b7a0e6b5f82c",
+    "g82/aumuller": "dd0f68fef04e3cacf25337876bce4651078c4ec3e333ec9db41ebe43e4475865",
+    "g82/aumuller-infective": "0854ede9fad189d65fe3436ee504115847cabc54486f4e995b5a6c0634ba1e55",
+    "g82/vigilant": "b18e22e9caa12b2f9417b1c86412b09e58cf7037d4d30293c000d3411b27dcae",
+    "g82/vigilant-simplified-infective": "001bad5acc7ce76e7e2df8a3c5f6739df949704f7672b9a9e341f48c1c5e8b59",
 }
 
 PROGRAM_DIGEST = {
@@ -92,7 +119,7 @@ def _split(case):
 
 
 def test_the_pins_cover_every_catalog_program_on_both_keys():
-    assert sorted(CASES) == sorted(REPORT_SHA256) == sorted(PROGRAM_DIGEST)
+    assert sorted(CASES) == sorted(REPORT_SHA256) == sorted(CSV_SHA256) == sorted(PROGRAM_DIGEST)
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -105,8 +132,9 @@ def test_program_digest_is_pinned(case):
 def test_campaign_report_bytes_are_pinned(case):
     key, algo = _split(case)
     spec = CampaignSpec(key=key, algo=algo, r_bits=5, exhaustive_threshold=64, samples_per_site=8)
-    text = run_campaign(spec).to_json()
-    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[case]
+    report = run_campaign(spec)
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == REPORT_SHA256[case]
+    assert hashlib.sha256(report.to_csv().encode()).hexdigest() == CSV_SHA256[case]
 
 
 def test_derived_program_digests_are_pinned():
