@@ -24,25 +24,30 @@ r values with the fault-free baseline.
 
 Each instruction class is described once, in the OPCODES table: its dump
 keyword, its immediate fields, its register operands in slot order, the
-field naming the modulus it reduces by, and one kernel computing its result
-from its operand values. Operand reads, moduli, dumps, parsing, register
-renaming and both interpreters are derived from that table.
+field naming the modulus it reduces by, one kernel computing its result
+from its operand values, and for the arithmetic, checks and Return a vector
+kernel computing it for many lanes at once. Operand reads, moduli, dumps,
+parsing, register renaming and every run path are derived from that table.
 
-Programs run on two paths that give the same results:
+Programs run on three paths that give the same results:
 
   * execute() is the reference interpreter. It runs every instruction and
     records the trace and draws. It serves fault-free baselines, the `sign`
     command, skip-fault subsumption, ExecOutcome.regs(), and the tests that
-    check the other path against it.
-  * FaultRunner runs faulted plans for campaigns (faultengine.run_campaign
-    and faultengine.replay_plan). It starts from a baseline execute() run
-    and re-evaluates only the instructions a plan can change, using the
+    check the other paths against it.
+  * FaultRunner.run_faults runs one faulted plan, decoded by plan_faults,
+    for campaigns (faultengine.run_campaign, which decodes each plan once
+    for all of its messages, and faultengine.replay_plan through
+    FaultRunner.run). It starts from a baseline execute() run and
+    re-evaluates only the instructions the plan can change, using the
     program's compiled form (Program.compiled, built once per Program).
-    Program.runner keeps the runners it builds, so a baseline runs once per
-    (program, inputs, seed), however many plans replay against it.
+  * FaultRunner.run_lanes runs every value of one data site at once, one
+    lane per value: the site's instruction and its static dataflow cone are
+    evaluated once, through the vector kernels. Campaigns run each order-1
+    zero and randomize row this way.
 
-Both read plans through plan_faults, and a campaign decodes each plan once
-for all of its messages (FaultRunner.run_faults).
+Program.runner keeps the runners it builds, so a baseline runs once per
+(program, inputs, seed), however many plans replay against it.
 """
 
 from __future__ import annotations
@@ -52,7 +57,8 @@ import hashlib
 import random
 from dataclasses import astuple, dataclass, field, replace
 from enum import Enum
-from typing import Callable, get_type_hints
+from itertools import repeat
+from typing import Callable, Hashable, get_type_hints
 
 from .modmath import is_prime
 
@@ -272,6 +278,71 @@ def _k_ret(ins, xs, i, env):
 _BINOP_KERNELS = {"add": _k_add, "sub": _k_sub, "mul": _k_mul, "div": _k_div}
 
 
+# A vector kernel computes one instruction for many lanes at once:
+# vkernel(ins, xs, index, env) gets operands that are each a scalar (a value
+# every lane shares) or a lane list, at least one a list, and returns the
+# lane list of what the kernel returns per lane. It returns None where that
+# is not the common case (a modulus below 2, a negative exponent); the
+# caller then runs the kernel once per lane, so crash reasons and their
+# precedence are the kernel's.
+
+
+def _lanes(*xs):
+    """Each lane's operand tuple; a scalar operand is every lane's value."""
+    n = max(len(x) for x in xs if x.__class__ is list)  # ValueError without lanes
+    return zip(*[repeat(x, n) if x.__class__ is int else x for x in xs])
+
+
+def _moduli_ok(m) -> bool:
+    """Whether every lane's modulus is at least 2."""
+    return (m if m.__class__ is int else min(m)) >= 2
+
+
+def _v_add(ins, xs, i, env):
+    if len(xs) == 2:
+        return [x + y for x, y in _lanes(*xs)]
+    return [(x + y) % m for x, y, m in _lanes(*xs)] if _moduli_ok(xs[2]) else None
+
+
+def _v_sub(ins, xs, i, env):
+    if len(xs) == 2:
+        return [x - y for x, y in _lanes(*xs)]
+    return [(x - y) % m for x, y, m in _lanes(*xs)] if _moduli_ok(xs[2]) else None
+
+
+def _v_mul(ins, xs, i, env):
+    if len(xs) == 2:
+        return [x * y for x, y in _lanes(*xs)]
+    return [x * y % m for x, y, m in _lanes(*xs)] if _moduli_ok(xs[2]) else None
+
+
+def _v_reduce(ins, xs, i, env):
+    return [x % m for x, m in _lanes(*xs)] if _moduli_ok(xs[1]) else None
+
+
+def _v_exp(ins, xs, i, env):
+    exp = xs[1]
+    if not _moduli_ok(xs[2]) or (exp if exp.__class__ is int else min(exp)) < 0:
+        return None
+    return [pow(x, e, m) for x, e, m in _lanes(*xs)]
+
+
+def _v_check(ins, xs, i, env):
+    fail = ErrorOut(i)
+    if len(xs) == 2:
+        return [None if x == y else fail for x, y in _lanes(*xs)]
+    if not _moduli_ok(xs[2]):
+        return None
+    return [None if (x - y) % m == 0 else fail for x, y, m in _lanes(*xs)]
+
+
+def _v_ret(ins, xs, i, env):
+    return [Signature(x) for x in xs[0]]
+
+
+_BINOP_VECTORS = {"add": _v_add, "sub": _v_sub, "mul": _v_mul}
+
+
 @dataclass(frozen=True)
 class Opcode:
     """Everything the rest of the system knows about one instruction class.
@@ -284,7 +355,9 @@ class Opcode:
     stored value is reduced by; CheckEq's mod is a comparison ring, not
     that. lookups names a field of registers the kernel also sees, after the
     operands, without fault sites (the avoid set of a draw; an unwritten one
-    reads 0).
+    reads 0). vector is the vector kernel, keyed by op like kernel for
+    BinOp; None (or an op missing from the dict) means the lanes run the
+    kernel one by one.
     """
 
     keyword: str | None
@@ -293,6 +366,7 @@ class Opcode:
     reduces_by: str | None
     kernel: Callable[[Instr, list[int], int, tuple], object] | dict[str, Callable]
     lookups: str | None = None
+    vector: Callable[[Instr, list, int, tuple], list | None] | dict[str, Callable] | None = None
 
     @property
     def printed(self) -> tuple[str, ...]:
@@ -305,12 +379,12 @@ OPCODES: dict[type, Opcode] = {
     LoadInput: Opcode("input", (("name", str),), (), None, _k_input),
     DrawRandomPrime: Opcode("randprime", (("bits", int),), (), None, _k_draw, "distinct_from"),
     Const: Opcode("const", (("value", int),), (), None, _k_const),
-    BinOp: Opcode(None, (), ("a", "b", "mod"), "mod", _BINOP_KERNELS),
-    ModReduce: Opcode("reduce", (), ("src", "mod"), "mod", _k_reduce),
-    ModExp: Opcode("modexp", (), ("base", "exp", "mod"), "mod", _k_exp),
+    BinOp: Opcode(None, (), ("a", "b", "mod"), "mod", _BINOP_KERNELS, vector=_BINOP_VECTORS),
+    ModReduce: Opcode("reduce", (), ("src", "mod"), "mod", _k_reduce, vector=_v_reduce),
+    ModExp: Opcode("modexp", (), ("base", "exp", "mod"), "mod", _k_exp, vector=_v_exp),
     ModInv: Opcode("modinv", (), ("src", "mod"), "mod", _k_inv),
-    CheckEq: Opcode("checkeq", (), ("a", "b", "mod"), None, _k_check),
-    Ret: Opcode("return", (), ("src",), None, _k_ret),
+    CheckEq: Opcode("checkeq", (), ("a", "b", "mod"), None, _k_check, vector=_v_check),
+    Ret: Opcode("return", (), ("src",), None, _k_ret, vector=_v_ret),
 }
 
 # fields a dump prints after a tag word, and leaves out when unset
@@ -331,6 +405,11 @@ def _kernel_of(ins: Instr) -> Callable:
     if ins.op not in row.kernel:
         raise ValueError(f"unknown op {ins.op!r}")
     return row.kernel[ins.op]
+
+
+def _vector_of(ins: Instr) -> Callable | None:
+    vector = OPCODES[type(ins)].vector
+    return vector.get(ins.op) if isinstance(vector, dict) else vector
 
 
 def _operand_regs(ins: Instr) -> tuple[tuple[str, ...], int]:
@@ -477,11 +556,22 @@ class Program:
         the oldest goes first. A construction that raises is not kept, so
         the next call raises again.
         """
-        key = (tuple(inputs.items()), seed)
+        return self.runner_for(tuple(inputs.items()), seed, lambda: inputs)
+
+    def runner_for(
+        self, tag: Hashable, seed: int, inputs: Callable[[], dict[str, int]]
+    ) -> FaultRunner:
+        """The runner kept under (tag, seed), built on inputs() if there is none.
+
+        tag stands for the input map: runner passes the map itself, and a
+        caller that can name the map more cheaply (a key and a message)
+        passes that name and builds the map only on a miss.
+        """
+        key = (tag, seed)
         memo = self._runners
         found = memo.get(key)
         if found is None:
-            found = FaultRunner(self, inputs, seed)
+            found = FaultRunner(self, inputs(), seed)
             if len(memo) >= _RUNNER_MEMO_SIZE:
                 del memo[next(iter(memo))]
             memo[key] = found
@@ -789,13 +879,13 @@ class CompiledProgram:
 
     A register is named by the index of the instruction that writes it.
     ops[i] is (instruction, kernel, writer indices of its operand registers
-    in Program.steps order, read slots). A lookup of a register not yet
-    written at i names index len(ops), a slot that always reads 0.
-    readers[i] is the bitmask of the instructions whose operands see the
-    value instruction i stores.
+    in Program.steps order, read slots, vector kernel or None). A lookup of
+    a register not yet written at i names index len(ops), a slot that
+    always reads 0. readers[i] is the bitmask of the instructions whose
+    operands see the value instruction i stores.
     """
 
-    ops: tuple[tuple[Instr, Callable, tuple[int, ...], int], ...]
+    ops: tuple[tuple[Instr, Callable, tuple[int, ...], int, Callable | None], ...]
     readers: tuple[int, ...]
 
 
@@ -811,7 +901,7 @@ def _compile(program: Program) -> CompiledProgram:
         for s in srcs:
             if s < n:
                 readers[s] |= 1 << i
-        ops.append((ins, kernel, srcs, slots))
+        ops.append((ins, kernel, srcs, slots, _vector_of(ins)))
         if dst is not None:
             writer[dst] = i
     return CompiledProgram(tuple(ops), tuple(readers))
@@ -849,6 +939,7 @@ class FaultRunner:
             self._base[idx] = val
         self._ret_bit = 1 << (n - 1)  # validation puts Return last
         self._fills: dict[int, int] = {}
+        self._cones: dict[int, tuple[int, ...]] = {}
 
     def run(self, plan: FaultPlan) -> ExecResult:
         return self.run_faults(plan_faults(plan, len(self._ops)))
@@ -862,7 +953,7 @@ class FaultRunner:
             low = pending & -pending
             pending ^= low
             i = low.bit_length() - 1
-            ins, kernel, srcs, slots = ops[i]
+            ins, kernel, srcs, slots, _vector = ops[i]
             if skipped & low:
                 if dst_of(ins) is None:
                     continue  # a skipped check passes; a skipped Return is settled below
@@ -890,6 +981,79 @@ class FaultRunner:
         if skipped & self._ret_bit:
             return Signature(0)  # the output buffer keeps its zero initialization
         return self.baseline.result
+
+    def run_lanes(self, index: int, slot: int | None, values: list[int]) -> list[ExecResult]:
+        """[run(((site, RANDOMIZE, v),)) for v in values], in one pass.
+
+        The site is WriteOf(index) when slot is None, else ReadOf(index,
+        slot); a slot outside the instruction's read slots changes nothing.
+        Each value is one lane. The pass evaluates the instruction a read
+        site faults, then every instruction of the site's static dataflow
+        cone (what reads, directly or not, the value index stores) in
+        program order, once for all lanes: through the vector kernel where
+        it applies and the kernel lane by lane elsewhere. A lane that reaches an ErrorOut
+        or Crash keeps that end and drops out; a lane the cone never ends
+        keeps the baseline result. Evaluating the whole static cone is
+        exact: kernels are deterministic, and an instruction whose operands
+        all hold their baseline values computes its baseline value, which
+        did not end the baseline run.
+        """
+        ops, readers, base, env = self._ops, self._readers, self._base, self._env
+        results = [self.baseline.result] * len(values)
+        if not values:
+            return results
+        order = self._cone(index)
+        if slot is None:
+            vecs = {index: list(values)}
+        elif 0 <= slot < ops[index][3]:
+            vecs = {}
+            order = (index,) + order
+        else:
+            return results
+        alive = list(range(len(values)))  # lane k's position in results
+        for j in order:
+            ins, kernel, srcs, _slots, vector = ops[j]
+            xs = [vecs[s] if s in vecs else base[s] for s in srcs]
+            if j == index:
+                xs[slot] = list(values)
+            stores = dst_of(ins) is not None
+            out = vector(ins, xs, j, env) if vector else None
+            if out is None:
+                out = [
+                    kernel(ins, [x[k] if x.__class__ is list else x for x in xs], j, env)
+                    for k in range(len(alive))
+                ]
+            elif stores:
+                vecs[j] = out  # a vector kernel's stored values end no lane
+                continue
+            keep = [k for k, v in enumerate(out) if v.__class__ not in _ENDS]
+            if len(keep) < len(out):
+                for k, v in enumerate(out):
+                    if v.__class__ in _ENDS:
+                        results[alive[k]] = v
+                if not keep:
+                    return results
+                alive = [alive[k] for k in keep]
+                out = [out[k] for k in keep]
+                # compact only the vectors a later instruction still reads
+                vecs = {s: [v[k] for k in keep] for s, v in vecs.items() if readers[s] >> j > 1}
+            if stores:
+                vecs[j] = out
+        return results
+
+    def _cone(self, index: int) -> tuple[int, ...]:
+        """Indices of the instructions reading, directly or not, what index stores."""
+        cone = self._cones.get(index)
+        if cone is None:
+            readers = self._readers
+            mask = readers[index]
+            for j in range(index + 1, len(readers)):
+                if mask >> j & 1:
+                    mask |= readers[j]
+            cone = self._cones[index] = tuple(
+                j for j in range(index + 1, len(readers)) if mask >> j & 1
+            )
+        return cone
 
 
 # ----------------------------------------------------------------- text dumps

@@ -16,17 +16,21 @@ ones are sampled and classified by replaying each hit under two alternate
 seeds, which re-draws the checksum primes - a collision evaporates, a real
 break does not.
 
-Faulted runs go through circuit.FaultRunner, which replays each plan against
-the fault-free baseline of its message and recomputes only the instructions
-the plan can change; circuit.execute stays the reference that runs the
-baselines and the skip-subsumption search. Runners come from Program.runner,
-so each baseline runs once per (program, inputs, seed): the campaign's
-messages, the site-action table and every replay probe share them. A
-campaign decodes each plan once with circuit.plan_faults and hands the
-decoded plan to the runner of every message.
+Faulted runs go through circuit.FaultRunner, which replays faults against
+the fault-free baseline of their message; circuit.execute stays the
+reference that runs the baselines and the skip-subsumption search. At order
+1 a campaign runs each zero and randomize row as one FaultRunner.run_lanes
+pass per message, one lane per value. Skip rows, and every plan of order 2
+and above, are decoded once with circuit.plan_faults and handed to
+FaultRunner.run_faults of every message; those runs recompute only the
+instructions the plan can change. Runners are kept by the program under
+(key, message, seed), so each baseline runs once: the campaign's messages,
+the site-action table and every replay probe share them. Before any fault
+is injected, each message's fault-free output must be its CRT signature.
 
 Everything is deterministic in (spec, program): sampling is seeded per
-site and plans are run and tallied one after another in plan order.
+site and runs are tallied one after another in plan order, then message
+order, whichever path made them.
 CampaignSpec.workers is accepted for compatibility but runs nothing in
 parallel, so reports are byte-identical for any worker setting.
 """
@@ -47,6 +51,7 @@ from .circuit import (
     FaultAction,
     FaultKind,
     FaultPlan,
+    FaultRunner,
     FaultSite,
     LoadInput,
     Program,
@@ -328,8 +333,8 @@ class SiteActions:
 
 def site_action_table(program: Program, spec: CampaignSpec) -> list[SiteActions]:
     """Deterministic per-site action lists for the spec's kinds."""
-    inputs = program_inputs(program, spec.key, _messages_of(spec)[0])
-    domains = site_domains(program, program.runner(inputs, spec.seed).baseline.regs())
+    runner = _runner(program, spec.key, _messages_of(spec)[0], spec.seed)
+    domains = site_domains(program, runner.baseline.regs())
     want_data = "zero" in spec.kinds or "randomize" in spec.kinds
     want_skip = "skip" in spec.kinds
     sites = []
@@ -398,10 +403,11 @@ def build_plans(
 ) -> tuple[list[FaultPlan], bool]:
     """The campaign's plan list and whether it had to be sampled.
 
-    Order 1 ignores plan_limit: one plan per action. Higher orders take
-    every combination of distinct sites when the exact count fits the
-    limit, otherwise plan_limit draws (site subset uniform, one of the
-    site's actions under any kind uniform). No plan faults a site twice.
+    Order 1 ignores plan_limit: one plan per action, in table order
+    (run_campaign walks that list row by row without building it). Higher
+    orders take every combination of distinct sites when the exact count
+    fits the limit, otherwise plan_limit draws (site subset uniform, one of
+    the site's actions under any kind uniform). No plan faults a site twice.
     """
     if spec.order == 1:
         return [(FaultAction(t.site, t.kind, v),) for t in table for v in t.values], False
@@ -480,11 +486,17 @@ def score_outcome(n: int, p: int, q: int, baseline_sig: int, result) -> tuple[st
     return "silent", None, None
 
 
+def _runner(program: Program, key: CrtKey, message: int, seed: int) -> FaultRunner:
+    """program's runner on one message, kept under (key, message, seed), so
+    program_inputs runs once per new key and message."""
+    return program.runner_for((key, message), seed, lambda: program_inputs(program, key, message))
+
+
 def replay_plan(
     program: Program, key: CrtKey, message: int, plan: FaultPlan, seed: int
 ) -> tuple[object, bool, int | None]:
     """Run one plan; return (result, broke, factor). Baseline uses the same seed."""
-    runner = program.runner(program_inputs(program, key, message), seed)
+    runner = _runner(program, key, message, seed)
     result = runner.run(plan)
     n = key.p * key.q
     tally, factor, _side = score_outcome(n, key.p, key.q, runner.signature, result)
@@ -561,6 +573,72 @@ def _touches_rng(report_phases: dict[str, str], s: AttackSuccess) -> bool:
 # ---------------------------------------------------------------- campaign
 
 
+class _Tally:
+    """A campaign's faulted runs and their bookkeeping.
+
+    runs holds (message, runner, baseline signature) per message. Every run
+    is counted on each row its plan touches, in the order it is made; a
+    break also becomes an AttackSuccess, indexed by row, whose plan's
+    (site, kind, value) triples are kept for the replay pass.
+    """
+
+    def __init__(self, key: CrtKey, rows: dict, runs: list, size: int):
+        self.key = key
+        self.n = key.p * key.q
+        self.rows = rows
+        self.runs = runs
+        self.size = size
+        self.successes: list[AttackSuccess] = []
+        self.success_acts: list[tuple[tuple[FaultSite, FaultKind, int | None], ...]] = []
+        self.row_success_idx: dict[tuple[FaultSite, FaultKind], list[int]] = {}
+
+    def run_plan(self, plan: FaultPlan) -> None:
+        """Run one plan on every message (decoded once for all of them)."""
+        faults = plan_faults(plan, self.size)
+        plan_rows = [self.rows[a.site, a.kind] for a in plan]
+        acts = tuple([(a.site, a.kind, a.value) for a in plan])
+        for m, runner, sig in self.runs:
+            self._count(plan_rows, acts, m, sig, runner.run_faults(faults))
+
+    def run_row(self, t: SiteActions) -> None:
+        """Run every value of one zero or randomize row as the order-1 plans
+        of build_plans, lanes batched per message, counted value by value
+        and then message by message as run_plan would count them."""
+        site = t.site
+        slot = site.slot if isinstance(site, ReadOf) else None
+        lanes = [0 if v is None else v for v in t.values]  # zero is randomize to 0
+        outs = [runner.run_lanes(site.index, slot, lanes) for _m, runner, _s in self.runs]
+        plan_rows = [self.rows[site, t.kind]]
+        for k, v in enumerate(t.values):
+            acts = ((site, t.kind, v),)
+            for (m, _runner, sig), out in zip(self.runs, outs):
+                self._count(plan_rows, acts, m, sig, out[k])
+
+    def _count(self, plan_rows: list[SiteRow], acts: tuple, m: int, sig: int, result) -> None:
+        """Score one run; acts are the plan's (site, kind, value) triples."""
+        key = self.key
+        tally, factor, side = score_outcome(self.n, key.p, key.q, sig, result)
+        for row in plan_rows:
+            row.attempts += 1
+            if tally == "success":
+                row.successes += 1
+                if side == "p":
+                    row.factor_p += 1
+                else:
+                    row.factor_q += 1
+            elif tally == "no_output":
+                row.no_output += 1
+            else:
+                row.silent += 1
+        if tally == "success":
+            idx = len(self.successes)
+            touched = tuple([(row.site, row.kind, a[2]) for row, a in zip(plan_rows, acts)])
+            self.successes.append(AttackSuccess(m, touched, result.value, factor, side, None))
+            self.success_acts.append(acts)
+            for s, k, _v in acts:
+                self.row_success_idx.setdefault((s, k), []).append(idx)
+
+
 def _resolve_program(spec: CampaignSpec) -> Program:
     if spec.program is not None:
         return spec.program
@@ -568,13 +646,24 @@ def _resolve_program(spec: CampaignSpec) -> Program:
 
 
 def run_campaign(spec: CampaignSpec) -> CampaignReport:
-    """Run every plan of the spec on every message; ValueError if there are none."""
+    """Run every plan of the spec on every message.
+
+    ValueError if there are no plans, or if a fault-free run does not
+    release the message's CRT signature.
+    """
     program = _resolve_program(spec)
     key = spec.key
-    n = key.p * key.q
     messages = _messages_of(spec)
 
-    runners = {m: program.runner(program_inputs(program, key, m), spec.seed) for m in messages}
+    runners = {m: _runner(program, key, m, spec.seed) for m in messages}
+    for m, r in runners.items():
+        s = r.signature
+        if s % key.p != pow(m, key.dp, key.p) or s % key.q != pow(m, key.dq, key.q):
+            # every fault would be scored against a value that is no signature
+            raise ValueError(
+                f"fault-free run of {program.name} on message {m} releases {s}, "
+                "not its CRT signature"
+            )
     baselines = {m: r.signature for m, r in runners.items()}
     draws = {m: r.baseline.draws for m, r in runners.items()}
     first_regs = runners[messages[0]].baseline.regs()
@@ -583,14 +672,6 @@ def run_campaign(spec: CampaignSpec) -> CampaignReport:
         r_min = min(first_regs[r] for r in program.meta.r_regs)
 
     table = site_action_table(program, spec)
-    plans, sampled = build_plans(program, spec, table)
-    if not plans:
-        # zero breaks over zero plans would read as "secure"
-        raise ValueError(
-            f"campaign on {program.name} has no fault plans: widen kinds, "
-            "max_skip_len, samples_per_site or plan_limit, or lower the order"
-        )
-
     rows = {
         (t.site, t.kind): SiteRow(
             t.site.key(program),
@@ -601,36 +682,28 @@ def run_campaign(spec: CampaignSpec) -> CampaignReport:
         )
         for t in table
     }
-    successes: list[AttackSuccess] = []
-    success_plans: list[FaultPlan] = []
-    row_success_idx: dict[tuple[FaultSite, FaultKind], list[int]] = {}
-    runs = [(m, runners[m].run_faults, baselines[m]) for m in messages]
-    size = len(program)
+    if spec.order == 1:
+        # build_plans' order-1 list, run below one table row at a time
+        plans, sampled, plans_total = [], False, plan_space_size(table, 1)
+    else:
+        plans, sampled = build_plans(program, spec, table)
+        plans_total = len(plans)
+    if not plans_total:
+        # zero breaks over zero plans would read as "secure"
+        raise ValueError(
+            f"campaign on {program.name} has no fault plans: widen kinds, "
+            "max_skip_len, samples_per_site or plan_limit, or lower the order"
+        )
+    tally = _Tally(key, rows, [(m, runners[m], baselines[m]) for m in messages], len(program))
+    if spec.order == 1:
+        for t in table:
+            if t.kind is FaultKind.SKIP:
+                tally.run_plan((FaultAction(t.site, t.kind),))
+            else:
+                tally.run_row(t)
     for plan in plans:
-        faults = plan_faults(plan, size)
-        plan_rows = [rows[a.site, a.kind] for a in plan]
-        touched = tuple((row.site, row.kind, a.value) for row, a in zip(plan_rows, plan))
-        for m, run, baseline_sig in runs:
-            result = run(faults)
-            tally, factor, side = score_outcome(n, key.p, key.q, baseline_sig, result)
-            for row in plan_rows:
-                row.attempts += 1
-                if tally == "success":
-                    row.successes += 1
-                    if side == "p":
-                        row.factor_p += 1
-                    else:
-                        row.factor_q += 1
-                elif tally == "no_output":
-                    row.no_output += 1
-                else:
-                    row.silent += 1
-            if tally == "success":
-                idx = len(successes)
-                successes.append(AttackSuccess(m, touched, result.value, factor, side, None))
-                success_plans.append(plan)
-                for a in plan:
-                    row_success_idx.setdefault((a.site, a.kind), []).append(idx)
+        tally.run_plan(plan)
+    successes, row_success_idx = tally.successes, tally.row_success_idx
 
     # Replay pass.  Fraction bands settle most randomize rows outright; the
     # ambiguous middle band, the single-shot zero and skip rows, and every
@@ -651,9 +724,8 @@ def run_campaign(spec: CampaignSpec) -> CampaignReport:
     redraw = site_domains(program, first_regs) if spec.order > 1 else None
     for idx in sorted(need):
         s = successes[idx]
-        persistent = plan_persists(
-            program, key, s.message, success_plans[idx], spec.seed, redraw=redraw
-        )
+        plan = tuple(FaultAction(*a) for a in tally.success_acts[idx])
+        persistent = plan_persists(program, key, s.message, plan, spec.seed, redraw=redraw)
         successes[idx] = replace(s, persistent=persistent)
     for k, idxs in row_success_idx.items():
         row = rows[k]
@@ -695,7 +767,7 @@ def run_campaign(spec: CampaignSpec) -> CampaignReport:
         baselines=baselines,
         draws=draws,
         r_min=r_min,
-        plans_total=len(plans),
+        plans_total=plans_total,
         sampled_plans=sampled,
         rows=ordered,
         successes=successes,

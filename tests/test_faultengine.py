@@ -7,6 +7,8 @@ import pytest
 from crtfi.circuit import (
     FaultAction,
     FaultKind,
+    FaultRunner,
+    ProgramBuilder,
     Signature,
     SkipRange,
     WriteOf,
@@ -224,17 +226,60 @@ def test_skip_faults_reduce_to_value_faults():
 # --------------------------------------------------------------------- reports
 
 
-def test_a_campaign_decodes_each_plan_once_for_all_messages(monkeypatch):
-    decoded = []
+@pytest.fixture
+def decoded(monkeypatch):
+    """The plans a campaign decodes, one entry per plan_faults call."""
+    calls = []
 
     def counting(plan, n):
-        decoded.append(plan)
+        calls.append(plan)
         return plan_faults(plan, n)
 
     monkeypatch.setattr(faultengine, "plan_faults", counting)
-    rep = run_campaign(tiny_spec(messages=(2, 3, 5)))
+    return calls
+
+
+def test_a_campaign_decodes_each_plan_once_for_all_messages(decoded):
+    # order 2 runs plan by plan; this spec's plan space is enumerated whole
+    rep = run_campaign(tiny_spec(messages=(2, 3, 5), order=2, kinds=("zero", "skip")))
+    assert not rep.sampled_plans
     assert len(decoded) == rep.plans_total == len(set(decoded))
+    assert rep.totals["attempts"] == 2 * 3 * rep.plans_total
+
+
+def test_order_one_runs_each_data_row_as_one_lane_pass_per_message(decoded, monkeypatch):
+    passes = []
+    run_lanes = FaultRunner.run_lanes
+
+    def counting(self, index, slot, values):
+        passes.append((index, slot, len(values)))
+        return run_lanes(self, index, slot, values)
+
+    monkeypatch.setattr(FaultRunner, "run_lanes", counting)
+    spec = tiny_spec(messages=(2, 3, 5), kinds=("zero", "randomize", "skip"), max_skip_len=1)
+    rep = run_campaign(spec)
+    table = site_action_table(tiny_unprotected(), spec)
+    data = [t for t in table if t.kind is not FaultKind.SKIP]
+    slots = [getattr(t.site, "slot", None) for t in data]
+    assert passes == [
+        (t.site.index, slot, len(t.values)) for t, slot in zip(data, slots) for _m in range(3)
+    ]
+    # only the skip rows go through the plan decoder, one plan each
+    assert decoded == [(FaultAction(t.site, t.kind),) for t in table if t.kind is FaultKind.SKIP]
+    assert len(decoded) == len(table) - len(data) > 0
+    assert rep.plans_total == plan_space_size(table, 1)
     assert rep.totals["attempts"] == 3 * rep.plans_total
+
+
+def test_a_program_that_does_not_sign_is_refused():
+    b = ProgramBuilder("echo", ("M",))
+    b.inp("m", "M")
+    b.ret("m")
+    prog = b.build()
+    with pytest.raises(ValueError, match="not its CRT signature"):
+        run_campaign(tiny_spec(algo=None, program=prog, messages=(2, 3)))
+    # the same spec on a program that signs runs
+    run_campaign(tiny_spec(algo=None, program=tiny_unprotected(), messages=(2, 3)))
 
 
 def test_sampled_campaigns_report_only_the_rows_they_touched():

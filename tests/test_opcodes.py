@@ -5,7 +5,8 @@ so comparing them with each other cannot catch a wrong opcode. Here each
 opcode runs in a program that loads its operands and returns its result,
 on both paths, against an oracle written with Python's own operators. The
 operands reach the instruction once as inputs and once as read faults
-replacing benign baseline operands.
+replacing benign baseline operands. Each vector kernel is checked lane by
+lane against its kernel, with every mix of scalar and lane operands.
 """
 
 from itertools import product
@@ -13,6 +14,7 @@ from itertools import product
 import pytest
 
 from crtfi.circuit import (
+    OPCODES,
     BinOp,
     CheckEq,
     Const,
@@ -31,6 +33,8 @@ from crtfi.circuit import (
     Ret,
     Signature,
     WriteOf,
+    _kernel_of,
+    _vector_of,
     execute,
 )
 
@@ -110,22 +114,34 @@ def _cases():
             yield CheckEq("a", "b", "m"), (a, b, m), oracle_check(a, b, m)
 
 
+def _name(ins):
+    return type(ins).__name__ + getattr(ins, "op", "")
+
+
+def _sample(opcode):
+    return next(ins for ins, _x, _r in CASES if _name(ins) == opcode)
+
+
 CASES = list(_cases())
-OPCODES = sorted({type(ins).__name__ + getattr(ins, "op", "") for ins, _x, _r in CASES})
+OPCODES_UNDER_TEST = sorted({_name(ins) for ins, _x, _r in CASES})
+
+
+def _operands(ins):
+    """The registers ins reads, in slot order."""
+    fields = ("a", "b", "src", "base", "exp", "mod")
+    return [r for r in (getattr(ins, f, None) for f in fields) if r is not None]
 
 
 def _inputs(ins, operands):
-    fields = ("a", "b", "src", "base", "exp", "mod")
-    regs = [r for r in (getattr(ins, f, None) for f in fields) if r is not None]
-    return {**BENIGN, **dict(zip(regs, operands))}
+    return {**BENIGN, **dict(zip(_operands(ins), operands))}
 
 
-@pytest.mark.parametrize("opcode", OPCODES)
+@pytest.mark.parametrize("opcode", OPCODES_UNDER_TEST)
 def test_each_opcode_matches_python_on_both_paths(opcode):
     runners = {}
     checked = 0
     for ins, operands, want in CASES:
-        if type(ins).__name__ + getattr(ins, "op", "") != opcode:
+        if _name(ins) != opcode:
             continue
         prog = _program(ins, operands)
         inputs = _inputs(ins, operands)
@@ -144,6 +160,74 @@ def test_each_opcode_matches_python_on_both_paths(opcode):
         assert runner.run(plan) == want, (ins, operands)
         checked += 1
     assert checked >= len(VALUES) * len(MODULI)
+    # each operand's values as the lanes of one read site, the others benign
+    for ins, runner in runners.items():
+        for slot in range(len(_operands(ins))):
+            values = sorted({ops[slot] for i, ops, _w in CASES if i == ins})
+            plans = [(FaultAction(ReadOf(3, slot), FaultKind.RANDOMIZE, v),) for v in values]
+            assert runner.run_lanes(3, slot, values) == [runner.run(p) for p in plans], ins
+
+
+def _uncommon(ins, xs):
+    """Operands a vector kernel may hand back to the lanes one by one: some
+    lane's modulus below 2 or some lane's exponent negative."""
+
+    def least(x):
+        return min(x) if isinstance(x, list) else x
+
+    mod = OPCODES[type(ins)].reads.index("mod") if ins.mod else None
+    exp = xs[1] if isinstance(ins, ModExp) else 0
+    return (mod and least(xs[mod]) < 2) or least(exp) < 0
+
+
+VECTORS = [op for op in OPCODES_UNDER_TEST if _vector_of(_sample(op))]
+
+
+@pytest.mark.parametrize("opcode", VECTORS)
+def test_each_vector_kernel_matches_its_kernel_lane_by_lane(opcode):
+    env = (BENIGN, 0)
+    rows_of = {}
+    for ins, operands, _want in CASES:
+        if _name(ins) == opcode:
+            rows_of.setdefault(ins, []).append(operands)
+    checked = 0
+    for ins, rows in rows_of.items():
+        kernel, vector = _kernel_of(ins), _vector_of(ins)
+        width = len(rows[0])
+        # the operands at positions `fixed` are scalars, the others lane lists
+        for fixed in product((False, True), repeat=width):
+            if all(fixed):
+                continue
+            groups = {}
+            for r in rows:
+                groups.setdefault(tuple(v for v, f in zip(r, fixed) if f), []).append(r)
+            for lanes in groups.values():
+                xs = [lanes[0][q] if fixed[q] else [r[q] for r in lanes] for q in range(width)]
+                got = vector(ins, xs, 3, env)
+                if got is None:
+                    assert _uncommon(ins, xs), (ins, xs)
+                    continue
+                assert got == [kernel(ins, list(r), 3, env) for r in lanes], (ins, xs)
+                checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize(
+    "ins, operands",
+    [
+        (BinOp("x", "div", "a", "b", "m"), (5, 0, 1)),  # inexact-division before bad-modulus
+        (ModExp("x", "a", "b", "m"), (2, -1, 1)),  # bad-modulus before bad-exponent
+        (ModInv("x", "a", "m"), (0, 1)),  # bad-modulus before not-invertible
+    ],
+)
+def test_lanes_keep_the_crash_precedence_of_the_kernel(ins, operands):
+    kernel, vector = _kernel_of(ins), _vector_of(ins)
+    want = kernel(ins, list(operands), 3, (BENIGN, 0))
+    assert isinstance(want, Crash)
+    for p in range(len(operands)):  # each operand once as the lane list
+        xs = [[v, v] if q == p else v for q, v in enumerate(operands)]
+        # no vector kernel for this case: the lanes run the kernel one by one
+        assert vector is None or vector(ins, xs, 3, (BENIGN, 0)) is None
 
 
 @pytest.mark.parametrize(

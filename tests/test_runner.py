@@ -2,18 +2,22 @@
 
 FaultRunner.run(plan) must equal execute(..., plan=plan).result on every
 plan, so these tests compare the two on random plans of order 1 to 3 and on
-whole order-1 campaign plan lists. Program.runner keeps one runner per
+whole order-1 campaign plan lists. FaultRunner.run_lanes must equal one run
+per value, so it is compared with both on random sites and value lists and
+on the same plan lists, row by row. Program.runner keeps one runner per
 (inputs, seed); the last tests check that it runs each baseline once and
 changes no result.
 """
 
 import functools
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import crtfi.circuit
+import crtfi.faultengine
 from crtfi.circuit import (
     BinOp,
     CheckEq,
@@ -31,6 +35,7 @@ from crtfi.circuit import (
     WriteOf,
     dst_of,
     execute,
+    reads_of,
 )
 from crtfi.countermeasures import build, catalog, program_inputs
 from crtfi.faultengine import (
@@ -144,6 +149,40 @@ def test_runner_matches_the_reference_on_random_plans(name):
     check()
 
 
+def _nominal(prog, base, site):
+    """The value a data site carries in the baseline run (0 past the read slots)."""
+    if isinstance(site, WriteOf):
+        return base.get(dst_of(prog.instrs[site.index]), 0)
+    reg = dict(reads_of(prog.instrs[site.index])).get(site.slot)
+    return base.get(reg, 0)
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_lanes_match_one_run_per_value_and_the_reference(name):
+    prog = PROGRAMS[name]
+    n = len(prog.instrs)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        index=st.integers(0, n - 1),
+        slot=st.one_of(st.none(), st.integers(0, 3)),  # slots 1 and 2 read exponents, moduli
+        values=st.lists(st.one_of(VALUES, st.just("nominal")), min_size=1, max_size=10),
+        message=st.sampled_from(MESSAGES),
+        seed=st.sampled_from(SEEDS),
+    )
+    def check(index, slot, values, message, seed):
+        r = runner(name, message, seed)
+        site = WriteOf(index) if slot is None else ReadOf(index, slot)
+        nominal = _nominal(prog, r.baseline.regs(), site)
+        values = [nominal if v == "nominal" else v for v in values]
+        plans_ = [(FaultAction(site, FaultKind.RANDOMIZE, v),) for v in values]
+        got = r.run_lanes(index, slot, values)
+        assert got == [r.run(plan) for plan in plans_]
+        assert got == [reference(name, message, seed, plan) for plan in plans_]
+
+    check()
+
+
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
 def test_runner_matches_the_reference_on_the_whole_order_one_plan_list(name):
     prog = PROGRAMS[name]
@@ -151,12 +190,22 @@ def test_runner_matches_the_reference_on_the_whole_order_one_plan_list(name):
         key=TINY, program=prog, messages=(2,), kinds=("zero", "randomize", "skip"),
         exhaustive_threshold=32, samples_per_site=8, r_bits=5,
     )
-    plans_, _sampled = build_plans(prog, spec, site_action_table(prog, spec))
+    table = site_action_table(prog, spec)
+    plans_, _sampled = build_plans(prog, spec, table)
     assert len(plans_) > len(prog.instrs)
     for message in (2, 75):
-        run = runner(name, message, 42).run
-        for plan in plans_:
-            assert run(plan) == reference(name, message, 42, plan), plan
+        r = runner(name, message, 42)
+        want = [reference(name, message, 42, plan) for plan in plans_]
+        assert [r.run(plan) for plan in plans_] == want
+        # the same list row by row as lane passes, zero being randomize to 0
+        lanes = []
+        for t in table:
+            if t.kind is FaultKind.SKIP:
+                lanes.append(r.run((FaultAction(t.site, t.kind),)))
+                continue
+            slot = t.site.slot if isinstance(t.site, ReadOf) else None
+            lanes += r.run_lanes(t.site.index, slot, [v or 0 for v in t.values])
+        assert lanes == want
 
 
 def test_a_draw_moves_off_the_value_a_fault_plants_in_its_avoid_set():
@@ -226,6 +275,25 @@ def test_replay_plans_share_one_baseline_per_program_inputs_and_seed(execute_cal
     replay_plan(prog, TINY, 3, plan, 42)
     replay_plan(prog, TINY, 2, plan, 43)
     assert len(execute_calls) == 3
+
+
+def test_replay_plans_build_the_inputs_once_per_key_message_and_seed(monkeypatch):
+    built = []
+
+    def counting(program, key, message):
+        built.append((key, message))
+        return program_inputs(program, key, message)
+
+    monkeypatch.setattr(crtfi.faultengine, "program_inputs", counting)
+    prog = build("aumuller-infective", TINY, r_bits=5, build_seed=0)  # a fresh memo
+    plan = (FaultAction(WriteOf(_first_data_write(prog)), FaultKind.RANDOMIZE, 5),)
+    for _ in range(4):
+        replay_plan(prog, TINY, 2, plan, 42)
+    assert built == [(TINY, 2)]
+    replay_plan(prog, TINY, 3, plan, 42)
+    replay_plan(prog, TINY, 2, plan, 43)
+    replay_plan(prog, replace(TINY, d=None), 2, plan, 42)  # an equal key but for d
+    assert built == [(TINY, 2), (TINY, 3), (TINY, 2), (replace(TINY, d=None), 2)]
 
 
 def test_a_different_message_or_seed_gets_a_different_runner():
