@@ -35,9 +35,9 @@ Programs run on three paths that give the same results:
     records the trace and draws. It serves fault-free baselines, the `sign`
     command, skip-fault subsumption, ExecOutcome.regs(), and the tests that
     check the other paths against it.
-  * FaultRunner.run_faults runs one faulted plan, decoded by plan_faults,
-    for campaigns (faultengine.run_campaign, which decodes each plan once
-    for all of its messages, and faultengine.replay_plan through
+  * FaultRunner.run_faults runs one faulted plan, decoded as plan_faults
+    decodes it, for campaigns (faultengine.run_campaign, which decodes each
+    plan once for all of its messages, and faultengine.replay_plan through
     FaultRunner.run). It starts from a baseline execute() run and
     re-evaluates only the instructions the plan can change, using the
     program's compiled form (Program.compiled, built once per Program).

@@ -16,17 +16,24 @@ ones are sampled and classified by replaying each hit under two alternate
 seeds, which re-draws the checksum primes - a collision evaporates, a real
 break does not.
 
+Every (table row, value) of a campaign has an integer action id
+(ActionIds), numbered so that ids ascend in plan sort order. A plan of
+order 2 and above is a tuple of ids: it is drawn, deduplicated and sorted
+as ints. The campaign decodes each id once, the first time a plan uses it,
+and folds a plan's decoded ids into the form FaultRunner.run_faults takes,
+once for all messages. FaultActions are built only for the successes the
+replay pass probes.
+
 Faulted runs go through circuit.FaultRunner, which replays faults against
 the fault-free baseline of their message; circuit.execute stays the
 reference that runs the baselines and the skip-subsumption search. At order
 1 a campaign runs each zero and randomize row as one FaultRunner.run_lanes
-pass per message, one lane per value. Skip rows, and every plan of order 2
-and above, are decoded once with circuit.plan_faults and handed to
-FaultRunner.run_faults of every message; those runs recompute only the
-instructions the plan can change. Runners are kept by the program under
-(key, message, seed), so each baseline runs once: the campaign's messages,
-the site-action table and every replay probe share them. Before any fault
-is injected, each message's fault-free output must be its CRT signature.
+pass per message, one lane per value, and each skip row as its one id plan.
+FaultRunner.run_faults recomputes only the instructions a plan can change.
+Runners are kept by the program under (key, message, seed), so each
+baseline runs once: the campaign's messages, the site-action table and
+every replay probe share them. Before any fault is injected, each message's
+fault-free output must be its CRT signature.
 
 Everything is deterministic in (spec, program): sampling is seeded per
 site and runs are tallied one after another in plan order, then message
@@ -41,12 +48,14 @@ import json
 import math
 import random
 import zlib
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, field, replace
-from itertools import combinations
+from itertools import combinations, product
 
 from .circuit import (
     CheckEq,
     Crash,
+    DecodedPlan,
     ErrorOut,
     FaultAction,
     FaultKind,
@@ -63,7 +72,6 @@ from .circuit import (
     enumerate_sites,
     execute,
     modulus_reg,
-    plan_faults,
     program_digest,
     reads_of,
     same_result,
@@ -378,21 +386,75 @@ def _messages_of(spec: CampaignSpec) -> tuple[int, ...]:
 
 # ------------------------------------------------------------ plan universes
 
+# a plan over ActionIds: one action id per faulted site, sites in table order
+IdPlan = tuple[int, ...]
 
-def _site_groups(table: list[SiteActions]) -> list[list[SiteActions]]:
-    """The table's rows grouped by site, sites in order of first appearance."""
-    groups: dict[FaultSite, list[SiteActions]] = {}
-    for t in table:
-        groups.setdefault(t.site, []).append(t)
-    return list(groups.values())
+
+def _site_order(site: FaultSite) -> tuple[int, int, int]:
+    """Where a site sorts among actions: writes, reads, then skip windows."""
+    if isinstance(site, WriteOf):
+        return (0, site.index, 0)
+    if isinstance(site, ReadOf):
+        return (1, site.index, site.slot)
+    return (2, site.first, site.last)
+
+
+class ActionIds:
+    """Integer ids for a campaign's actions, one per (table row, value).
+
+    Ids ascend by site (writes by index, reads by index and slot, skip
+    windows by first then last index), then by kind name (randomize, skip,
+    zero), then by value, so tuples of ids sort as the actions they stand
+    for. Row r holds the consecutive ids from base[r]. groups lists each
+    site's rows in table order as (value count, first id), sites in order
+    of first appearance, and sizes their action counts.
+    """
+
+    def __init__(self, table: list[SiteActions]):
+        self.table = table
+        by_id = sorted(range(len(table)), key=lambda r: (_site_order(table[r].site), table[r].kind.value))
+        self.base = [0] * len(table)
+        self._starts: list[int] = []
+        next_id = 0
+        for r in by_id:
+            self.base[r] = next_id
+            self._starts.append(next_id)
+            next_id += len(table[r].values)
+        self._by_id = by_id
+        groups: dict[FaultSite, list[tuple[int, int]]] = {}
+        for r, t in enumerate(table):
+            groups.setdefault(t.site, []).append((len(t.values), self.base[r]))
+        self.groups = list(groups.values())
+        self.sizes = [sum(n for n, _b in g) for g in self.groups]
+
+    def nth(self, group: int, k: int) -> int:
+        """Id of action k of one site, counting through its rows in table order."""
+        for n, first in self.groups[group]:
+            if k < n:
+                return first + k
+            k -= n
+        raise IndexError(k)
+
+    def locate(self, a: int) -> tuple[int, int]:
+        """(table row, value index) of action id a."""
+        r = self._by_id[bisect_right(self._starts, a) - 1]
+        return r, a - self.base[r]
+
+    def fault_plan(self, plan: IdPlan) -> FaultPlan:
+        """The FaultAction tuple an id plan stands for."""
+        acts = []
+        for a in plan:
+            r, k = self.locate(a)
+            t = self.table[r]
+            acts.append(FaultAction(t.site, t.kind, t.values[k]))
+        return tuple(acts)
 
 
 def plan_space_size(table: list[SiteActions], order: int) -> int:
     """Number of plans faulting `order` distinct sites: elementary symmetric sum e_k."""
-    counts = [sum(len(t.values) for t in g) for g in _site_groups(table)]
     e = [0] * (order + 1)
     e[0] = 1
-    for n in counts:
+    for n in ActionIds(table).sizes:
         for k in range(order, 0, -1):
             e[k] += e[k - 1] * n
     return e[order]
@@ -400,72 +462,46 @@ def plan_space_size(table: list[SiteActions], order: int) -> int:
 
 def build_plans(
     program: Program, spec: CampaignSpec, table: list[SiteActions]
-) -> tuple[list[FaultPlan], bool]:
-    """The campaign's plan list and whether it had to be sampled.
+) -> tuple[list[IdPlan] | None, bool, ActionIds]:
+    """The campaign's id plans, whether they had to be sampled, and the
+    ActionIds that decode them.
 
-    Order 1 ignores plan_limit: one plan per action, in table order
-    (run_campaign walks that list row by row without building it). Higher
-    orders take every combination of distinct sites when the exact count
-    fits the limit, otherwise plan_limit draws (site subset uniform, one of
-    the site's actions under any kind uniform). No plan faults a site twice.
+    Order 1 builds no list (None): its plans are the table's actions, one
+    each, which run_campaign runs row by row. Higher orders take every
+    combination of distinct sites when the exact count fits plan_limit,
+    combinations in table order with the first site's action varying
+    fastest; otherwise plan_limit distinct draws (site subset uniform, one
+    of the site's actions under any kind uniform), sorted. No plan faults
+    a site twice. Plans are tuples of ints, so drawing, deduplicating and
+    sorting never build a FaultAction; the campaign decodes each id once,
+    and ActionIds.fault_plan builds FaultActions only for the successes the
+    replay pass probes.
     """
+    ids = ActionIds(table)
     if spec.order == 1:
-        return [(FaultAction(t.site, t.kind, v),) for t in table for v in t.values], False
-    groups = _site_groups(table)
-    total = plan_space_size(table, spec.order)
-    if total <= spec.plan_limit:
+        return None, False, ids
+    sizes = ids.sizes
+    if plan_space_size(table, spec.order) <= spec.plan_limit:
+        per_site = [[ids.nth(g, k) for k in range(n)] for g, n in enumerate(sizes)]
         plans = [
-            plan
-            for combo in combinations(groups, spec.order)
-            for plan in _action_product(combo)
+            plan[::-1]
+            for combo in combinations(per_site, spec.order)
+            for plan in product(*combo[::-1])
         ]
-        return plans, False
-    sizes = [sum(len(t.values) for t in g) for g in groups]
+        return plans, False, ids
     rng = random.Random((spec.seed * 0x9E3779B1 + spec.order) & 0xFFFFFFFFFFFF)
-    plans_set: set[FaultPlan] = set()
+    sample, randrange, nth = rng.sample, rng.randrange, ids.nth
+    site_range = range(len(sizes))
+    plans_set: set[IdPlan] = set()
     guard = 0
     while len(plans_set) < spec.plan_limit:
         guard += 1
         if guard > spec.plan_limit * 50:
             break  # space smaller than the limit in distinct terms
-        picks = rng.sample(range(len(groups)), spec.order)
-        plan = tuple(_nth_action(groups[i], rng.randrange(sizes[i])) for i in sorted(picks))
-        plans_set.add(plan)
-    return sorted(plans_set, key=_plan_sort_key), True
-
-
-def _nth_action(group: list[SiteActions], k: int) -> FaultAction:
-    """Action k of one site, counting through its rows in table order."""
-    for t in group:
-        if k < len(t.values):
-            return FaultAction(t.site, t.kind, t.values[k])
-        k -= len(t.values)
-    raise IndexError(k)
-
-
-def _action_product(combo: tuple[list[SiteActions], ...]):
-    """Every plan taking one action per site of combo; the first site varies fastest."""
-    if not combo:
-        yield ()
-        return
-    head = [FaultAction(t.site, t.kind, v) for t in combo[0] for v in t.values]
-    for tail in _action_product(combo[1:]):
-        for a in head:
-            yield (a,) + tail
-
-
-def _plan_sort_key(plan: FaultPlan):
-    def skey(a: FaultAction):
-        s = a.site
-        if isinstance(s, WriteOf):
-            t = (0, s.index, 0)
-        elif isinstance(s, ReadOf):
-            t = (1, s.index, s.slot)
-        else:
-            t = (2, s.first, s.last)
-        return t + (a.kind.value, -1 if a.value is None else a.value)
-
-    return tuple(skey(a) for a in plan)
+        picks = sample(site_range, spec.order)
+        picks.sort()
+        plans_set.add(tuple([nth(g, randrange(sizes[g])) for g in picks]))
+    return sorted(plans_set), True, ids
 
 
 # ----------------------------------------------------------------- scoring
@@ -573,52 +609,119 @@ def _touches_rng(report_phases: dict[str, str], s: AttackSuccess) -> bool:
 # ---------------------------------------------------------------- campaign
 
 
+# an action id decoded for FaultRunner.run_faults: (row, index, read slot or
+# None, replacement, bits); a skip window has index -1 and its skipped indices
+# as bits, a data site its faulted index
+_Piece = tuple[int, int, int | None, int, int]
+
+
 class _Tally:
     """A campaign's faulted runs and their bookkeeping.
 
-    runs holds (message, runner, baseline signature) per message. Every run
-    is counted on each row its plan touches, in the order it is made; a
-    break also becomes an AttackSuccess, indexed by row, whose plan's
-    (site, kind, value) triples are kept for the replay pass.
+    rows holds one SiteRow per table row, indexed like the table; runs
+    holds (message, runner, baseline signature) per message. Every run is
+    counted on each row its plan touches, in the order it is made; a break
+    also becomes an AttackSuccess, indexed by row, whose id plan is kept
+    for the replay pass. An action id is decoded into its _Piece the first
+    time a plan uses it, and a plan is decoded by folding its pieces.
     """
 
-    def __init__(self, key: CrtKey, rows: dict, runs: list, size: int):
+    def __init__(self, key: CrtKey, program: Program, ids: ActionIds, runs: list):
         self.key = key
         self.n = key.p * key.q
-        self.rows = rows
+        self.ids = ids
+        self.table = ids.table
+        self.rows = [
+            SiteRow(
+                t.site.key(program),
+                t.kind.value,
+                site_phase(program, t.site),
+                exhaustive=t.exhaustive,
+                domain=t.domain,
+            )
+            for t in self.table
+        ]
         self.runs = runs
-        self.size = size
         self.successes: list[AttackSuccess] = []
-        self.success_acts: list[tuple[tuple[FaultSite, FaultKind, int | None], ...]] = []
-        self.row_success_idx: dict[tuple[FaultSite, FaultKind], list[int]] = {}
+        self.success_plans: list[IdPlan] = []
+        self.row_success_idx: dict[int, list[int]] = {}
+        self._pieces: dict[int, _Piece] = {}
 
-    def run_plan(self, plan: FaultPlan) -> None:
+    def _piece(self, a: int) -> _Piece:
+        r, k = self.ids.locate(a)
+        t = self.table[r]
+        site = t.site
+        if isinstance(site, SkipRange):
+            piece = (r, -1, None, 0, (1 << (site.last + 1)) - (1 << site.first))
+        else:
+            v = t.values[k] if t.kind is FaultKind.RANDOMIZE else 0
+            slot = site.slot if isinstance(site, ReadOf) else None
+            piece = (r, site.index, slot, v, 1 << site.index)
+        self._pieces[a] = piece
+        return piece
+
+    def decode(self, plan: IdPlan) -> tuple[DecodedPlan, list[int]]:
+        """The plan as FaultRunner.run_faults takes it, and the rows it touches."""
+        pieces = self._pieces
+        writes: dict[int, int] = {}
+        reads: dict[int, dict[int, int]] = {}
+        skipped = pending = 0
+        rows = []
+        for a in plan:
+            r, i, slot, v, bits = pieces.get(a) or self._piece(a)
+            rows.append(r)
+            pending |= bits
+            if i < 0:
+                skipped |= bits
+            elif slot is None:
+                writes[i] = v
+            else:
+                reads.setdefault(i, {})[slot] = v
+        return (writes, reads, skipped, pending), rows
+
+    def run(self, plans: list[IdPlan] | None) -> None:
+        """Run build_plans' plans in order. At order 1 (None) run the table
+        in order instead: each zero and randomize row as one lane pass per
+        message, each skip row as its one plan."""
+        if plans is not None:
+            for plan in plans:
+                self.run_plan(plan)
+            return
+        for r, t in enumerate(self.table):
+            if t.kind is FaultKind.SKIP:
+                self.run_plan((self.ids.base[r],))
+            else:
+                self.run_row(r)
+
+    def run_plan(self, plan: IdPlan) -> None:
         """Run one plan on every message (decoded once for all of them)."""
-        faults = plan_faults(plan, self.size)
-        plan_rows = [self.rows[a.site, a.kind] for a in plan]
-        acts = tuple([(a.site, a.kind, a.value) for a in plan])
+        faults, plan_rows = self.decode(plan)
         for m, runner, sig in self.runs:
-            self._count(plan_rows, acts, m, sig, runner.run_faults(faults))
+            self._count(plan_rows, plan, m, sig, runner.run_faults(faults))
 
-    def run_row(self, t: SiteActions) -> None:
-        """Run every value of one zero or randomize row as the order-1 plans
-        of build_plans, lanes batched per message, counted value by value
-        and then message by message as run_plan would count them."""
+    def run_row(self, r: int) -> None:
+        """Run every value of one zero or randomize row as one order-1 plan
+        each, lanes batched per message, counted value by value and then
+        message by message as run_plan would count them."""
+        t = self.table[r]
         site = t.site
         slot = site.slot if isinstance(site, ReadOf) else None
         lanes = [0 if v is None else v for v in t.values]  # zero is randomize to 0
         outs = [runner.run_lanes(site.index, slot, lanes) for _m, runner, _s in self.runs]
-        plan_rows = [self.rows[site, t.kind]]
-        for k, v in enumerate(t.values):
-            acts = ((site, t.kind, v),)
+        plan_rows = (r,)
+        first = self.ids.base[r]
+        for k in range(len(lanes)):
+            plan = (first + k,)
             for (m, _runner, sig), out in zip(self.runs, outs):
-                self._count(plan_rows, acts, m, sig, out[k])
+                self._count(plan_rows, plan, m, sig, out[k])
 
-    def _count(self, plan_rows: list[SiteRow], acts: tuple, m: int, sig: int, result) -> None:
-        """Score one run; acts are the plan's (site, kind, value) triples."""
+    def _count(self, plan_rows, plan: IdPlan, m: int, sig: int, result) -> None:
+        """Score one run of plan, whose actions lie in plan_rows."""
         key = self.key
         tally, factor, side = score_outcome(self.n, key.p, key.q, sig, result)
-        for row in plan_rows:
+        rows = self.rows
+        for r in plan_rows:
+            row = rows[r]
             row.attempts += 1
             if tally == "success":
                 row.successes += 1
@@ -632,11 +735,14 @@ class _Tally:
                 row.silent += 1
         if tally == "success":
             idx = len(self.successes)
-            touched = tuple([(row.site, row.kind, a[2]) for row, a in zip(plan_rows, acts)])
+            table, base = self.table, self.ids.base
+            touched = tuple(
+                [(rows[r].site, rows[r].kind, table[r].values[a - base[r]]) for r, a in zip(plan_rows, plan)]
+            )
             self.successes.append(AttackSuccess(m, touched, result.value, factor, side, None))
-            self.success_acts.append(acts)
-            for s, k, _v in acts:
-                self.row_success_idx.setdefault((s, k), []).append(idx)
+            self.success_plans.append(plan)
+            for r in plan_rows:
+                self.row_success_idx.setdefault(r, []).append(idx)
 
 
 def _resolve_program(spec: CampaignSpec) -> Program:
@@ -648,75 +754,74 @@ def _resolve_program(spec: CampaignSpec) -> Program:
 def run_campaign(spec: CampaignSpec) -> CampaignReport:
     """Run every plan of the spec on every message.
 
+    The stages, in order: fault-free baselines, site-action table, plans,
+    faulted runs, replay probes, classification, report.
     ValueError if there are no plans, or if a fault-free run does not
     release the message's CRT signature.
     """
     program = _resolve_program(spec)
-    key = spec.key
-    messages = _messages_of(spec)
+    runs = _signed_baselines(program, spec)
+    table = site_action_table(program, spec)
+    plans, sampled, ids, plans_total = _plans(program, spec, table)
+    tally = _Tally(spec.key, program, ids, runs)
+    tally.run(plans)
+    first_regs = runs[0][1].baseline.regs()
+    r_min = min(first_regs[r] for r in program.meta.r_regs) if program.meta.r_regs else None
+    bound = (2 / r_min) if r_min else None
+    _replay(tally, program, spec, bound, first_regs)
+    rows = _classify_rows(tally.rows, bound)
+    return _report(program, spec, runs, r_min, plans_total, sampled, rows, tally.successes)
 
-    runners = {m: _runner(program, key, m, spec.seed) for m in messages}
-    for m, r in runners.items():
-        s = r.signature
+
+def _signed_baselines(program: Program, spec: CampaignSpec) -> list[tuple[int, FaultRunner, int]]:
+    """(message, runner, signature) per message, each signature checked."""
+    key = spec.key
+    runs = []
+    for m in _messages_of(spec):
+        runner = _runner(program, key, m, spec.seed)
+        s = runner.signature
         if s % key.p != pow(m, key.dp, key.p) or s % key.q != pow(m, key.dq, key.q):
             # every fault would be scored against a value that is no signature
             raise ValueError(
                 f"fault-free run of {program.name} on message {m} releases {s}, "
                 "not its CRT signature"
             )
-    baselines = {m: r.signature for m, r in runners.items()}
-    draws = {m: r.baseline.draws for m, r in runners.items()}
-    first_regs = runners[messages[0]].baseline.regs()
-    r_min = None
-    if program.meta.r_regs:
-        r_min = min(first_regs[r] for r in program.meta.r_regs)
+        runs.append((m, runner, s))
+    return runs
 
-    table = site_action_table(program, spec)
-    rows = {
-        (t.site, t.kind): SiteRow(
-            t.site.key(program),
-            t.kind.value,
-            site_phase(program, t.site),
-            exhaustive=t.exhaustive,
-            domain=t.domain,
-        )
-        for t in table
-    }
-    if spec.order == 1:
-        # build_plans' order-1 list, run below one table row at a time
-        plans, sampled, plans_total = [], False, plan_space_size(table, 1)
-    else:
-        plans, sampled = build_plans(program, spec, table)
-        plans_total = len(plans)
-    if not plans_total:
+
+def _plans(
+    program: Program, spec: CampaignSpec, table: list[SiteActions]
+) -> tuple[list[IdPlan] | None, bool, ActionIds, int]:
+    """build_plans and the number of plans, refusing an empty plan space."""
+    plans, sampled, ids = build_plans(program, spec, table)
+    total = sum(ids.sizes) if plans is None else len(plans)
+    if not total:
         # zero breaks over zero plans would read as "secure"
         raise ValueError(
             f"campaign on {program.name} has no fault plans: widen kinds, "
             "max_skip_len, samples_per_site or plan_limit, or lower the order"
         )
-    tally = _Tally(key, rows, [(m, runners[m], baselines[m]) for m in messages], len(program))
-    if spec.order == 1:
-        for t in table:
-            if t.kind is FaultKind.SKIP:
-                tally.run_plan((FaultAction(t.site, t.kind),))
-            else:
-                tally.run_row(t)
-    for plan in plans:
-        tally.run_plan(plan)
-    successes, row_success_idx = tally.successes, tally.row_success_idx
+    return plans, sampled, ids, total
 
-    # Replay pass.  Fraction bands settle most randomize rows outright; the
-    # ambiguous middle band, the single-shot zero and skip rows, and every
-    # multi-fault plan get replayed under fresh seeds and messages instead.
-    # A persistent leak reproduces, so a handful of witnesses per row is
-    # enough to find one.
-    bound = (2 / r_min) if r_min else None
+
+def _replay(
+    tally: _Tally, program: Program, spec: CampaignSpec, bound: float | None, first_regs: dict[str, int]
+) -> None:
+    """Probe successes with plan_persists and set each row's persistent count.
+
+    Fraction bands settle most randomize rows outright; the ambiguous
+    middle band, the single-shot zero and skip rows, and every multi-fault
+    plan get replayed under fresh seeds and messages instead. A persistent
+    leak reproduces, so a handful of witnesses per row is enough to find one.
+    """
+    successes, rows = tally.successes, tally.rows
     need: set[int] = set()
     if spec.order > 1:
         need.update(range(len(successes)))
     else:
-        for k, idxs in row_success_idx.items():
-            row = rows[k]
+        for r, idxs in tally.row_success_idx.items():
+            row = rows[r]
             if row.kind in ("zero", "skip"):
                 need.update(idxs)
             elif row.fraction < 0.5 and (bound is None or row.fraction > bound):
@@ -724,25 +829,41 @@ def run_campaign(spec: CampaignSpec) -> CampaignReport:
     redraw = site_domains(program, first_regs) if spec.order > 1 else None
     for idx in sorted(need):
         s = successes[idx]
-        plan = tuple(FaultAction(*a) for a in tally.success_acts[idx])
-        persistent = plan_persists(program, key, s.message, plan, spec.seed, redraw=redraw)
+        plan = tally.ids.fault_plan(tally.success_plans[idx])
+        persistent = plan_persists(program, spec.key, s.message, plan, spec.seed, redraw=redraw)
         successes[idx] = replace(s, persistent=persistent)
-    for k, idxs in row_success_idx.items():
-        row = rows[k]
+    for r, idxs in tally.row_success_idx.items():
         replayed = [successes[i].persistent for i in idxs if successes[i].persistent is not None]
         if replayed:
-            row.persistent = sum(replayed)
+            rows[r].persistent = sum(replayed)
 
-    # table entries no plan touched (most of them at order >= 2) are not reported
-    ordered = sorted((r for r in rows.values() if r.attempts), key=lambda r: (r.site, r.kind))
+
+def _classify_rows(rows: list[SiteRow], bound: float | None) -> list[SiteRow]:
+    """The rows some plan touched, sorted by (site, kind), each classified;
+    the rest (most of them at order >= 2) are not reported."""
+    ordered = sorted((r for r in rows if r.attempts), key=lambda r: (r.site, r.kind))
     for row in ordered:
         row.classification = _classify(row, bound)
+    return ordered
+
+
+def _report(
+    program: Program,
+    spec: CampaignSpec,
+    runs: list[tuple[int, FaultRunner, int]],
+    r_min: int | None,
+    plans_total: int,
+    sampled: bool,
+    rows: list[SiteRow],
+    successes: list[AttackSuccess],
+) -> CampaignReport:
+    key = spec.key
     totals = {
         "order": spec.order,
-        "attempts": sum(r.attempts for r in ordered),
+        "attempts": sum(r.attempts for r in rows),
         "successes_total": len(successes),
-        "structural_rows": sum(1 for r in ordered if r.classification == CLASS_STRUCTURAL),
-        "collision_rows": sum(1 for r in ordered if r.classification == CLASS_COLLISION),
+        "structural_rows": sum(1 for r in rows if r.classification == CLASS_STRUCTURAL),
+        "collision_rows": sum(1 for r in rows if r.classification == CLASS_COLLISION),
         "persistent_successes": sum(1 for s in successes if s.persistent),
     }
     spec_echo = {
@@ -763,13 +884,13 @@ def run_campaign(spec: CampaignSpec) -> CampaignReport:
         name=program.name,
         digest=program_digest(program),
         spec=spec_echo,
-        messages=messages,
-        baselines=baselines,
-        draws=draws,
+        messages=tuple(m for m, _r, _s in runs),
+        baselines={m: s for m, _r, s in runs},
+        draws={m: r.baseline.draws for m, r, _s in runs},
         r_min=r_min,
         plans_total=plans_total,
         sampled_plans=sampled,
-        rows=ordered,
+        rows=rows,
         successes=successes,
         totals=totals,
     )

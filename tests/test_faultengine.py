@@ -1,6 +1,8 @@
 """Campaign engine: plan spaces, scoring, reports, persistence probes."""
 
+import random
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
@@ -9,17 +11,18 @@ from crtfi.circuit import (
     FaultKind,
     FaultRunner,
     ProgramBuilder,
+    ReadOf,
     Signature,
     SkipRange,
     WriteOf,
     enumerate_sites,
     execute,
     find_write,
-    plan_faults,
 )
 from crtfi import faultengine
-from crtfi.countermeasures import build, program_inputs
+from crtfi.countermeasures import build, catalog, program_inputs
 from crtfi.faultengine import (
+    ActionIds,
     CampaignSpec,
     build_plans,
     check_skip_subsumption,
@@ -93,13 +96,150 @@ def test_higher_order_plans_never_fault_a_site_twice():
     ):
         spec = tiny_spec(**kw)
         table = site_action_table(prog, spec)
-        plans, sampled = build_plans(prog, spec, table)
+        plans, sampled, ids = build_plans(prog, spec, table)
         assert plans
         for plan in plans:
-            assert len({a.site for a in plan}) == spec.order, plan
+            assert len({a.site for a in ids.fault_plan(plan)}) == spec.order, plan
         if not sampled:
             # 18 sites with two actions each: C(18, 2) * 2 * 2
             assert len(plans) == plan_space_size(table, spec.order) == 612
+
+
+# The FaultAction plan code that integer action ids replaced, kept as the
+# reference: ids must decode to exactly these plans, in this order.
+
+
+def reference_site_groups(table):
+    groups = {}
+    for t in table:
+        groups.setdefault(t.site, []).append(t)
+    return list(groups.values())
+
+
+def reference_nth_action(group, k):
+    for t in group:
+        if k < len(t.values):
+            return FaultAction(t.site, t.kind, t.values[k])
+        k -= len(t.values)
+    raise IndexError(k)
+
+
+def reference_action_product(combo):
+    if not combo:
+        yield ()
+        return
+    head = [FaultAction(t.site, t.kind, v) for t in combo[0] for v in t.values]
+    for tail in reference_action_product(combo[1:]):
+        for a in head:
+            yield (a,) + tail
+
+
+def reference_plan_sort_key(plan):
+    def skey(a):
+        s = a.site
+        if isinstance(s, WriteOf):
+            t = (0, s.index, 0)
+        elif isinstance(s, ReadOf):
+            t = (1, s.index, s.slot)
+        else:
+            t = (2, s.first, s.last)
+        return t + (a.kind.value, -1 if a.value is None else a.value)
+
+    return tuple(skey(a) for a in plan)
+
+
+def reference_plans(spec, table):
+    groups = reference_site_groups(table)
+    if plan_space_size(table, spec.order) <= spec.plan_limit:
+        return [p for combo in combinations(groups, spec.order) for p in reference_action_product(combo)]
+    sizes = [sum(len(t.values) for t in g) for g in groups]
+    rng = random.Random((spec.seed * 0x9E3779B1 + spec.order) & 0xFFFFFFFFFFFF)
+    plans = set()
+    guard = 0
+    while len(plans) < spec.plan_limit:
+        guard += 1
+        if guard > spec.plan_limit * 50:
+            break
+        picks = rng.sample(range(len(groups)), spec.order)
+        plans.add(tuple(reference_nth_action(groups[i], rng.randrange(sizes[i])) for i in sorted(picks)))
+    return sorted(plans, key=reference_plan_sort_key)
+
+
+ALL_KINDS = dict(kinds=("zero", "randomize", "skip"), max_skip_len=2, r_bits=5)
+CATALOG = {e.algo: build(e.algo, TINY, r_bits=5, build_seed=0) for e in catalog()}
+
+
+def all_kinds_table(algo, **kw):
+    spec = CampaignSpec(key=TINY, program=CATALOG[algo], messages=(2,), **ALL_KINDS, **kw)
+    return spec, site_action_table(CATALOG[algo], spec)
+
+
+@pytest.mark.parametrize("algo", sorted(CATALOG))
+def test_action_ids_ascend_in_plan_order_and_decode_as_the_reference(algo):
+    _spec, table = all_kinds_table(algo, exhaustive_threshold=64, samples_per_site=8)
+    ids = ActionIds(table)
+    total = sum(len(t.values) for t in table)
+    assert sum(ids.sizes) == total
+    keys = [reference_plan_sort_key(ids.fault_plan((a,))) for a in range(total)]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    for g, group in enumerate(reference_site_groups(table)):
+        for k in range(ids.sizes[g]):
+            assert ids.fault_plan((ids.nth(g, k),)) == (reference_nth_action(group, k),)
+
+
+@pytest.mark.parametrize("algo", sorted(CATALOG))
+def test_id_plans_decode_to_the_reference_plan_lists(algo):
+    prog = CATALOG[algo]
+    spec, table = all_kinds_table(algo, exhaustive_threshold=64, samples_per_site=8)
+    for order in (2, 3):
+        sampled_spec = replace(spec, order=order, plan_limit=300)
+        plans, sampled, ids = build_plans(prog, sampled_spec, table)
+        assert sampled
+        assert [ids.fault_plan(p) for p in plans] == reference_plans(sampled_spec, table)
+    # whole spaces, over 12 sites spread across a table with one or two
+    # values per site (writes, reads and skip windows alike)
+    spec, table = all_kinds_table(algo, exhaustive_threshold=2, samples_per_site=1)
+    sites = list(dict.fromkeys(t.site for t in table))
+    sites = sites[:: len(sites) // 12][:12]
+    table = [t for t in table if t.site in sites]
+    for order in (2, 3):
+        whole_spec = replace(spec, order=order, plan_limit=10**6)
+        plans, sampled, ids = build_plans(prog, whole_spec, table)
+        assert not sampled
+        assert len(plans) == plan_space_size(table, order)
+        assert [ids.fault_plan(p) for p in plans] == reference_plans(whole_spec, table)
+
+
+def test_sampled_plans_build_fault_actions_only_for_replayed_successes(monkeypatch):
+    built = {"campaign": 0, "probe": 0}
+    probing = []
+    post_init = FaultAction.__post_init__
+
+    def counting_post_init(self):
+        built["probe" if probing else "campaign"] += 1
+        post_init(self)
+
+    persists = faultengine.plan_persists
+
+    def probe(*args, **kw):
+        probing.append(True)
+        try:
+            return persists(*args, **kw)
+        finally:
+            probing.pop()
+
+    monkeypatch.setattr(FaultAction, "__post_init__", counting_post_init)
+    monkeypatch.setattr(faultengine, "plan_persists", probe)
+    spec = tiny_spec(algo="shamir", order=3, plan_limit=300, **ALL_KINDS)
+    rep = run_campaign(spec)
+    assert rep.sampled_plans and rep.plans_total == 300
+    # order >= 2 replays every success; its plan is the only one built
+    assert all(s.persistent is not None for s in rep.successes)
+    assert 0 < built["campaign"] <= spec.order * len(rep.successes)
+    # inside the probe, each round re-draws every randomize action, until a
+    # round does not break
+    redrawn = sum(kind == "randomize" for s in rep.successes for _site, kind, _v in s.actions)
+    assert 0 < built["probe"] <= len(faultengine._ALT_SEED_STEPS) * redrawn
 
 
 def test_oversized_spaces_sample_down_to_the_limit():
@@ -228,23 +368,34 @@ def test_skip_faults_reduce_to_value_faults():
 
 @pytest.fixture
 def decoded(monkeypatch):
-    """The plans a campaign decodes, one entry per plan_faults call."""
+    """The plans a campaign decodes, one FaultAction plan per decode call."""
     calls = []
+    decode = faultengine._Tally.decode
 
-    def counting(plan, n):
-        calls.append(plan)
-        return plan_faults(plan, n)
+    def counting(self, plan):
+        calls.append(self.ids.fault_plan(plan))
+        return decode(self, plan)
 
-    monkeypatch.setattr(faultengine, "plan_faults", counting)
+    monkeypatch.setattr(faultengine._Tally, "decode", counting)
     return calls
 
 
-def test_a_campaign_decodes_each_plan_once_for_all_messages(decoded):
+def test_a_campaign_decodes_each_plan_once_for_all_messages(decoded, monkeypatch):
+    ids_decoded = []
+    piece = faultengine._Tally._piece
+
+    def counting(self, a):
+        ids_decoded.append(a)
+        return piece(self, a)
+
+    monkeypatch.setattr(faultengine._Tally, "_piece", counting)
     # order 2 runs plan by plan; this spec's plan space is enumerated whole
     rep = run_campaign(tiny_spec(messages=(2, 3, 5), order=2, kinds=("zero", "skip")))
     assert not rep.sampled_plans
     assert len(decoded) == rep.plans_total == len(set(decoded))
     assert rep.totals["attempts"] == 2 * 3 * rep.plans_total
+    # each action id is decoded once, however many plans use it
+    assert sorted(ids_decoded) == sorted(set(ids_decoded)) == list(range(len(ids_decoded)))
 
 
 def test_order_one_runs_each_data_row_as_one_lane_pass_per_message(decoded, monkeypatch):

@@ -6,6 +6,12 @@ crt_from_rsa(gen_key(8, 2)), and run through a small order-1 campaign
 seed). The sha256 of each report's JSON and CSV and the digest of each
 program are pinned, so a change to how programs are built, dumped, executed or
 scored that moves a single byte fails here.
+
+Order 2 and 3 campaigns under all three kinds (max_skip_len 2) are pinned
+on both keys too, sampled and whole. There each value site has a zero and a
+randomize row, so the order of actions inside a site, which decides the
+sampled plans' sort and the whole spaces' enumeration, shows in the bytes.
+The whole spaces take one or two values per site to stay small.
 """
 
 import hashlib
@@ -101,6 +107,52 @@ PROGRAM_DIGEST = {
     "g82/vigilant-simplified-infective": "933645d5c2e4ac14",
 }
 
+ALL_KINDS = dict(kinds=("zero", "randomize", "skip"), max_skip_len=2, r_bits=5)
+SAMPLED = dict(algo="shamir", exhaustive_threshold=64, samples_per_site=8, plan_limit=200)
+WHOLE = dict(algo="unprotected", exhaustive_threshold=2, samples_per_site=1)
+HIGHER_ORDER = {
+    "sampled-2": dict(SAMPLED, order=2),
+    "sampled-3": dict(SAMPLED, order=3),
+    "exhaustive-2": dict(WHOLE, order=2, plan_limit=2000),
+    "exhaustive-3": dict(WHOLE, order=3, plan_limit=20000, messages=(2,)),
+}
+
+# (json sha256, csv sha256)
+HIGHER_ORDER_SHA256 = {
+    "demo/sampled-2": (
+        "66cc90c3d5ec009b8c6dcf080a8ddf1cc7a9e11003f39c8857e3a85d14cdd4fd",
+        "823ecaed87220607126131bf3ee70b5913aa458d775734e62a3dfc4adb2570d9",
+    ),
+    "demo/sampled-3": (
+        "db1dc6bf63baef65d39c325e75f923e864f4b17eb24e9c65452535d5561f51cd",
+        "d4facae112f25bac901256595ca02dcf5c09112651a0188e491b1133d55ff4d1",
+    ),
+    "demo/exhaustive-2": (
+        "1f515b9b0f2ebc7cb41be5ae0d1e89dc224898c7cc85dcdbed83fdfe15dad2ea",
+        "02eeb5575ff5c6bdfc6fafd8d7558ff7236242e8b367119d77f70521f1991080",
+    ),
+    "demo/exhaustive-3": (
+        "e08cb6091bbd014430f2496ae8ba27f53c38af05f6670246f1394634bd7d459d",
+        "5c55a43e44d54e1fc5ecabe40da653418edae5e85fbf78b8beec6c672ce9b328",
+    ),
+    "g82/sampled-2": (
+        "99192a1f21952660c138a6e7ccc275a5a6ef10416e161d088c2a10d708de5a3c",
+        "1a79a9deea72fccc6ea95f7f81660ca1cc40bd323468d09eb4c9617e383bb914",
+    ),
+    "g82/sampled-3": (
+        "e3c369f2fe6bd43d1292afc777d815c677b24bfa537cbd3de25b280b46d1eed2",
+        "98a2767bf832fb57054a69f527cbc079e1e6b63a4fb2b8dad6be714fa57dd86f",
+    ),
+    "g82/exhaustive-2": (
+        "644da7a89a520c6829c37c6bce415b8e366216b5f3c31cb23f3b257218351413",
+        "b965217039618142a481fd1a56738c7d2b76d1371431fa36f4912211e68a91a6",
+    ),
+    "g82/exhaustive-3": (
+        "e7eb2c96b517e1ce96586868d58675ffb7db247a729cd577dd7bfb1746028892",
+        "efb06e78468278182c3cf2ea8aeaaeba1aba48fad8482edc0c2ae5f6ab77df86",
+    ),
+}
+
 # derived programs on the demo key
 DERIVED_DIGEST = {
     "harden(aumuller-infective, 2)": "98324526155ddef2",
@@ -153,3 +205,16 @@ def test_derived_program_digests_are_pinned():
         ),
     }
     assert {k: program_digest(p) for k, p in got.items()} == DERIVED_DIGEST
+
+
+@pytest.mark.parametrize("case", sorted(HIGHER_ORDER_SHA256))
+def test_higher_order_all_kinds_report_bytes_are_pinned(case):
+    kname, shape = case.split("/")
+    spec = CampaignSpec(key=KEYS[kname], **ALL_KINDS, **HIGHER_ORDER[shape])
+    report = run_campaign(spec)
+    assert report.sampled_plans == shape.startswith("sampled")
+    got = (
+        hashlib.sha256(report.to_json().encode()).hexdigest(),
+        hashlib.sha256(report.to_csv().encode()).hexdigest(),
+    )
+    assert got == HIGHER_ORDER_SHA256[case]

@@ -40,7 +40,6 @@ from crtfi.circuit import (
 from crtfi.countermeasures import build, catalog, program_inputs
 from crtfi.faultengine import (
     CampaignSpec,
-    build_plans,
     replay_plan,
     run_campaign,
     site_action_table,
@@ -191,7 +190,7 @@ def test_runner_matches_the_reference_on_the_whole_order_one_plan_list(name):
         exhaustive_threshold=32, samples_per_site=8, r_bits=5,
     )
     table = site_action_table(prog, spec)
-    plans_, _sampled = build_plans(prog, spec, table)
+    plans_ = [(FaultAction(t.site, t.kind, v),) for t in table for v in t.values]
     assert len(plans_) > len(prog.instrs)
     for message in (2, 75):
         r = runner(name, message, 42)
@@ -328,7 +327,8 @@ def test_a_kept_runner_gives_what_a_fresh_one_gives_on_a_whole_plan_list():
         key=TINY, program=prog, messages=(2,), kinds=("zero", "randomize", "skip"),
         exhaustive_threshold=32, samples_per_site=8, r_bits=5,
     )
-    plans_, _sampled = build_plans(prog, spec, site_action_table(prog, spec))
+    table = site_action_table(prog, spec)
+    plans_ = [(FaultAction(t.site, t.kind, v),) for t in table for v in t.values]
     inputs = program_inputs(prog, TINY, 2)
     kept = prog.runner(inputs, 42)
     assert prog.runner(inputs, 42) is kept
