@@ -35,17 +35,18 @@ Programs run on three paths that give the same results:
     records the trace and draws. It serves fault-free baselines, the `sign`
     command, skip-fault subsumption, ExecOutcome.regs(), and the tests that
     check the other paths against it.
+  * FaultRunner.run_batch runs a batch of faulted plans, one lane per plan,
+    for campaigns (faultengine.run_campaign). The plans may fault different
+    sites: the faulted instructions and the union of their static dataflow
+    cones are evaluated once, in program order, for all lanes, through the
+    vector kernels.
   * FaultRunner.run_faults runs one faulted plan, decoded as plan_faults
-    decodes it, for campaigns (faultengine.run_campaign, which decodes each
-    plan once for all of its messages, and faultengine.replay_plan through
-    FaultRunner.run). It starts from a baseline execute() run and
-    re-evaluates only the instructions the plan can change, using the
-    program's compiled form (Program.compiled, built once per Program).
-  * FaultRunner.run_lanes runs every value of one data site at once, one
-    lane per value: the site's instruction and its static dataflow cone are
-    evaluated once, through the vector kernels. Campaigns run each order-1
-    zero and randomize row this way.
+    decodes it, for faultengine.replay_plan and the replay probes (through
+    FaultRunner.run). It re-evaluates only the instructions the plan
+    changes.
 
+Both runners start from a baseline execute() run and use the program's
+compiled form (Program.compiled, built once per Program).
 Program.runner keeps the runners it builds, so a baseline runs once per
 (program, inputs, seed), however many plans replay against it.
 """
@@ -58,6 +59,7 @@ import random
 from dataclasses import astuple, dataclass, field, replace
 from enum import Enum
 from itertools import repeat
+from operator import itemgetter
 from typing import Callable, Hashable, get_type_hints
 
 from .modmath import is_prime
@@ -282,9 +284,9 @@ _BINOP_KERNELS = {"add": _k_add, "sub": _k_sub, "mul": _k_mul, "div": _k_div}
 # vkernel(ins, xs, index, env) gets operands that are each a scalar (a value
 # every lane shares) or a lane list, at least one a list, and returns the
 # lane list of what the kernel returns per lane. It returns None where that
-# is not the common case (a modulus below 2, a negative exponent); the
-# caller then runs the kernel once per lane, so crash reasons and their
-# precedence are the kernel's.
+# is not the common case (a modulus below 2, a negative exponent, a value
+# with no inverse); the caller then runs the kernel once per lane, so crash
+# reasons and their precedence are the kernel's.
 
 
 def _lanes(*xs):
@@ -325,6 +327,15 @@ def _v_exp(ins, xs, i, env):
     if not _moduli_ok(xs[2]) or (exp if exp.__class__ is int else min(exp)) < 0:
         return None
     return [pow(x, e, m) for x, e, m in _lanes(*xs)]
+
+
+def _v_inv(ins, xs, i, env):
+    if not _moduli_ok(xs[1]):
+        return None
+    try:
+        return [pow(x, -1, m) for x, m in _lanes(*xs)]
+    except ValueError:  # some lane is not invertible
+        return None
 
 
 def _v_check(ins, xs, i, env):
@@ -382,7 +393,7 @@ OPCODES: dict[type, Opcode] = {
     BinOp: Opcode(None, (), ("a", "b", "mod"), "mod", _BINOP_KERNELS, vector=_BINOP_VECTORS),
     ModReduce: Opcode("reduce", (), ("src", "mod"), "mod", _k_reduce, vector=_v_reduce),
     ModExp: Opcode("modexp", (), ("base", "exp", "mod"), "mod", _k_exp, vector=_v_exp),
-    ModInv: Opcode("modinv", (), ("src", "mod"), "mod", _k_inv),
+    ModInv: Opcode("modinv", (), ("src", "mod"), "mod", _k_inv, vector=_v_inv),
     CheckEq: Opcode("checkeq", (), ("a", "b", "mod"), None, _k_check, vector=_v_check),
     Ret: Opcode("return", (), ("src",), None, _k_ret, vector=_v_ret),
 }
@@ -879,14 +890,23 @@ class CompiledProgram:
 
     A register is named by the index of the instruction that writes it.
     ops[i] is (instruction, kernel, writer indices of its operand registers
-    in Program.steps order, read slots, vector kernel or None). A lookup of
-    a register not yet written at i names index len(ops), a slot that
-    always reads 0. readers[i] is the bitmask of the instructions whose
-    operands see the value instruction i stores.
+    in Program.steps order, read slots, vector kernel or None, getter). A
+    lookup of a register not yet written at i names index len(ops), a slot
+    that always reads 0. The getter takes a list of values indexed like ops
+    and returns the instruction's operand values, in one C call. readers[i]
+    is the bitmask of the instructions whose operands see the value
+    instruction i stores.
     """
 
-    ops: tuple[tuple[Instr, Callable, tuple[int, ...], int, Callable | None], ...]
+    ops: tuple[tuple[Instr, Callable, tuple[int, ...], int, Callable | None, Callable], ...]
     readers: tuple[int, ...]
+
+
+def _getter(srcs: tuple[int, ...]) -> Callable:
+    """The values at srcs of a list, as a tuple or list of len(srcs)."""
+    if len(srcs) > 1:
+        return itemgetter(*srcs)
+    return itemgetter(slice(srcs[0], srcs[0] + 1) if srcs else slice(0))
 
 
 def _compile(program: Program) -> CompiledProgram:
@@ -901,14 +921,22 @@ def _compile(program: Program) -> CompiledProgram:
         for s in srcs:
             if s < n:
                 readers[s] |= 1 << i
-        ops.append((ins, kernel, srcs, slots, _vector_of(ins)))
+        ops.append((ins, kernel, srcs, slots, _vector_of(ins), _getter(srcs)))
         if dst is not None:
             writer[dst] = i
     return CompiledProgram(tuple(ops), tuple(readers))
 
 
+# per-index fault lists of a batch (FaultRunner.run_batch): writes[i] holds
+# (lane, replacement) pairs, reads[i] (lane, slot, replacement) triples and
+# skips[i] the lanes that skip instruction i
+BatchWrites = dict[int, list[tuple[int, int]]]
+BatchReads = dict[int, list[tuple[int, int, int]]]
+BatchSkips = dict[int, list[int]]
+
+
 class FaultRunner:
-    """Faulted runs of one program on one input map and seed, for campaigns.
+    """Faulted runs of one program on one input map and seed.
 
     Construction runs the fault-free baseline through `execute` and keeps
     it (`baseline`, `signature`). `run(plan)` gives the same ExecResult as
@@ -918,9 +946,10 @@ class FaultRunner:
     skipped, or when a register it reads now differs from the baseline.
     Every other instruction keeps its baseline value; its checks pass and
     the Return releases the baseline signature, as they did in the baseline
-    run. This relies on def-before-use, write-once registers, so a program
-    that `validate` rejects raises BuildError here. Campaigns get their
-    runners from Program.runner, which keeps them.
+    run. `run_batch` gives the same results for many plans in one pass.
+    This relies on def-before-use, write-once registers, so a program that
+    `validate` rejects raises BuildError here. Campaigns get their runners
+    from Program.runner, which keeps them.
     """
 
     def __init__(self, program: Program, inputs: dict[str, int], seed: int):
@@ -937,9 +966,9 @@ class FaultRunner:
         self._base = [0] * (n + 1)  # index n: the always-0 slot of _compile
         for idx, _reg, val in self.baseline.trace:
             self._base[idx] = val
-        self._ret_bit = 1 << (n - 1)  # validation puts Return last
+        self._ret = n - 1  # validation puts Return last
         self._fills: dict[int, int] = {}
-        self._cones: dict[int, tuple[int, ...]] = {}
+        self._cones: dict[int, int] = {}
 
     def run(self, plan: FaultPlan) -> ExecResult:
         return self.run_faults(plan_faults(plan, len(self._ops)))
@@ -953,17 +982,16 @@ class FaultRunner:
             low = pending & -pending
             pending ^= low
             i = low.bit_length() - 1
-            ins, kernel, srcs, slots, _vector = ops[i]
+            ins, kernel, _srcs, slots, _vector, get = ops[i]
             if skipped & low:
                 if dst_of(ins) is None:
                     continue  # a skipped check passes; a skipped Return is settled below
-                v = self._fills.get(i)
-                if v is None:
-                    v = self._fills[i] = skip_fill_value(self._seed, i)
+                v = self._fill(i)
             else:
-                xs = [vals[s] for s in srcs]
+                xs = get(vals)
                 rd = reads.get(i)
                 if rd:
+                    xs = list(xs)
                     for slot, rv in rd.items():
                         if 0 <= slot < slots:
                             xs[slot] = rv
@@ -978,81 +1006,119 @@ class FaultRunner:
             if v != base[i]:
                 vals[i] = v
                 pending |= readers[i]
-        if skipped & self._ret_bit:
+        if skipped >> self._ret & 1:
             return Signature(0)  # the output buffer keeps its zero initialization
         return self.baseline.result
 
-    def run_lanes(self, index: int, slot: int | None, values: list[int]) -> list[ExecResult]:
-        """[run(((site, RANDOMIZE, v),)) for v in values], in one pass.
+    def run_batch(
+        self, lanes: int, writes: BatchWrites, reads: BatchReads, skips: BatchSkips
+    ) -> list[ExecResult]:
+        """The results of `lanes` plans, lane k's being run(plan k), in one pass.
 
-        The site is WriteOf(index) when slot is None, else ReadOf(index,
-        slot); a slot outside the instruction's read slots changes nothing.
-        Each value is one lane. The pass evaluates the instruction a read
-        site faults, then every instruction of the site's static dataflow
-        cone (what reads, directly or not, the value index stores) in
-        program order, once for all lanes: through the vector kernel where
-        it applies and the kernel lane by lane elsewhere. A lane that reaches an ErrorOut
-        or Crash keeps that end and drops out; a lane the cone never ends
-        keeps the baseline result. Evaluating the whole static cone is
-        exact: kernels are deterministic, and an instruction whose operands
-        all hold their baseline values computes its baseline value, which
-        did not end the baseline run.
+        writes, reads and skips list each lane's faults per index, each list
+        in plan order, so of two actions a lane takes on one site the later
+        wins, as in plan_faults; a read slot outside the instruction's read
+        slots changes nothing. The pass evaluates every faulted instruction
+        and the union of their static dataflow cones (what reads, directly
+        or not, the values they store) in program order, once for all lanes:
+        through the vector kernel where it applies and the kernel lane by
+        lane elsewhere, then puts each lane's skip fills and write
+        replacements in. A lane that reaches an ErrorOut or Crash keeps that
+        end and drops out; a lane never ended keeps the baseline result, or
+        Signature(0) when it skips the Return. Evaluating whole static cones
+        is exact: kernels are deterministic, and an instruction whose
+        operands all hold their baseline values computes its baseline value,
+        which did not end the baseline run.
         """
-        ops, readers, base, env = self._ops, self._readers, self._base, self._env
-        results = [self.baseline.result] * len(values)
-        if not values:
-            return results
-        order = self._cone(index)
-        if slot is None:
-            vecs = {index: list(values)}
-        elif 0 <= slot < ops[index][3]:
-            vecs = {}
-            order = (index,) + order
-        else:
-            return results
-        alive = list(range(len(values)))  # lane k's position in results
-        for j in order:
-            ins, kernel, srcs, _slots, vector = ops[j]
-            xs = [vecs[s] if s in vecs else base[s] for s in srcs]
-            if j == index:
-                xs[slot] = list(values)
+        readers, base, env = self._readers, self._base, self._env
+        results = [self.baseline.result] * lanes
+        mask = 0
+        for i in (*writes, *reads, *skips):
+            mask |= self._cone(i)
+        alive = list(range(lanes))  # the lane at each position of a lane list
+        at, at_alive = None, alive  # each running lane's position (None: its lane)
+        vecs: dict[int, list] = {}  # lane lists of stored values, by index
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            j = low.bit_length() - 1
+            ins, kernel, srcs, slots, vector, _get = self._ops[j]
             stores = dst_of(ins) is not None
-            out = vector(ins, xs, j, env) if vector else None
-            if out is None:
+            rd, skipping = reads.get(j), skips.get(j)
+            putting = writes.get(j) if stores else None
+            if at_alive is not alive and (rd or skipping or putting):
+                at, at_alive = dict(zip(alive, range(len(alive)))), alive
+            xs = [vecs[s] if s in vecs else base[s] for s in srcs]
+            laned = not vecs.keys().isdisjoint(srcs)
+            if rd:
+                own = set()  # slots whose lane list is this instruction's copy
+                for lane, slot, v in rd:
+                    k = lane if at is None else at.get(lane)
+                    if k is not None and 0 <= slot < slots:
+                        if slot not in own:
+                            x = xs[slot]
+                            xs[slot] = [x] * len(alive) if x.__class__ is int else x.copy()
+                            own.add(slot)
+                        xs[slot][k] = v
+                laned = laned or bool(own)
+            ends = not stores  # whether out may hold an ExecResult
+            out = vector(ins, xs, j, env) if laned and vector else None
+            if out is None and laned:
+                ends = True
                 out = [
                     kernel(ins, [x[k] if x.__class__ is list else x for x in xs], j, env)
                     for k in range(len(alive))
                 ]
-            elif stores:
-                vecs[j] = out  # a vector kernel's stored values end no lane
-                continue
-            keep = [k for k, v in enumerate(out) if v.__class__ not in _ENDS]
-            if len(keep) < len(out):
-                for k, v in enumerate(out):
-                    if v.__class__ in _ENDS:
-                        results[alive[k]] = v
-                if not keep:
-                    return results
-                alive = [alive[k] for k in keep]
-                out = [out[k] for k in keep]
-                # compact only the vectors a later instruction still reads
-                vecs = {s: [v[k] for k in keep] for s, v in vecs.items() if readers[s] >> j > 1}
+            if out is None:  # every lane computes the baseline
+                if not (skipping or putting):
+                    continue
+                out = [base[j] if stores else None] * len(alive)
+            if skipping:
+                if stores:
+                    fill = self._fill(j)
+                else:  # a skipped check passes; a skipped Return releases the zero buffer
+                    fill = Signature(0) if j == self._ret else None
+                for lane in skipping:
+                    k = lane if at is None else at.get(lane)
+                    if k is not None:
+                        out[k] = fill
+            for lane, v in putting or ():
+                k = lane if at is None else at.get(lane)
+                if k is not None and out[k].__class__ is int:
+                    out[k] = v
+            if ends:
+                ended = [k for k, v in enumerate(out) if v.__class__ in _ENDS]
+                if ended:
+                    for k in ended:
+                        results[alive[k]] = out[k]
+                    if len(ended) == len(out):
+                        return results
+                    keep = [k for k, v in enumerate(out) if v.__class__ not in _ENDS]
+                    alive = [alive[k] for k in keep]
+                    out = [out[k] for k in keep]
+                    # compact only the lists a later instruction still reads
+                    vecs = {s: [v[k] for k in keep] for s, v in vecs.items() if readers[s] >> j > 1}
             if stores:
                 vecs[j] = out
         return results
 
-    def _cone(self, index: int) -> tuple[int, ...]:
-        """Indices of the instructions reading, directly or not, what index stores."""
+    def _fill(self, index: int) -> int:
+        v = self._fills.get(index)
+        if v is None:
+            v = self._fills[index] = skip_fill_value(self._seed, index)
+        return v
+
+    def _cone(self, index: int) -> int:
+        """Bitmask of index and the instructions reading, directly or not,
+        what index stores."""
         cone = self._cones.get(index)
         if cone is None:
             readers = self._readers
-            mask = readers[index]
+            cone = 1 << index | readers[index]
             for j in range(index + 1, len(readers)):
-                if mask >> j & 1:
-                    mask |= readers[j]
-            cone = self._cones[index] = tuple(
-                j for j in range(index + 1, len(readers)) if mask >> j & 1
-            )
+                if cone >> j & 1:
+                    cone |= readers[j]
+            self._cones[index] = cone
         return cone
 
 

@@ -19,25 +19,25 @@ break does not.
 Every (table row, value) of a campaign has an integer action id
 (ActionIds), numbered so that ids ascend in plan sort order. A plan of
 order 2 and above is a tuple of ids: it is drawn, deduplicated and sorted
-as ints. The campaign decodes each id once, the first time a plan uses it,
-and folds a plan's decoded ids into the form FaultRunner.run_faults takes,
-once for all messages. FaultActions are built only for the successes the
-replay pass probes.
+as ints. The campaign decodes each id once, the first time a plan uses it.
+FaultActions are built only for the successes the replay pass probes.
 
 Faulted runs go through circuit.FaultRunner, which replays faults against
 the fault-free baseline of their message; circuit.execute stays the
-reference that runs the baselines and the skip-subsumption search. At order
-1 a campaign runs each zero and randomize row as one FaultRunner.run_lanes
-pass per message, one lane per value, and each skip row as its one id plan.
-FaultRunner.run_faults recomputes only the instructions a plan can change.
-Runners are kept by the program under (key, message, seed), so each
-baseline runs once: the campaign's messages, the site-action table and
-every replay probe share them. Before any fault is injected, each message's
-fault-free output must be its CRT signature.
+reference that runs the baselines and the skip-subsumption search. A
+campaign runs its plans in batches of at most _BATCH, one lane per plan
+and one FaultRunner.run_batch pass per batch and message: the plan list at
+order 2 and above; at order 1 each zero and randomize row's values, then
+the skip rows. A batch's per-index fault lists are gathered once for all
+messages, and each batch is scored as soon as its passes return, so no
+more than one batch's results are held. The replay probes run one plan at
+a time through FaultRunner.run. Runners are kept by the program under
+(key, message, seed), so each baseline runs once: the campaign's messages,
+the site-action table and every replay probe share them. Before any fault
+is injected, each message's fault-free output must be its CRT signature.
 
 Everything is deterministic in (spec, program): sampling is seeded per
-site and runs are tallied one after another in plan order, then message
-order, whichever path made them.
+site and runs are tallied in plan order, then message order.
 CampaignSpec.workers is accepted for compatibility but runs nothing in
 parallel, so reports are byte-identical for any worker setting.
 """
@@ -49,13 +49,14 @@ import math
 import random
 import zlib
 from bisect import bisect_right
+from collections import defaultdict
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field, replace
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 
 from .circuit import (
     CheckEq,
     Crash,
-    DecodedPlan,
     ErrorOut,
     FaultAction,
     FaultKind,
@@ -66,6 +67,7 @@ from .circuit import (
     Program,
     ReadOf,
     Ret,
+    Signature,
     SkipRange,
     WriteOf,
     dst_of,
@@ -609,21 +611,27 @@ def _touches_rng(report_phases: dict[str, str], s: AttackSuccess) -> bool:
 # ---------------------------------------------------------------- campaign
 
 
-# an action id decoded for FaultRunner.run_faults: (row, index, read slot or
-# None, replacement, bits); a skip window has index -1 and its skipped indices
-# as bits, a data site its faulted index
-_Piece = tuple[int, int, int | None, int, int]
+# plans per FaultRunner.run_batch pass
+_BATCH = 256
+
+# an action id decoded for FaultRunner.run_batch: (row, index, read slot or
+# None, replacement, skipped indices); a skip window has index -1 and its
+# indices as the range, a data site the faulted index and an empty range
+_Piece = tuple[int, int, int | None, int, range]
 
 
 class _Tally:
     """A campaign's faulted runs and their bookkeeping.
 
     rows holds one SiteRow per table row, indexed like the table; runs
-    holds (message, runner, baseline signature) per message. Every run is
-    counted on each row its plan touches, in the order it is made; a break
-    also becomes an AttackSuccess, indexed by row, whose id plan is kept
-    for the replay pass. An action id is decoded into its _Piece the first
-    time a plan uses it, and a plan is decoded by folding its pieces.
+    holds (message, runner, baseline signature) per message. Plans run in
+    batches of _BATCH, one FaultRunner.run_batch pass per batch and
+    message, and each batch is counted as soon as its passes return: every
+    run on each row its plan touches, plan by plan and then message by
+    message. A break also becomes an AttackSuccess, indexed by row, whose
+    id plan is kept for the replay pass. An action id is decoded into its
+    _Piece the first time a plan uses it, and a batch's per-index fault
+    lists are gathered from its plans' pieces, once for all messages.
     """
 
     def __init__(self, key: CrtKey, program: Program, ids: ActionIds, runs: list):
@@ -646,103 +654,127 @@ class _Tally:
         self.success_plans: list[IdPlan] = []
         self.row_success_idx: dict[int, list[int]] = {}
         self._pieces: dict[int, _Piece] = {}
+        # (index, read slot, skipped indices) per table row, as _Piece has them
+        self._sites = [
+            (-1, None, range(t.site.first, t.site.last + 1))
+            if isinstance(t.site, SkipRange)
+            else (t.site.index, getattr(t.site, "slot", None), range(0))
+            for t in self.table
+        ]
 
     def _piece(self, a: int) -> _Piece:
         r, k = self.ids.locate(a)
-        t = self.table[r]
-        site = t.site
-        if isinstance(site, SkipRange):
-            piece = (r, -1, None, 0, (1 << (site.last + 1)) - (1 << site.first))
-        else:
-            v = t.values[k] if t.kind is FaultKind.RANDOMIZE else 0
-            slot = site.slot if isinstance(site, ReadOf) else None
-            piece = (r, site.index, slot, v, 1 << site.index)
-        self._pieces[a] = piece
+        index, slot, window = self._sites[r]
+        piece = self._pieces[a] = (r, index, slot, self.table[r].values[k] or 0, window)
         return piece
 
-    def decode(self, plan: IdPlan) -> tuple[DecodedPlan, list[int]]:
-        """The plan as FaultRunner.run_faults takes it, and the rows it touches."""
-        pieces = self._pieces
-        writes: dict[int, int] = {}
-        reads: dict[int, dict[int, int]] = {}
-        skipped = pending = 0
-        rows = []
-        for a in plan:
-            r, i, slot, v, bits = pieces.get(a) or self._piece(a)
-            rows.append(r)
-            pending |= bits
-            if i < 0:
-                skipped |= bits
-            elif slot is None:
-                writes[i] = v
-            else:
-                reads.setdefault(i, {})[slot] = v
-        return (writes, reads, skipped, pending), rows
-
     def run(self, plans: list[IdPlan] | None) -> None:
-        """Run build_plans' plans in order. At order 1 (None) run the table
-        in order instead: each zero and randomize row as one lane pass per
-        message, each skip row as its one plan."""
-        if plans is not None:
-            for plan in plans:
-                self.run_plan(plan)
-            return
-        for r, t in enumerate(self.table):
-            if t.kind is FaultKind.SKIP:
-                self.run_plan((self.ids.base[r],))
-            else:
-                self.run_row(r)
-
-    def run_plan(self, plan: IdPlan) -> None:
-        """Run one plan on every message (decoded once for all of them)."""
-        faults, plan_rows = self.decode(plan)
-        for m, runner, sig in self.runs:
-            self._count(plan_rows, plan, m, sig, runner.run_faults(faults))
-
-    def run_row(self, r: int) -> None:
-        """Run every value of one zero or randomize row as one order-1 plan
-        each, lanes batched per message, counted value by value and then
-        message by message as run_plan would count them."""
-        t = self.table[r]
-        site = t.site
-        slot = site.slot if isinstance(site, ReadOf) else None
-        lanes = [0 if v is None else v for v in t.values]  # zero is randomize to 0
-        outs = [runner.run_lanes(site.index, slot, lanes) for _m, runner, _s in self.runs]
-        plan_rows = (r,)
-        first = self.ids.base[r]
-        for k in range(len(lanes)):
-            plan = (first + k,)
-            for (m, _runner, sig), out in zip(self.runs, outs):
-                self._count(plan_rows, plan, m, sig, out[k])
-
-    def _count(self, plan_rows, plan: IdPlan, m: int, sig: int, result) -> None:
-        """Score one run of plan, whose actions lie in plan_rows."""
-        key = self.key
-        tally, factor, side = score_outcome(self.n, key.p, key.q, sig, result)
-        rows = self.rows
-        for r in plan_rows:
-            row = rows[r]
-            row.attempts += 1
-            if tally == "success":
-                row.successes += 1
-                if side == "p":
-                    row.factor_p += 1
+        """Run build_plans' plans in order, in batches of _BATCH. At order 1
+        (None) run the table in order instead: each zero and randomize row
+        in batches of _BATCH of its values, and the skip rows, one plan
+        each, in batches of _BATCH."""
+        if plans is None:
+            plans = []
+            for r, t in enumerate(self.table):
+                if t.kind is FaultKind.SKIP:
+                    plans.append((self.ids.base[r],))
                 else:
-                    row.factor_q += 1
-            elif tally == "no_output":
-                row.no_output += 1
+                    self._run_plans(plans)  # the skip rows before this one
+                    plans = []
+                    self._run_row(r)
+        self._run_plans(plans)
+
+    def _run_plans(self, plans: list[IdPlan]) -> None:
+        for s in range(0, len(plans), _BATCH):
+            batch = plans[s : s + _BATCH]
+            faults, plan_rows = self._faults(batch)
+            self._run(batch, plan_rows, faults)
+
+    def _run_row(self, r: int) -> None:
+        """Run each value of one zero or randomize row as an order-1 plan,
+        _BATCH values per batch, whose faults come from the row rather than
+        from pieces."""
+        index, slot, _window = self._sites[r]
+        values = self.table[r].values
+        first = self.ids.base[r]
+        for s in range(0, len(values), _BATCH):
+            lanes = list(enumerate(v or 0 for v in values[s : s + _BATCH]))  # zero is randomize to 0
+            if slot is None:
+                faults = (len(lanes), {index: lanes}, {}, {})
             else:
-                row.silent += 1
-        if tally == "success":
-            idx = len(self.successes)
-            table, base = self.table, self.ids.base
-            touched = tuple(
-                [(rows[r].site, rows[r].kind, table[r].values[a - base[r]]) for r, a in zip(plan_rows, plan)]
-            )
-            self.successes.append(AttackSuccess(m, touched, result.value, factor, side, None))
-            self.success_plans.append(plan)
-            for r in plan_rows:
-                self.row_success_idx.setdefault(r, []).append(idx)
+                faults = (len(lanes), {}, {index: [(k, slot, v) for k, v in lanes]}, {})
+            batch = ((a,) for a in range(first + s, first + s + len(lanes)))  # built as scored
+            self._run(batch, repeat([r]), faults)
+
+    def _run(self, batch: Iterable[IdPlan], plan_rows: Iterable[list[int]], faults: tuple) -> None:
+        """Run one batch on every message, then count it."""
+        self._score(batch, plan_rows, [runner.run_batch(*faults) for _m, runner, _s in self.runs])
+
+    def _faults(self, batch: list[IdPlan]) -> tuple[tuple, list[list[int]]]:
+        """run_batch's arguments for a batch, and the rows each plan touches."""
+        pieces = self._pieces
+        writes, reads, skips = defaultdict(list), defaultdict(list), defaultdict(list)
+        plan_rows = []
+        for lane, plan in enumerate(batch):
+            rows = []
+            for a in plan:
+                r, i, slot, v, window = pieces.get(a) or self._piece(a)
+                rows.append(r)
+                if window:
+                    for j in window:
+                        skips[j].append(lane)
+                elif slot is None:
+                    writes[i].append((lane, v))
+                else:
+                    reads[i].append((lane, slot, v))
+            plan_rows.append(rows)
+        return (len(batch), writes, reads, skips), plan_rows
+
+    def _score(self, batch: Iterable[IdPlan], plan_rows: Iterable[list[int]], outs: list[list]) -> None:
+        """Count a batch's runs, outs[m][k] being plan k's result on message
+        m: an ErrorOut or Crash is no output, the baseline signature is
+        silent, and only another value goes to the gcd oracle."""
+        rows, runs = self.rows, self.runs
+        for plan, touched, results in zip(batch, plan_rows, zip(*outs)):
+            none = silent = 0
+            for (m, _runner, sig), res in zip(runs, results):
+                if res.__class__ is not Signature:
+                    none += 1
+                elif res.value == sig or not self._broke(plan, touched, m, sig, res.value):
+                    silent += 1
+            for r in touched:
+                row = rows[r]
+                row.attempts += len(runs)
+                row.no_output += none
+                row.silent += silent
+
+    def _broke(self, plan: IdPlan, touched: list[int], m: int, sig: int, v: int) -> bool:
+        """Whether v, released by plan on message m, leaks a factor; a
+        break is counted on the plan's rows and kept as an AttackSuccess."""
+        key = self.key
+        cls = bellcore_extract(self.n, sig, v, key.p, key.q).cls
+        if cls is FactorClass.FACTOR_P:
+            factor, side = key.p, "p"
+        elif cls is FactorClass.FACTOR_Q:
+            factor, side = key.q, "q"
+        else:
+            return False
+        rows, table, base = self.rows, self.table, self.ids.base
+        idx = len(self.successes)
+        for r in touched:
+            row = rows[r]
+            row.successes += 1
+            if side == "p":
+                row.factor_p += 1
+            else:
+                row.factor_q += 1
+            self.row_success_idx.setdefault(r, []).append(idx)
+        actions = tuple(
+            [(rows[r].site, rows[r].kind, table[r].values[a - base[r]]) for r, a in zip(touched, plan)]
+        )
+        self.successes.append(AttackSuccess(m, actions, v, factor, side, None))
+        self.success_plans.append(plan)
+        return True
 
 
 def _resolve_program(spec: CampaignSpec) -> Program:

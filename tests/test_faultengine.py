@@ -242,6 +242,26 @@ def test_sampled_plans_build_fault_actions_only_for_replayed_successes(monkeypat
     assert 0 < built["probe"] <= len(faultengine._ALT_SEED_STEPS) * redrawn
 
 
+def test_order_one_builds_fault_actions_only_for_replayed_successes(monkeypatch):
+    built = []
+    post_init = FaultAction.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(FaultAction, "__post_init__", counting_post_init)
+    rep = run_campaign(tiny_spec(algo="shamir", **ALL_KINDS))
+    replayed = [s for s in rep.successes if s.persistent is not None]
+    # the fraction bands settle some rows, so not every success is replayed
+    assert 0 < len(replayed) < len(rep.successes)
+    # one action per replayed success; an order-1 probe re-draws nothing
+    assert len(built) == len(replayed)
+    assert [(a.site.key(CATALOG["shamir"]), a.kind.value, a.value) for a in built] == [
+        s.actions[0] for s in replayed
+    ]
+
+
 def test_oversized_spaces_sample_down_to_the_limit():
     rep = run_campaign(tiny_spec(order=2, plan_limit=100))
     assert rep.sampled_plans
@@ -367,59 +387,94 @@ def test_skip_faults_reduce_to_value_faults():
 
 
 @pytest.fixture
-def decoded(monkeypatch):
-    """The plans a campaign decodes, one FaultAction plan per decode call."""
-    calls = []
-    decode = faultengine._Tally.decode
+def batches(monkeypatch):
+    """What a campaign runs: the FaultAction plans of each batch whose fault
+    lists _Tally gathers from its pieces, the action ids it decodes, and
+    each run_batch pass as (message, lane count, its non-empty fault lists)."""
+    seen = {"gathered": [], "decoded": [], "passes": []}
+    faults, piece, run_batch = faultengine._Tally._faults, faultengine._Tally._piece, FaultRunner.run_batch
 
-    def counting(self, plan):
-        calls.append(self.ids.fault_plan(plan))
-        return decode(self, plan)
+    def gathering(self, batch):
+        seen["gathered"].append([self.ids.fault_plan(plan) for plan in batch])
+        return faults(self, batch)
 
-    monkeypatch.setattr(faultengine._Tally, "decode", counting)
-    return calls
-
-
-def test_a_campaign_decodes_each_plan_once_for_all_messages(decoded, monkeypatch):
-    ids_decoded = []
-    piece = faultengine._Tally._piece
-
-    def counting(self, a):
-        ids_decoded.append(a)
+    def decoding(self, a):
+        seen["decoded"].append(a)
         return piece(self, a)
 
-    monkeypatch.setattr(faultengine._Tally, "_piece", counting)
-    # order 2 runs plan by plan; this spec's plan space is enumerated whole
-    rep = run_campaign(tiny_spec(messages=(2, 3, 5), order=2, kinds=("zero", "skip")))
+    def passing(self, lanes, writes, reads, skips):
+        faults = {k: dict(v) for k, v in (("writes", writes), ("reads", reads), ("skips", skips)) if v}
+        seen["passes"].append((self.baseline.regs()["m"], lanes, faults))
+        return run_batch(self, lanes, writes, reads, skips)
+
+    monkeypatch.setattr(faultengine._Tally, "_faults", gathering)
+    monkeypatch.setattr(faultengine._Tally, "_piece", decoding)
+    monkeypatch.setattr(FaultRunner, "run_batch", passing)
+    return seen
+
+
+def test_a_campaign_decodes_each_plan_once_for_all_messages(batches):
+    # order 2 runs the plan list in batches; this spec's space is enumerated whole
+    spec = tiny_spec(messages=(2, 3, 5), order=2, kinds=("zero", "skip"))
+    rep = run_campaign(spec)
     assert not rep.sampled_plans
-    assert len(decoded) == rep.plans_total == len(set(decoded))
+    table = site_action_table(tiny_unprotected(), spec)
+    plans, _sampled, ids = build_plans(tiny_unprotected(), spec, table)
+    # the plans in order, in batches of _BATCH, each gathered once
+    size = faultengine._BATCH
+    assert batches["gathered"] == [
+        [ids.fault_plan(p) for p in plans[s : s + size]] for s in range(0, len(plans), size)
+    ]
+    assert len(plans) == rep.plans_total > size  # two batches, the last one short
+    # one pass per batch and message, message by message
+    assert [(m, lanes) for m, lanes, _faults in batches["passes"]] == [
+        (m, len(batch)) for batch in batches["gathered"] for m in spec.messages
+    ]
     assert rep.totals["attempts"] == 2 * 3 * rep.plans_total
     # each action id is decoded once, however many plans use it
-    assert sorted(ids_decoded) == sorted(set(ids_decoded)) == list(range(len(ids_decoded)))
+    decoded = batches["decoded"]
+    assert sorted(decoded) == sorted(set(decoded)) == list(range(len(decoded)))
 
 
-def test_order_one_runs_each_data_row_as_one_lane_pass_per_message(decoded, monkeypatch):
-    passes = []
-    run_lanes = FaultRunner.run_lanes
-
-    def counting(self, index, slot, values):
-        passes.append((index, slot, len(values)))
-        return run_lanes(self, index, slot, values)
-
-    monkeypatch.setattr(FaultRunner, "run_lanes", counting)
+def test_order_one_runs_each_row_in_batches_of_its_actions(batches, monkeypatch):
+    monkeypatch.setattr(faultengine, "_BATCH", 3)  # to split rows and the 7 skip windows
     spec = tiny_spec(messages=(2, 3, 5), kinds=("zero", "randomize", "skip"), max_skip_len=1)
     rep = run_campaign(spec)
     table = site_action_table(tiny_unprotected(), spec)
+    size = faultengine._BATCH
     data = [t for t in table if t.kind is not FaultKind.SKIP]
-    slots = [getattr(t.site, "slot", None) for t in data]
-    assert passes == [
-        (t.site.index, slot, len(t.values)) for t, slot in zip(data, slots) for _m in range(3)
-    ]
-    # only the skip rows go through the plan decoder, one plan each
-    assert decoded == [(FaultAction(t.site, t.kind),) for t in table if t.kind is FaultKind.SKIP]
-    assert len(decoded) == len(table) - len(data) > 0
+    skips = [t for t in table if t.kind is FaultKind.SKIP]
+    assert len(skips) % size and max(len(t.values) for t in data) > size
+    # a data row's batches take its values in order, zero being randomize
+    # to 0, and need no pieces; the skip rows, last in the table, are
+    # gathered from pieces
+    want = []
+    for t in data:
+        for s in range(0, len(t.values), size):
+            lanes = list(enumerate(v or 0 for v in t.values[s : s + size]))
+            if isinstance(t.site, WriteOf):
+                want.append((len(lanes), {"writes": {t.site.index: lanes}}))
+            else:
+                reads = [(k, t.site.slot, v) for k, v in lanes]
+                want.append((len(lanes), {"reads": {t.site.index: reads}}))
+    skip_batches = [skips[s : s + size] for s in range(0, len(skips), size)]
+    for batch in skip_batches:
+        want.append((len(batch), {"skips": {t.site.first: [k] for k, t in enumerate(batch)}}))
+    assert batches["passes"] == [(m, k, faults) for k, faults in want for m in spec.messages]
+    assert batches["gathered"] == [[(FaultAction(t.site, t.kind),) for t in b] for b in skip_batches]
+    assert len(batches["decoded"]) == len(skips)
     assert rep.plans_total == plan_space_size(table, 1)
     assert rep.totals["attempts"] == 3 * rep.plans_total
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_the_batch_size_does_not_change_the_report(monkeypatch, order):
+    spec = tiny_spec(algo="shamir", messages=(2, 3), order=order, plan_limit=300, **ALL_KINDS)
+    want = run_campaign(spec)
+    assert want.successes
+    monkeypatch.setattr(faultengine, "_BATCH", 7)  # rows and plan lists split mid-way
+    got = run_campaign(spec)
+    assert (got.to_json(), got.to_csv()) == (want.to_json(), want.to_csv())
 
 
 def test_a_program_that_does_not_sign_is_refused():

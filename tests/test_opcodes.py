@@ -5,8 +5,9 @@ so comparing them with each other cannot catch a wrong opcode. Here each
 opcode runs in a program that loads its operands and returns its result,
 on both paths, against an oracle written with Python's own operators. The
 operands reach the instruction once as inputs and once as read faults
-replacing benign baseline operands. Each vector kernel is checked lane by
-lane against its kernel, with every mix of scalar and lane operands.
+replacing benign baseline operands, alone and as the lanes of one batch.
+Each vector kernel is checked lane by lane against its kernel, with every
+mix of scalar and lane operands.
 """
 
 from itertools import product
@@ -106,6 +107,9 @@ def _cases():
     for a, m in product(VALUES, MODULI):
         yield ModReduce("x", "a", "m"), (a, m), oracle_reduce(a, m)
         yield ModInv("x", "a", "m"), (a, m), oracle_inv(a, m)
+    # units of both moduli, so that lane lists of them have every inverse
+    for a, m in product((-7, 1, 5, 11), (6, 12)):
+        yield ModInv("u", "a", "m"), (a, m), oracle_inv(a, m)
     for a, e, m in product(VALUES, VALUES, MODULI):
         yield ModExp("x", "a", "b", "m"), (a, e, m), oracle_exp(a, e, m)
     for a, b in product(VALUES, VALUES):
@@ -165,19 +169,30 @@ def test_each_opcode_matches_python_on_both_paths(opcode):
         for slot in range(len(_operands(ins))):
             values = sorted({ops[slot] for i, ops, _w in CASES if i == ins})
             plans = [(FaultAction(ReadOf(3, slot), FaultKind.RANDOMIZE, v),) for v in values]
-            assert runner.run_lanes(3, slot, values) == [runner.run(p) for p in plans], ins
+            lanes = {3: [(k, slot, v) for k, v in enumerate(values)]}
+            got = runner.run_batch(len(values), {}, lanes, {})
+            assert got == [runner.run(p) for p in plans], ins
 
 
 def _uncommon(ins, xs):
     """Operands a vector kernel may hand back to the lanes one by one: some
-    lane's modulus below 2 or some lane's exponent negative."""
+    lane's modulus below 2, some lane's exponent negative or some lane's
+    value without an inverse."""
 
     def least(x):
         return min(x) if isinstance(x, list) else x
 
     mod = OPCODES[type(ins)].reads.index("mod") if ins.mod else None
     exp = xs[1] if isinstance(ins, ModExp) else 0
+    if isinstance(ins, ModInv):
+        lanes = [[x[k] if isinstance(x, list) else x for x in xs] for k in range(_width(xs))]
+        if any(_inverse(a, m) is None for a, m in lanes if m >= 2):
+            return True
     return (mod and least(xs[mod]) < 2) or least(exp) < 0
+
+
+def _width(xs):
+    return max(len(x) for x in xs if isinstance(x, list))
 
 
 VECTORS = [op for op in OPCODES_UNDER_TEST if _vector_of(_sample(op))]

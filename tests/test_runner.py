@@ -2,14 +2,16 @@
 
 FaultRunner.run(plan) must equal execute(..., plan=plan).result on every
 plan, so these tests compare the two on random plans of order 1 to 3 and on
-whole order-1 campaign plan lists. FaultRunner.run_lanes must equal one run
-per value, so it is compared with both on random sites and value lists and
-on the same plan lists, row by row. Program.runner keeps one runner per
-(inputs, seed); the last tests check that it runs each baseline once and
-changes no result.
+whole order-1 campaign plan lists. FaultRunner.run_batch must give each
+lane the result of its own plan, so it is compared with both on random
+batches of mixed plans of order 1 to 4, on one-site batches of random
+values and on the same plan lists, row by row and in fixed-size chunks.
+Program.runner keeps one runner per (inputs, seed); the last tests check
+that it runs each baseline once and changes no result.
 """
 
 import functools
+from collections import defaultdict
 from dataclasses import replace
 
 import pytest
@@ -22,6 +24,7 @@ from crtfi.circuit import (
     BinOp,
     CheckEq,
     Const,
+    Crash,
     DrawRandomPrime,
     FaultAction,
     FaultKind,
@@ -33,8 +36,10 @@ from crtfi.circuit import (
     Ret,
     SkipRange,
     WriteOf,
+    _vector_of,
     dst_of,
     execute,
+    modulus_reg,
     reads_of,
 )
 from crtfi.countermeasures import build, catalog, program_inputs
@@ -45,7 +50,7 @@ from crtfi.faultengine import (
     site_action_table,
 )
 from crtfi.keytools import derive_crt
-from crtfi.transforms import harden
+from crtfi.transforms import harden, to_infective, to_testbased
 
 TINY = derive_crt(7, 11, 43)
 MESSAGES = (2, 3, 75)
@@ -53,17 +58,45 @@ SEEDS = (0, 42)
 
 PROGRAMS = {e.algo: build(e.algo, TINY, r_bits=5, build_seed=0) for e in catalog()}
 PROGRAMS["aumuller-infective-x2"] = harden(PROGRAMS["aumuller-infective"], 2)
+# the catalog and every kind of rewrite result
+BATCH_PROGRAMS = {
+    **PROGRAMS,
+    "shamir-x2": harden(PROGRAMS["shamir"], 2),
+    "to_infective(straightforward)": to_infective(PROGRAMS["straightforward"]),
+    "to_testbased(aumuller-infective)": to_testbased(PROGRAMS["aumuller-infective"]),
+    "to_testbased(blomer)": to_testbased(PROGRAMS["blomer"]),
+}
 
 
 @functools.cache
 def runner(name, message, seed):
-    prog = PROGRAMS[name]
+    prog = BATCH_PROGRAMS[name]
     return FaultRunner(prog, program_inputs(prog, TINY, message), seed)
 
 
 def reference(name, message, seed, plan):
-    prog = PROGRAMS[name]
+    prog = BATCH_PROGRAMS[name]
     return execute(prog, program_inputs(prog, TINY, message), seed=seed, plan=plan).result
+
+
+def batch(plans, n):
+    """run_batch's arguments for FaultAction plans over n instructions, lane
+    k being plans[k]: plan_faults' reading of each plan, lists in plan order."""
+    writes, reads, skips = defaultdict(list), defaultdict(list), defaultdict(list)
+    for lane, plan in enumerate(plans):
+        for act in plan:
+            site = act.site
+            v = (act.value or 0) if act.kind is FaultKind.RANDOMIZE else 0
+            if isinstance(site, SkipRange):
+                for j in range(max(site.first, 0), min(site.last, n - 1) + 1):
+                    skips[j].append(lane)
+            elif not 0 <= site.index < n:
+                continue
+            elif isinstance(site, WriteOf):
+                writes[site.index].append((lane, v))
+            else:
+                reads[site.index].append((lane, site.slot, v))
+    return len(plans), writes, reads, skips
 
 
 # 0, negative, small (often a register's nominal value) and above every modulus
@@ -92,8 +125,9 @@ def _index_of(act):
 
 
 @st.composite
-def plans(draw, n):
-    """Order 1-3 plans, later actions often aimed at an earlier one's site."""
+def plans(draw, n, longest=3):
+    """Plans of order 1 to longest, later actions often aimed at an earlier
+    one's site."""
 
     def fresh():
         shape = draw(st.sampled_from(("write", "read", "skip")))
@@ -104,7 +138,7 @@ def plans(draw, n):
         return _value_action(draw, site)
 
     acts = [fresh()]
-    for _ in range(draw(st.integers(0, 2))):
+    for _ in range(draw(st.integers(0, longest - 1))):
         prev = draw(st.sampled_from(acts))
         how = draw(st.sampled_from(("fresh", "same-site", "overlapping-skip", "write-in-skip")))
         if how == "same-site" and not isinstance(prev.site, SkipRange):
@@ -175,11 +209,88 @@ def test_lanes_match_one_run_per_value_and_the_reference(name):
         nominal = _nominal(prog, r.baseline.regs(), site)
         values = [nominal if v == "nominal" else v for v in values]
         plans_ = [(FaultAction(site, FaultKind.RANDOMIZE, v),) for v in values]
-        got = r.run_lanes(index, slot, values)
+        got = r.run_batch(*batch(plans_, n))
         assert got == [r.run(plan) for plan in plans_]
         assert got == [reference(name, message, seed, plan) for plan in plans_]
 
     check()
+
+
+def _skip(first, last):
+    return FaultAction(SkipRange(first, last), FaultKind.SKIP)
+
+
+def _write(index, value):
+    return FaultAction(WriteOf(index), FaultKind.RANDOMIZE, value)
+
+
+def _read(index, slot, value):
+    return FaultAction(ReadOf(index, slot), FaultKind.RANDOMIZE, value)
+
+
+def _first_reduced(prog):
+    """The first instruction of prog reducing by a modulus, and the slot that reads it."""
+    for i, ins in enumerate(prog.instrs):
+        for slot, reg in reads_of(ins):
+            if reg == modulus_reg(ins):
+                return i, slot
+    raise AssertionError(f"{prog.name} reduces by no modulus")
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_PROGRAMS))
+def test_batches_of_mixed_plans_match_the_reference(name):
+    prog = BATCH_PROGRAMS[name]
+    n = len(prog.instrs)
+    w, ret = _first_data_write(prog), n - 1
+    e, m = _first_reduced(prog)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(
+        plans_=st.lists(plans(n, longest=4), min_size=1, max_size=12),
+        message=st.sampled_from(MESSAGES),
+        seed=st.sampled_from(SEEDS),
+    )
+    @example(  # a skip window over a written index, with a write there
+        plans_=[(_skip(w, w + 1), _write(w, 5)), (_write(w, 5), _skip(w, w)), (_skip(w, w),)],
+        message=2, seed=0)
+    @example(  # read slots past the instruction's slots, beside one inside them
+        plans_=[(_read(ret, 1, 5),), (_read(e, 3, 0), _read(w, 7, 9)), (_read(e, 0, 4),)],
+        message=3, seed=42)
+    @example(  # a skipped Return, alone, in a window and after a fault that ends the run
+        plans_=[(_skip(ret, ret),), (_skip(ret - 1, ret),), (_read(e, m, 0), _skip(ret, ret))],
+        message=75, seed=0)
+    @example(  # every lane ends: a modulus below 2 crashes each one
+        plans_=[(_read(e, m, v),) for v in (0, 1, -5)], message=2, seed=42)
+    @example(  # one lane's modulus of 0 sends every lane through the scalar kernel
+        plans_=[(_read(e, m, v),) for v in (0, 3, 97, 10**6)], message=3, seed=0)
+    def check(plans_, message, seed):
+        got = runner(name, message, seed).run_batch(*batch(plans_, n))
+        assert got == [reference(name, message, seed, plan) for plan in plans_]
+
+    check()
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_PROGRAMS))
+def test_a_batch_can_end_every_lane_or_fall_back_to_the_kernel(name):
+    prog = BATCH_PROGRAMS[name]
+    n = len(prog.instrs)
+    e, m = _first_reduced(prog)
+    r = runner(name, 2, 42)
+    # every lane crashes at the first reduction, long before the Return
+    plans_ = [(_read(e, m, v),) for v in (0, 1, -5)]
+    got = r.run_batch(*batch(plans_, n))
+    assert got == [Crash("bad-modulus")] * 3
+    assert got == [reference(name, 2, 42, plan) for plan in plans_]
+    # one lane's modulus of 0 makes the vector kernel decline the whole batch
+    ins = prog.instrs[e]
+    base = r.baseline.regs()
+    xs = [base[reg] for _slot, reg in reads_of(ins)]
+    xs[m] = [0, 3, 97, 10**6]
+    assert _vector_of(ins)(ins, xs, e, (None, 42)) is None
+    plans_ = [(_read(e, m, v),) for v in xs[m]]
+    got = r.run_batch(*batch(plans_, n))
+    assert got[0] == Crash("bad-modulus")
+    assert got == [reference(name, 2, 42, plan) for plan in plans_]
 
 
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
@@ -196,15 +307,17 @@ def test_runner_matches_the_reference_on_the_whole_order_one_plan_list(name):
         r = runner(name, message, 42)
         want = [reference(name, message, 42, plan) for plan in plans_]
         assert [r.run(plan) for plan in plans_] == want
-        # the same list row by row as lane passes, zero being randomize to 0
-        lanes = []
+        # the same list as batches: one row at a time, then in chunks that
+        # mix sites and kinds
+        n = len(prog.instrs)
+        rows = []
         for t in table:
-            if t.kind is FaultKind.SKIP:
-                lanes.append(r.run((FaultAction(t.site, t.kind),)))
-                continue
-            slot = t.site.slot if isinstance(t.site, ReadOf) else None
-            lanes += r.run_lanes(t.site.index, slot, [v or 0 for v in t.values])
-        assert lanes == want
+            rows += r.run_batch(*batch([(FaultAction(t.site, t.kind, v),) for v in t.values], n))
+        assert rows == want
+        chunks = []
+        for s in range(0, len(plans_), 37):
+            chunks += r.run_batch(*batch(plans_[s : s + 37], n))
+        assert chunks == want
 
 
 def test_a_draw_moves_off_the_value_a_fault_plants_in_its_avoid_set():
