@@ -185,14 +185,11 @@ def _uncommon(ins, xs):
     mod = OPCODES[type(ins)].reads.index("mod") if ins.mod else None
     exp = xs[1] if isinstance(ins, ModExp) else 0
     if isinstance(ins, ModInv):
-        lanes = [[x[k] if isinstance(x, list) else x for x in xs] for k in range(_width(xs))]
+        width = max(len(x) for x in xs if isinstance(x, list))
+        lanes = [[x[k] if isinstance(x, list) else x for x in xs] for k in range(width)]
         if any(_inverse(a, m) is None for a, m in lanes if m >= 2):
             return True
     return (mod and least(xs[mod]) < 2) or least(exp) < 0
-
-
-def _width(xs):
-    return max(len(x) for x in xs if isinstance(x, list))
 
 
 VECTORS = [op for op in OPCODES_UNDER_TEST if _vector_of(_sample(op))]
