@@ -714,11 +714,7 @@ FaultPlan = tuple[FaultAction, ...]
 DecodedPlan = tuple[dict[int, int], dict[int, dict[int, int]], int, int]
 
 
-def enumerate_sites(
-    program: Program,
-    max_skip_len: int = 0,
-    include_output: bool = False,
-) -> list[FaultSite]:
+def enumerate_sites(program: Program, max_skip_len: int = 0) -> list[FaultSite]:
     """All fault sites of a program, in deterministic order.
 
     WriteOf for every destination except raw input loads; ReadOf for every
@@ -729,9 +725,9 @@ def enumerate_sites(
     those windows are not part of the attack surface (inputs are faultable
     per read instead). The Return operand read and the data sites of
     instructions tagged output_tail model the released result rather than
-    an intermediate value and are excluded unless include_output is set.
+    an intermediate value and are excluded.
     """
-    tail = set(program.meta.output_tail) if not include_output else set()
+    tail = set(program.meta.output_tail)
     sites: list[FaultSite] = []
     for idx, ins in enumerate(program.instrs):
         if idx in tail:
@@ -739,9 +735,7 @@ def enumerate_sites(
         if dst_of(ins) is not None and not isinstance(ins, LoadInput):
             sites.append(WriteOf(idx))
     for idx, ins in enumerate(program.instrs):
-        if idx in tail:
-            continue
-        if isinstance(ins, Ret) and not include_output:
+        if idx in tail or isinstance(ins, Ret):
             continue
         for slot, _reg in reads_of(ins):
             sites.append(ReadOf(idx, slot))

@@ -11,8 +11,7 @@ can enumerate every write, read, and skip site. Shared conventions:
   * recombination is the Garner form lo + q*((iq*(hi-lo)) mod m);
   * meta.output_tail marks the post-verification instructions that merely
     assemble the released value; faulting those is output replacement, not an
-    attack on the scheme, so campaigns exclude them (witness search re-enables
-    them).
+    attack on the scheme, so campaigns exclude them.
 
 Register glossary: spp/sqq hold the extended-ring signature halves, spr/sqr
 the small-ring checksums, sp/sq the retrieved CRT halves, s the released

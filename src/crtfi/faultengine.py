@@ -24,7 +24,7 @@ FaultActions are built only for the successes the replay pass probes.
 
 Faulted runs go through circuit.FaultRunner, which replays faults against
 the fault-free baseline of their message; circuit.execute stays the
-reference that runs the baselines and the skip-subsumption search. A
+reference that runs the baselines and judges skip-subsumption plans. A
 campaign runs its plans in batches of at most _BATCH, one lane per plan
 and one FaultRunner.run_batch pass per batch and message: the plan list at
 order 2 and above; at order 1 each zero and randomize row's values, then
@@ -55,7 +55,6 @@ from dataclasses import asdict, dataclass, field, replace
 from itertools import combinations, product, repeat
 
 from .circuit import (
-    CheckEq,
     Crash,
     ErrorOut,
     FaultAction,
@@ -99,9 +98,11 @@ class CampaignSpec:
 
     A prebuilt program must pass circuit.validate. The key must pass
     keytools.check_crt_key. Every message must be a unit mod N = p*q
-    (0 < M < N and gcd(M, N) = 1): a message sharing a factor with N leaks
-    that factor on its own, so faulted outputs would count as breaks the
-    scheme did not cause, and one outside (0, N) aliases another message.
+    (0 < M < N and gcd(M, N) = 1), the default messages 2, 3 and N-2
+    included: a message sharing a factor with N leaks that factor on its
+    own, so faulted outputs would count as breaks the scheme did not cause,
+    and one outside (0, N) aliases another message. samples_per_site must
+    be at least 1, or sampled randomize rows would run no value.
     workers is checked but not used: campaigns run on one thread, and the
     report does not depend on it.
     """
@@ -128,12 +129,14 @@ class CampaignSpec:
             raise ValueError("order must be at least 1")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        if self.samples_per_site < 1:
+            raise ValueError("samples_per_site < 1 gives sampled sites no fault plans")
         for k in self.kinds:
             if k not in KIND_NAMES:
                 raise ValueError(f"unknown fault kind {k!r}")
         check_crt_key(self.key)
         n = self.key.p * self.key.q
-        for m in self.messages:
+        for m in _messages_of(self):
             if not 0 < m < n or math.gcd(m, n) != 1:
                 raise ValueError(
                     f"message {m} is not a unit mod N={n}: need 0 < M < N and gcd(M, N) = 1"
@@ -958,7 +961,7 @@ def _classify(row: SiteRow, bound: float | None) -> str:
 @dataclass(frozen=True)
 class SkipWitness:
     window: tuple[int, int]
-    witness: FaultPlan | None
+    witness: FaultPlan
     matched: bool
 
 
@@ -969,94 +972,61 @@ def check_skip_subsumption(
     message: int = 2,
     seed: int = 42,
 ) -> list[SkipWitness]:
-    """Find, per skip window, a data-fault plan with the same observable result.
+    """Build, per skip window, a data-fault plan and check that it gives the
+    skip's observable result.
 
-    Constructive ladder: a no-effect skip matches the empty plan; a window
-    over the return matches zeroing the returned read; otherwise each
-    skipped store becomes a write replacement carrying that site's skip
-    fill, a skipped input load becomes the same fill at every read of the
-    register, and a skipped check that would have failed under the partial
-    plan is pacified by feeding its second operand the first one's value.
-    A bounded search over single and paired data faults backstops windows
-    the construction misses.
+    One rule turns the window into data faults: each in-window store becomes
+    a write replacement carrying that site's skip fill; each in-window
+    instruction, checks included, reads its baseline operand at every slot
+    that reads a register stored earlier in the window, so it computes its
+    baseline value and a check passes, as a skipped one does; every read of
+    an in-window input load from outside the window gets that load's fill;
+    and a window over the Return zeroes the returned read instead. A row is
+    matched when circuit.execute gives the witness and the skip the same
+    result.
     """
     inputs = program_inputs(program, key, message)
-    baseline = execute(program, inputs, seed=seed)
+    baseline = execute(program, inputs, seed=seed).regs()
     results: list[SkipWitness] = []
     n_instr = len(program.instrs)
-    ret_idx = n_instr - 1
-
-    def run(plan: FaultPlan):
-        return execute(program, inputs, seed=seed, plan=plan)
-
     for length in range(1, max_skip_len + 1):
         for first in range(0, n_instr - length + 1):
-            last = first + length - 1
-            window = (first, last)
-            skip_plan: FaultPlan = (FaultAction(SkipRange(first, last), FaultKind.SKIP),)
-            target = run(skip_plan)
-
-            witness = _skip_witness(
-                program, inputs, seed, window, target, baseline, run, ret_idx
-            )
-            results.append(SkipWitness(window, witness, witness is not None))
+            window = (first, first + length - 1)
+            skip = (FaultAction(SkipRange(*window), FaultKind.SKIP),)
+            target = execute(program, inputs, seed=seed, plan=skip).result
+            witness = _skip_witness(program, seed, window, baseline)
+            ok = same_result(execute(program, inputs, seed=seed, plan=witness).result, target)
+            results.append(SkipWitness(window, witness, ok))
     return results
 
 
-def _skip_witness(program, inputs, seed, window, target, baseline, run, ret_idx):
+def _skip_witness(
+    program: Program, seed: int, window: tuple[int, int], baseline: dict[str, int]
+) -> FaultPlan:
+    """The window's data faults by check_skip_subsumption's rule; baseline
+    maps each register to its fault-free value (a register is written once)."""
     first, last = window
-    if same_result(target.result, baseline.result):
-        return ()
-    if first <= ret_idx <= last:
-        cand: FaultPlan = (FaultAction(ReadOf(ret_idx, 0), FaultKind.ZERO),)
-        if same_result(run(cand).result, target.result):
-            return cand
-
+    instrs = program.instrs
+    stored = {dst_of(ins) for ins in instrs[first : last + 1]}
     plan: list[FaultAction] = []
-    ok = True
     for i in range(first, last + 1):
-        ins = program.instrs[i]
+        ins = instrs[i]
         if isinstance(ins, Ret):
-            ok = False  # handled above; reaching here means the zero read missed
-            break
-        if isinstance(ins, CheckEq):
-            probe = run(tuple(plan))
-            if isinstance(probe.result, ErrorOut) and probe.result.check_index == i:
-                a_reg = reads_of(ins)[0][1]
-                a_val = probe.regs().get(a_reg, 0)
-                for act in plan:  # an earlier read fault decides the effective fetch
-                    if act.site == ReadOf(i, 0):
-                        a_val = 0 if act.kind is FaultKind.ZERO else act.value
-                plan.append(FaultAction(ReadOf(i, 1), FaultKind.RANDOMIZE, a_val))
+            plan.append(FaultAction(ReadOf(i, 0), FaultKind.ZERO))
             continue
+        plan += [
+            FaultAction(ReadOf(i, slot), FaultKind.RANDOMIZE, baseline[reg])
+            for slot, reg in reads_of(ins)
+            if reg in stored
+        ]
+        dst, fill = dst_of(ins), skip_fill_value(seed, i)
         if isinstance(ins, LoadInput):
-            fill = skip_fill_value(seed, i)
-            for j, ins2 in enumerate(program.instrs):
-                for slot, reg in reads_of(ins2):
-                    if reg == ins.dst and not (first <= j <= last):
-                        plan.append(FaultAction(ReadOf(j, slot), FaultKind.RANDOMIZE, fill))
-            continue
-        if dst_of(ins) is not None:
-            fill = skip_fill_value(seed, i)
+            plan += [
+                FaultAction(ReadOf(j, slot), FaultKind.RANDOMIZE, fill)
+                for j in range(last + 1, len(instrs))
+                for slot, reg in reads_of(instrs[j])
+                if reg == dst
+            ]
+        elif dst is not None:
             plan.append(FaultAction(WriteOf(i), FaultKind.RANDOMIZE, fill))
-    if ok and same_result(run(tuple(plan)).result, target.result):
-        return tuple(plan)
-
-    # bounded fallback: singles then pairs of zero / fill-valued replacements
-    sites = [
-        s
-        for s in enumerate_sites(program, max_skip_len=0, include_output=True)
-        if isinstance(s, (WriteOf, ReadOf))
-    ]
-    candidates: list[FaultAction] = []
-    for s in sites:
-        idx = s.index
-        candidates.append(FaultAction(s, FaultKind.ZERO))
-        candidates.append(FaultAction(s, FaultKind.RANDOMIZE, skip_fill_value(seed, idx)))
-    for c in candidates:
-        if same_result(run((c,)).result, target.result):
-            return (c,)
-    for a, b in combinations(candidates, 2):
-        if same_result(run((a, b)).result, target.result):
-            return (a, b)
-    return None
+    return tuple(plan)

@@ -7,7 +7,7 @@ import pytest
 from crtfi.circuit import parse_dump
 from crtfi.cli import main
 from crtfi.countermeasures import catalog
-from crtfi.keytools import CrtKey, write_key_file
+from crtfi.keytools import CrtKey, derive_crt, write_key_file
 
 
 def test_sign_prints_the_signature(capsys):
@@ -129,6 +129,19 @@ def test_bad_inputs_exit_with_the_data_code(tmp_path, capsys):
     assert "not a unit mod N=77" in err
     assert "no fault plans" in err
     assert "cannot parse line '1: s <- const'" in err
+
+
+def test_campaigns_that_would_drop_runs_exit_with_the_data_code(tmp_path, capsys):
+    # no value per sampled site would run none of the sampled randomize rows
+    flags = ["--r-bits", "5", "--kinds", "randomize", "--exhaustive-threshold", "64"]
+    assert main(["campaign", "--algo", "shamir", *flags, "--samples", "0"]) == 3
+    # the default message 3 shares the factor 3 with N = 33
+    path = tmp_path / "n33.json"
+    write_key_file(derive_crt(3, 11, 7), str(path))
+    assert main(["campaign", "--algo", "fixed-shamir", "--key", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "samples_per_site < 1 gives sampled sites no fault plans" in err
+    assert "message 3 is not a unit mod N=33" in err
 
 
 def test_flag_grammar_failures_use_the_argparse_code():

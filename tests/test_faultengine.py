@@ -18,6 +18,7 @@ from crtfi.circuit import (
     enumerate_sites,
     execute,
     find_write,
+    same_result,
 )
 from crtfi import faultengine
 from crtfi.countermeasures import build, catalog, program_inputs
@@ -34,9 +35,9 @@ from crtfi.faultengine import (
     site_domains,
     site_phase,
 )
-from crtfi.keytools import derive_crt
+from crtfi.keytools import crt_from_rsa, derive_crt, gen_key
 from crtfi.modmath import bellcore_extract, is_prime
-from crtfi.transforms import to_infective
+from crtfi.transforms import harden, to_infective, to_testbased
 
 TINY = derive_crt(7, 11, 43)
 
@@ -375,12 +376,32 @@ def test_random_draw_sites_are_phase_flagged():
 
 
 def test_skip_faults_reduce_to_value_faults():
-    for algo in ("unprotected", "shamir"):
-        prog = build(algo, TINY, r_bits=5, build_seed=0)
-        rows = check_skip_subsumption(prog, TINY, 2, 2, 42)
-        n = len(prog.instrs)
-        assert len(rows) == n + (n - 1)
-        assert all(r.matched for r in rows)
+    windows = 0
+    for key in (TINY, crt_from_rsa(gen_key(8, 2)), crt_from_rsa(gen_key(8, 5))):
+        # the catalog and every kind of rewrite result
+        progs = {e.algo: build(e.algo, key, r_bits=5, build_seed=0) for e in catalog()}
+        progs["harden(aumuller-infective,2)"] = harden(progs["aumuller-infective"], 2)
+        progs["harden(shamir,2)"] = harden(progs["shamir"], 2)
+        progs["to_infective(straightforward)"] = to_infective(progs["straightforward"])
+        progs["to_testbased(aumuller-infective)"] = to_testbased(progs["aumuller-infective"])
+        progs["to_testbased(blomer)"] = to_testbased(progs["blomer"])
+        for name, prog in progs.items():
+            rows = check_skip_subsumption(prog, key, 3, 2, 42)
+            n = len(prog.instrs)
+            assert len(rows) == n + (n - 1) + (n - 2)
+            windows += len(rows)
+            inputs = program_inputs(prog, key, 2)
+            for r in rows:
+                assert r.matched, (name, key.p, key.q, r.window)
+                sites = [act.site for act in r.witness]
+                assert len(set(sites)) == len(sites), (name, r.window)
+                assert not any(isinstance(site, SkipRange) for site in sites)
+                skip = (FaultAction(SkipRange(*r.window), FaultKind.SKIP),)
+                assert same_result(
+                    execute(prog, inputs, 42, r.witness).result,
+                    execute(prog, inputs, 42, skip).result,
+                ), (name, r.window)
+    assert windows == 6120
 
 
 # --------------------------------------------------------------------- reports
@@ -528,6 +549,13 @@ def test_spec_validation_rejects_nonsense():
 def test_spec_refuses_messages_that_are_not_units_mod_n(message):
     with pytest.raises(ValueError, match="not a unit"):
         tiny_spec(messages=(2, message))
+
+
+def test_spec_refuses_default_messages_that_are_not_units_mod_n():
+    key = derive_crt(3, 11, 7)  # the default messages are 2, 3 and N-2 = 31
+    with pytest.raises(ValueError, match="message 3 is not a unit mod N=33"):
+        CampaignSpec(key=key, algo="fixed-shamir")
+    assert CampaignSpec(key=key, algo="fixed-shamir", messages=(2, 31)).messages == (2, 31)
 
 
 def test_spec_accepts_messages_at_both_ends_of_the_unit_range():

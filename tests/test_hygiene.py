@@ -1,0 +1,70 @@
+"""Source hygiene, read from the syntax trees of src/crtfi.
+
+Every module-level import of a module is used in it, and every private
+(underscore) module-level name is referenced somewhere in the package, so
+no leftover import or helper survives the code that needed it.
+"""
+
+import ast
+from pathlib import Path
+
+import crtfi
+
+PACKAGE = Path(crtfi.__file__).parent
+TREES = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+MODULES = {name: tree for name, tree in TREES.items() if name != "__init__.py"}
+
+
+def _bound_imports(tree: ast.Module) -> list[str]:
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names += [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [a.asname or a.name for a in node.names]
+    return names
+
+
+def _loaded(tree: ast.AST) -> set[str]:
+    """Names a tree reads: plain names, attribute names, imported names."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(a.name for a in node.names)
+    return out
+
+
+def _private_defs(tree: ast.Module) -> list[str]:
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.endswith("__")]
+
+
+def test_every_module_level_import_is_used():
+    unused = []
+    for name, tree in MODULES.items():
+        used = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unused += [f"{name}: {n}" for n in _bound_imports(tree) if n not in used]
+    assert unused == []
+
+
+def test_every_private_module_level_name_is_referenced():
+    referenced = set().union(*(_loaded(tree) for tree in TREES.values()))
+    orphans = [
+        f"{name}: {n}" for name, tree in MODULES.items() for n in _private_defs(tree)
+        if n not in referenced
+    ]
+    assert orphans == []
