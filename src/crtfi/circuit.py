@@ -40,10 +40,9 @@ Programs run on three paths that give the same results:
     sites: the faulted instructions and the union of their static dataflow
     cones are evaluated once, in program order, for all lanes, through the
     vector kernels.
-  * FaultRunner.run_faults runs one faulted plan, decoded as plan_faults
-    decodes it, for faultengine.replay_plan and the replay probes (through
-    FaultRunner.run). It re-evaluates only the instructions the plan
-    changes.
+  * FaultRunner.run runs one faulted plan, decoded as plan_faults decodes
+    it, for faultengine.replay_plan and the replay probes. It re-evaluates
+    only the instructions the plan changes.
 
 Both runners start from a baseline execute() run and use the program's
 compiled form (Program.compiled, built once per Program).
@@ -965,11 +964,7 @@ class FaultRunner:
         self._cones: dict[int, int] = {}
 
     def run(self, plan: FaultPlan) -> ExecResult:
-        return self.run_faults(plan_faults(plan, len(self._ops)))
-
-    def run_faults(self, faults: DecodedPlan) -> ExecResult:
-        """run(plan) for a plan already decoded by plan_faults."""
-        writes, reads, skipped, pending = faults
+        writes, reads, skipped, pending = plan_faults(plan, len(self._ops))
         ops, readers, base, env = self._ops, self._readers, self._base, self._env
         vals = base.copy()
         while pending:
@@ -1185,13 +1180,15 @@ def _parse_instr(line: str) -> Instr:
 def parse_dump(text: str) -> Program:
     """Inverse of dump_program (round-trips metadata).
 
-    A line that is not well formed raises ValueError naming it; a comment
+    A line that is not well formed, or whose metadata names an instruction
+    index the program does not have, raises ValueError naming it; a comment
     line with an unknown tag is ignored.
     """
     name = "parsed"
     inputs: tuple[str, ...] = ()
     instrs: list[Instr] = []
     meta: dict[str, object] = {}
+    indexed: list[tuple[str, tuple[int, ...]]] = []  # metadata lines naming indices
     for raw in text.splitlines():
         line = raw.strip()
         if not line:
@@ -1212,13 +1209,21 @@ def parse_dump(text: str) -> Program:
                 f, item = _META_BY_TAG[tag]
                 if item is InfectionFactor:
                     words = zip(_FACTOR_TYPES, rest, strict=True)
-                    meta[f] = meta.get(f, ()) + (item(*(_meta_value(t, w) for t, w in words)),)
+                    x = item(*(_meta_value(t, w) for t, w in words))
+                    meta[f] = meta.get(f, ()) + (x,)
+                    indexed.append((line, (x.diff_idx, x.c_idx)))
                 elif isinstance(getattr(_NO_META, f), tuple):
                     meta[f] = tuple(map(item, rest))
+                    if item is int:  # checks, infection and tail list indices
+                        indexed.append((line, meta[f]))
                 else:
                     meta[f] = item(rest[0])
         except (IndexError, ValueError):  # a missing, extra or non-integer field
             raise ValueError(f"cannot parse line {line!r}") from None
+    for line, idxs in indexed:
+        bad = [i for i in idxs if not 0 <= i < len(instrs)]
+        if bad:
+            raise ValueError(f"cannot parse line {line!r}: no instruction {bad[0]}")
     return Program(name=name, inputs=inputs, instrs=tuple(instrs), meta=ProgramMeta(**meta))
 
 

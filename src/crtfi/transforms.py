@@ -8,16 +8,22 @@ when the infection machinery has the canonical product/power shape. harden
 replicates every verification unit together with the instructions feeding
 only it, which is what pushes erase-the-check attacks one fault order up.
 
-Helper registers a rewrite inserts (the unit constant, the public modulus
-product) use the reserved names below and are emitted immediately before
-their first consumer. Position matters: random draws are seeded by
-instruction index, so inserting anything upstream of a draw would hand the
-rewritten program different checksum primes than its source.
+Each rewrite is one pass over its source, emitting one listing. Helper
+registers a rewrite inserts (the unit constant, the public modulus product)
+use the reserved names below and are emitted immediately before their first
+consumer. Position matters: random draws are seeded by instruction index, so
+inserting anything upstream of a draw would hand the rewritten program
+different checksum primes than its source. harden names every register it
+adds, copies and chain alike, by one rule: the stem ({dst}h{t} for copy t of
+dst, hm{k} and hs for the chain), with "x" appended until no register of the
+source or added before it has that name. Hardened programs therefore harden
+again.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import Callable
 
 from .circuit import (
     BinOp,
@@ -76,13 +82,37 @@ class _Listing:
         self.phases.append(phase)
         return len(self.instrs) - 1
 
+    def infect(
+        self, base: str, c_regs: list[str], mod: str, name: Callable[[str], str], phase: str
+    ) -> list[int]:
+        """Release base^(c_regs[0] * c_regs[1] * ...) mod `mod`.
+
+        Emits the left-fold product (registers name("m1"), name("m2"), ...),
+        the power (name("s")) and the Return of it, tagged `phase`; returns
+        the indices of the product and the power, the infection chain.
+        """
+        chain = []
+        acc = c_regs[0]
+        for k, c in enumerate(c_regs[1:], 1):
+            reg = name(f"m{k}")
+            chain.append(self.emit(BinOp(reg, "mul", acc, c), "infect"))
+            acc = reg
+        sig = name("s")
+        chain.append(self.emit(ModExp(sig, base, acc, mod), "output"))
+        self.emit(Ret(sig), phase)
+        return chain
+
     def program(self, source: Program, name: str, **meta) -> Program:
-        """The stream as a valid program with source's metadata, as updated."""
+        """The stream as a valid program with source's metadata, as updated.
+
+        verification_checks always lists the stream's CheckEq positions.
+        """
+        checks = tuple(i for i, ins in enumerate(self.instrs) if isinstance(ins, CheckEq))
         result = Program(
             name,
             source.inputs,
             tuple(self.instrs),
-            replace(source.meta, phases=tuple(self.phases), **meta),
+            replace(source.meta, phases=tuple(self.phases), verification_checks=checks, **meta),
         )
         check_runnable(result)
         return result
@@ -102,9 +132,9 @@ def to_infective(program: Program) -> Program:
     # the listings' "+1" is an immediate: give it its own register so no
     # fault on a core constant can reach into the infection factors
     one_reg = ONE_RESERVED
+    loads = {i.name: i.dst for i in program.instrs if isinstance(i, LoadInput)}
     need_n = n_reg is None
     if need_n:
-        loads = {i.name: i.dst for i in program.instrs if isinstance(i, LoadInput)}
         if "p" not in loads or "q" not in loads:
             raise NotTestBased(f"{program.name} gives no way to form the public modulus")
         n_reg = N_RESERVED
@@ -115,9 +145,9 @@ def to_infective(program: Program) -> Program:
     factors: list[InfectionFactor] = []
     infection: list[int] = []
     helper_tail: list[int] = []
-    k = 0
     for i, ins in enumerate(program.instrs):
         if isinstance(ins, CheckEq):
+            k = len(factors)
             if k == 0:
                 emit(Const(one_reg, 1), phases[i])
             d_reg, c_reg = f"inf{k}d", f"inf{k}c"
@@ -125,19 +155,13 @@ def to_infective(program: Program) -> Program:
             ci = emit(BinOp(c_reg, "add", d_reg, one_reg, ins.mod), phases[i])
             factors.append(InfectionFactor(c_reg, ins.a, ins.b, ins.mod, di, ci, k))
             idx_map[i] = ci
-            k += 1
         elif isinstance(ins, Ret):
             if need_n:
-                loads = {x.name: x.dst for x in program.instrs if isinstance(x, LoadInput)}
                 # feeds only the final power's modulus slot: output machinery
                 helper_tail.append(emit(BinOp(n_reg, "mul", loads["p"], loads["q"]), "infect"))
-            acc = factors[0].c_reg
-            for j in range(1, len(factors)):
-                reg = f"infm{j}"
-                infection.append(emit(BinOp(reg, "mul", acc, factors[j].c_reg), "infect"))
-                acc = reg
-            infection.append(emit(ModExp("infs", ins.src, acc, n_reg), "output"))
-            idx_map[i] = emit(Ret("infs"), phases[i])
+            c_regs = [f.c_reg for f in factors]
+            infection = out.infect(ins.src, c_regs, n_reg, lambda stem: "inf" + stem, phases[i])
+            idx_map[i] = len(out.instrs) - 1
         else:
             idx_map[i] = emit(ins, phases[i])
 
@@ -145,7 +169,6 @@ def to_infective(program: Program) -> Program:
     return out.program(
         program,
         program.name + "-infective",
-        verification_checks=(),
         factors=tuple(factors),
         infection_indices=tuple(infection),
         output_tail=tuple(sorted(tail)),
@@ -154,8 +177,8 @@ def to_infective(program: Program) -> Program:
     )
 
 
-def _canonical_chain(program: Program) -> tuple[int, ModExp]:
-    """Verify the product/power shape; return (final power index, its instr)."""
+def _canonical_chain(program: Program) -> ModExp:
+    """Verify the product/power shape; return the final power."""
     factors = program.meta.factors
     infection = program.meta.infection_indices
     instrs = program.instrs
@@ -165,8 +188,7 @@ def _canonical_chain(program: Program) -> tuple[int, ModExp]:
         )
     if not isinstance(instrs[-1], Ret):
         raise UnrecognizedInfectionShape(f"{program.name} has no final return")
-    exp_idx = infection[-1]
-    exp_ins = instrs[exp_idx]
+    exp_ins = instrs[infection[-1]]
     if not isinstance(exp_ins, ModExp) or instrs[-1].src != exp_ins.dst:
         raise UnrecognizedInfectionShape("released value is not the infected power")
     c_regs = [f.c_reg for f in factors]
@@ -187,7 +209,7 @@ def _canonical_chain(program: Program) -> tuple[int, ModExp]:
         acc = mins.dst
     if exp_ins.exp != acc:
         raise UnrecognizedInfectionShape("power exponent is not the factor product")
-    return exp_idx, exp_ins
+    return exp_ins
 
 
 def to_testbased(program: Program) -> Program:
@@ -200,10 +222,10 @@ def to_testbased(program: Program) -> Program:
     factors = program.meta.factors
     if not factors:
         raise NotInfective(f"{program.name} records no verification factors")
-    _exp_idx, exp_ins = _canonical_chain(program)
+    exp_ins = _canonical_chain(program)
     instrs = program.instrs
 
-    replace: dict[int, InfectionFactor] = {}
+    check_at: dict[int, InfectionFactor] = {}
     drop: set[int] = set(program.meta.infection_indices)
     one_reg = program.meta.one_reg
     for f in factors:
@@ -224,50 +246,35 @@ def to_testbased(program: Program) -> Program:
             and (one_reg is None or cins.b == one_reg)
         ):
             raise UnrecognizedInfectionShape(f"factor {f.c_reg} is not difference plus one")
-        replace[f.diff_idx] = f
+        check_at[f.diff_idx] = f
         drop.add(f.diff_idx)
         drop.add(f.c_idx)
+
+    # helper registers this module inserted are dropped once nothing kept
+    # reads them: not the surviving instructions, the checks or the Return
+    ret_idx = len(instrs) - 1
+    kept = [ins for i, ins in enumerate(instrs[:ret_idx]) if i not in drop]
+    read = {r for ins in kept for _s, r in reads_of(ins)} | {exp_ins.base}
+    read |= {r for f in factors for r in (f.a_reg, f.b_reg, f.mod_reg)}
+    dead = {ONE_RESERVED, N_RESERVED} - read
+    drop |= {i for i, ins in enumerate(instrs) if dst_of(ins) in dead}
 
     phases = _phases_of(program)
     out = _Listing()
     emit = out.emit
     idx_map: dict[int, int] = {}
-    new_checks: list[int] = []
-    ret_idx = len(instrs) - 1
     for i, ins in enumerate(instrs):
         if i == ret_idx:
             idx_map[i] = emit(Ret(exp_ins.base), phases[i])
-        elif i in replace:
-            f = replace[i]
-            ci = emit(CheckEq(f.a_reg, f.b_reg, f.mod_reg), phases[i])
-            new_checks.append(ci)
-            idx_map[i] = ci
-        elif i in drop:
-            continue
-        else:
+        elif i in check_at:
+            f = check_at[i]
+            idx_map[i] = emit(CheckEq(f.a_reg, f.b_reg, f.mod_reg), phases[i])
+        elif i not in drop:
             idx_map[i] = emit(ins, phases[i])
-
-    # helper registers this module inserted are dropped once they go dead
-    read_now = {r for ins in out.instrs for _s, r in reads_of(ins)}
-    dead = {
-        j
-        for j, ins in enumerate(out.instrs)
-        if dst_of(ins) in (ONE_RESERVED, N_RESERVED) and dst_of(ins) not in read_now
-    }
-    if dead:
-        shift: dict[int, int] = {}
-        kept = _Listing()
-        for j, ins in enumerate(out.instrs):
-            if j not in dead:
-                shift[j] = kept.emit(ins, out.phases[j])
-        out = kept
-        idx_map = {i: shift[j] for i, j in idx_map.items() if j in shift}
-        new_checks = [shift[j] for j in new_checks]
 
     name = program.name
     if name.endswith("-infective"):
         name = name[: -len("-infective")]
-    one_reg = program.meta.one_reg
     if one_reg == ONE_RESERVED:
         # the reserved unit constant is dropped above; point back at a unit
         # constant surviving in the core, if the core carries one
@@ -278,7 +285,6 @@ def to_testbased(program: Program) -> Program:
     return out.program(
         program,
         name,
-        verification_checks=tuple(new_checks),
         factors=(),
         infection_indices=(),
         output_tail=tuple(sorted(idx_map[i] for i in program.meta.output_tail if i in idx_map)),
@@ -319,6 +325,8 @@ def harden(program: Program, copies: int) -> Program:
     unchanged. Test-based units are single checks; infective units are
     factor groups, and the product chain is rebuilt over every copy so a
     single erased factor still leaves a detecting one in the exponent.
+    Copies follow their unit's last instruction; the old chain is skipped
+    and the new one is emitted at the Return, when every copy exists.
     """
     if copies < 1:
         raise ValueError("copies must be at least 1")
@@ -326,12 +334,13 @@ def harden(program: Program, copies: int) -> Program:
         return program
     instrs = program.instrs
     check_idxs = [i for i, ins in enumerate(instrs) if isinstance(ins, CheckEq)]
-    factors = program.meta.factors
+    factors: tuple[InfectionFactor, ...] = ()
     if check_idxs:
         units: list[tuple[tuple[InfectionFactor, ...], tuple[int, ...]]] = [
             ((), (i,)) for i in check_idxs
         ]
-    elif factors:
+    elif program.meta.factors:
+        factors = program.meta.factors
         grouped: dict[int, list[InfectionFactor]] = {}
         for f in factors:
             grouped.setdefault(f.group, []).append(f)
@@ -339,7 +348,7 @@ def harden(program: Program, copies: int) -> Program:
             (tuple(fs), tuple(sorted({i for f in fs for i in (f.diff_idx, f.c_idx)})))
             for _g, fs in sorted(grouped.items())
         ]
-        _canonical_chain(program)  # chain rebuild below needs the shape
+        exp_ins = _canonical_chain(program)
     else:
         raise NoVerifications(f"{program.name} verifies nothing to replicate")
 
@@ -347,104 +356,59 @@ def harden(program: Program, copies: int) -> Program:
     for i, ins in enumerate(instrs):
         for _s, r in reads_of(ins):
             readers.setdefault(r, set()).add(i)
+    taken = {dst_of(ins) for ins in instrs}
+
+    def fresh(stem: str) -> str:
+        r = stem
+        while r in taken:
+            r += "x"
+        taken.add(r)
+        return r
 
     by_anchor = {unit[-1]: (ufs, unit) for ufs, unit in units}
+    old_chain = set(program.meta.infection_indices) if factors else set()
     phases = _phases_of(program)
     out = _Listing()
     emit = out.emit
     idx_map: dict[int, int] = {}
-    copy_factors: dict[int, list[InfectionFactor]] = {}  # original factor c_idx -> copies
+    copied: dict[int, list[InfectionFactor]] = {}  # factor c_idx -> its copies
+    new_factors: list[InfectionFactor] = []
+    infection: list[int] = []
     for i, ins in enumerate(instrs):
+        if i in old_chain:
+            continue
+        if factors and isinstance(ins, Ret):
+            for f in factors:
+                moved = replace(f, diff_idx=idx_map[f.diff_idx], c_idx=idx_map[f.c_idx])
+                new_factors += [moved, *copied.get(f.c_idx, [])]
+            c_regs = [f.c_reg for f in new_factors]
+            infection = out.infect(
+                exp_ins.base, c_regs, exp_ins.mod, lambda stem: fresh("h" + stem), phases[i]
+            )
+            idx_map[i] = len(out.instrs) - 1
+            continue
         idx_map[i] = emit(ins, phases[i])
         if i not in by_anchor:
             continue
         ufs, unit = by_anchor[i]
-        block = _exclusive_slice(program, unit, readers) + list(unit)
-        block.sort()
+        block = sorted(_exclusive_slice(program, unit, readers) + list(unit))
+        dsts = [dst_of(instrs[j]) for j in block]
         for t in range(1, copies):
-            ren = {
-                dst_of(instrs[j]): f"{dst_of(instrs[j])}h{t}"
-                for j in block
-                if dst_of(instrs[j]) is not None
-            }
-            placed: dict[int, int] = {}
-            for j in block:
-                placed[j] = emit(rename_registers(instrs[j], ren), phases[j])
+            ren = {r: fresh(f"{r}h{t}") for r in dsts if r is not None}
+            placed = {j: emit(rename_registers(instrs[j], ren), phases[j]) for j in block}
             for f in ufs:
-                copy_factors.setdefault(f.c_idx, []).append(
-                    InfectionFactor(
-                        ren[f.c_reg],
-                        ren.get(f.a_reg, f.a_reg),
-                        ren.get(f.b_reg, f.b_reg),
-                        None if f.mod_reg is None else ren.get(f.mod_reg, f.mod_reg),
-                        placed[f.diff_idx],
-                        placed[f.c_idx],
-                        f.group,
-                    )
+                a, b, m = (ren.get(r, r) for r in (f.a_reg, f.b_reg, f.mod_reg))
+                copy = InfectionFactor(
+                    ren[f.c_reg], a, b, m, placed[f.diff_idx], placed[f.c_idx], f.group
                 )
+                copied.setdefault(f.c_idx, []).append(copy)
 
-    name = f"{program.name}-h{copies}"
-    if check_idxs:
-        return out.program(
-            program,
-            name,
-            verification_checks=tuple(
-                j for j, ins in enumerate(out.instrs) if isinstance(ins, CheckEq)
-            ),
-            factors=(),
-            infection_indices=(),
-            output_tail=tuple(sorted(idx_map[i] for i in program.meta.output_tail)),
-        )
-
-    # infective: relocate factor records, then rebuild the chain over all copies
-    new_factors: list[InfectionFactor] = []
-    for f in factors:
-        new_factors.append(replace(f, diff_idx=idx_map[f.diff_idx], c_idx=idx_map[f.c_idx]))
-        new_factors.extend(copy_factors.get(f.c_idx, []))
-    old_chain = {idx_map[i] for i in program.meta.infection_indices}
-    exp_ins = program.instrs[program.meta.infection_indices[-1]]
-    existing = {dst_of(x) for x in out.instrs if dst_of(x) is not None}
-
-    def fresh(stem: str) -> str:
-        r = stem
-        while r in existing:
-            r += "x"
-        existing.add(r)
-        return r
-
-    out2 = _Listing()
-    emit2 = out2.emit
-    map2: dict[int, int] = {}
-    new_infection: list[int] = []
-    for j, ins in enumerate(out.instrs):
-        if j in old_chain:
-            continue
-        if isinstance(ins, Ret):
-            regs = [f.c_reg for f in new_factors]
-            acc = regs[0]
-            for k in range(1, len(regs)):
-                reg = fresh(f"hm{k}")
-                new_infection.append(emit2(BinOp(reg, "mul", acc, regs[k]), "infect"))
-                acc = reg
-            sig = fresh("hs")
-            new_infection.append(emit2(ModExp(sig, exp_ins.base, acc, exp_ins.mod), "output"))
-            map2[j] = emit2(Ret(sig), out.phases[j])
-        else:
-            map2[j] = emit2(ins, out.phases[j])
-
-    tail = {
-        map2[idx_map[i]]
-        for i in program.meta.output_tail
-        if idx_map[i] in map2
-    } | set(new_infection)
-    return out2.program(
+    tail = {idx_map[i] for i in program.meta.output_tail if i in idx_map} | set(infection)
+    return out.program(
         program,
-        name,
-        verification_checks=(),
-        factors=tuple(
-            replace(f, diff_idx=map2[f.diff_idx], c_idx=map2[f.c_idx]) for f in new_factors
-        ),
-        infection_indices=tuple(new_infection),
+        f"{program.name}-h{copies}",
+        factors=tuple(new_factors),
+        infection_indices=tuple(infection),
         output_tail=tuple(sorted(tail)),
     )
 

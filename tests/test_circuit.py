@@ -316,6 +316,12 @@ def test_dump_parse_round_trip():
         "# nreg",
         "# checksum-power two",
         "# factor c a b",
+        # metadata naming an instruction the program does not have
+        "# checks 1",
+        "# infection 0 999",
+        "# tail -1",
+        "# factor c a b - 999 0 0",
+        "# factor c a b m 0 2 0",
     ],
 )
 def test_malformed_program_lines_are_refused(line):

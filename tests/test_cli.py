@@ -1,6 +1,7 @@
 """End-to-end runs of the command line against the built-in demo key."""
 
 import json
+import re
 
 import pytest
 
@@ -86,6 +87,38 @@ def test_dump_transform_pipeline_round_trips(tmp_path):
     ]) == 0
     prog = parse_dump(doubled.read_text())
     assert len(prog.meta.factors) == 10
+
+
+def test_a_hardened_dump_hardens_again(tmp_path):
+    once, twice = tmp_path / "a2.txt", tmp_path / "a4.txt"
+    harden = ["transform", "--kind", "harden"]
+    assert main([*harden, "--algo", "aumuller", "--r-bits", "5", "--out", str(once)]) == 0
+    assert main([*harden, "--program", str(once), "--out", str(twice)]) == 0
+    assert len(parse_dump(twice.read_text()).meta.verification_checks) == 20
+
+
+def test_dumps_naming_missing_instructions_are_refused_by_every_transform(tmp_path, capsys):
+    plain = tmp_path / "plain.txt"
+    assert main(["dump", "--algo", "aumuller-infective", "--r-bits", "5", "--out", str(plain)]) == 0
+    text = plain.read_text()
+    first_factor = next(ln for ln in text.splitlines() if ln.startswith("# factor"))
+    c_reg, a, b, m, _diff, c_idx, group = first_factor.split()[2:]
+    edits = {
+        "infection": re.sub(r"(?m)^# infection .*$", "# infection 999", text),
+        "tail": re.sub(r"(?m)^# tail .*$", "# tail 999", text),
+        "factor": text.replace(
+            first_factor, f"# factor {c_reg} {a} {b} {m} 999 {c_idx} {group}"
+        ),
+    }
+    for what, bad in edits.items():
+        assert bad != text, what
+        path = tmp_path / f"bad-{what}.txt"
+        path.write_text(bad)
+        for kind in ("to-infective", "to-testbased", "harden"):
+            assert main(["transform", "--kind", kind, "--program", str(path)]) == 3, (what, kind)
+    err = capsys.readouterr().err
+    assert err.count("error: cannot parse line") == 9
+    assert "no instruction 999" in err
 
 
 def test_dump_demands_exactly_one_source(tmp_path, capsys):

@@ -1,8 +1,10 @@
 """Source hygiene, read from the syntax trees of src/crtfi.
 
-Every module-level import of a module is used in it, and every private
-(underscore) module-level name is referenced somewhere in the package, so
-no leftover import or helper survives the code that needed it.
+Every module-level import of a module is used in it, every private
+(underscore) module-level name is referenced somewhere in the package, and
+every public method of a package class is referenced outside that class, in
+the package or its tests, so no leftover import, helper or method survives
+the code that needed it.
 """
 
 import ast
@@ -13,6 +15,7 @@ import crtfi
 PACKAGE = Path(crtfi.__file__).parent
 TREES = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
 MODULES = {name: tree for name, tree in TREES.items() if name != "__init__.py"}
+TEST_TREES = [ast.parse(path.read_text()) for path in sorted(Path(__file__).parent.glob("*.py"))]
 
 
 def _bound_imports(tree: ast.Module) -> list[str]:
@@ -68,3 +71,22 @@ def test_every_private_module_level_name_is_referenced():
         if n not in referenced
     ]
     assert orphans == []
+
+
+def test_every_public_method_is_referenced_outside_its_class():
+    unused = []
+    for name, tree in MODULES.items():
+        others = [t for n, t in TREES.items() if n != name] + TEST_TREES
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            rest = [node for node in tree.body if node is not cls]
+            outside = set().union(*map(_loaded, rest + others))
+            unused += [
+                f"{name}: {cls.name}.{node.name}"
+                for node in cls.body
+                if isinstance(node, ast.FunctionDef)
+                and not node.name.startswith("_")
+                and node.name not in outside
+            ]
+    assert unused == []

@@ -12,6 +12,10 @@ on both keys too, sampled and whole. There each value site has a zero and a
 randomize row, so the order of actions inside a site, which decides the
 sampled plans' sort and the whole spaces' enumeration, shows in the bytes.
 The whole spaces take one or two values per site to stay small.
+
+The rewrites are pinned on the demo key: every catalog program under six
+shapes of to_infective, to_testbased and harden, by digest, or by the
+exception class where the rewrite refuses the program.
 """
 
 import hashlib
@@ -22,7 +26,7 @@ from crtfi.circuit import program_digest
 from crtfi.countermeasures import build, catalog
 from crtfi.faultengine import CampaignSpec, run_campaign
 from crtfi.keytools import crt_from_rsa, derive_crt, gen_key
-from crtfi.transforms import harden, to_testbased
+from crtfi.transforms import harden, to_infective, to_testbased
 
 KEYS = {"demo": derive_crt(7, 11, 43), "g82": crt_from_rsa(gen_key(8, 2))}
 
@@ -153,13 +157,90 @@ HIGHER_ORDER_SHA256 = {
     ),
 }
 
-# derived programs on the demo key
+# derived programs on the demo key: every catalog program under each rewrite
+# shape, pinned by digest, or by the exception class name where it is refused
+DERIVED_SHAPES = {
+    "to_infective({})": to_infective,
+    "to_testbased({})": to_testbased,
+    "harden({}, 2)": lambda p: harden(p, 2),
+    "harden({}, 3)": lambda p: harden(p, 3),
+    "harden(to_infective({}), 2)": lambda p: harden(to_infective(p), 2),
+    "to_testbased(harden({}, 2))": lambda p: to_testbased(harden(p, 2)),
+}
+
 DERIVED_DIGEST = {
-    "harden(aumuller-infective, 2)": "98324526155ddef2",
+    "to_infective(unprotected)": "NotTestBased",
+    "to_testbased(unprotected)": "NotInfective",
+    "harden(unprotected, 2)": "NoVerifications",
+    "harden(unprotected, 3)": "NoVerifications",
+    "harden(to_infective(unprotected), 2)": "NotTestBased",
+    "to_testbased(harden(unprotected, 2))": "NoVerifications",
+    "to_infective(straightforward)": "8cdcad769e1847d4",
+    "to_testbased(straightforward)": "NotInfective",
+    "harden(straightforward, 2)": "5dfdc46f4146cb7a",
+    "harden(straightforward, 3)": "0bc2f220f9fa3ecd",
+    "harden(to_infective(straightforward), 2)": "0f3f2587a7815db6",
+    "to_testbased(harden(straightforward, 2))": "NotInfective",
+    "to_infective(giraud-sketch)": "ab42cda5db2bdc16",
+    "to_testbased(giraud-sketch)": "NotInfective",
+    "harden(giraud-sketch, 2)": "34d779ffece3aac6",
+    "harden(giraud-sketch, 3)": "82fa3be8a1bca2a6",
+    "harden(to_infective(giraud-sketch), 2)": "d591e0e0e4c67c68",
+    "to_testbased(harden(giraud-sketch, 2))": "NotInfective",
+    "to_infective(shamir)": "dc1c479e3f8e4413",
+    "to_testbased(shamir)": "NotInfective",
     "harden(shamir, 2)": "b6db50ea704da9c6",
-    "to_testbased(aumuller-infective)": "80429e0ffa735f15",
+    "harden(shamir, 3)": "e04c09b39e076d79",
+    "harden(to_infective(shamir), 2)": "d1925138be9c49e6",
+    "to_testbased(harden(shamir, 2))": "NotInfective",
+    "to_infective(fixed-shamir)": "cb5937454bcba687",
+    "to_testbased(fixed-shamir)": "NotInfective",
+    "harden(fixed-shamir, 2)": "962fc399cc2ab41f",
+    "harden(fixed-shamir, 3)": "0c209b503394a6f0",
+    "harden(to_infective(fixed-shamir), 2)": "69a9708c6aa1eeb4",
+    "to_testbased(harden(fixed-shamir, 2))": "NotInfective",
+    "to_infective(joye)": "b56982dc64cde1f1",
+    "to_testbased(joye)": "NotInfective",
+    "harden(joye, 2)": "83cae35671c76215",
+    "harden(joye, 3)": "e69317ec93bcb224",
+    "harden(to_infective(joye), 2)": "c8f3be15f177ef67",
+    "to_testbased(harden(joye, 2))": "NotInfective",
+    "to_infective(ciet-joye)": "NotTestBased",
+    "to_testbased(ciet-joye)": "UnrecognizedInfectionShape",
+    "harden(ciet-joye, 2)": "UnrecognizedInfectionShape",
+    "harden(ciet-joye, 3)": "UnrecognizedInfectionShape",
+    "harden(to_infective(ciet-joye), 2)": "NotTestBased",
+    "to_testbased(harden(ciet-joye, 2))": "UnrecognizedInfectionShape",
+    "to_infective(blomer)": "NotTestBased",
     "to_testbased(blomer)": "eff64fd911641dc0",
+    "harden(blomer, 2)": "3e819de4f2007167",
+    "harden(blomer, 3)": "e0d3b7793a6754b5",
+    "harden(to_infective(blomer), 2)": "NotTestBased",
+    "to_testbased(harden(blomer, 2))": "fc1f66692b05ab1a",
+    "to_infective(aumuller)": "ccf2c419f423d8d5",
+    "to_testbased(aumuller)": "NotInfective",
+    "harden(aumuller, 2)": "df655543076fb521",
+    "harden(aumuller, 3)": "96362778192750ba",
+    "harden(to_infective(aumuller), 2)": "98324526155ddef2",
+    "to_testbased(harden(aumuller, 2))": "NotInfective",
+    "to_infective(aumuller-infective)": "NotTestBased",
+    "to_testbased(aumuller-infective)": "80429e0ffa735f15",
+    "harden(aumuller-infective, 2)": "98324526155ddef2",
+    "harden(aumuller-infective, 3)": "31eb9688c29d0ffc",
+    "harden(to_infective(aumuller-infective), 2)": "NotTestBased",
+    "to_testbased(harden(aumuller-infective, 2))": "766981c4c454d35d",
+    "to_infective(vigilant)": "2895cbcaccd20749",
+    "to_testbased(vigilant)": "NotInfective",
+    "harden(vigilant, 2)": "f953dfbd2ad04788",
+    "harden(vigilant, 3)": "d23c08dcbb74571f",
+    "harden(to_infective(vigilant), 2)": "819df8bd0520450a",
+    "to_testbased(harden(vigilant, 2))": "NotInfective",
+    "to_infective(vigilant-simplified-infective)": "NotTestBased",
     "to_testbased(vigilant-simplified-infective)": "48b5012d70e29def",
+    "harden(vigilant-simplified-infective, 2)": "46ccdeac7596012e",
+    "harden(vigilant-simplified-infective, 3)": "e11d96257823da91",
+    "harden(to_infective(vigilant-simplified-infective), 2)": "NotTestBased",
+    "to_testbased(harden(vigilant-simplified-infective, 2))": "d01832354727da7c",
 }
 
 CASES = [f"{k}/{e.algo}" for k in KEYS for e in catalog()]
@@ -191,20 +272,16 @@ def test_campaign_report_bytes_are_pinned(case):
 
 def test_derived_program_digests_are_pinned():
     key = KEYS["demo"]
-
-    def prog(algo):
-        return build(algo, key, r_bits=5)
-
-    got = {
-        "harden(aumuller-infective, 2)": harden(prog("aumuller-infective"), 2),
-        "harden(shamir, 2)": harden(prog("shamir"), 2),
-        "to_testbased(aumuller-infective)": to_testbased(prog("aumuller-infective")),
-        "to_testbased(blomer)": to_testbased(prog("blomer")),
-        "to_testbased(vigilant-simplified-infective)": to_testbased(
-            prog("vigilant-simplified-infective")
-        ),
-    }
-    assert {k: program_digest(p) for k, p in got.items()} == DERIVED_DIGEST
+    got = {}
+    for entry in catalog():
+        for shape, rewrite in DERIVED_SHAPES.items():
+            try:
+                p = rewrite(build(entry.algo, key, r_bits=5))
+            except ValueError as exc:
+                got[shape.format(entry.algo)] = type(exc).__name__
+            else:
+                got[shape.format(entry.algo)] = program_digest(p)
+    assert got == DERIVED_DIGEST
 
 
 @pytest.mark.parametrize("case", sorted(HIGHER_ORDER_SHA256))

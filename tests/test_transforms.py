@@ -16,7 +16,7 @@ from crtfi.circuit import (
     rename_registers,
 )
 from crtfi.countermeasures import build, catalog, program_inputs
-from crtfi.keytools import derive_crt
+from crtfi.keytools import crt_from_rsa, derive_crt, gen_key
 from crtfi.modmath import FactorClass, bellcore_extract
 from crtfi.transforms import (
     NoVerifications,
@@ -206,6 +206,29 @@ def test_harden_keeps_vigilant_clean():
     p = build("vigilant", TINY, r_bits=5, build_seed=0)
     h = harden(p, 2)
     assert run(h).result == run(p).result == Signature(30)
+
+
+@pytest.mark.parametrize("key", [TINY, crt_from_rsa(gen_key(8, 2))], ids=["demo", "g82"])
+def test_harden_composes(key):
+    def units(program):
+        checks = sum(isinstance(i, CheckEq) for i in program.instrs)
+        return checks or len(program.meta.factors)
+
+    accepted = 0
+    for entry in catalog():
+        p = build(entry.algo, key, r_bits=5)
+        try:
+            once = harden(p, 2)
+        except ValueError:
+            continue
+        twice = harden(once, 2)
+        assert units(twice) == 4 * units(p), entry.algo
+        inputs = program_inputs(p, key, 2)
+        signature = execute(p, inputs, seed=42).result
+        assert isinstance(signature, Signature)
+        assert execute(twice, inputs, seed=42).result == signature, entry.algo
+        accepted += 1
+    assert accepted == 10
 
 
 # --------------------------------------------------------------- isomorphism
