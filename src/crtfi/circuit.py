@@ -1180,15 +1180,17 @@ def _parse_instr(line: str) -> Instr:
 def parse_dump(text: str) -> Program:
     """Inverse of dump_program (round-trips metadata).
 
-    A line that is not well formed, or whose metadata names an instruction
-    index the program does not have, raises ValueError naming it; a comment
-    line with an unknown tag is ignored.
+    A line that is not well formed, whose metadata names an instruction
+    index the program does not have, or whose phases do not tag each
+    instruction once, raises ValueError naming it; a comment line with an
+    unknown tag is ignored.
     """
     name = "parsed"
     inputs: tuple[str, ...] = ()
     instrs: list[Instr] = []
     meta: dict[str, object] = {}
     indexed: list[tuple[str, tuple[int, ...]]] = []  # metadata lines naming indices
+    phases_line = ""
     for raw in text.splitlines():
         line = raw.strip()
         if not line:
@@ -1216,6 +1218,8 @@ def parse_dump(text: str) -> Program:
                     meta[f] = tuple(map(item, rest))
                     if item is int:  # checks, infection and tail list indices
                         indexed.append((line, meta[f]))
+                    elif f == "phases":
+                        phases_line = line
                 else:
                     meta[f] = item(rest[0])
         except (IndexError, ValueError):  # a missing, extra or non-integer field
@@ -1224,6 +1228,11 @@ def parse_dump(text: str) -> Program:
         bad = [i for i in idxs if not 0 <= i < len(instrs)]
         if bad:
             raise ValueError(f"cannot parse line {line!r}: no instruction {bad[0]}")
+    if phases_line and len(meta["phases"]) != len(instrs):
+        raise ValueError(
+            f"cannot parse line {phases_line!r}: {len(meta['phases'])} phases "
+            f"for {len(instrs)} instructions"
+        )
     return Program(name=name, inputs=inputs, instrs=tuple(instrs), meta=ProgramMeta(**meta))
 
 

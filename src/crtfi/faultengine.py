@@ -367,7 +367,10 @@ def site_action_table(program: Program, spec: CampaignSpec) -> list[SiteActions]
             table.append(SiteActions(site, FaultKind.ZERO, (None,), True, dom))
         if "randomize" in spec.kinds:
             if dom <= spec.exhaustive_threshold:
-                vals = tuple(v for v in range(dom) if v != nominal)
+                if 0 <= nominal < dom:
+                    vals = (*range(nominal), *range(nominal + 1, dom))
+                else:
+                    vals = tuple(range(dom))
                 table.append(SiteActions(site, FaultKind.RANDOMIZE, vals, True, dom))
             else:
                 rng = _site_sample_rng(spec, site.key(program))
@@ -410,9 +413,13 @@ class ActionIds:
     Ids ascend by site (writes by index, reads by index and slot, skip
     windows by first then last index), then by kind name (randomize, skip,
     zero), then by value, so tuples of ids sort as the actions they stand
-    for. Row r holds the consecutive ids from base[r]. groups lists each
-    site's rows in table order as (value count, first id), sites in order
-    of first appearance, and sizes their action counts.
+    for. Row r holds the consecutive ids from base[r]. Sites are numbered
+    in order of first appearance in the table; sizes holds their action
+    counts, a site's actions counting through its rows in table order. A
+    site has at most two rows (zero and randomize, or one skip row), so
+    spans decodes its action k by arithmetic: with spans[g] = (n0, b0,
+    off), the id is b0 + k in the first row (k < n0) and off + k in the
+    second.
     """
 
     def __init__(self, table: list[SiteActions]):
@@ -429,16 +436,19 @@ class ActionIds:
         groups: dict[FaultSite, list[tuple[int, int]]] = {}
         for r, t in enumerate(table):
             groups.setdefault(t.site, []).append((len(t.values), self.base[r]))
-        self.groups = list(groups.values())
-        self.sizes = [sum(n for n, _b in g) for g in self.groups]
+        self.sizes = [sum(n for n, _b in g) for g in groups.values()]
+        self.spans = []
+        for g in groups.values():
+            assert len(g) <= 2, "a site has at most a zero and a randomize row"
+            (n0, b0), *second = g
+            self.spans.append((n0, b0, second[0][1] - n0 if second else b0))
 
     def nth(self, group: int, k: int) -> int:
         """Id of action k of one site, counting through its rows in table order."""
-        for n, first in self.groups[group]:
-            if k < n:
-                return first + k
-            k -= n
-        raise IndexError(k)
+        if k >= self.sizes[group]:
+            raise IndexError(k)
+        n0, b0, off = self.spans[group]
+        return b0 + k if k < n0 else off + k
 
     def locate(self, a: int) -> tuple[int, int]:
         """(table row, value index) of action id a."""
@@ -476,40 +486,92 @@ def build_plans(
     combination of distinct sites when the exact count fits plan_limit,
     combinations in table order with the first site's action varying
     fastest; otherwise plan_limit distinct draws (site subset uniform, one
-    of the site's actions under any kind uniform), sorted. No plan faults
-    a site twice. Plans are tuples of ints, so drawing, deduplicating and
-    sorting never build a FaultAction; the campaign decodes each id once,
-    and ActionIds.fault_plan builds FaultActions only for the successes the
+    of the site's actions under any kind uniform), or as many as 50 *
+    plan_limit draws find, sorted. No plan faults a site twice. Plans are
+    tuples of ints, so drawing, deduplicating and sorting never build a
+    FaultAction; the campaign decodes each id once, and
+    ActionIds.fault_plan builds FaultActions only for the successes the
     replay pass probes.
+
+    A draw is rng.sample(range(sites), order), sorted, then one
+    rng.randrange(size) per picked site, decoded through ActionIds.spans.
+    The loop makes exactly the rng.getrandbits calls those two methods
+    make on CPython (sample's pool or set branch, then _randbelow's
+    redraws), without their layers; test_faultengine's differential test
+    against random.Random on the running interpreter guards the sequence.
     """
     ids = ActionIds(table)
-    if spec.order == 1:
+    order, limit = spec.order, spec.plan_limit
+    if order == 1:
         return None, False, ids
     sizes = ids.sizes
-    if plan_space_size(table, spec.order) <= spec.plan_limit:
+    if plan_space_size(table, order) <= limit:
         per_site = [[ids.nth(g, k) for k in range(n)] for g, n in enumerate(sizes)]
         plans = [
             plan[::-1]
-            for combo in combinations(per_site, spec.order)
+            for combo in combinations(per_site, order)
             for plan in product(*combo[::-1])
         ]
         return plans, False, ids
-    rng = random.Random((spec.seed * 0x9E3779B1 + spec.order) & 0xFFFFFFFFFFFF)
-    sample, randrange, nth = rng.sample, rng.randrange, ids.nth
-    site_range = range(len(sizes))
+    rng = random.Random((spec.seed * 0x9E3779B1 + order) & 0xFFFFFFFFFFFF)
+    bits = rng.getrandbits
+    n_sites = len(sizes)
+    # sample swap-removes from a pool when a list of n_sites is smaller
+    # than a set of order picks, and redraws picked sites otherwise
+    setsize = 21 + (4 ** math.ceil(math.log(order * 3, 4)) if order > 5 else 0)
+    pooled = n_sites <= setsize
+    site_bits = n_sites.bit_length()
+    # per site: (action count, its bit length, n0, b0, off of ActionIds.spans)
+    draws = [(n, n.bit_length(), *span) for n, span in zip(sizes, ids.spans)]
     plans_set: set[IdPlan] = set()
     guard = 0
-    while len(plans_set) < spec.plan_limit:
+    while len(plans_set) < limit:
         guard += 1
-        if guard > spec.plan_limit * 50:
-            break  # space smaller than the limit in distinct terms
-        picks = sample(site_range, spec.order)
-        picks.sort()
-        plans_set.add(tuple([nth(g, randrange(sizes[g])) for g in picks]))
+        if guard > limit * 50:
+            # sites are drawn uniformly, then one of their actions, so a plan
+            # on a site with many actions is rare: a limit near the space's
+            # size may not be reached
+            break
+        if pooled:
+            pool = list(range(n_sites))
+            picks = []
+            for m in range(n_sites, n_sites - order, -1):
+                j = bits(m.bit_length())
+                while j >= m:
+                    j = bits(m.bit_length())
+                picks.append(pool[j])
+                pool[j] = pool[m - 1]
+            picks.sort()
+        else:
+            picked: set[int] = set()
+            while len(picked) < order:
+                j = bits(site_bits)
+                if j < n_sites:
+                    picked.add(j)
+            picks = sorted(picked)
+        plan = []
+        for g in picks:
+            n, n_bits, n0, b0, off = draws[g]
+            k = bits(n_bits)
+            while k >= n:
+                k = bits(n_bits)
+            plan.append(b0 + k if k < n0 else off + k)
+        plans_set.add(tuple(plan))
     return sorted(plans_set), True, ids
 
 
 # ----------------------------------------------------------------- scoring
+
+
+def _leak(n: int, p: int, q: int, sig: int, v: int) -> tuple[int | None, str | None]:
+    """(factor, side) that the gcd oracle gets from v against signature
+    sig, or (None, None) when v leaks no factor of n = p*q."""
+    cls = bellcore_extract(n, sig, v, p, q).cls
+    if cls is FactorClass.FACTOR_P:
+        return p, "p"
+    if cls is FactorClass.FACTOR_Q:
+        return q, "q"
+    return None, None
 
 
 def score_outcome(n: int, p: int, q: int, baseline_sig: int, result) -> tuple[str, int | None, str | None]:
@@ -519,12 +581,8 @@ def score_outcome(n: int, p: int, q: int, baseline_sig: int, result) -> tuple[st
     v = result.value
     if v == baseline_sig:
         return "silent", None, None
-    b = bellcore_extract(n, baseline_sig, v, p, q)
-    if b.cls is FactorClass.FACTOR_P:
-        return "success", p, "p"
-    if b.cls is FactorClass.FACTOR_Q:
-        return "success", q, "q"
-    return "silent", None, None
+    factor, side = _leak(n, p, q, baseline_sig, v)
+    return ("success" if side else "silent"), factor, side
 
 
 def _runner(program: Program, key: CrtKey, message: int, seed: int) -> FaultRunner:
@@ -631,10 +689,13 @@ class _Tally:
     batches of _BATCH, one FaultRunner.run_batch pass per batch and
     message, and each batch is counted as soon as its passes return: every
     run on each row its plan touches, plan by plan and then message by
-    message. A break also becomes an AttackSuccess, indexed by row, whose
-    id plan is kept for the replay pass. An action id is decoded into its
-    _Piece the first time a plan uses it, and a batch's per-index fault
-    lists are gathered from its plans' pieces, once for all messages.
+    message. Attempts, no-output and silent runs add into three flat
+    per-row int lists, which run writes into rows once, when every plan
+    has run. A break is counted on rows at once and also becomes an
+    AttackSuccess, indexed by row, whose id plan is kept for the replay
+    pass. An action id is decoded into its _Piece the first time a plan
+    uses it, and a batch's per-index fault lists are gathered from its
+    plans' pieces, once for all messages.
     """
 
     def __init__(self, key: CrtKey, program: Program, ids: ActionIds, runs: list):
@@ -656,6 +717,8 @@ class _Tally:
         self.successes: list[AttackSuccess] = []
         self.success_plans: list[IdPlan] = []
         self.row_success_idx: dict[int, list[int]] = {}
+        n_rows = len(self.table)
+        self._attempts, self._no_output, self._silent = [0] * n_rows, [0] * n_rows, [0] * n_rows
         self._pieces: dict[int, _Piece] = {}
         # (index, read slot, skipped indices) per table row, as _Piece has them
         self._sites = [
@@ -675,7 +738,8 @@ class _Tally:
         """Run build_plans' plans in order, in batches of _BATCH. At order 1
         (None) run the table in order instead: each zero and randomize row
         in batches of _BATCH of its values, and the skip rows, one plan
-        each, in batches of _BATCH."""
+        each, in batches of _BATCH. Then write each row's run counts into
+        rows, which _replay reads."""
         if plans is None:
             plans = []
             for r, t in enumerate(self.table):
@@ -686,6 +750,8 @@ class _Tally:
                     plans = []
                     self._run_row(r)
         self._run_plans(plans)
+        for row, attempts, none, silent in zip(self.rows, self._attempts, self._no_output, self._silent):
+            row.attempts, row.no_output, row.silent = attempts, none, silent
 
     def _run_plans(self, plans: list[IdPlan]) -> None:
         for s in range(0, len(plans), _BATCH):
@@ -737,7 +803,8 @@ class _Tally:
         """Count a batch's runs, outs[m][k] being plan k's result on message
         m: an ErrorOut or Crash is no output, the baseline signature is
         silent, and only another value goes to the gcd oracle."""
-        rows, runs = self.rows, self.runs
+        attempts, no_output, silent_runs, runs = self._attempts, self._no_output, self._silent, self.runs
+        n_runs = len(runs)
         for plan, touched, results in zip(batch, plan_rows, zip(*outs)):
             none = silent = 0
             for (m, _runner, sig), res in zip(runs, results):
@@ -746,21 +813,15 @@ class _Tally:
                 elif res.value == sig or not self._broke(plan, touched, m, sig, res.value):
                     silent += 1
             for r in touched:
-                row = rows[r]
-                row.attempts += len(runs)
-                row.no_output += none
-                row.silent += silent
+                attempts[r] += n_runs
+                no_output[r] += none
+                silent_runs[r] += silent
 
     def _broke(self, plan: IdPlan, touched: list[int], m: int, sig: int, v: int) -> bool:
         """Whether v, released by plan on message m, leaks a factor; a
         break is counted on the plan's rows and kept as an AttackSuccess."""
-        key = self.key
-        cls = bellcore_extract(self.n, sig, v, key.p, key.q).cls
-        if cls is FactorClass.FACTOR_P:
-            factor, side = key.p, "p"
-        elif cls is FactorClass.FACTOR_Q:
-            factor, side = key.q, "q"
-        else:
+        factor, side = _leak(self.n, self.key.p, self.key.q, sig, v)
+        if side is None:
             return False
         rows, table, base = self.rows, self.table, self.ids.base
         idx = len(self.successes)

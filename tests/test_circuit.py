@@ -322,6 +322,9 @@ def test_dump_parse_round_trip():
         "# tail -1",
         "# factor c a b - 999 0 0",
         "# factor c a b m 0 2 0",
+        # phases that do not tag each instruction once
+        "# phases load main",
+        "# phases",
     ],
 )
 def test_malformed_program_lines_are_refused(line):

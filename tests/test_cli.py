@@ -121,6 +121,19 @@ def test_dumps_naming_missing_instructions_are_refused_by_every_transform(tmp_pa
     assert "no instruction 999" in err
 
 
+def test_a_dump_whose_phases_miss_instructions_is_refused(tmp_path, capsys):
+    path = tmp_path / "short.txt"
+    assert main(["dump", "--algo", "aumuller", "--r-bits", "5", "--out", str(path)]) == 0
+    text = path.read_text()
+    short = re.sub(r"(?m)^# phases \S+ \S+ ", "# phases ", text)
+    assert short != text
+    path.write_text(short)
+    assert main(["dump", "--program", str(path)]) == 3
+    assert main(["transform", "--kind", "to-infective", "--program", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("error: cannot parse line '# phases") == 2
+
+
 def test_dump_demands_exactly_one_source(tmp_path, capsys):
     assert main(["dump"]) == 2
     some = tmp_path / "p.txt"

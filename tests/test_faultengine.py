@@ -188,27 +188,60 @@ def test_action_ids_ascend_in_plan_order_and_decode_as_the_reference(algo):
             assert ids.fault_plan((ids.nth(g, k),)) == (reference_nth_action(group, k),)
 
 
+def assert_plans_are_the_reference(prog, spec, table, sampled):
+    plans, was_sampled, ids = build_plans(prog, spec, table)
+    assert was_sampled == sampled
+    assert [ids.fault_plan(p) for p in plans] == reference_plans(spec, table)
+    return plans
+
+
 @pytest.mark.parametrize("algo", sorted(CATALOG))
 def test_id_plans_decode_to_the_reference_plan_lists(algo):
     prog = CATALOG[algo]
     spec, table = all_kinds_table(algo, exhaustive_threshold=64, samples_per_site=8)
-    for order in (2, 3):
-        sampled_spec = replace(spec, order=order, plan_limit=300)
-        plans, sampled, ids = build_plans(prog, sampled_spec, table)
-        assert sampled
-        assert [ids.fault_plan(p) for p in plans] == reference_plans(sampled_spec, table)
-    # whole spaces, over 12 sites spread across a table with one or two
-    # values per site (writes, reads and skip windows alike)
+    # Random.sample swap-removes from a pool of up to 21 sites (85 at
+    # order 6) and redraws picked sites above that: the whole table takes
+    # the set branch at orders 2-5, and the first n sites each side of the
+    # two bounds
+    sites = list(dict.fromkeys(t.site for t in table))
+    assert len(sites) > 21
+    for order in range(2, 7):
+        assert_plans_are_the_reference(prog, replace(spec, order=order, plan_limit=300), table, True)
+    for n, order in ((21, 2), (22, 2), (85, 6), (86, 6)):
+        if n <= len(sites):
+            first = set(sites[:n])
+            part = [t for t in table if t.site in first]
+            assert_plans_are_the_reference(prog, replace(spec, order=order, plan_limit=300), part, True)
+    # 12 sites spread across a table with one or two values per site
+    # (writes, reads and skip windows alike): whole spaces, and samples
+    # drawn by Random.sample's swap-remove pool branch
     spec, table = all_kinds_table(algo, exhaustive_threshold=2, samples_per_site=1)
     sites = list(dict.fromkeys(t.site for t in table))
     sites = sites[:: len(sites) // 12][:12]
     table = [t for t in table if t.site in sites]
     for order in (2, 3):
         whole_spec = replace(spec, order=order, plan_limit=10**6)
-        plans, sampled, ids = build_plans(prog, whole_spec, table)
-        assert not sampled
+        plans = assert_plans_are_the_reference(prog, whole_spec, table, False)
         assert len(plans) == plan_space_size(table, order)
-        assert [ids.fault_plan(p) for p in plans] == reference_plans(whole_spec, table)
+    for order in range(2, 7):
+        limit = min(plan_space_size(table, order) // 2, 300)
+        assert_plans_are_the_reference(prog, replace(spec, order=order, plan_limit=limit), table, True)
+
+
+def test_sampling_gives_up_at_the_guard_as_the_reference_does():
+    # one 64-action site and 20 one-action sites at order 2: plans on the big
+    # site are rare, so plan_limit = space - 1 distinct plans are not found
+    # in 50 * plan_limit draws
+    prog = CATALOG["vigilant"]
+    spec, table = all_kinds_table("vigilant", exhaustive_threshold=64, samples_per_site=8)
+    ids = ActionIds(table)
+    sites = list(dict.fromkeys(t.site for t in table))
+    big = sites[ids.sizes.index(64)]
+    keep = {big, *[s for s, n in zip(sites, ids.sizes) if n == 1][:20]}
+    table = [t for t in table if t.site in keep]
+    spec = replace(spec, order=2, plan_limit=plan_space_size(table, 2) - 1)
+    plans = assert_plans_are_the_reference(prog, spec, table, True)
+    assert len(plans) < spec.plan_limit
 
 
 def test_sampled_plans_build_fault_actions_only_for_replayed_successes(monkeypatch):

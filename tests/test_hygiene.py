@@ -74,14 +74,16 @@ def test_every_private_module_level_name_is_referenced():
 
 
 def test_every_public_method_is_referenced_outside_its_class():
+    # each top-level statement's loaded names, read once
+    loaded = {name: [_loaded(node) for node in tree.body] for name, tree in TREES.items()}
+    in_tests = set().union(*map(_loaded, TEST_TREES))
     unused = []
     for name, tree in MODULES.items():
-        others = [t for n, t in TREES.items() if n != name] + TEST_TREES
-        for cls in tree.body:
+        others = in_tests.union(*(names for n, per in loaded.items() if n != name for names in per))
+        for i, cls in enumerate(tree.body):
             if not isinstance(cls, ast.ClassDef):
                 continue
-            rest = [node for node in tree.body if node is not cls]
-            outside = set().union(*map(_loaded, rest + others))
+            outside = others.union(*(names for j, names in enumerate(loaded[name]) if j != i))
             unused += [
                 f"{name}: {cls.name}.{node.name}"
                 for node in cls.body
