@@ -35,14 +35,14 @@ Programs run on three paths that give the same results:
     records the trace and draws. It serves fault-free baselines, the `sign`
     command, skip-fault subsumption, ExecOutcome.regs(), and the tests that
     check the other paths against it.
-  * FaultRunner.run_batch runs a batch of faulted plans, one lane per plan,
-    for campaigns (faultengine.run_campaign). The plans may fault different
-    sites: the faulted instructions and the union of their static dataflow
-    cones are evaluated once, in program order, for all lanes, through the
-    vector kernels.
   * FaultRunner.run runs one faulted plan, decoded as plan_faults decodes
     it, for faultengine.replay_plan and the replay probes. It re-evaluates
     only the instructions the plan changes.
+  * FaultRunner.run_batch runs a batch of faulted plans, one lane per plan,
+    for campaigns (faultengine.run_campaign), by run's rule: the plans may
+    fault different sites, and an instruction is evaluated, once for all
+    lanes and through the vector kernels, when some lane faults it or some
+    lane changed a value it reads.
 
 Both runners start from a baseline execute() run and use the program's
 compiled form (Program.compiled, built once per Program).
@@ -58,7 +58,7 @@ import random
 from dataclasses import astuple, dataclass, field, replace
 from enum import Enum
 from itertools import repeat
-from operator import itemgetter
+from operator import add, eq, itemgetter, mod, mul, sub
 from typing import Callable, Hashable, get_type_hints
 
 from .modmath import is_prime
@@ -205,25 +205,16 @@ def _k_const(ins, xs, i, env):
     return ins.value
 
 
-def _k_add(ins, xs, i, env):
-    v = xs[0] + xs[1]
-    if len(xs) == 2:
-        return v
-    return v % xs[2] if xs[2] >= 2 else _BAD_MODULUS
+def _arith_kernel(op: Callable[[int, int], int]) -> Callable:
+    """The kernel of a BinOp over op: a op b, reduced mod the third operand if any."""
 
+    def kernel(ins, xs, i, env):
+        v = op(xs[0], xs[1])
+        if len(xs) == 2:
+            return v
+        return v % xs[2] if xs[2] >= 2 else _BAD_MODULUS
 
-def _k_sub(ins, xs, i, env):
-    v = xs[0] - xs[1]
-    if len(xs) == 2:
-        return v
-    return v % xs[2] if xs[2] >= 2 else _BAD_MODULUS
-
-
-def _k_mul(ins, xs, i, env):
-    v = xs[0] * xs[1]
-    if len(xs) == 2:
-        return v
-    return v % xs[2] if xs[2] >= 2 else _BAD_MODULUS
+    return kernel
 
 
 def _k_div(ins, xs, i, env):
@@ -276,22 +267,18 @@ def _k_ret(ins, xs, i, env):
     return Signature(xs[0])
 
 
-_BINOP_KERNELS = {"add": _k_add, "sub": _k_sub, "mul": _k_mul, "div": _k_div}
+_ARITH = {"add": add, "sub": sub, "mul": mul}
+_BINOP_KERNELS = {**{op: _arith_kernel(f) for op, f in _ARITH.items()}, "div": _k_div}
 
 
 # A vector kernel computes one instruction for many lanes at once:
 # vkernel(ins, xs, index, env) gets operands that are each a scalar (a value
-# every lane shares) or a lane list, at least one a list, and returns the
-# lane list of what the kernel returns per lane. It returns None where that
-# is not the common case (a modulus below 2, a negative exponent, a value
-# with no inverse); the caller then runs the kernel once per lane, so crash
-# reasons and their precedence are the kernel's.
-
-
-def _lanes(*xs):
-    """Each lane's operand tuple; a scalar operand is every lane's value."""
-    n = max(len(x) for x in xs if x.__class__ is list)  # ValueError without lanes
-    return zip(*[repeat(x, n) if x.__class__ is int else x for x in xs])
+# every lane shares) or a lane list, at least one a list (ValueError if none
+# is: the lane count is the lists' length), and returns the lane list of what
+# the kernel returns per lane. It returns None where that is not the common
+# case (a modulus below 2, a negative exponent, a value with no inverse); the
+# caller then runs the kernel once per lane, so crash reasons and their
+# precedence are the kernel's.
 
 
 def _moduli_ok(m) -> bool:
@@ -299,58 +286,63 @@ def _moduli_ok(m) -> bool:
     return (m if m.__class__ is int else min(m)) >= 2
 
 
-def _v_add(ins, xs, i, env):
-    if len(xs) == 2:
-        return [x + y for x, y in _lanes(*xs)]
-    return [(x + y) % m for x, y, m in _lanes(*xs)] if _moduli_ok(xs[2]) else None
+def _arith_vector(op: Callable[[int, int], int]) -> Callable:
+    """The vector kernel of a BinOp over op."""
 
+    def vector(ins, xs, i, env):
+        n = max(len(x) for x in xs if x.__class__ is list)
+        cols = [repeat(x, n) if x.__class__ is int else x for x in xs]
+        if len(xs) == 2:
+            return list(map(op, *cols))
+        return list(map(mod, map(op, cols[0], cols[1]), cols[2])) if _moduli_ok(xs[2]) else None
 
-def _v_sub(ins, xs, i, env):
-    if len(xs) == 2:
-        return [x - y for x, y in _lanes(*xs)]
-    return [(x - y) % m for x, y, m in _lanes(*xs)] if _moduli_ok(xs[2]) else None
-
-
-def _v_mul(ins, xs, i, env):
-    if len(xs) == 2:
-        return [x * y for x, y in _lanes(*xs)]
-    return [x * y % m for x, y, m in _lanes(*xs)] if _moduli_ok(xs[2]) else None
+    return vector
 
 
 def _v_reduce(ins, xs, i, env):
-    return [x % m for x, m in _lanes(*xs)] if _moduli_ok(xs[1]) else None
+    n = max(len(x) for x in xs if x.__class__ is list)
+    cols = [repeat(x, n) if x.__class__ is int else x for x in xs]
+    return list(map(mod, *cols)) if _moduli_ok(xs[1]) else None
 
 
 def _v_exp(ins, xs, i, env):
+    n = max(len(x) for x in xs if x.__class__ is list)
+    cols = [repeat(x, n) if x.__class__ is int else x for x in xs]
     exp = xs[1]
+    # pow takes a negative exponent as an inverse power; the kernel crashes there
     if not _moduli_ok(xs[2]) or (exp if exp.__class__ is int else min(exp)) < 0:
         return None
-    return [pow(x, e, m) for x, e, m in _lanes(*xs)]
+    return list(map(pow, *cols))
 
 
 def _v_inv(ins, xs, i, env):
+    n = max(len(x) for x in xs if x.__class__ is list)
+    a, m = [repeat(x, n) if x.__class__ is int else x for x in xs]
     if not _moduli_ok(xs[1]):
         return None
     try:
-        return [pow(x, -1, m) for x, m in _lanes(*xs)]
+        return list(map(pow, a, repeat(-1, n), m))
     except ValueError:  # some lane is not invertible
         return None
 
 
 def _v_check(ins, xs, i, env):
+    n = max(len(x) for x in xs if x.__class__ is list)
+    cols = [repeat(x, n) if x.__class__ is int else x for x in xs]
     fail = ErrorOut(i)
     if len(xs) == 2:
-        return [None if x == y else fail for x, y in _lanes(*xs)]
+        return [None if ok else fail for ok in map(eq, *cols)]
     if not _moduli_ok(xs[2]):
         return None
-    return [None if (x - y) % m == 0 else fail for x, y, m in _lanes(*xs)]
+    return [fail if r else None for r in map(mod, map(sub, cols[0], cols[1]), cols[2])]
 
 
 def _v_ret(ins, xs, i, env):
-    return [Signature(x) for x in xs[0]]
+    (src,) = [x for x in xs if x.__class__ is list]
+    return list(map(Signature, src))
 
 
-_BINOP_VECTORS = {"add": _v_add, "sub": _v_sub, "mul": _v_mul}
+_BINOP_VECTORS = {op: _arith_vector(f) for op, f in _ARITH.items()}
 
 
 @dataclass(frozen=True)
@@ -631,6 +623,9 @@ def validate(program: Program) -> list[Defect]:
             ret_seen = True
     if not ret_seen:
         defects.append(Defect("missing-return", len(program.instrs), "no Return", "error"))
+    if program.meta.phases and len(program.meta.phases) != len(program.instrs):
+        detail = f"{len(program.meta.phases)} phases for {len(program.instrs)} instructions"
+        defects.append(Defect("bad-phases", len(program.instrs), detail, "error"))
     for reg, idx in written.items():
         if reg not in read_regs:
             defects.append(Defect("dead-store", idx, f"{reg!r} is never read", "warning"))
@@ -778,27 +773,31 @@ class ExecOutcome:
 def plan_faults(plan: FaultPlan, n: int) -> DecodedPlan:
     """A plan over n instructions as (write replacements, read replacements
     by index then slot, bitmask of skipped indices, bitmask of the indices
-    FaultRunner must re-evaluate first). Sites past either end are dropped;
-    of two actions on one site the later wins.
+    FaultRunner must re-evaluate first). A site past either end changes
+    nothing. A plan that names one site twice is refused with ValueError;
+    overlapping windows, and a write inside a window, are different sites.
     """
     writes: dict[int, int] = {}
     reads: dict[int, dict[int, int]] = {}
+    windows: set[tuple[int, int]] = set()
     skipped = pending = 0
     for act in plan:
         site = act.site
         val = (act.value or 0) if act.kind is FaultKind.RANDOMIZE else 0
-        if isinstance(site, WriteOf):
-            if 0 <= site.index < n:
-                writes[site.index] = val
-                pending |= 1 << site.index
-        elif isinstance(site, ReadOf):
-            if 0 <= site.index < n:
-                reads.setdefault(site.index, {})[site.slot] = val
-                pending |= 1 << site.index
-        else:
+        if isinstance(site, SkipRange):
+            windows.add((site.first, site.last))
             first, last = max(site.first, 0), min(site.last, n - 1)
             if first <= last:
                 skipped |= (1 << (last + 1)) - (1 << first)
+            continue
+        if isinstance(site, WriteOf):
+            writes[site.index] = val
+        else:
+            reads.setdefault(site.index, {})[site.slot] = val
+        if 0 <= site.index < n:
+            pending |= 1 << site.index
+    if len(writes) + sum(map(len, reads.values())) + len(windows) < len(plan):
+        raise ValueError("a plan faults one site twice")
     return writes, reads, skipped, pending | skipped
 
 
@@ -806,6 +805,7 @@ def _site_rng(seed: int, index: int, salt: int) -> random.Random:
     return random.Random((seed * 0x9E3779B1 + index * 0x85EBCA77 + salt) & 0xFFFFFFFFFFFF)
 
 
+@functools.lru_cache(maxsize=8192)
 def skip_fill_value(seed: int, index: int) -> int:
     """Deterministic junk a skipped store leaves behind in its register."""
     return _site_rng(seed, index, 0x5F17).getrandbits(32)
@@ -939,7 +939,7 @@ class FaultRunner:
     skipped, or when a register it reads now differs from the baseline.
     Every other instruction keeps its baseline value; its checks pass and
     the Return releases the baseline signature, as they did in the baseline
-    run. `run_batch` gives the same results for many plans in one pass.
+    run. `run_batch` applies the same rule to many plans in one pass.
     This relies on def-before-use, write-once registers, so a program that
     `validate` rejects raises BuildError here. Campaigns get their runners
     from Program.runner, which keeps them.
@@ -951,7 +951,6 @@ class FaultRunner:
         if not isinstance(self.baseline.result, Signature):
             raise ValueError(f"fault-free baseline of {program.name} is {self.baseline.result}")
         self.signature: int = self.baseline.result.value
-        self._seed = seed
         self._env = (inputs, seed)
         self._ops = code.ops
         self._readers = code.readers
@@ -960,8 +959,6 @@ class FaultRunner:
         for idx, _reg, val in self.baseline.trace:
             self._base[idx] = val
         self._ret = n - 1  # validation puts Return last
-        self._fills: dict[int, int] = {}
-        self._cones: dict[int, int] = {}
 
     def run(self, plan: FaultPlan) -> ExecResult:
         writes, reads, skipped, pending = plan_faults(plan, len(self._ops))
@@ -975,7 +972,7 @@ class FaultRunner:
             if skipped & low:
                 if dst_of(ins) is None:
                     continue  # a skipped check passes; a skipped Return is settled below
-                v = self._fill(i)
+                v = skip_fill_value(env[1], i)
             else:
                 xs = get(vals)
                 rd = reads.get(i)
@@ -1004,26 +1001,22 @@ class FaultRunner:
     ) -> list[ExecResult]:
         """The results of `lanes` plans, lane k's being run(plan k), in one pass.
 
-        writes, reads and skips list each lane's faults per index, each list
-        in plan order, so of two actions a lane takes on one site the later
-        wins, as in plan_faults; a read slot outside the instruction's read
-        slots changes nothing. The pass evaluates every faulted instruction
-        and the union of their static dataflow cones (what reads, directly
-        or not, the values they store) in program order, once for all lanes:
-        through the vector kernel where it applies and the kernel lane by
-        lane elsewhere, then puts each lane's skip fills and write
-        replacements in. A lane that reaches an ErrorOut or Crash keeps that
-        end and drops out; a lane never ended keeps the baseline result, or
-        Signature(0) when it skips the Return. Evaluating whole static cones
-        is exact: kernels are deterministic, and an instruction whose
-        operands all hold their baseline values computes its baseline value,
-        which did not end the baseline run.
+        writes, reads and skips list each lane's faults per index, naming a
+        site at most once per lane, as plan_faults requires of a plan; a read
+        slot outside the instruction's read slots changes nothing. The pass
+        follows run's rule for all lanes at once, in program order: it
+        evaluates an instruction some lane faults or skips, or one reading a
+        value some lane changed, through the vector kernel where it applies
+        and the kernel lane by lane elsewhere, then puts each lane's skip
+        fills and write replacements in. A stored lane list that equals the
+        baseline value in every lane is not kept, so it wakes no reader. A
+        lane that reaches an ErrorOut or Crash keeps that end and drops out;
+        a lane never ended keeps the baseline result, or Signature(0) when it
+        skips the Return.
         """
         readers, base, env = self._readers, self._base, self._env
         results = [self.baseline.result] * lanes
-        mask = 0
-        for i in (*writes, *reads, *skips):
-            mask |= self._cone(i)
+        mask = sum(1 << i for i in {*writes, *reads, *skips})
         alive = list(range(lanes))  # the lane at each position of a lane list
         at, at_alive = None, alive  # each running lane's position (None: its lane)
         vecs: dict[int, list] = {}  # lane lists of stored values, by index
@@ -1064,7 +1057,7 @@ class FaultRunner:
                 out = [base[j] if stores else None] * len(alive)
             if skipping:
                 if stores:
-                    fill = self._fill(j)
+                    fill = skip_fill_value(env[1], j)
                 else:  # a skipped check passes; a skipped Return releases the zero buffer
                     fill = Signature(0) if j == self._ret else None
                 for lane in skipping:
@@ -1087,28 +1080,10 @@ class FaultRunner:
                     out = [out[k] for k in keep]
                     # compact only the lists a later instruction still reads
                     vecs = {s: [v[k] for k in keep] for s, v in vecs.items() if readers[s] >> j > 1}
-            if stores:
+            if stores and out.count(base[j]) < len(out):
                 vecs[j] = out
+                mask |= readers[j]
         return results
-
-    def _fill(self, index: int) -> int:
-        v = self._fills.get(index)
-        if v is None:
-            v = self._fills[index] = skip_fill_value(self._seed, index)
-        return v
-
-    def _cone(self, index: int) -> int:
-        """Bitmask of index and the instructions reading, directly or not,
-        what index stores."""
-        cone = self._cones.get(index)
-        if cone is None:
-            readers = self._readers
-            cone = 1 << index | readers[index]
-            for j in range(index + 1, len(readers)):
-                if cone >> j & 1:
-                    cone |= readers[j]
-            self._cones[index] = cone
-        return cone
 
 
 # ----------------------------------------------------------------- text dumps

@@ -320,7 +320,7 @@ def site_domains(program: Program, baseline_regs: dict[str, int]) -> dict[FaultS
 
 def site_phase(program: Program, site: FaultSite) -> str:
     ph = program.meta.phases
-    if not ph or len(ph) != len(program.instrs):
+    if not ph:
         return "main"
     if isinstance(site, SkipRange):
         return ph[site.first]

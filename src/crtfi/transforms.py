@@ -64,10 +64,9 @@ class NoVerifications(ValueError):
 
 
 def _phases_of(program: Program) -> list[str]:
-    ph = program.meta.phases
-    if len(ph) == len(program.instrs):
-        return list(ph)
-    return ["main"] * len(program.instrs)
+    """Each instruction's phase tag (main if none); BuildError unless runnable."""
+    check_runnable(program)
+    return list(program.meta.phases) or ["main"] * len(program.instrs)
 
 
 class _Listing:

@@ -6,8 +6,9 @@ opcode runs in a program that loads its operands and returns its result,
 on both paths, against an oracle written with Python's own operators. The
 operands reach the instruction once as inputs and once as read faults
 replacing benign baseline operands, alone and as the lanes of one batch.
-Each vector kernel is checked lane by lane against its kernel, with every
-mix of scalar and lane operands.
+Each vector kernel in the opcode table is checked lane by lane against its
+kernel, with every mix of scalar and lane operands, and must refuse
+operands none of which is a lane list.
 """
 
 from itertools import product
@@ -122,10 +123,6 @@ def _name(ins):
     return type(ins).__name__ + getattr(ins, "op", "")
 
 
-def _sample(opcode):
-    return next(ins for ins, _x, _r in CASES if _name(ins) == opcode)
-
-
 CASES = list(_cases())
 OPCODES_UNDER_TEST = sorted({_name(ins) for ins, _x, _r in CASES})
 
@@ -192,14 +189,22 @@ def _uncommon(ins, xs):
     return (mod and least(xs[mod]) < 2) or least(exp) < 0
 
 
-VECTORS = [op for op in OPCODES_UNDER_TEST if _vector_of(_sample(op))]
+# every opcode with a vector kernel, by the table; Ret, which the programs
+# above end with, has cases here only
+VECTORS = sorted(
+    cls.__name__ + op
+    for cls, row in OPCODES.items()
+    if row.vector
+    for op in (row.vector if isinstance(row.vector, dict) else ("",))
+)
+LANE_CASES = CASES + [(Ret("a"), (a,), Signature(a)) for a in VALUES]
 
 
 @pytest.mark.parametrize("opcode", VECTORS)
 def test_each_vector_kernel_matches_its_kernel_lane_by_lane(opcode):
     env = (BENIGN, 0)
     rows_of = {}
-    for ins, operands, _want in CASES:
+    for ins, operands, _want in LANE_CASES:
         if _name(ins) == opcode:
             rows_of.setdefault(ins, []).append(operands)
     checked = 0
@@ -221,6 +226,17 @@ def test_each_vector_kernel_matches_its_kernel_lane_by_lane(opcode):
                     continue
                 assert got == [kernel(ins, list(r), 3, env) for r in lanes], (ins, xs)
                 checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("opcode", VECTORS)
+def test_each_vector_kernel_refuses_operands_with_no_lane_list(opcode):
+    checked = 0
+    for ins, operands, _want in LANE_CASES:
+        if _name(ins) == opcode:
+            with pytest.raises(ValueError):
+                _vector_of(ins)(ins, list(operands), 3, (BENIGN, 0))
+            checked += 1
     assert checked
 
 

@@ -6,8 +6,10 @@ whole order-1 campaign plan lists. FaultRunner.run_batch must give each
 lane the result of its own plan, so it is compared with both on random
 batches of mixed plans of order 1 to 4, on one-site batches of random
 values and on the same plan lists, row by row and in fixed-size chunks.
-Program.runner keeps one runner per (inputs, seed); the last tests check
-that it runs each baseline once and changes no result.
+A plan that names one site twice, and a program whose phases do not tag
+each instruction once, are refused. Program.runner keeps one runner per
+(inputs, seed); the last tests check that it runs each baseline once and
+changes no result.
 """
 
 import functools
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 import crtfi.circuit
 import crtfi.faultengine
 from crtfi.circuit import (
+    OPCODES,
     BinOp,
     CheckEq,
     Const,
@@ -45,6 +48,7 @@ from crtfi.circuit import (
 from crtfi.countermeasures import build, catalog, program_inputs
 from crtfi.faultengine import (
     CampaignSpec,
+    plan_persists,
     replay_plan,
     run_campaign,
     site_action_table,
@@ -127,7 +131,7 @@ def _index_of(act):
 @st.composite
 def plans(draw, n, longest=3):
     """Plans of order 1 to longest, later actions often aimed at an earlier
-    one's site."""
+    one's index or window, each site named once."""
 
     def fresh():
         shape = draw(st.sampled_from(("write", "read", "skip")))
@@ -140,21 +144,23 @@ def plans(draw, n, longest=3):
     acts = [fresh()]
     for _ in range(draw(st.integers(0, longest - 1))):
         prev = draw(st.sampled_from(acts))
-        how = draw(st.sampled_from(("fresh", "same-site", "overlapping-skip", "write-in-skip")))
-        if how == "same-site" and not isinstance(prev.site, SkipRange):
-            acts.append(_value_action(draw, prev.site))
-        elif how == "same-site":
-            acts.append(prev)
+        how = draw(st.sampled_from(("fresh", "same-index", "overlapping-skip", "write-in-skip")))
+        if how == "same-index":
+            i = _index_of(prev)
+            site = draw(st.sampled_from((WriteOf(i), ReadOf(i, 0), ReadOf(i, 1), ReadOf(i, 2))))
+            act = _value_action(draw, site)
         elif how == "overlapping-skip":
-            acts.append(_window(draw, n, _index_of(prev)))
+            act = _window(draw, n, _index_of(prev))
         elif how == "write-in-skip":
             if isinstance(prev.site, SkipRange):
                 i = draw(st.integers(prev.site.first, prev.site.last))
-                acts.append(_value_action(draw, WriteOf(i)))
+                act = _value_action(draw, WriteOf(i))
             else:
-                acts.append(_window(draw, n, prev.site.index))
+                act = _window(draw, n, prev.site.index)
         else:
-            acts.append(fresh())
+            act = fresh()
+        if all(act.site != a.site for a in acts):  # plan_faults refuses a site named twice
+            acts.append(act)
     return tuple(acts)
 
 
@@ -172,14 +178,32 @@ def test_runner_matches_the_reference_on_random_plans(name):
         plan=(FaultAction(SkipRange(n - 3, n - 2), FaultKind.SKIP),
               FaultAction(SkipRange(n - 2, n - 1), FaultKind.SKIP)),
         message=3, seed=42)
-    @example(  # the later of two actions on one site wins
-        plan=(FaultAction(ReadOf(n - 1, 0), FaultKind.RANDOMIZE, -4),
-              FaultAction(ReadOf(n - 1, 0), FaultKind.ZERO)),
-        message=75, seed=0)
     def check(plan, message, seed):
         assert runner(name, message, seed).run(plan) == reference(name, message, seed, plan)
 
     check()
+
+
+def test_a_plan_that_faults_one_site_twice_is_refused():
+    prog = PROGRAMS["aumuller"]
+    n = len(prog.instrs)
+    w = _first_data_write(prog)
+    twice = [
+        (_read(n - 1, 0, -4), FaultAction(ReadOf(n - 1, 0), FaultKind.ZERO)),
+        (_write(w, 5), _read(w + 1, 0, 3), FaultAction(WriteOf(w), FaultKind.ZERO)),
+        (_skip(w, w + 1), _write(w, 5), _skip(w, w + 1)),
+        (_write(n + 4, 1), _write(n + 4, 2)),  # a site past the end is still one site
+    ]
+    inputs = program_inputs(prog, TINY, 2)
+    for plan in twice:
+        for run in (
+            lambda: execute(prog, inputs, seed=42, plan=plan),
+            lambda: runner("aumuller", 2, 42).run(plan),
+            lambda: replay_plan(prog, TINY, 2, plan, 42),
+            lambda: plan_persists(prog, TINY, 2, plan, 42),
+        ):
+            with pytest.raises(ValueError, match="one site twice"):
+                run()
 
 
 def _nominal(prog, base, site):
@@ -293,6 +317,40 @@ def test_a_batch_can_end_every_lane_or_fall_back_to_the_kernel(name):
     assert got == [reference(name, 2, 42, plan) for plan in plans_]
 
 
+def test_lanes_that_all_write_the_baseline_value_evaluate_no_reader(monkeypatch):
+    calls = []
+
+    def counting(kernel):
+        if isinstance(kernel, dict):
+            return {op: counting(k) for op, k in kernel.items()}
+
+        def counted(ins, xs, i, env):
+            calls.append(i)
+            return kernel(ins, xs, i, env)
+
+        return kernel and counted
+
+    for cls, row in list(OPCODES.items()):
+        monkeypatch.setitem(
+            OPCODES, cls, replace(row, kernel=counting(row.kernel), vector=counting(row.vector))
+        )
+    prog = replace(PROGRAMS["aumuller"])  # a fresh Program compiles the counting rows
+    w = _first_data_write(prog)
+    reg = dst_of(prog.instrs[w])
+    readers = {i for i, ins in enumerate(prog.instrs) if reg in dict(reads_of(ins)).values()}
+    assert readers
+    r = FaultRunner(prog, program_inputs(prog, TINY, 2), 42)
+    nominal = r.baseline.regs()[reg]
+    calls.clear()
+    assert r.run_batch(3, {w: [(k, nominal) for k in range(3)]}, {}, {}) == [r.baseline.result] * 3
+    assert not readers & set(calls)
+    # one lane off the baseline value: the readers run, and the counter sees them
+    values = (nominal, nominal + 1, nominal)
+    got = r.run_batch(3, {w: list(enumerate(values))}, {}, {})
+    assert readers & set(calls)
+    assert got == [r.run((_write(w, v),)) for v in values]
+
+
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
 def test_runner_matches_the_reference_on_the_whole_order_one_plan_list(name):
     prog = PROGRAMS[name]
@@ -355,6 +413,19 @@ def test_runner_refuses_a_program_that_reads_before_writing():
             replay_plan(prog, TINY, 5, (FaultAction(WriteOf(1), FaultKind.ZERO),), 42)
     with pytest.raises(ValueError, match="not runnable"):
         run_campaign(CampaignSpec(key=TINY, program=prog, messages=(5,), kinds=("zero",)))
+
+
+def test_a_program_whose_phases_miss_instructions_is_refused():
+    prog = PROGRAMS["straightforward"]
+    inputs = program_inputs(prog, TINY, 2)
+    for phases in (prog.meta.phases[:-2], prog.meta.phases + ("main",)):
+        bad = replace(prog, meta=replace(prog.meta, phases=phases))
+        with pytest.raises(ValueError, match="phases for"):
+            FaultRunner(bad, inputs, 42)
+        with pytest.raises(ValueError, match="phases for"):
+            run_campaign(CampaignSpec(key=TINY, program=bad, messages=(2,), kinds=("zero",)))
+        with pytest.raises(ValueError, match="phases for"):
+            to_infective(bad)
 
 
 @pytest.fixture
