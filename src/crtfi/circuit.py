@@ -356,10 +356,11 @@ class Opcode:
     is None has no slot. reduces_by names the field holding the modulus the
     stored value is reduced by; CheckEq's mod is a comparison ring, not
     that. lookups names a field of registers the kernel also sees, after the
-    operands, without fault sites (the avoid set of a draw; an unwritten one
-    reads 0). vector is the vector kernel, keyed by op like kernel for
-    BinOp; None (or an op missing from the dict) means the lanes run the
-    kernel one by one.
+    operands, without fault sites (the avoid set of a draw); validate wants
+    each written before it is looked up, as an operand is, and execute
+    reads an unwritten one as 0. vector is the vector kernel, keyed by op
+    like kernel for BinOp; None (or an op missing from the dict) means the
+    lanes run the kernel one by one.
     """
 
     keyword: str | None
@@ -606,11 +607,13 @@ def validate(program: Program) -> list[Defect]:
             defects.append(Defect("bad-input", idx, f"{ins.name!r} not declared", "error"))
         if isinstance(ins, DrawRandomPrime) and ins.bits < 2:
             defects.append(Defect("bad-width", idx, "draw width must be >= 2 bits", "error"))
-        for _slot, reg in reads_of(ins):
-            read_regs.add(reg)
+        regs, slots = _operand_regs(ins)
+        read_regs.update(regs[:slots])
+        for k, reg in enumerate(regs):
             if reg not in written:
+                use = "read" if k < slots else "avoided"
                 defects.append(
-                    Defect("def-before-use", idx, f"{reg!r} read before any write", "error")
+                    Defect("def-before-use", idx, f"{reg!r} {use} before any write", "error")
                 )
         dst = dst_of(ins)
         if dst is not None:
@@ -883,10 +886,9 @@ class CompiledProgram:
 
     A register is named by the index of the instruction that writes it.
     ops[i] is (instruction, kernel, writer indices of its operand registers
-    in Program.steps order, read slots, vector kernel or None, getter). A
-    lookup of a register not yet written at i names index len(ops), a slot
-    that always reads 0. The getter takes a list of values indexed like ops
-    and returns the instruction's operand values, in one C call. readers[i]
+    in Program.steps order, read slots, vector kernel or None, getter). The
+    getter takes a list of values indexed like ops and returns the
+    instruction's operand values, in one C call. readers[i]
     is the bitmask of the instructions whose operands see the value
     instruction i stores.
     """
@@ -909,11 +911,10 @@ def _compile(program: Program) -> CompiledProgram:
     ops = []
     readers = [0] * n
     for i, (ins, kernel, operands, slots, dst) in enumerate(program.steps):
-        # validation puts every read slot after its write; lookups may precede it
-        srcs = tuple(writer[r] if k < slots else writer.get(r, n) for k, r in enumerate(operands))
+        # validation puts every operand, lookups included, after its write
+        srcs = tuple(writer[r] for r in operands)
         for s in srcs:
-            if s < n:
-                readers[s] |= 1 << i
+            readers[s] |= 1 << i
         ops.append((ins, kernel, srcs, slots, _vector_of(ins), _getter(srcs)))
         if dst is not None:
             writer[dst] = i
@@ -955,7 +956,7 @@ class FaultRunner:
         self._ops = code.ops
         self._readers = code.readers
         n = len(code.ops)
-        self._base = [0] * (n + 1)  # index n: the always-0 slot of _compile
+        self._base = [0] * n
         for idx, _reg, val in self.baseline.trace:
             self._base[idx] = val
         self._ret = n - 1  # validation puts Return last

@@ -17,9 +17,10 @@ seeds, which re-draws the checksum primes - a collision evaporates, a real
 break does not.
 
 Every (table row, value) of a campaign has an integer action id
-(ActionIds), numbered so that ids ascend in plan sort order. A plan of
+(ActionIds): the row's rank shifted left, or'd with the value's index, so
+ids ascend in plan sort order and decode by shift and mask. A plan of
 order 2 and above is a tuple of ids: it is drawn, deduplicated and sorted
-as ints. The campaign decodes each id once, the first time a plan uses it.
+as ints, and the campaign decodes its ids where a batch gathers its faults.
 FaultActions are built only for the successes the replay pass probes.
 
 Faulted runs go through circuit.FaultRunner, which replays faults against
@@ -48,7 +49,6 @@ import json
 import math
 import random
 import zlib
-from bisect import bisect_right
 from collections import defaultdict
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field, replace
@@ -410,29 +410,29 @@ def _site_order(site: FaultSite) -> tuple[int, int, int]:
 class ActionIds:
     """Integer ids for a campaign's actions, one per (table row, value).
 
-    Ids ascend by site (writes by index, reads by index and slot, skip
+    Rows are ranked by site (writes by index, reads by index and slot, skip
     windows by first then last index), then by kind name (randomize, skip,
-    zero), then by value, so tuples of ids sort as the actions they stand
-    for. Row r holds the consecutive ids from base[r]. Sites are numbered
-    in order of first appearance in the table; sizes holds their action
-    counts, a site's actions counting through its rows in table order. A
-    site has at most two rows (zero and randomize, or one skip row), so
-    spans decodes its action k by arithmetic: with spans[g] = (n0, b0,
-    off), the id is b0 + k in the first row (k < n0) and off + k in the
-    second.
+    zero); by_id lists the table rows in rank order. Value k of the row
+    ranked i has the id i << shift | k, shift being the bit length of the
+    longest row's value count, so ids ascend by rank and then by value and
+    tuples of ids sort as the actions they stand for. An id decodes by
+    arithmetic: its row is by_id[a >> shift] and its value index a & mask.
+    Row r holds the consecutive ids from base[r]; ids are not dense. Sites
+    are numbered in order of first appearance in the table; sizes holds
+    their action counts, a site's actions counting through its rows in
+    table order. A site has at most two rows (zero and randomize, or one
+    skip row), so spans gives its action k: with spans[g] = (n0, b0, off),
+    the id is b0 + k in the first row (k < n0) and off + k in the second.
     """
 
     def __init__(self, table: list[SiteActions]):
         self.table = table
-        by_id = sorted(range(len(table)), key=lambda r: (_site_order(table[r].site), table[r].kind.value))
+        self.by_id = sorted(range(len(table)), key=lambda r: (_site_order(table[r].site), table[r].kind.value))
+        self.shift = max((len(t.values) for t in table), default=0).bit_length()
+        self.mask = (1 << self.shift) - 1
         self.base = [0] * len(table)
-        self._starts: list[int] = []
-        next_id = 0
-        for r in by_id:
-            self.base[r] = next_id
-            self._starts.append(next_id)
-            next_id += len(table[r].values)
-        self._by_id = by_id
+        for rank, r in enumerate(self.by_id):
+            self.base[r] = rank << self.shift
         groups: dict[FaultSite, list[tuple[int, int]]] = {}
         for r, t in enumerate(table):
             groups.setdefault(t.site, []).append((len(t.values), self.base[r]))
@@ -450,18 +450,12 @@ class ActionIds:
         n0, b0, off = self.spans[group]
         return b0 + k if k < n0 else off + k
 
-    def locate(self, a: int) -> tuple[int, int]:
-        """(table row, value index) of action id a."""
-        r = self._by_id[bisect_right(self._starts, a) - 1]
-        return r, a - self.base[r]
-
     def fault_plan(self, plan: IdPlan) -> FaultPlan:
         """The FaultAction tuple an id plan stands for."""
         acts = []
         for a in plan:
-            r, k = self.locate(a)
-            t = self.table[r]
-            acts.append(FaultAction(t.site, t.kind, t.values[k]))
+            t = self.table[self.by_id[a >> self.shift]]
+            acts.append(FaultAction(t.site, t.kind, t.values[a & self.mask]))
         return tuple(acts)
 
 
@@ -489,7 +483,7 @@ def build_plans(
     of the site's actions under any kind uniform), or as many as 50 *
     plan_limit draws find, sorted. No plan faults a site twice. Plans are
     tuples of ints, so drawing, deduplicating and sorting never build a
-    FaultAction; the campaign decodes each id once, and
+    FaultAction; the campaign decodes ids by shift and mask, and
     ActionIds.fault_plan builds FaultActions only for the successes the
     replay pass probes.
 
@@ -675,11 +669,6 @@ def _touches_rng(report_phases: dict[str, str], s: AttackSuccess) -> bool:
 # plans per FaultRunner.run_batch pass
 _BATCH = 256
 
-# an action id decoded for FaultRunner.run_batch: (row, index, read slot or
-# None, replacement, skipped indices); a skip window has index -1 and its
-# indices as the range, a data site the faulted index and an empty range
-_Piece = tuple[int, int, int | None, int, range]
-
 
 class _Tally:
     """A campaign's faulted runs and their bookkeeping.
@@ -693,9 +682,9 @@ class _Tally:
     per-row int lists, which run writes into rows once, when every plan
     has run. A break is counted on rows at once and also becomes an
     AttackSuccess, indexed by row, whose id plan is kept for the replay
-    pass. An action id is decoded into its _Piece the first time a plan
-    uses it, and a batch's per-index fault lists are gathered from its
-    plans' pieces, once for all messages.
+    pass. A batch's per-index fault lists are gathered once for all
+    messages, each action id decoded by ActionIds' shift and mask where a
+    plan uses it.
     """
 
     def __init__(self, key: CrtKey, program: Program, ids: ActionIds, runs: list):
@@ -719,20 +708,15 @@ class _Tally:
         self.row_success_idx: dict[int, list[int]] = {}
         n_rows = len(self.table)
         self._attempts, self._no_output, self._silent = [0] * n_rows, [0] * n_rows, [0] * n_rows
-        self._pieces: dict[int, _Piece] = {}
-        # (index, read slot, skipped indices) per table row, as _Piece has them
+        # (index, read slot or None, skipped indices) per table row: a skip
+        # window has index -1 and its indices as the range, a data site its
+        # faulted index and an empty range
         self._sites = [
             (-1, None, range(t.site.first, t.site.last + 1))
             if isinstance(t.site, SkipRange)
             else (t.site.index, getattr(t.site, "slot", None), range(0))
             for t in self.table
         ]
-
-    def _piece(self, a: int) -> _Piece:
-        r, k = self.ids.locate(a)
-        index, slot, window = self._sites[r]
-        piece = self._pieces[a] = (r, index, slot, self.table[r].values[k] or 0, window)
-        return piece
 
     def run(self, plans: list[IdPlan] | None) -> None:
         """Run build_plans' plans in order, in batches of _BATCH. At order 1
@@ -762,7 +746,7 @@ class _Tally:
     def _run_row(self, r: int) -> None:
         """Run each value of one zero or randomize row as an order-1 plan,
         _BATCH values per batch, whose faults come from the row rather than
-        from pieces."""
+        from decoded ids."""
         index, slot, _window = self._sites[r]
         values = self.table[r].values
         first = self.ids.base[r]
@@ -781,18 +765,22 @@ class _Tally:
 
     def _faults(self, batch: list[IdPlan]) -> tuple[tuple, list[list[int]]]:
         """run_batch's arguments for a batch, and the rows each plan touches."""
-        pieces = self._pieces
+        by_id, shift, mask = self.ids.by_id, self.ids.shift, self.ids.mask
+        sites, table = self._sites, self.table
         writes, reads, skips = defaultdict(list), defaultdict(list), defaultdict(list)
         plan_rows = []
         for lane, plan in enumerate(batch):
             rows = []
             for a in plan:
-                r, i, slot, v, window = pieces.get(a) or self._piece(a)
+                r = by_id[a >> shift]
                 rows.append(r)
+                i, slot, window = sites[r]
                 if window:
                     for j in window:
                         skips[j].append(lane)
-                elif slot is None:
+                    continue
+                v = table[r].values[a & mask] or 0  # zero is randomize to 0
+                if slot is None:
                     writes[i].append((lane, v))
                 else:
                     reads[i].append((lane, slot, v))
@@ -823,7 +811,7 @@ class _Tally:
         factor, side = _leak(self.n, self.key.p, self.key.q, sig, v)
         if side is None:
             return False
-        rows, table, base = self.rows, self.table, self.ids.base
+        rows, table, mask = self.rows, self.table, self.ids.mask
         idx = len(self.successes)
         for r in touched:
             row = rows[r]
@@ -834,7 +822,7 @@ class _Tally:
                 row.factor_q += 1
             self.row_success_idx.setdefault(r, []).append(idx)
         actions = tuple(
-            [(rows[r].site, rows[r].kind, table[r].values[a - base[r]]) for r, a in zip(touched, plan)]
+            [(rows[r].site, rows[r].kind, table[r].values[a & mask]) for r, a in zip(touched, plan)]
         )
         self.successes.append(AttackSuccess(m, actions, v, factor, side, None))
         self.success_plans.append(plan)
@@ -1038,13 +1026,16 @@ def check_skip_subsumption(
 
     One rule turns the window into data faults: each in-window store becomes
     a write replacement carrying that site's skip fill; each in-window
-    instruction, checks included, reads its baseline operand at every slot
-    that reads a register stored earlier in the window, so it computes its
-    baseline value and a check passes, as a skipped one does; every read of
-    an in-window input load from outside the window gets that load's fill;
-    and a window over the Return zeroes the returned read instead. A row is
-    matched when circuit.execute gives the witness and the skip the same
-    result.
+    instruction but the Return, checks included, reads its baseline operand
+    at every read slot, so it computes its baseline value whatever a fault
+    outside the window did to its operands, and a check passes, as a
+    skipped one does; every read of an in-window input load from outside
+    the window gets that load's fill; and a window over the Return zeroes
+    the returned read instead. A row is matched when circuit.execute gives
+    the witness and the skip the same result. Because no in-window
+    instruction computes from a live operand, the witness also matches the
+    skip when a data fault on a site it does not name, outside the window's
+    indices, is added to both.
     """
     inputs = program_inputs(program, key, message)
     baseline = execute(program, inputs, seed=seed).regs()
@@ -1068,7 +1059,6 @@ def _skip_witness(
     maps each register to its fault-free value (a register is written once)."""
     first, last = window
     instrs = program.instrs
-    stored = {dst_of(ins) for ins in instrs[first : last + 1]}
     plan: list[FaultAction] = []
     for i in range(first, last + 1):
         ins = instrs[i]
@@ -1078,7 +1068,6 @@ def _skip_witness(
         plan += [
             FaultAction(ReadOf(i, slot), FaultKind.RANDOMIZE, baseline[reg])
             for slot, reg in reads_of(ins)
-            if reg in stored
         ]
         dst, fill = dst_of(ins), skip_fill_value(seed, i)
         if isinstance(ins, LoadInput):

@@ -105,18 +105,23 @@ def check_crt_key(key: CrtKey) -> None:
     """Raise KeyError_ unless key is a consistent CRT signing key.
 
     p and q must be distinct primes and iq*q = 1 (mod p); when d is known,
-    dp = d (mod p-1) and dq = d (mod q-1). A key failing any of these signs
-    wrongly on its own, so a fault campaign on it measures nothing.
+    dp = d (mod p-1) and dq = d (mod q-1); when e is known, e*dp = 1
+    (mod p-1) and e*dq = 1 (mod q-1); when n is known, n = p*q. A key
+    failing any of these signs wrongly or names another modulus, so a fault
+    campaign on it measures nothing.
     """
     p, q = key.p, key.q
     if not (is_prime(p) and is_prime(q)) or p == q:
         raise KeyError_(f"key p={p}, q={q}: p and q must be distinct primes")
     if key.iq * q % p != 1:
         raise KeyError_(f"key iq={key.iq} is not the inverse of q={q} mod p={p}")
-    if key.d is not None:
-        for name, half, prime in (("dp", key.dp, p), ("dq", key.dq, q)):
-            if (half - key.d) % (prime - 1):
-                raise KeyError_(f"key {name}={half} is not d={key.d} mod {prime - 1}")
+    for name, half, prime in (("dp", key.dp, p), ("dq", key.dq, q)):
+        if key.d is not None and (half - key.d) % (prime - 1):
+            raise KeyError_(f"key {name}={half} is not d={key.d} mod {prime - 1}")
+        if key.e is not None and (key.e * half - 1) % (prime - 1):
+            raise KeyError_(f"key e={key.e} is not the inverse of {name}={half} mod {prime - 1}")
+    if key.n is not None and key.n != p * q:
+        raise KeyError_(f"key N={key.n} is not p*q={p * q}")
 
 
 def crt_from_rsa(key: RsaKey) -> CrtKey:

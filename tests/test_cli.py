@@ -5,9 +5,9 @@ import re
 
 import pytest
 
-from crtfi.circuit import parse_dump
+from crtfi.circuit import BuildError, FaultRunner, Signature, execute, parse_dump, validate
 from crtfi.cli import main
-from crtfi.countermeasures import catalog
+from crtfi.countermeasures import catalog, program_inputs
 from crtfi.keytools import CrtKey, derive_crt, write_key_file
 
 
@@ -134,6 +134,34 @@ def test_a_dump_whose_phases_miss_instructions_is_refused(tmp_path, capsys):
     assert err.count("error: cannot parse line '# phases") == 2
 
 
+def test_a_dump_whose_draw_avoids_an_unwritten_register_is_refused(tmp_path, capsys):
+    # (program, index of its draw, the transforms that accept it unedited)
+    for algo, draw, kinds in (
+        ("shamir", 5, ("to-infective", "harden")),
+        ("aumuller-infective", 6, ("to-testbased", "harden")),
+    ):
+        path = tmp_path / f"{algo}.txt"
+        assert main(["dump", "--algo", algo, "--r-bits", "5", "--out", str(path)]) == 0
+        text = path.read_text()
+        for kind in kinds:
+            assert main(["transform", "--kind", kind, "--program", str(path)]) == 0, (algo, kind)
+        for avoid in ("pp", "ghost"):  # written after the draw, and never written
+            bad = text.replace("randprime 5 avoid p,q", f"randprime 5 avoid p,{avoid}")
+            assert bad != text
+            path.write_text(bad)
+            prog = parse_dump(bad)
+            errors = [(d.kind, d.index) for d in validate(prog) if d.severity == "error"]
+            assert errors == [("def-before-use", draw)], (algo, avoid)
+            inputs = program_inputs(prog, derive_crt(7, 11, 43), 2)
+            # the reference reads the unwritten register as 0 and signs anyway
+            assert isinstance(execute(prog, inputs, 42).result, Signature)
+            with pytest.raises(BuildError, match="avoided before any write"):
+                FaultRunner(prog, inputs, 42)
+            for kind in kinds:
+                assert main(["transform", "--kind", kind, "--program", str(path)]) == 3, (algo, avoid, kind)
+    assert capsys.readouterr().err.count("avoided before any write") == 8
+
+
 def test_dump_demands_exactly_one_source(tmp_path, capsys):
     assert main(["dump"]) == 2
     some = tmp_path / "p.txt"
@@ -150,7 +178,7 @@ def test_bad_inputs_exit_with_the_data_code(tmp_path, capsys):
     # 0 and p = 7 are no messages for the 7x11 demo key
     assert main(["campaign", "--algo", "unprotected", "--messages", "0,7"]) == 3
     # keys that do not sign correctly on their own
-    for field, value in (("iq", "3"), ("p", "8"), ("d", "44")):
+    for field, value in (("iq", "3"), ("p", "8"), ("d", "44"), ("e", "5"), ("N", "1000")):
         key = {"p": "7", "q": "11", "dp": "1", "dq": "3", "iq": "2", "d": "43", field: value}
         path = tmp_path / f"bad-{field}.json"
         path.write_text(json.dumps(key))
@@ -171,7 +199,9 @@ def test_bad_inputs_exit_with_the_data_code(tmp_path, capsys):
         path.write_text(f"# program bad\n# inputs m\n0: m <- input m\n{line}\n")
         assert main(["dump", "--program", str(path)]) == 3
     err = capsys.readouterr().err
-    assert err.count("error:") == 17
+    assert err.count("error:") == 19
+    assert "key e=5 is not the inverse of dp=1 mod 6" in err
+    assert "key N=1000 is not p*q=77" in err
     assert "not a unit mod N=77" in err
     assert "no fault plans" in err
     assert "cannot parse line '1: s <- const'" in err

@@ -179,9 +179,13 @@ def all_kinds_table(algo, **kw):
 def test_action_ids_ascend_in_plan_order_and_decode_as_the_reference(algo):
     _spec, table = all_kinds_table(algo, exhaustive_threshold=64, samples_per_site=8)
     ids = ActionIds(table)
-    total = sum(len(t.values) for t in table)
-    assert sum(ids.sizes) == total
-    keys = [reference_plan_sort_key(ids.fault_plan((a,))) for a in range(total)]
+    assert sum(ids.sizes) == sum(len(t.values) for t in table)
+    # row r's value k has the id base[r] + k and decodes back to that action
+    for r, t in enumerate(table):
+        for k, v in enumerate(t.values):
+            assert ids.fault_plan((ids.base[r] + k,)) == (FaultAction(t.site, t.kind, v),)
+    real = sorted(ids.base[r] + k for r, t in enumerate(table) for k in range(len(t.values)))
+    keys = [reference_plan_sort_key(ids.fault_plan((a,))) for a in real]
     assert all(a < b for a, b in zip(keys, keys[1:]))
     for g, group in enumerate(reference_site_groups(table)):
         for k in range(ids.sizes[g]):
@@ -408,8 +412,12 @@ def test_random_draw_sites_are_phase_flagged():
 # ----------------------------------------------------------------- subsumption
 
 
+# programs whose witnesses are also checked against a second, zero fault
+COMPOSED = ("straightforward", "giraud-sketch", "shamir", "to_infective(straightforward)")
+
+
 def test_skip_faults_reduce_to_value_faults():
-    windows = 0
+    windows = composed = 0
     for key in (TINY, crt_from_rsa(gen_key(8, 2)), crt_from_rsa(gen_key(8, 5))):
         # the catalog and every kind of rewrite result
         progs = {e.algo: build(e.algo, key, r_bits=5, build_seed=0) for e in catalog()}
@@ -424,6 +432,7 @@ def test_skip_faults_reduce_to_value_faults():
             assert len(rows) == n + (n - 1) + (n - 2)
             windows += len(rows)
             inputs = program_inputs(prog, key, 2)
+            data = enumerate_sites(prog) if key is TINY and name in COMPOSED else []
             for r in rows:
                 assert r.matched, (name, key.p, key.q, r.window)
                 sites = [act.site for act in r.witness]
@@ -434,7 +443,21 @@ def test_skip_faults_reduce_to_value_faults():
                     execute(prog, inputs, 42, r.witness).result,
                     execute(prog, inputs, 42, skip).result,
                 ), (name, r.window)
+                # the witness composes: a zero on a data site it does not
+                # name, off the window's indices, added to both, keeps them
+                # agreeing
+                first, last = r.window
+                for site in data:
+                    if site in sites or first <= site.index <= last:
+                        continue
+                    zero = (FaultAction(site, FaultKind.ZERO),)
+                    assert same_result(
+                        execute(prog, inputs, 42, r.witness + zero).result,
+                        execute(prog, inputs, 42, skip + zero).result,
+                    ), (name, r.window, site)
+                    composed += 1
     assert windows == 6120
+    assert composed == 17221
 
 
 # --------------------------------------------------------------------- reports
@@ -443,18 +466,14 @@ def test_skip_faults_reduce_to_value_faults():
 @pytest.fixture
 def batches(monkeypatch):
     """What a campaign runs: the FaultAction plans of each batch whose fault
-    lists _Tally gathers from its pieces, the action ids it decodes, and
-    each run_batch pass as (message, lane count, its non-empty fault lists)."""
-    seen = {"gathered": [], "decoded": [], "passes": []}
-    faults, piece, run_batch = faultengine._Tally._faults, faultengine._Tally._piece, FaultRunner.run_batch
+    lists _Tally gathers from its action ids, and each run_batch pass as
+    (message, lane count, its non-empty fault lists)."""
+    seen = {"gathered": [], "passes": []}
+    faults, run_batch = faultengine._Tally._faults, FaultRunner.run_batch
 
     def gathering(self, batch):
         seen["gathered"].append([self.ids.fault_plan(plan) for plan in batch])
         return faults(self, batch)
-
-    def decoding(self, a):
-        seen["decoded"].append(a)
-        return piece(self, a)
 
     def passing(self, lanes, writes, reads, skips):
         faults = {k: dict(v) for k, v in (("writes", writes), ("reads", reads), ("skips", skips)) if v}
@@ -462,7 +481,6 @@ def batches(monkeypatch):
         return run_batch(self, lanes, writes, reads, skips)
 
     monkeypatch.setattr(faultengine._Tally, "_faults", gathering)
-    monkeypatch.setattr(faultengine._Tally, "_piece", decoding)
     monkeypatch.setattr(FaultRunner, "run_batch", passing)
     return seen
 
@@ -485,9 +503,6 @@ def test_a_campaign_decodes_each_plan_once_for_all_messages(batches):
         (m, len(batch)) for batch in batches["gathered"] for m in spec.messages
     ]
     assert rep.totals["attempts"] == 2 * 3 * rep.plans_total
-    # each action id is decoded once, however many plans use it
-    decoded = batches["decoded"]
-    assert sorted(decoded) == sorted(set(decoded)) == list(range(len(decoded)))
 
 
 def test_order_one_runs_each_row_in_batches_of_its_actions(batches, monkeypatch):
@@ -500,8 +515,8 @@ def test_order_one_runs_each_row_in_batches_of_its_actions(batches, monkeypatch)
     skips = [t for t in table if t.kind is FaultKind.SKIP]
     assert len(skips) % size and max(len(t.values) for t in data) > size
     # a data row's batches take its values in order, zero being randomize
-    # to 0, and need no pieces; the skip rows, last in the table, are
-    # gathered from pieces
+    # to 0, and decode no id; the skip rows, last in the table, are
+    # gathered from their action ids
     want = []
     for t in data:
         for s in range(0, len(t.values), size):
@@ -516,7 +531,6 @@ def test_order_one_runs_each_row_in_batches_of_its_actions(batches, monkeypatch)
         want.append((len(batch), {"skips": {t.site.first: [k] for k, t in enumerate(batch)}}))
     assert batches["passes"] == [(m, k, faults) for k, faults in want for m in spec.messages]
     assert batches["gathered"] == [[(FaultAction(t.site, t.kind),) for t in b] for b in skip_batches]
-    assert len(batches["decoded"]) == len(skips)
     assert rep.plans_total == plan_space_size(table, 1)
     assert rep.totals["attempts"] == 3 * rep.plans_total
 

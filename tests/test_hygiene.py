@@ -1,10 +1,11 @@
 """Source hygiene, read from the syntax trees of src/crtfi.
 
 Every module-level import of a module is used in it, every private
-(underscore) module-level name is referenced somewhere in the package, and
+(underscore) module-level name is referenced somewhere in the package,
 every public method of a package class is referenced outside that class, in
-the package or its tests, so no leftover import, helper or method survives
-the code that needed it.
+the package or its tests, and every attribute a package class stores on
+self is read somewhere in the package or its tests, so no leftover import,
+helper, method or memo survives the code that needed it.
 """
 
 import ast
@@ -92,3 +93,35 @@ def test_every_public_method_is_referenced_outside_its_class():
                 and node.name not in outside
             ]
     assert unused == []
+
+
+def _read_attributes(tree: ast.AST) -> set[str]:
+    """Attribute names a tree reads; indexing one to store into it
+    (self.memo[k] = v) is not a read."""
+    stored_into = {
+        id(node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load)
+    }
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and id(node) not in stored_into
+    }
+
+
+def test_every_attribute_stored_on_self_is_read():
+    read = set().union(*map(_read_attributes, [*TREES.values(), *TEST_TREES]))
+    unread = [
+        f"{name}: {cls.name}.{node.attr}"
+        for name, tree in MODULES.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in ast.walk(cls)
+        # assignment targets, tuple elements among them, and augmented ones
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name) and node.value.id == "self"
+        and node.attr not in read
+    ]
+    assert unread == []

@@ -5,6 +5,7 @@ exponent must be e^-1 in Z_lambda, computed independently via pow(e, -1).
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -12,6 +13,7 @@ from crtfi.keytools import (
     CrtKey,
     KeyError_,
     MissingKeyField,
+    check_crt_key,
     coprime_split,
     crt_from_rsa,
     derive_crt,
@@ -167,3 +169,20 @@ def test_optional_fields_survive_omission(tmp_path):
     assert key == CrtKey(p=7, q=11, dp=1, dq=3, iq=2)
     assert key.d is None and key.e is None
     assert key.modulus == 77
+
+
+def test_a_key_whose_modulus_or_public_exponent_disagrees_is_refused(tmp_path):
+    good = CrtKey(p=7, q=11, dp=1, dq=3, iq=2, d=43, e=7, n=77)
+    check_crt_key(good)
+    bad = (
+        (replace(good, e=5), "e=5 is not the inverse of dp=1 mod 6"),  # 5*1 = 5 mod 6
+        (replace(good, d=None, e=13), "e=13 is not the inverse of dq=3 mod 10"),  # 13*1 = 1 mod 6
+        (replace(good, n=1000), "N=1000 is not p\\*q=77"),
+    )
+    for k, (key, why) in enumerate(bad):
+        with pytest.raises(KeyError_, match=why):
+            check_crt_key(key)
+        path = tmp_path / f"bad-{k}.json"
+        write_key_file(key, path)
+        with pytest.raises(KeyError_, match=why):
+            read_key_file(path)
