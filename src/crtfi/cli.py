@@ -98,6 +98,13 @@ def _cmd_campaign(args) -> int:
         workers=args.workers,
     )
     report = run_campaign(spec)
+    if report.sampled_plans and report.plans_total < spec.plan_limit:
+        # build_plans gives up after 50 * plan_limit draws
+        print(
+            f"note: sampling found {report.plans_total} of {spec.plan_limit} distinct plans "
+            "before its draw guard",
+            file=sys.stderr,
+        )
     text = report.to_csv() if args.format == "csv" else report.to_json() + "\n"
     if args.out is not None:
         Path(args.out).write_text(text)

@@ -30,11 +30,16 @@ campaign runs its plans in batches of at most _BATCH, one lane per plan
 and one FaultRunner.run_batch pass per batch and message: the plan list at
 order 2 and above; at order 1 each zero and randomize row's values, then
 the skip rows. A batch's per-index fault lists are gathered once for all
-messages, and each batch is scored as soon as its passes return, so no
-more than one batch's results are held. The replay probes run one plan at
-a time through FaultRunner.run. Runners are kept by the program under
-(key, message, seed), so each baseline runs once: the campaign's messages,
-the site-action table and every replay probe share them. Before any fault
+messages, and each pass is scored as soon as it returns, as one column:
+gcd(N, v - S) over the lanes' released values, so only a lane that breaks
+is visited on its own. At order 1 a read fault whose register has one
+reader, naming it once, is the same fault as a write fault on that
+register's writer: such a read row, with the write row's values, is not
+run, and takes the write row's counts and successes under its own site.
+The replay probes run one plan at a time through FaultRunner.run. Runners
+are kept by the program under (key, message, seed), so each baseline runs
+once: the campaign's messages, the site-action table and every replay
+probe share them. Before any fault
 is injected, each message's fault-free output must be its CRT signature.
 
 Everything is deterministic in (spec, program): sampling is seeded per
@@ -50,11 +55,13 @@ import math
 import random
 import zlib
 from collections import defaultdict
-from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field, replace
 from itertools import combinations, product, repeat
+from operator import itemgetter, sub
 
+from . import modmath
 from .circuit import (
+    CompiledProgram,
     Crash,
     ErrorOut,
     FaultAction,
@@ -66,7 +73,6 @@ from .circuit import (
     Program,
     ReadOf,
     Ret,
-    Signature,
     SkipRange,
     WriteOf,
     dst_of,
@@ -80,12 +86,15 @@ from .circuit import (
 )
 from .countermeasures import build, program_inputs
 from .keytools import CrtKey, check_crt_key
-from .modmath import FactorClass, bellcore_extract
 
 KIND_NAMES = ("zero", "randomize", "skip")
 _ALT_SEED_STEPS = (1_000_003, 2_000_003, 3_000_017, 4_000_037)
 _REPLAY_CAP = 8
 _SUCCESSES_PER_ROW = 5  # successes to_json lists per (first site, kind)
+
+# perfbench's tracer wraps faultengine.bellcore_extract by this name; the
+# tally and score_outcome read the gcd through _gcd_leak, not through it
+bellcore_extract = modmath.bellcore_extract
 
 CLASS_NONE = "none"
 CLASS_STRUCTURAL = "structural-break"
@@ -557,13 +566,13 @@ def build_plans(
 # ----------------------------------------------------------------- scoring
 
 
-def _leak(n: int, p: int, q: int, sig: int, v: int) -> tuple[int | None, str | None]:
-    """(factor, side) that the gcd oracle gets from v against signature
-    sig, or (None, None) when v leaks no factor of n = p*q."""
-    cls = bellcore_extract(n, sig, v, p, q).cls
-    if cls is FactorClass.FACTOR_P:
+def _gcd_leak(p: int, q: int, g: int) -> tuple[int | None, str | None]:
+    """(factor, side) the gcd oracle reads from g = gcd(N, v - S), N = p*q:
+    p or q when g is that factor, else (None, None), as for g = N (v = S
+    mod N) and g = 1. modmath.bellcore_extract is the reference."""
+    if g == p:
         return p, "p"
-    if cls is FactorClass.FACTOR_Q:
+    if g == q:
         return q, "q"
     return None, None
 
@@ -572,10 +581,7 @@ def score_outcome(n: int, p: int, q: int, baseline_sig: int, result) -> tuple[st
     """Classify one faulted outcome: (tally, factor, side)."""
     if isinstance(result, (ErrorOut, Crash)):
         return "no_output", None, None
-    v = result.value
-    if v == baseline_sig:
-        return "silent", None, None
-    factor, side = _leak(n, p, q, baseline_sig, v)
+    factor, side = _gcd_leak(p, q, math.gcd(n, result.value - baseline_sig))
     return ("success" if side else "silent"), factor, side
 
 
@@ -666,6 +672,37 @@ def _touches_rng(report_phases: dict[str, str], s: AttackSuccess) -> bool:
 # ---------------------------------------------------------------- campaign
 
 
+def _twin_rows(code: CompiledProgram, table: list[SiteActions]) -> dict[int, int]:
+    """Each read row of the table whose order-1 runs are a write row's,
+    mapped to that write row.
+
+    ReadOf(j, slot) fetching the register instruction w writes is twin to
+    WriteOf(w) of the same kind when j is w's only reader, j's operands,
+    avoid-list lookups included, name w once, and both rows have the same
+    values: faulting w's write then changes that one operand of j and
+    nothing else, to the value the read fault puts there. Writes come
+    before reads in the table, so a campaign runs the write row first.
+    """
+    ops, readers = code.ops, code.readers
+    row_of = {(t.site, t.kind): r for r, t in enumerate(table)}
+    twins = {}
+    for r, t in enumerate(table):
+        if t.site.__class__ is ReadOf:
+            j = t.site.index
+            srcs = ops[j][2]
+            w = srcs[t.site.slot]
+            wr = row_of.get((WriteOf(w), t.kind))
+            if (
+                wr is not None
+                and wr < r
+                and readers[w] == 1 << j
+                and srcs.count(w) == 1
+                and table[wr].values == t.values
+            ):
+                twins[r] = wr
+    return twins
+
+
 # plans per FaultRunner.run_batch pass
 _BATCH = 256
 
@@ -676,15 +713,23 @@ class _Tally:
     rows holds one SiteRow per table row, indexed like the table; runs
     holds (message, runner, baseline signature) per message. Plans run in
     batches of _BATCH, one FaultRunner.run_batch pass per batch and
-    message, and each batch is counted as soon as its passes return: every
-    run on each row its plan touches, plan by plan and then message by
-    message. Attempts, no-output and silent runs add into three flat
+    message, and each pass is scored as it returns, as one column: the
+    lanes' released values, an ErrorOut or Crash having none (no output),
+    then gcd(N, v - S) of each. A column with neither p nor q in it is
+    counted by list counts alone; only a lane that breaks is visited on
+    its own. Attempts, no-output and silent runs add into three flat
     per-row int lists, which run writes into rows once, when every plan
-    has run. A break is counted on rows at once and also becomes an
-    AttackSuccess, indexed by row, whose id plan is kept for the replay
-    pass. A batch's per-index fault lists are gathered once for all
+    has run: an order-1 row batch adds into its one row, a plan batch into
+    the rows of each of its plans. A break is counted on its plan's rows
+    and becomes an AttackSuccess, indexed by row, whose id plan is kept
+    for the replay pass; successes come in plan order, then message order.
+    A plan batch's per-index fault lists are gathered once for all
     messages, each action id decoded by ActionIds' shift and mask where a
     plan uses it.
+
+    At order 1 a read row twin to a write row (_twin_rows) does not run: it
+    takes the write row's counts, and its successes in order, relabelled
+    with the read row's site and action ids.
     """
 
     def __init__(self, key: CrtKey, program: Program, ids: ActionIds, runs: list):
@@ -692,6 +737,7 @@ class _Tally:
         self.n = key.p * key.q
         self.ids = ids
         self.table = ids.table
+        self.code = program.compiled
         self.rows = [
             SiteRow(
                 t.site.key(program),
@@ -721,47 +767,135 @@ class _Tally:
     def run(self, plans: list[IdPlan] | None) -> None:
         """Run build_plans' plans in order, in batches of _BATCH. At order 1
         (None) run the table in order instead: each zero and randomize row
-        in batches of _BATCH of its values, and the skip rows, one plan
-        each, in batches of _BATCH. Then write each row's run counts into
-        rows, which _replay reads."""
+        in batches of _BATCH of its values, unless it is a twin read row,
+        and the skip rows, one plan each, in batches of _BATCH. Then write
+        each row's run counts into rows, which _replay reads."""
         if plans is None:
+            twins = _twin_rows(self.code, self.table)
             plans = []
             for r, t in enumerate(self.table):
                 if t.kind is FaultKind.SKIP:
                     plans.append((self.ids.base[r],))
+                    continue
+                self._run_plans(plans)  # the skip rows before this one
+                plans = []
+                if r in twins:
+                    self._copy_row(twins[r], r)
                 else:
-                    self._run_plans(plans)  # the skip rows before this one
-                    plans = []
                     self._run_row(r)
         self._run_plans(plans)
         for row, attempts, none, silent in zip(self.rows, self._attempts, self._no_output, self._silent):
             row.attempts, row.no_output, row.silent = attempts, none, silent
 
+    def _copy_row(self, w: int, r: int) -> None:
+        """Give twin read row r the runs of write row w: its counts, and its
+        successes in order under r's site and r's action ids."""
+        for counts in (self._attempts, self._no_output, self._silent):
+            counts[r] = counts[w]
+        row, src = self.rows[r], self.rows[w]
+        row.successes, row.factor_p, row.factor_q = src.successes, src.factor_p, src.factor_q
+        idxs = self.row_success_idx.get(w)
+        if not idxs:
+            return
+        successes, plans = self.successes, self.success_plans
+        first, mask = self.ids.base[r], self.ids.mask
+        self.row_success_idx[r] = list(range(len(successes), len(successes) + len(idxs)))
+        source = plan = None
+        for i in idxs:
+            s = successes[i]
+            if plans[i] is not source:  # w's plan tuples are shared across messages; so are r's
+                source, plan = plans[i], (first | (plans[i][0] & mask),)
+            actions = ((row.site, row.kind, s.actions[0][2]),)
+            successes.append(AttackSuccess(s.message, actions, s.signature, s.factor, s.side, None))
+            plans.append(plan)
+
     def _run_plans(self, plans: list[IdPlan]) -> None:
+        """Run plans in batches of _BATCH, counting each on the rows it touches."""
+        attempts, no_output, silent_runs = self._attempts, self._no_output, self._silent
+        n_runs = len(self.runs)
         for s in range(0, len(plans), _BATCH):
             batch = plans[s : s + _BATCH]
             faults, plan_rows = self._faults(batch)
-            self._run(batch, plan_rows, faults)
+            columns, none, hits = self._score(faults)
+            outs = [n_runs - vs.count(None) for vs in zip(*columns)] if none else [n_runs] * len(batch)
+            broke = [0] * len(batch)
+            for k, m, v, g in hits:
+                broke[k] += 1
+                self._success(batch[k], plan_rows[k], m, v, g)
+            for touched, out, b in zip(plan_rows, outs, broke):
+                for r in touched:
+                    attempts[r] += n_runs
+                    no_output[r] += n_runs - out
+                    silent_runs[r] += out - b
 
     def _run_row(self, r: int) -> None:
         """Run each value of one zero or randomize row as an order-1 plan,
         _BATCH values per batch, whose faults come from the row rather than
-        from decoded ids."""
+        from decoded ids, and count the batch on the row."""
         index, slot, _window = self._sites[r]
         values = self.table[r].values
         first = self.ids.base[r]
+        n_runs = len(self.runs)
         for s in range(0, len(values), _BATCH):
             lanes = list(enumerate(v or 0 for v in values[s : s + _BATCH]))  # zero is randomize to 0
             if slot is None:
                 faults = (len(lanes), {index: lanes}, {}, {})
             else:
                 faults = (len(lanes), {}, {index: [(k, slot, v) for k, v in lanes]}, {})
-            batch = ((a,) for a in range(first + s, first + s + len(lanes)))  # built as scored
-            self._run(batch, repeat([r]), faults)
+            _columns, none, hits = self._score(faults)
+            runs = n_runs * len(lanes)
+            self._attempts[r] += runs
+            self._no_output[r] += none
+            self._silent[r] += runs - none - len(hits)
+            if hits:
+                self._keep_row(r, first + s, hits)
 
-    def _run(self, batch: Iterable[IdPlan], plan_rows: Iterable[list[int]], faults: tuple) -> None:
-        """Run one batch on every message, then count it."""
-        self._score(batch, plan_rows, [runner.run_batch(*faults) for _m, runner, _s in self.runs])
+    def _keep_row(self, r: int, first: int, hits: list[tuple[int, int, int, int]]) -> None:
+        """Count a row batch's breaks on row r and keep each as an
+        AttackSuccess, the batch's lane k being the plan of action first + k."""
+        p, q, mask = self.key.p, self.key.q, self.ids.mask
+        row, values = self.rows[r], self.table[r].values
+        successes, plans = self.successes, self.success_plans
+        self.row_success_idx.setdefault(r, []).extend(range(len(successes), len(successes) + len(hits)))
+        on_p, lane, plan = 0, -1, None
+        for k, m, v, g in hits:
+            if k != lane:  # a lane's breaks on every message share one plan tuple
+                lane, plan = k, (first + k,)
+            factor, side = _gcd_leak(p, q, g)
+            on_p += factor == p
+            actions = ((row.site, row.kind, values[plan[0] & mask]),)
+            successes.append(AttackSuccess(m, actions, v, factor, side, None))
+            plans.append(plan)
+        row.successes += len(hits)
+        row.factor_p += on_p
+        row.factor_q += len(hits) - on_p
+
+    def _score(self, faults: tuple) -> tuple[list[list], int, list[tuple[int, int, int, int]]]:
+        """Run one batch, faults being run_batch's arguments, on every
+        message, and score each pass as a column: (columns, none, hits).
+        columns[i][k] is the value lane k released on message i, None when
+        it released none (an ErrorOut or Crash); none counts those runs.
+        hits holds (lane, message, released value, gcd) per run whose value
+        leaks a factor, in lane order, then message order; every other run
+        with output is silent. A column whose values are all the signature
+        or None needs no gcd."""
+        n, p, q = self.n, self.key.p, self.key.q
+        columns, none, hits = [], 0, []
+        for m, runner, sig in self.runs:
+            results = runner.run_batch(*faults)
+            values = list(map(getattr, results, repeat("value"), repeat(None)))
+            columns.append(values)
+            ended = values.count(None)
+            none += ended
+            if ended + values.count(sig) == len(values):
+                continue
+            if ended:  # no output scores as the signature, so gcd N: no break
+                values = list(map(getattr, results, repeat("value"), repeat(sig)))
+            gs = list(map(math.gcd, repeat(n), map(sub, values, repeat(sig))))
+            if gs.count(p) + gs.count(q):
+                hits += [(k, m, values[k], g) for k, g in enumerate(gs) if g == p or g == q]
+        hits.sort(key=itemgetter(0))  # stable: messages stay in order within a lane
+        return columns, none, hits
 
     def _faults(self, batch: list[IdPlan]) -> tuple[tuple, list[list[int]]]:
         """run_batch's arguments for a batch, and the rows each plan touches."""
@@ -787,30 +921,11 @@ class _Tally:
             plan_rows.append(rows)
         return (len(batch), writes, reads, skips), plan_rows
 
-    def _score(self, batch: Iterable[IdPlan], plan_rows: Iterable[list[int]], outs: list[list]) -> None:
-        """Count a batch's runs, outs[m][k] being plan k's result on message
-        m: an ErrorOut or Crash is no output, the baseline signature is
-        silent, and only another value goes to the gcd oracle."""
-        attempts, no_output, silent_runs, runs = self._attempts, self._no_output, self._silent, self.runs
-        n_runs = len(runs)
-        for plan, touched, results in zip(batch, plan_rows, zip(*outs)):
-            none = silent = 0
-            for (m, _runner, sig), res in zip(runs, results):
-                if res.__class__ is not Signature:
-                    none += 1
-                elif res.value == sig or not self._broke(plan, touched, m, sig, res.value):
-                    silent += 1
-            for r in touched:
-                attempts[r] += n_runs
-                no_output[r] += none
-                silent_runs[r] += silent
-
-    def _broke(self, plan: IdPlan, touched: list[int], m: int, sig: int, v: int) -> bool:
-        """Whether v, released by plan on message m, leaks a factor; a
-        break is counted on the plan's rows and kept as an AttackSuccess."""
-        factor, side = _leak(self.n, self.key.p, self.key.q, sig, v)
-        if side is None:
-            return False
+    def _success(self, plan: IdPlan, touched: list[int], m: int, v: int, g: int) -> None:
+        """Count the break of plan on message m, which released v with
+        gcd(N, v - S) = g, on the plan's rows, and keep it as an
+        AttackSuccess."""
+        factor, side = _gcd_leak(self.key.p, self.key.q, g)
         rows, table, mask = self.rows, self.table, self.ids.mask
         idx = len(self.successes)
         for r in touched:
@@ -826,7 +941,6 @@ class _Tally:
         )
         self.successes.append(AttackSuccess(m, actions, v, factor, side, None))
         self.success_plans.append(plan)
-        return True
 
 
 def _resolve_program(spec: CampaignSpec) -> Program:

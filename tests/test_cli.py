@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from crtfi import faultengine
 from crtfi.circuit import BuildError, FaultRunner, Signature, execute, parse_dump, validate
 from crtfi.cli import main
 from crtfi.countermeasures import catalog, program_inputs
@@ -71,6 +72,27 @@ def test_campaign_reports_are_byte_identical_across_reruns(tmp_path, capsys):
     c = tmp_path / "c.csv"
     assert main(args + ["--format", "csv", "--out", str(c)]) == 0
     assert c.read_text().splitlines()[0].startswith("site,kind,phase,")
+
+
+def test_a_campaign_notes_sampling_that_stops_short_of_the_plan_limit(tmp_path, monkeypatch, capsys):
+    args = ["campaign", "--algo", "unprotected", "--order", "2", "--kinds", "zero",
+            "--r-bits", "5", "--messages", "2", "--plan-limit", "40"]
+    full = tmp_path / "full.json"
+    assert main(args + ["--out", str(full)]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith("algo=unprotected order=2 plans=40 ")
+    # the draw guard stopping at 30 plans, as it may when a site has many actions
+    real = faultengine.build_plans
+
+    def short(program, spec, table):
+        plans, sampled, ids = real(program, spec, table)
+        return plans[:30], sampled, ids
+
+    monkeypatch.setattr(faultengine, "build_plans", short)
+    assert main(args) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("algo=unprotected order=2 plans=30 ")
+    assert err == "note: sampling found 30 of 40 distinct plans before its draw guard\n"
 
 
 def test_dump_transform_pipeline_round_trips(tmp_path):

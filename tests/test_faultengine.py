@@ -5,8 +5,12 @@ from dataclasses import replace
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crtfi.circuit import (
+    Crash,
+    ErrorOut,
     FaultAction,
     FaultKind,
     FaultRunner,
@@ -510,13 +514,15 @@ def test_order_one_runs_each_row_in_batches_of_its_actions(batches, monkeypatch)
     spec = tiny_spec(messages=(2, 3, 5), kinds=("zero", "randomize", "skip"), max_skip_len=1)
     rep = run_campaign(spec)
     table = site_action_table(tiny_unprotected(), spec)
+    twins = faultengine._twin_rows(tiny_unprotected().compiled, table)
     size = faultengine._BATCH
-    data = [t for t in table if t.kind is not FaultKind.SKIP]
+    data = [t for r, t in enumerate(table) if t.kind is not FaultKind.SKIP and r not in twins]
     skips = [t for t in table if t.kind is FaultKind.SKIP]
     assert len(skips) % size and max(len(t.values) for t in data) > size
+    assert twins and all(isinstance(table[r].site, ReadOf) for r in twins)
     # a data row's batches take its values in order, zero being randomize
-    # to 0, and decode no id; the skip rows, last in the table, are
-    # gathered from their action ids
+    # to 0, and decode no id; a twin read row runs nothing; the skip rows,
+    # last in the table, are gathered from their action ids
     want = []
     for t in data:
         for s in range(0, len(t.values), size):
@@ -533,6 +539,163 @@ def test_order_one_runs_each_row_in_batches_of_its_actions(batches, monkeypatch)
     assert batches["gathered"] == [[(FaultAction(t.site, t.kind),) for t in b] for b in skip_batches]
     assert rep.plans_total == plan_space_size(table, 1)
     assert rep.totals["attempts"] == 3 * rep.plans_total
+
+
+def _row_faults(t):
+    """run_batch's arguments for every value of one zero or randomize row."""
+    lanes = list(enumerate(v or 0 for v in t.values))
+    if isinstance(t.site, WriteOf):
+        return len(lanes), {t.site.index: lanes}, {}, {}
+    return len(lanes), {}, {t.site.index: [(k, t.site.slot, v) for k, v in lanes]}, {}
+
+
+@pytest.mark.parametrize("seed, pairs", [(2, 348), (5, 346)])
+def test_a_twin_read_row_runs_as_its_write_row(seed, pairs):
+    key = crt_from_rsa(gen_key(8, seed))
+    n = key.p * key.q
+    found = 0
+    for entry in catalog():
+        prog = build(entry.algo, key, r_bits=5, build_seed=0)
+        spec = CampaignSpec(key=key, program=prog, kinds=("zero", "randomize"), exhaustive_threshold=8192)
+        table = site_action_table(prog, spec)
+        runners = [prog.runner(program_inputs(prog, key, m), 42) for m in (2, 3, n - 2)]
+        for r, w in faultengine._twin_rows(prog.compiled, table).items():
+            assert (table[r].kind, table[r].values) == (table[w].kind, table[w].values)
+            for runner in runners:
+                got, want = runner.run_batch(*_row_faults(table[r])), runner.run_batch(*_row_faults(table[w]))
+                assert got == want, (entry.algo, table[r].site, table[w].site)
+            found += 1
+    assert found == pairs
+
+
+def test_twin_rows_need_one_reader_naming_the_register_once_and_equal_values():
+    b = ProgramBuilder("twins", ("M", "p", "q"))
+    b.inp("m", "M")
+    b.inp("p", "p")
+    b.inp("q", "q")
+    b.mul("n", "p", "q")
+    twin = b.reduce("t", "m", "n")  # read once, by u alone: a twin
+    u = b.mul("u", "t", "m", "n")
+    two = b.reduce("x", "m", "n")  # read by two instructions
+    b.add("y1", "x", "u", "n")
+    b.add("y2", "x", "y1", "n")
+    twice = b.reduce("a", "y2", "n")  # read twice by one instruction
+    b.mul("sq", "a", "a", "n")
+    drawn = b.draw("r1", 5)  # read once, and looked up by a second draw
+    b.draw("r2", 5, avoid=("r1",))
+    b.mul("z", "r1", "sq", "n")
+    wide = b.add("d", "z", "z")  # unreduced: its read is bounded by p, its write is not
+    b.reduce("e", "d", "p")
+    b.ret("e")
+    prog = b.build()
+    spec = tiny_spec(algo=None, program=prog)
+    table = site_action_table(prog, spec)
+    twins = faultengine._twin_rows(prog.compiled, table)
+    got = {(table[r].site, table[w].site, table[r].kind) for r, w in twins.items()}
+    for w in (two, twice, drawn):
+        assert not any(site == WriteOf(w) for _r, site, _k in got), w
+    assert (ReadOf(u, 0), WriteOf(twin), FaultKind.ZERO) in got
+    assert (ReadOf(u, 0), WriteOf(twin), FaultKind.RANDOMIZE) in got
+    # d's zero rows are twins, its randomize rows range over unequal domains
+    assert (ReadOf(wide + 1, 0), WriteOf(wide), FaultKind.ZERO) in got
+    assert (ReadOf(wide + 1, 0), WriteOf(wide), FaultKind.RANDOMIZE) not in got
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-200, 200), st.integers(0, 76))
+def test_score_outcome_reads_the_gcd_as_bellcore_extract(v, sig):
+    ref = bellcore_extract(77, sig, v, 7, 11)
+    tally, factor, side = faultengine.score_outcome(77, 7, 11, sig, Signature(v))
+    assert (tally == "success", factor) == (ref.success, ref.factor if ref.success else None)
+    assert side == {7: "p", 11: "q", None: None}[factor]
+
+
+class _Given:
+    """A stand-in runner whose run_batch gives lane k results[k % len(results)]."""
+
+    def __init__(self, results):
+        self.results = results
+
+    def run_batch(self, lanes, writes, reads, skips):
+        return [self.results[k % len(self.results)] for k in range(lanes)]
+
+
+_OUTCOMES = st.sampled_from(["baseline", "mod p", "mod q", "mod N", "unit", "error", "crash"])
+
+
+@st.composite
+def _columns(draw):
+    """Per message: its signature and one result per lane position."""
+    p, q, n = TINY.p, TINY.q, TINY.p * TINY.q
+    cols = []
+    for _m in range(draw(st.integers(1, 3))):
+        sig = draw(st.integers(0, n - 1))
+        results = []
+        for kind in draw(st.lists(_OUTCOMES, min_size=1, max_size=5)):
+            k = draw(st.integers(1, 40)) * draw(st.sampled_from([1, -1]))
+            if kind == "baseline":
+                results.append(Signature(sig))
+            elif kind == "mod p":
+                results.append(Signature(sig + p * (k if k % q else k + 1)))
+            elif kind == "mod q":
+                results.append(Signature(sig + q * (k if k % p else k + 1)))
+            elif kind == "mod N":
+                results.append(Signature(sig + n * k))
+            elif kind == "unit":
+                results.append(Signature(sig + draw(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 10]))))
+            else:
+                results.append(ErrorOut(4) if kind == "error" else Crash("bad-modulus"))
+        cols.append((sig, results))
+    return cols
+
+
+@settings(max_examples=60, deadline=None)
+@given(_columns(), st.sampled_from([1, 2]))
+def test_column_scoring_matches_score_outcome_run_by_run(columns, order):
+    """_Tally's counts and successes equal score_outcome's, called on each
+    result in plan order, then message order, at order 1 (row batches,
+    twin rows included) and order 2 (plan batches)."""
+    kinds = ("zero", "randomize") if order == 1 else ("zero", "skip")
+    spec = tiny_spec(order=order, kinds=kinds, plan_limit=40)
+    prog = tiny_unprotected()
+    table = site_action_table(prog, spec)
+    plans, _sampled, ids = build_plans(prog, spec, table)
+    runs = [(m, _Given(results), sig) for m, (sig, results) in zip((2, 3, 5), columns)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(faultengine, "_BATCH", 4)
+        tally = faultengine._Tally(TINY, prog, ids, runs)
+        tally.run(plans)
+    # plan, its rows, and its lane in the batch that ran it
+    if order == 1:
+        lanes = [((ids.base[r] + k,), [r], k % 4) for r, t in enumerate(table) for k in range(len(t.values))]
+    else:
+        lanes = [(plan, [ids.by_id[a >> ids.shift] for a in plan], i % 4) for i, plan in enumerate(plans)]
+    counts = [[0] * 6 for _ in table]  # attempts, successes, factor_p, factor_q, no_output, silent
+    successes = []
+    for plan, rows, lane in lanes:
+        for m, (sig, results) in zip((2, 3, 5), columns):
+            res = results[lane % len(results)]
+            tally_name, factor, side = faultengine.score_outcome(77, 7, 11, sig, res)
+            for r in rows:
+                counts[r][0] += 1
+                if tally_name == "success":
+                    counts[r][1] += 1
+                    counts[r][2 if side == "p" else 3] += 1
+                counts[r][4] += tally_name == "no_output"
+                counts[r][5] += tally_name == "silent"
+            if tally_name == "success":
+                acts = tuple(
+                    (tally.rows[r].site, tally.rows[r].kind, table[r].values[a & ids.mask])
+                    for r, a in zip(rows, plan)
+                )
+                successes.append((m, acts, res.value, factor, side, plan))
+    got = [[r.attempts, r.successes, r.factor_p, r.factor_q, r.no_output, r.silent] for r in tally.rows]
+    assert got == counts
+    assert [
+        (s.message, s.actions, s.signature, s.factor, s.side, plan)
+        for s, plan in zip(tally.successes, tally.success_plans)
+    ] == successes
+    assert len(tally.successes) == len(tally.success_plans)
 
 
 @pytest.mark.parametrize("order", [1, 2])
