@@ -48,6 +48,13 @@ Both runners start from a baseline execute() run and use the program's
 compiled form (Program.compiled, built once per Program).
 Program.runner keeps the runners it builds, so a baseline runs once per
 (program, inputs, seed), however many plans replay against it.
+
+Every program is written through ProgramBuilder: the catalog builders of
+countermeasures and the rewrites of transforms alike. Its factor method
+emits an infection factor c = (a - b + 1) mod m and records it, infect
+emits the product/power infection chain and its Return, and build derives
+verification_checks from the stream's CheckEq positions, however they
+were emitted.
 """
 
 from __future__ import annotations
@@ -65,8 +72,6 @@ from .modmath import is_prime
 
 # ------------------------------------------------------------------ registers
 
-
-ERROR_CONSTANT = "error"  # released instead of any residue when a check fails
 
 # runners one Program keeps (Program.runner); a campaign needs one per message
 # plus four per message for its replay probes
@@ -1220,26 +1225,28 @@ class ProgramBuilder:
 
     Register names double as identifiers in dumps, so builders keep them
     short. Emission order is program order; all emit helpers return the
-    instruction index.
+    instruction index, and emit tags its instruction with the current phase
+    unless given one, so a rewrite can copy each source tag. instrs holds
+    the stream and factors the infection factors recorded so far.
     """
 
     def __init__(self, name: str, inputs: tuple[str, ...]):
         self.name = name
         self.inputs = inputs
-        self._instrs: list[Instr] = []
+        self.instrs: list[Instr] = []
+        self.factors: list[InfectionFactor] = []
         self._phases: list[str] = []
         self._phase = "load"
-        self._checks: list[int] = []
-        self._factors: list[InfectionFactor] = []
+        self._infection: list[int] = []
         self._one: str | None = None
 
     def set_phase(self, tag: str) -> None:
         self._phase = tag
 
-    def emit(self, ins: Instr) -> int:
-        self._instrs.append(ins)
-        self._phases.append(self._phase)
-        return len(self._instrs) - 1
+    def emit(self, ins: Instr, phase: str | None = None) -> int:
+        self.instrs.append(ins)
+        self._phases.append(phase or self._phase)
+        return len(self.instrs) - 1
 
     def inp(self, reg: str, name: str | None = None) -> int:
         return self.emit(LoadInput(reg, name or reg))
@@ -1250,10 +1257,11 @@ class ProgramBuilder:
     def const(self, reg: str, value: int) -> int:
         return self.emit(Const(reg, value))
 
-    def one(self) -> str:
+    def one(self, reg: str = "one") -> str:
+        """The unit register, written as reg the first time it is asked for."""
         if self._one is None:
-            self.const("one", 1)
-            self._one = "one"
+            self.const(reg, 1)
+            self._one = reg
         return self._one
 
     def add(self, dst: str, a: str, b: str, mod: str | None = None) -> int:
@@ -1278,26 +1286,40 @@ class ProgramBuilder:
         return self.emit(ModInv(dst, src, mod))
 
     def check(self, a: str, b: str, mod: str | None = None) -> int:
-        idx = self.emit(CheckEq(a, b, mod))
-        self._checks.append(idx)
-        return idx
+        return self.emit(CheckEq(a, b, mod))
 
     def ret(self, src: str) -> int:
         return self.emit(Ret(src))
 
-    def factor(
-        self,
-        c_reg: str,
-        a_reg: str,
-        b_reg: str,
-        mod_reg: str | None,
-        diff_idx: int,
-        c_idx: int,
-        group: int,
-    ) -> None:
-        self._factors.append(
-            InfectionFactor(c_reg, a_reg, b_reg, mod_reg, diff_idx, c_idx, group)
-        )
+    def factor(self, dst: str, a: str, b: str, mod: str | None, diff: str) -> int:
+        """dst = (a - b + 1) mod `mod`, through diff = (a - b) mod `mod`:
+        the infection factor replacing the check a == b, recorded in
+        factors as the next group."""
+        di = self.sub(diff, a, b, mod)
+        ci = self.add(dst, diff, self.one(), mod)
+        self.factors.append(InfectionFactor(dst, a, b, mod, di, ci, len(self.factors)))
+        return ci
+
+    def infect(
+        self, base: str, c_regs: list[str], mod: str, name: Callable[[str], str]
+    ) -> tuple[int, ...]:
+        """Release base^(c_regs[0] * c_regs[1] * ...) mod `mod`.
+
+        Emits the left-fold product (registers name("m1"), name("m2"), ...)
+        tagged infect, the power (name("s")) tagged output and the Return
+        of it, and records product and power as the infection chain.
+        Returns the indices of the chain and the Return.
+        """
+        chain = []
+        acc = c_regs[0]
+        for k, c in enumerate(c_regs[1:], 1):
+            reg = name(f"m{k}")
+            chain.append(self.emit(BinOp(reg, "mul", acc, c), "infect"))
+            acc = reg
+        sig = name("s")
+        chain.append(self.emit(ModExp(sig, base, acc, mod), "output"))
+        self._infection += chain
+        return (*chain, self.ret(sig))
 
     def recombine(
         self, dst: str, hi: str, lo: str, q: str, iq: str, inner_mod: str
@@ -1308,26 +1330,23 @@ class ProgramBuilder:
         self.mul(f"{dst}_t", q, f"{dst}_m")
         return self.add(dst, lo, f"{dst}_t")
 
-    def build(
-        self,
-        tail: tuple[int, ...] = (),
-        infection: tuple[int, ...] = (),
-        checksum_power: int = 0,
-        r_regs: tuple[str, ...] = (),
-        n_reg: str | None = None,
-    ) -> Program:
-        meta = ProgramMeta(
-            phases=tuple(self._phases),
-            verification_checks=tuple(self._checks),
-            factors=tuple(self._factors),
-            infection_indices=infection,
-            output_tail=tail,
-            checksum_power=checksum_power,
-            r_regs=r_regs,
-            n_reg=n_reg,
-            one_reg=self._one,
-        )
-        prog = Program(name=self.name, inputs=self.inputs, instrs=tuple(self._instrs), meta=meta)
+    def build(self, base: ProgramMeta = _NO_META, **changes) -> Program:
+        """The stream as a runnable Program; BuildError if it is not.
+
+        Its meta is base with the stream's phases, its CheckEq positions as
+        verification_checks, the recorded factors and infection chain, and
+        the unit register if one() wrote one, laid over it, then changes.
+        """
+        instrs = tuple(self.instrs)
+        checks = tuple(i for i, ins in enumerate(instrs) if isinstance(ins, CheckEq))
+        derived = {
+            "phases": tuple(self._phases),
+            "verification_checks": checks,
+            "factors": tuple(self.factors),
+            "infection_indices": tuple(self._infection),
+            "one_reg": self._one or base.one_reg,
+        }
+        prog = Program(self.name, self.inputs, instrs, replace(base, **{**derived, **changes}))
         check_runnable(prog)
         return prog
 

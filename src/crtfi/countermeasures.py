@@ -114,7 +114,7 @@ def _build_unprotected(key: CrtKey, r_bits: int, build_seed: int) -> Program:
     si = b.recombine("s", "sp", "sq", "q", "iq", "p")
     b.set_phase("output")
     ri = b.ret("s")
-    return b.build(tail=(si, ri))
+    return b.build(output_tail=(si, ri))
 
 
 def _build_straightforward(key: CrtKey, r_bits: int, build_seed: int) -> Program:
@@ -191,7 +191,7 @@ def _build_giraud(key: CrtKey, r_bits: int, build_seed: int) -> Program:
     b.check("ms", "s", mod="n")
     b.set_phase("output")
     ri = b.ret("s")
-    return b.build(tail=(ri,), n_reg="n")
+    return b.build(output_tail=(ri,), n_reg="n")
 
 
 def _build_shamir(key: CrtKey, r_bits: int, build_seed: int) -> Program:
@@ -218,7 +218,7 @@ def _build_shamir(key: CrtKey, r_bits: int, build_seed: int) -> Program:
     b.check("spp", "sqq", mod="r")
     b.set_phase("output")
     ri = b.ret("s")
-    return b.build(tail=(ri,), checksum_power=1, r_regs=("r",))
+    return b.build(output_tail=(ri,), checksum_power=1, r_regs=("r",))
 
 
 def _build_fixed_shamir(key: CrtKey, r_bits: int, build_seed: int) -> Program:
@@ -255,7 +255,7 @@ def _build_fixed_shamir(key: CrtKey, r_bits: int, build_seed: int) -> Program:
     b.check("s", "sqq", mod="q")
     b.set_phase("output")
     ri = b.ret("s")
-    return b.build(tail=(ri,), checksum_power=1, r_regs=("r",))
+    return b.build(output_tail=(ri,), checksum_power=1, r_regs=("r",))
 
 
 def _build_joye(key: CrtKey, r_bits: int, build_seed: int) -> Program:
@@ -291,7 +291,7 @@ def _build_joye(key: CrtKey, r_bits: int, build_seed: int) -> Program:
     si = b.recombine("s", "sp", "sq", "q", "iq", "p")
     b.set_phase("output")
     ri = b.ret("s")
-    return b.build(tail=(si, ri), checksum_power=1, r_regs=("r1", "r2"), n_reg="n")
+    return b.build(output_tail=(si, ri), checksum_power=1, r_regs=("r1", "r2"), n_reg="n")
 
 
 def _build_ciet_joye(key: CrtKey, r_bits: int, build_seed: int) -> Program:
@@ -329,12 +329,8 @@ def _build_ciet_joye(key: CrtKey, r_bits: int, build_seed: int) -> Program:
     b.set_phase("recombine")
     b.recombine("sr", "spp", "sqq", "qq", "iqq", "pp")
     b.set_phase("verify")
-    c1d = b.sub("c1d", "sr", "spr", mod="r1")
-    c1 = b.add("c1", "c1d", one, mod="r1")
-    b.factor("c1", "sr", "spr", "r1", c1d, c1, 0)
-    c2d = b.sub("c2d", "sr", "sqr", mod="r2")
-    c2 = b.add("c2", "c2d", one, mod="r2")
-    b.factor("c2", "sr", "sqr", "r2", c2d, c2, 1)
+    b.factor("c1", "sr", "spr", "r1", "c1d")
+    b.factor("c2", "sr", "sqr", "r2", "c2d")
     b.set_phase("infect")
     b.const("pw", 1 << r_bits)
     b.mul("g1", "r3", "c1")
@@ -348,7 +344,7 @@ def _build_ciet_joye(key: CrtKey, r_bits: int, build_seed: int) -> Program:
     ri = b.ret("s")
     # infection is the gamma blend, not the canonical product/power shape, so
     # infection_indices stays empty and the reverse transform refuses it
-    return b.build(tail=(ai, si, ri), checksum_power=1, r_regs=("r1", "r2"), n_reg="n")
+    return b.build(output_tail=(ai, si, ri), checksum_power=1, r_regs=("r1", "r2"), n_reg="n")
 
 
 def _build_blomer(key: CrtKey, r_bits: int, build_seed: int) -> Program:
@@ -380,7 +376,7 @@ def _build_blomer(key: CrtKey, r_bits: int, build_seed: int) -> Program:
     b.const("r1", r1)
     b.const("r2", r2)
     b.set_phase("precompute")
-    one = b.one()
+    b.one()
     b.mul("pp", "p", "r1")
     b.mul("qq", "q", "r2")
     b.inv("iqq", "qq", "pp")
@@ -399,25 +395,12 @@ def _build_blomer(key: CrtKey, r_bits: int, build_seed: int) -> Program:
     b.recombine("sr", "spp", "sqq", "qq", "iqq", "pp")
     b.set_phase("verify")
     b.exp("v1", "sr", "epp", "r1")
-    c1d = b.sub("c1d", "m", "v1", mod="r1")
-    c1 = b.add("c1", "c1d", one, mod="r1")
-    b.factor("c1", "m", "v1", "r1", c1d, c1, 0)
+    b.factor("c1", "m", "v1", "r1", "c1d")
     b.exp("v2", "sr", "eqq", "r2")
-    c2d = b.sub("c2d", "m", "v2", mod="r2")
-    c2 = b.add("c2", "c2d", one, mod="r2")
-    b.factor("c2", "m", "v2", "r2", c2d, c2, 1)
-    b.set_phase("infect")
-    cc = b.mul("cc", "c1", "c2")
+    b.factor("c2", "m", "v2", "r2", "c2d")
     b.set_phase("output")
-    fi = b.exp("sf", "sr", "cc", "n")
-    ri = b.ret("sf")
-    return b.build(
-        tail=(cc, fi, ri),
-        infection=(cc, fi),
-        checksum_power=1,
-        r_regs=("r1", "r2"),
-        n_reg="n",
-    )
+    tail = b.infect("sr", ["c1", "c2"], "n", {"m1": "cc", "s": "sf"}.__getitem__)
+    return b.build(output_tail=tail, checksum_power=1, r_regs=("r1", "r2"), n_reg="n")
 
 
 def _build_aumuller(key: CrtKey, r_bits: int, build_seed: int) -> Program:
@@ -457,7 +440,7 @@ def _build_aumuller(key: CrtKey, r_bits: int, build_seed: int) -> Program:
     b.check("a1", "a2", mod="r")
     b.set_phase("output")
     ri = b.ret("s")
-    return b.build(tail=(ri,), checksum_power=1, r_regs=("r",))
+    return b.build(output_tail=(ri,), checksum_power=1, r_regs=("r",))
 
 
 def _vigilant_embed(b: ProgramBuilder, side: str, prime: str) -> None:
@@ -545,7 +528,7 @@ def _build_vigilant(key: CrtKey, r_bits: int, build_seed: int) -> Program:
     b.set_phase("output")
     si = b.reduce("s", "srec", "n")
     ri = b.ret("s")
-    return b.build(tail=(si, ri), checksum_power=2, r_regs=("r",), n_reg="n")
+    return b.build(output_tail=(si, ri), checksum_power=2, r_regs=("r",), n_reg="n")
 
 
 def _build_vigilant_simplified(key: CrtKey, r_bits: int, build_seed: int) -> Program:
@@ -565,10 +548,8 @@ def _build_vigilant_simplified(key: CrtKey, r_bits: int, build_seed: int) -> Pro
     b.mul("dpro", "dp", "r")
     b.add("spr", one, "dpro")  # expected checksum residue 1 + dp*r
     b.set_phase("verify")
-    cpa = b.add("cpa", "mpp", "n")
-    cpd = b.sub("cpd", "cpa", "m", mod="p")
-    cp = b.add("cp", "cpd", one, mod="p")
-    b.factor("cp", "cpa", "m", "p", cpd, cp, 0)
+    b.add("cpa", "mpp", "n")
+    b.factor("cp", "cpa", "m", "p", "cpd")
     b.set_phase("precompute")
     _vigilant_embed(b, "q", "q")
     _vigilant_phi(b, "q", "q", "dq")
@@ -577,30 +558,17 @@ def _build_vigilant_simplified(key: CrtKey, r_bits: int, build_seed: int) -> Pro
     b.mul("dqro", "dq", "r")
     b.add("sqr", one, "dqro")
     b.set_phase("verify")
-    cqa = b.add("cqa", "mqq", "n")
-    cqd = b.sub("cqd", "cqa", "m", mod="q")
-    cq = b.add("cq", "cqd", one, mod="q")
-    b.factor("cq", "cqa", "m", "q", cqd, cq, 1)
+    b.add("cqa", "mqq", "n")
+    b.factor("cq", "cqa", "m", "q", "cqd")
     b.set_phase("recombine")
     b.recombine("srec", "spp", "sqq", "q", "iq", "pp")
     b.recombine("crec", "spr", "sqr", "q", "iq", "pp")
     b.set_phase("verify")
-    csd = b.sub("csd", "srec", "crec", mod="rsq")
-    cs = b.add("cs", "csd", one, mod="rsq")
-    b.factor("cs", "srec", "crec", "rsq", csd, cs, 2)
-    b.set_phase("infect")
-    x1 = b.mul("x1", "cp", "cq")
-    cstar = b.mul("cstar", "x1", "cs")
+    b.factor("cs", "srec", "crec", "rsq", "csd")
     b.set_phase("output")
-    fi = b.exp("sf", "srec", "cstar", "n")
-    ri = b.ret("sf")
-    return b.build(
-        tail=(x1, cstar, fi, ri),
-        infection=(x1, cstar, fi),
-        checksum_power=2,
-        r_regs=("r",),
-        n_reg="n",
-    )
+    names = {"m1": "x1", "m2": "cstar", "s": "sf"}
+    tail = b.infect("srec", ["cp", "cq", "cs"], "n", names.__getitem__)
+    return b.build(output_tail=tail, checksum_power=2, r_regs=("r",), n_reg="n")
 
 
 def _build_aumuller_infective(key: CrtKey, r_bits: int, build_seed: int) -> Program:

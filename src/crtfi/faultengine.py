@@ -55,7 +55,7 @@ import math
 import random
 import zlib
 from collections import defaultdict
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from itertools import combinations, product, repeat
 from operator import itemgetter, sub
 
@@ -196,7 +196,7 @@ def _csv_cell(v: object) -> str:
     return str(v)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AttackSuccess:
     """One breaking plan: the released value leaked a factor of N."""
 
@@ -768,18 +768,16 @@ class _Tally:
         """Run build_plans' plans in order, in batches of _BATCH. At order 1
         (None) run the table in order instead: each zero and randomize row
         in batches of _BATCH of its values, unless it is a twin read row,
-        and the skip rows, one plan each, in batches of _BATCH. Then write
-        each row's run counts into rows, which _replay reads."""
+        then the skip rows, one plan each, in batches of _BATCH
+        (enumerate_sites lists every skip window after every data site).
+        Then write each row's run counts into rows, which _replay reads."""
         if plans is None:
             twins = _twin_rows(self.code, self.table)
             plans = []
             for r, t in enumerate(self.table):
                 if t.kind is FaultKind.SKIP:
                     plans.append((self.ids.base[r],))
-                    continue
-                self._run_plans(plans)  # the skip rows before this one
-                plans = []
-                if r in twins:
+                elif r in twins:
                     self._copy_row(twins[r], r)
                 else:
                     self._run_row(r)
@@ -1019,17 +1017,15 @@ def _replay(
         need.update(range(len(successes)))
     else:
         for r, idxs in tally.row_success_idx.items():
-            row = rows[r]
-            if row.kind in ("zero", "skip"):
+            if rows[r].kind != "randomize":
                 need.update(idxs)
-            elif row.fraction < 0.5 and (bound is None or row.fraction > bound):
+            elif _band(rows[r], bound) is None:
                 need.update(idxs[:_REPLAY_CAP])
     redraw = site_domains(program, first_regs) if spec.order > 1 else None
     for idx in sorted(need):
         s = successes[idx]
         plan = tally.ids.fault_plan(tally.success_plans[idx])
-        persistent = plan_persists(program, spec.key, s.message, plan, spec.seed, redraw=redraw)
-        successes[idx] = replace(s, persistent=persistent)
+        s.persistent = plan_persists(program, spec.key, s.message, plan, spec.seed, redraw=redraw)
     for r, idxs in tally.row_success_idx.items():
         replayed = [successes[i].persistent for i in idxs if successes[i].persistent is not None]
         if replayed:
@@ -1107,15 +1103,25 @@ def _classify(row: SiteRow, bound: float | None) -> str:
     """
     if row.successes == 0:
         return CLASS_NONE
-    if row.kind == "randomize":
-        f = row.fraction
-        if f >= 0.5:
-            return CLASS_STRUCTURAL
-        if bound is not None and f <= bound:
-            return CLASS_COLLISION
+    band = _band(row, bound)
+    if band is not None:
+        return band
     if row.persistent == 0:
         return CLASS_COLLISION
     return CLASS_STRUCTURAL
+
+
+def _band(row: SiteRow, bound: float | None) -> str | None:
+    """The class a randomize row's success fraction settles by itself:
+    structural at or above one half, collision at or below bound; None
+    in between and for every other kind, which replay evidence decides."""
+    if row.kind != "randomize":
+        return None
+    if row.fraction >= 0.5:
+        return CLASS_STRUCTURAL
+    if bound is not None and row.fraction <= bound:
+        return CLASS_COLLISION
+    return None
 
 
 # --------------------------------------------------- skip-fault subsumption

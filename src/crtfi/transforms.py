@@ -8,7 +8,11 @@ when the infection machinery has the canonical product/power shape. harden
 replicates every verification unit together with the instructions feeding
 only it, which is what pushes erase-the-check attacks one fault order up.
 
-Each rewrite is one pass over its source, emitting one listing. Helper
+Each rewrite is one pass over its source, writing the result through
+circuit.ProgramBuilder, the builder the catalog uses: each copied
+instruction keeps its source's phase tag, to_infective writes its factors
+with the builder's factor method and every rewrite its product/power chain
+with infect, and build lays the changes over the source's metadata. Helper
 registers a rewrite inserts (the unit constant, the public modulus product)
 use the reserved names below and are emitted immediately before their first
 consumer. Position matters: random draws are seeded by instruction index, so
@@ -23,7 +27,6 @@ again.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable
 
 from .circuit import (
     BinOp,
@@ -31,10 +34,10 @@ from .circuit import (
     Const,
     DrawRandomPrime,
     InfectionFactor,
-    Instr,
     LoadInput,
     ModExp,
     Program,
+    ProgramBuilder,
     Ret,
     check_runnable,
     dst_of,
@@ -69,54 +72,6 @@ def _phases_of(program: Program) -> list[str]:
     return list(program.meta.phases) or ["main"] * len(program.instrs)
 
 
-class _Listing:
-    """A rewritten instruction stream, one phase tag per instruction."""
-
-    def __init__(self) -> None:
-        self.instrs: list[Instr] = []
-        self.phases: list[str] = []
-
-    def emit(self, ins: Instr, phase: str) -> int:
-        self.instrs.append(ins)
-        self.phases.append(phase)
-        return len(self.instrs) - 1
-
-    def infect(
-        self, base: str, c_regs: list[str], mod: str, name: Callable[[str], str], phase: str
-    ) -> list[int]:
-        """Release base^(c_regs[0] * c_regs[1] * ...) mod `mod`.
-
-        Emits the left-fold product (registers name("m1"), name("m2"), ...),
-        the power (name("s")) and the Return of it, tagged `phase`; returns
-        the indices of the product and the power, the infection chain.
-        """
-        chain = []
-        acc = c_regs[0]
-        for k, c in enumerate(c_regs[1:], 1):
-            reg = name(f"m{k}")
-            chain.append(self.emit(BinOp(reg, "mul", acc, c), "infect"))
-            acc = reg
-        sig = name("s")
-        chain.append(self.emit(ModExp(sig, base, acc, mod), "output"))
-        self.emit(Ret(sig), phase)
-        return chain
-
-    def program(self, source: Program, name: str, **meta) -> Program:
-        """The stream as a valid program with source's metadata, as updated.
-
-        verification_checks always lists the stream's CheckEq positions.
-        """
-        checks = tuple(i for i, ins in enumerate(self.instrs) if isinstance(ins, CheckEq))
-        result = Program(
-            name,
-            source.inputs,
-            tuple(self.instrs),
-            replace(source.meta, phases=tuple(self.phases), verification_checks=checks, **meta),
-        )
-        check_runnable(result)
-        return result
-
-
 # ----------------------------------------------------------- style rewrites
 
 
@@ -128,9 +83,6 @@ def to_infective(program: Program) -> Program:
         raise NotTestBased(f"{program.name} has no final return")
     phases = _phases_of(program)
     n_reg = program.meta.n_reg
-    # the listings' "+1" is an immediate: give it its own register so no
-    # fault on a core constant can reach into the infection factors
-    one_reg = ONE_RESERVED
     loads = {i.name: i.dst for i in program.instrs if isinstance(i, LoadInput)}
     need_n = n_reg is None
     if need_n:
@@ -138,42 +90,29 @@ def to_infective(program: Program) -> Program:
             raise NotTestBased(f"{program.name} gives no way to form the public modulus")
         n_reg = N_RESERVED
 
-    out = _Listing()
-    emit = out.emit
+    out = ProgramBuilder(program.name + "-infective", program.inputs)
     idx_map: dict[int, int] = {}
-    factors: list[InfectionFactor] = []
-    infection: list[int] = []
+    chain: list[int] = []
     helper_tail: list[int] = []
     for i, ins in enumerate(program.instrs):
+        out.set_phase(phases[i])
         if isinstance(ins, CheckEq):
-            k = len(factors)
-            if k == 0:
-                emit(Const(one_reg, 1), phases[i])
-            d_reg, c_reg = f"inf{k}d", f"inf{k}c"
-            di = emit(BinOp(d_reg, "sub", ins.a, ins.b, ins.mod), phases[i])
-            ci = emit(BinOp(c_reg, "add", d_reg, one_reg, ins.mod), phases[i])
-            factors.append(InfectionFactor(c_reg, ins.a, ins.b, ins.mod, di, ci, k))
-            idx_map[i] = ci
+            # the listings' "+1" is an immediate: give it its own register so
+            # no fault on a core constant can reach into the infection factors
+            out.one(ONE_RESERVED)
+            k = len(out.factors)
+            idx_map[i] = out.factor(f"inf{k}c", ins.a, ins.b, ins.mod, f"inf{k}d")
         elif isinstance(ins, Ret):
             if need_n:
                 # feeds only the final power's modulus slot: output machinery
-                helper_tail.append(emit(BinOp(n_reg, "mul", loads["p"], loads["q"]), "infect"))
-            c_regs = [f.c_reg for f in factors]
-            infection = out.infect(ins.src, c_regs, n_reg, lambda stem: "inf" + stem, phases[i])
-            idx_map[i] = len(out.instrs) - 1
+                helper_tail.append(out.emit(BinOp(n_reg, "mul", loads["p"], loads["q"]), "infect"))
+            c_regs = [f.c_reg for f in out.factors]
+            *chain, idx_map[i] = out.infect(ins.src, c_regs, n_reg, lambda stem: "inf" + stem)
         else:
-            idx_map[i] = emit(ins, phases[i])
+            idx_map[i] = out.emit(ins)
 
-    tail = {idx_map[i] for i in program.meta.output_tail} | set(infection) | set(helper_tail)
-    return out.program(
-        program,
-        program.name + "-infective",
-        factors=tuple(factors),
-        infection_indices=tuple(infection),
-        output_tail=tuple(sorted(tail)),
-        n_reg=n_reg,
-        one_reg=one_reg,
-    )
+    tail = {idx_map[i] for i in program.meta.output_tail} | set(chain) | set(helper_tail)
+    return out.build(program.meta, output_tail=tuple(sorted(tail)), n_reg=n_reg)
 
 
 def _canonical_chain(program: Program) -> ModExp:
@@ -259,21 +198,20 @@ def to_testbased(program: Program) -> Program:
     drop |= {i for i, ins in enumerate(instrs) if dst_of(ins) in dead}
 
     phases = _phases_of(program)
-    out = _Listing()
-    emit = out.emit
-    idx_map: dict[int, int] = {}
-    for i, ins in enumerate(instrs):
-        if i == ret_idx:
-            idx_map[i] = emit(Ret(exp_ins.base), phases[i])
-        elif i in check_at:
-            f = check_at[i]
-            idx_map[i] = emit(CheckEq(f.a_reg, f.b_reg, f.mod_reg), phases[i])
-        elif i not in drop:
-            idx_map[i] = emit(ins, phases[i])
-
     name = program.name
     if name.endswith("-infective"):
         name = name[: -len("-infective")]
+    out = ProgramBuilder(name, program.inputs)
+    idx_map: dict[int, int] = {}
+    for i, ins in enumerate(instrs):
+        if i == ret_idx:
+            idx_map[i] = out.emit(Ret(exp_ins.base), phases[i])
+        elif i in check_at:
+            f = check_at[i]
+            idx_map[i] = out.emit(CheckEq(f.a_reg, f.b_reg, f.mod_reg), phases[i])
+        elif i not in drop:
+            idx_map[i] = out.emit(ins, phases[i])
+
     if one_reg == ONE_RESERVED:
         # the reserved unit constant is dropped above; point back at a unit
         # constant surviving in the core, if the core carries one
@@ -281,11 +219,8 @@ def to_testbased(program: Program) -> Program:
             (ins.dst for ins in out.instrs if isinstance(ins, Const) and ins.value == 1),
             None,
         )
-    return out.program(
-        program,
-        name,
-        factors=(),
-        infection_indices=(),
+    return out.build(
+        program.meta,
         output_tail=tuple(sorted(idx_map[i] for i in program.meta.output_tail if i in idx_map)),
         n_reg=None if program.meta.n_reg == N_RESERVED else program.meta.n_reg,
         one_reg=one_reg,
@@ -367,26 +302,24 @@ def harden(program: Program, copies: int) -> Program:
     by_anchor = {unit[-1]: (ufs, unit) for ufs, unit in units}
     old_chain = set(program.meta.infection_indices) if factors else set()
     phases = _phases_of(program)
-    out = _Listing()
-    emit = out.emit
+    out = ProgramBuilder(f"{program.name}-h{copies}", program.inputs)
     idx_map: dict[int, int] = {}
     copied: dict[int, list[InfectionFactor]] = {}  # factor c_idx -> its copies
-    new_factors: list[InfectionFactor] = []
-    infection: list[int] = []
+    chain: list[int] = []
     for i, ins in enumerate(instrs):
         if i in old_chain:
             continue
+        out.set_phase(phases[i])
         if factors and isinstance(ins, Ret):
             for f in factors:
                 moved = replace(f, diff_idx=idx_map[f.diff_idx], c_idx=idx_map[f.c_idx])
-                new_factors += [moved, *copied.get(f.c_idx, [])]
-            c_regs = [f.c_reg for f in new_factors]
-            infection = out.infect(
-                exp_ins.base, c_regs, exp_ins.mod, lambda stem: fresh("h" + stem), phases[i]
+                out.factors += [moved, *copied.get(f.c_idx, [])]
+            c_regs = [f.c_reg for f in out.factors]
+            *chain, idx_map[i] = out.infect(
+                exp_ins.base, c_regs, exp_ins.mod, lambda stem: fresh("h" + stem)
             )
-            idx_map[i] = len(out.instrs) - 1
             continue
-        idx_map[i] = emit(ins, phases[i])
+        idx_map[i] = out.emit(ins)
         if i not in by_anchor:
             continue
         ufs, unit = by_anchor[i]
@@ -394,7 +327,7 @@ def harden(program: Program, copies: int) -> Program:
         dsts = [dst_of(instrs[j]) for j in block]
         for t in range(1, copies):
             ren = {r: fresh(f"{r}h{t}") for r in dsts if r is not None}
-            placed = {j: emit(rename_registers(instrs[j], ren), phases[j]) for j in block}
+            placed = {j: out.emit(rename_registers(instrs[j], ren), phases[j]) for j in block}
             for f in ufs:
                 a, b, m = (ren.get(r, r) for r in (f.a_reg, f.b_reg, f.mod_reg))
                 copy = InfectionFactor(
@@ -402,14 +335,8 @@ def harden(program: Program, copies: int) -> Program:
                 )
                 copied.setdefault(f.c_idx, []).append(copy)
 
-    tail = {idx_map[i] for i in program.meta.output_tail if i in idx_map} | set(infection)
-    return out.program(
-        program,
-        f"{program.name}-h{copies}",
-        factors=tuple(new_factors),
-        infection_indices=tuple(infection),
-        output_tail=tuple(sorted(tail)),
-    )
+    tail = {idx_map[i] for i in program.meta.output_tail if i in idx_map} | set(chain)
+    return out.build(program.meta, output_tail=tuple(sorted(tail)))
 
 
 # -------------------------------------------------------------- comparison

@@ -71,7 +71,7 @@ def test_read_before_write_is_a_defect():
     b.const("a", 1)
     b.add("c", "a", "ghost")
     b.ret("c")
-    prog = b._instrs  # build() would raise, validate the raw shape instead
+    prog = b.instrs  # build() would raise, validate the raw shape instead
     from crtfi.circuit import Program, ProgramMeta
 
     p = Program("bad", (), tuple(prog), ProgramMeta(phases=("main",) * 3))
@@ -97,6 +97,16 @@ def test_dead_store_is_only_a_warning():
     assert [d.kind for d in defects] == ["dead-store"]
     assert defects[0].severity == "warning"
     assert is_well_formed(p)
+
+
+def test_every_emitted_check_is_a_verification_check():
+    # build reads the checks off the stream, however they were written
+    b = ProgramBuilder("direct", ("M",))
+    b.inp("m", "M")
+    b.check("m", "m")
+    emitted = b.emit(CheckEq("m", "m"), "verify")
+    b.ret("m")
+    assert b.build().meta.verification_checks == (1, emitted)
 
 
 # --------------------------------------------------------------- evaluation
@@ -280,7 +290,7 @@ def test_dump_parse_round_trip():
     rewrites = (to_infective, to_testbased, lambda prog: harden(prog, 2))
     b = ProgramBuilder("unreduced-factor", ("M",))  # a factor without a ring
     b.inp("m", "M")
-    b.factor("m", "m", "m", None, 0, 0, 0)
+    b.factor("c", "m", "m", None, "d")
     b.ret("m")
     progs = [b.build()]
     for entry in catalog():

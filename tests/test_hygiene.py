@@ -2,6 +2,7 @@
 
 Every module-level import of a module is used in it, every private
 (underscore) module-level name is referenced somewhere in the package,
+every public module-level name somewhere in the package or its tests,
 every public method of a package class is referenced outside that class, in
 the package or its tests, and every attribute a package class stores on
 self is read somewhere in the package or its tests, so no leftover import,
@@ -42,7 +43,8 @@ def _loaded(tree: ast.AST) -> set[str]:
     return out
 
 
-def _private_defs(tree: ast.Module) -> list[str]:
+def _module_defs(tree: ast.Module) -> list[str]:
+    """Names a module defines at top level: functions, classes, assignments."""
     names = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -50,7 +52,7 @@ def _private_defs(tree: ast.Module) -> list[str]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names += [t.id for t in targets if isinstance(t, ast.Name)]
-    return [n for n in names if n.startswith("_") and not n.endswith("__")]
+    return names
 
 
 def test_every_module_level_import_is_used():
@@ -68,8 +70,17 @@ def test_every_module_level_import_is_used():
 def test_every_private_module_level_name_is_referenced():
     referenced = set().union(*(_loaded(tree) for tree in TREES.values()))
     orphans = [
-        f"{name}: {n}" for name, tree in MODULES.items() for n in _private_defs(tree)
-        if n not in referenced
+        f"{name}: {n}" for name, tree in MODULES.items() for n in _module_defs(tree)
+        if n.startswith("_") and not n.endswith("__") and n not in referenced
+    ]
+    assert orphans == []
+
+
+def test_every_public_module_level_name_is_referenced():
+    referenced = set().union(*map(_loaded, [*TREES.values(), *TEST_TREES]))
+    orphans = [
+        f"{name}: {n}" for name, tree in MODULES.items() for n in _module_defs(tree)
+        if not n.startswith("_") and n not in referenced
     ]
     assert orphans == []
 
