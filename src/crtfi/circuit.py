@@ -286,6 +286,12 @@ _BINOP_KERNELS = {**{op: _arith_kernel(f) for op, f in _ARITH.items()}, "div": _
 # precedence are the kernel's.
 
 
+def _lanes(xs) -> list:
+    """xs as lane columns, each scalar repeated to the lists' length."""
+    n = max(len(x) for x in xs if x.__class__ is list)
+    return [repeat(x, n) if x.__class__ is int else x for x in xs]
+
+
 def _moduli_ok(m) -> bool:
     """Whether every lane's modulus is at least 2."""
     return (m if m.__class__ is int else min(m)) >= 2
@@ -295,8 +301,7 @@ def _arith_vector(op: Callable[[int, int], int]) -> Callable:
     """The vector kernel of a BinOp over op."""
 
     def vector(ins, xs, i, env):
-        n = max(len(x) for x in xs if x.__class__ is list)
-        cols = [repeat(x, n) if x.__class__ is int else x for x in xs]
+        cols = _lanes(xs)
         if len(xs) == 2:
             return list(map(op, *cols))
         return list(map(mod, map(op, cols[0], cols[1]), cols[2])) if _moduli_ok(xs[2]) else None
@@ -305,14 +310,12 @@ def _arith_vector(op: Callable[[int, int], int]) -> Callable:
 
 
 def _v_reduce(ins, xs, i, env):
-    n = max(len(x) for x in xs if x.__class__ is list)
-    cols = [repeat(x, n) if x.__class__ is int else x for x in xs]
+    cols = _lanes(xs)
     return list(map(mod, *cols)) if _moduli_ok(xs[1]) else None
 
 
 def _v_exp(ins, xs, i, env):
-    n = max(len(x) for x in xs if x.__class__ is list)
-    cols = [repeat(x, n) if x.__class__ is int else x for x in xs]
+    cols = _lanes(xs)
     exp = xs[1]
     # pow takes a negative exponent as an inverse power; the kernel crashes there
     if not _moduli_ok(xs[2]) or (exp if exp.__class__ is int else min(exp)) < 0:
@@ -321,19 +324,17 @@ def _v_exp(ins, xs, i, env):
 
 
 def _v_inv(ins, xs, i, env):
-    n = max(len(x) for x in xs if x.__class__ is list)
-    a, m = [repeat(x, n) if x.__class__ is int else x for x in xs]
+    a, m = _lanes(xs)
     if not _moduli_ok(xs[1]):
         return None
     try:
-        return list(map(pow, a, repeat(-1, n), m))
+        return list(map(pow, a, repeat(-1), m))
     except ValueError:  # some lane is not invertible
         return None
 
 
 def _v_check(ins, xs, i, env):
-    n = max(len(x) for x in xs if x.__class__ is list)
-    cols = [repeat(x, n) if x.__class__ is int else x for x in xs]
+    cols = _lanes(xs)
     fail = ErrorOut(i)
     if len(xs) == 2:
         return [None if ok else fail for ok in map(eq, *cols)]

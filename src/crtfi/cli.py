@@ -12,6 +12,7 @@ malformed key or program file, unsatisfiable campaign spec).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -181,19 +182,27 @@ def _parser() -> argparse.ArgumentParser:
     _add_build_flags(p)
     p.set_defaults(fn=_cmd_sign)
 
+    default = {f.name: f.default for f in dataclasses.fields(CampaignSpec)}
     p = sub.add_parser("campaign", help="inject faults at every site and report")
     p.add_argument("--algo", required=True)
     _add_key_flag(p)
-    p.add_argument("--order", type=int, default=1)
-    p.add_argument("--kinds", default="zero,randomize,skip", help="comma list")
-    p.add_argument("--max-skip-len", type=int, default=2)
-    p.add_argument("--exhaustive-threshold", type=int, default=16384)
-    p.add_argument("--samples", type=int, default=64, help="values per sampled site")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--messages", type=_int_list, default=(), help="comma list; default 2,3,N-2")
-    p.add_argument("--plan-limit", type=int, default=10000)
+    p.add_argument("--order", type=int, default=default["order"])
+    p.add_argument("--kinds", default=",".join(default["kinds"]), help="comma list")
+    p.add_argument("--max-skip-len", type=int, default=default["max_skip_len"])
+    p.add_argument("--exhaustive-threshold", type=int, default=default["exhaustive_threshold"])
     p.add_argument(
-        "--workers", type=int, default=1, help="accepted for compatibility; campaigns run serially"
+        "--samples", type=int, default=default["samples_per_site"], help="values per sampled site"
+    )
+    p.add_argument("--seed", type=int, default=default["seed"])
+    p.add_argument(
+        "--messages", type=_int_list, default=default["messages"], help="comma list; default 2,3,N-2"
+    )
+    p.add_argument("--plan-limit", type=int, default=default["plan_limit"])
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=default["workers"],
+        help="accepted for compatibility; campaigns run serially",
     )
     _add_build_flags(p)
     p.add_argument("--out", help="report file")

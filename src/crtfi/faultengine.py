@@ -32,10 +32,13 @@ order 2 and above; at order 1 each zero and randomize row's values, then
 the skip rows. A batch's per-index fault lists are gathered once for all
 messages, and each pass is scored as soon as it returns, as one column:
 gcd(N, v - S) over the lanes' released values, so only a lane that breaks
-is visited on its own. At order 1 a read fault whose register has one
-reader, naming it once, is the same fault as a write fault on that
-register's writer: such a read row, with the write row's values, is not
-run, and takes the write row's counts and successes under its own site.
+is visited on its own. One writer keeps every break, listing it on each
+row its plan touches; a row's success, factor and silent counts are
+derived from those lists once every plan has run. At order 1 a read fault
+whose register has one reader, naming it once, is the same fault as a
+write fault on that register's writer: such a read row, with the write
+row's values, is not run, and takes the write row's counts and successes
+under its own site.
 The replay probes run one plan at a time through FaultRunner.run. Runners
 are kept by the program under (key, message, seed), so each baseline runs
 once: the campaign's messages, the site-action table and every replay
@@ -110,8 +113,9 @@ class CampaignSpec:
     (0 < M < N and gcd(M, N) = 1), the default messages 2, 3 and N-2
     included: a message sharing a factor with N leaks that factor on its
     own, so faulted outputs would count as breaks the scheme did not cause,
-    and one outside (0, N) aliases another message. samples_per_site must
-    be at least 1, or sampled randomize rows would run no value.
+    and one outside (0, N) aliases another message. No message may repeat,
+    or its runs would count twice. samples_per_site must be at least 1, or
+    sampled randomize rows would run no value.
     workers is checked but not used: campaigns run on one thread, and the
     report does not depend on it.
     """
@@ -145,11 +149,14 @@ class CampaignSpec:
                 raise ValueError(f"unknown fault kind {k!r}")
         check_crt_key(self.key)
         n = self.key.p * self.key.q
-        for m in _messages_of(self):
+        messages = _messages_of(self)
+        for m in messages:
             if not 0 < m < n or math.gcd(m, n) != 1:
                 raise ValueError(
                     f"message {m} is not a unit mod N={n}: need 0 < M < N and gcd(M, N) = 1"
                 )
+            if messages.count(m) > 1:
+                raise ValueError(f"message {m} is repeated: each message runs once")
 
 
 @dataclass
@@ -717,19 +724,19 @@ class _Tally:
     lanes' released values, an ErrorOut or Crash having none (no output),
     then gcd(N, v - S) of each. A column with neither p nor q in it is
     counted by list counts alone; only a lane that breaks is visited on
-    its own. Attempts, no-output and silent runs add into three flat
-    per-row int lists, which run writes into rows once, when every plan
-    has run: an order-1 row batch adds into its one row, a plan batch into
-    the rows of each of its plans. A break is counted on its plan's rows
-    and becomes an AttackSuccess, indexed by row, whose id plan is kept
-    for the replay pass; successes come in plan order, then message order.
-    A plan batch's per-index fault lists are gathered once for all
-    messages, each action id decoded by ActionIds' shift and mask where a
-    plan uses it.
+    its own. Two producers make batches: _run_row takes an order-1 row's
+    values as its faults, and _run_plans decodes id plans, gathering a
+    batch's per-index fault lists once for all messages. Each adds its
+    attempts and no-output runs into two flat per-row int lists, and hands
+    its breaks to _keep, the one writer of successes: a break becomes an
+    AttackSuccess whose id plan is kept for the replay pass, listed on
+    every row its plan touches; successes come in plan order, then
+    message order. When every plan has run, run derives each row's
+    successes, factor_p, factor_q and silent runs from those lists.
 
     At order 1 a read row twin to a write row (_twin_rows) does not run: it
-    takes the write row's counts, and its successes in order, relabelled
-    with the read row's site and action ids.
+    takes the write row's counts, and keeps the write row's successes again
+    under its own action ids.
     """
 
     def __init__(self, key: CrtKey, program: Program, ids: ActionIds, runs: list):
@@ -751,9 +758,8 @@ class _Tally:
         self.runs = runs
         self.successes: list[AttackSuccess] = []
         self.success_plans: list[IdPlan] = []
-        self.row_success_idx: dict[int, list[int]] = {}
-        n_rows = len(self.table)
-        self._attempts, self._no_output, self._silent = [0] * n_rows, [0] * n_rows, [0] * n_rows
+        self.row_success_idx: dict[int, list[int]] = defaultdict(list)
+        self._attempts, self._no_output = [0] * len(self.table), [0] * len(self.table)
         # (index, read slot or None, skipped indices) per table row: a skip
         # window has index -1 and its indices as the range, a data site its
         # faulted index and an empty range
@@ -770,7 +776,7 @@ class _Tally:
         in batches of _BATCH of its values, unless it is a twin read row,
         then the skip rows, one plan each, in batches of _BATCH
         (enumerate_sites lists every skip window after every data site).
-        Then write each row's run counts into rows, which _replay reads."""
+        Then write each row's counts into rows, which _replay reads."""
         if plans is None:
             twins = _twin_rows(self.code, self.table)
             plans = []
@@ -782,49 +788,62 @@ class _Tally:
                 else:
                     self._run_row(r)
         self._run_plans(plans)
-        for row, attempts, none, silent in zip(self.rows, self._attempts, self._no_output, self._silent):
-            row.attempts, row.no_output, row.silent = attempts, none, silent
+        successes, kept = self.successes, self.row_success_idx
+        for r, (row, attempts, none) in enumerate(zip(self.rows, self._attempts, self._no_output)):
+            sides = [successes[i].side for i in kept.get(r, ())]
+            row.attempts, row.no_output, row.successes = attempts, none, len(sides)
+            row.factor_p, row.factor_q = sides.count("p"), sides.count("q")
+            row.silent = attempts - none - len(sides)
+
+    def _keep(self, plans: list[IdPlan], plan_rows: list[list[int]], hits: list[tuple]) -> None:
+        """Keep a batch's breaks: each hit (lane k, message, released value,
+        gcd(N, v - S)) becomes an AttackSuccess of plans[k], listed on every
+        row of plan_rows[k]. A lane's hits share its plan and actions."""
+        p, q, mask = self.key.p, self.key.q, self.ids.mask
+        rows, table = self.rows, self.table
+        successes, kept, row_idx = self.successes, self.success_plans, self.row_success_idx
+        lane = -1
+        for k, m, v, g in hits:
+            if k != lane:
+                lane, plan, touched = k, plans[k], plan_rows[k]
+                actions = tuple(
+                    [(rows[r].site, rows[r].kind, table[r].values[a & mask]) for r, a in zip(touched, plan)]
+                )
+            for r in touched:
+                row_idx[r].append(len(successes))
+            factor, side = _gcd_leak(p, q, g)
+            successes.append(AttackSuccess(m, actions, v, factor, side, None))
+            kept.append(plan)
 
     def _copy_row(self, w: int, r: int) -> None:
         """Give twin read row r the runs of write row w: its counts, and its
-        successes in order under r's site and r's action ids."""
-        for counts in (self._attempts, self._no_output, self._silent):
-            counts[r] = counts[w]
-        row, src = self.rows[r], self.rows[w]
-        row.successes, row.factor_p, row.factor_q = src.successes, src.factor_p, src.factor_q
-        idxs = self.row_success_idx.get(w)
-        if not idxs:
-            return
-        successes, plans = self.successes, self.success_plans
+        successes in order, kept under r's action ids (the rows' values are
+        equal)."""
+        self._attempts[r], self._no_output[r] = self._attempts[w], self._no_output[w]
         first, mask = self.ids.base[r], self.ids.mask
-        self.row_success_idx[r] = list(range(len(successes), len(successes) + len(idxs)))
-        source = plan = None
-        for i in idxs:
-            s = successes[i]
-            if plans[i] is not source:  # w's plan tuples are shared across messages; so are r's
-                source, plan = plans[i], (first | (plans[i][0] & mask),)
-            actions = ((row.site, row.kind, s.actions[0][2]),)
-            successes.append(AttackSuccess(s.message, actions, s.signature, s.factor, s.side, None))
-            plans.append(plan)
+        plans, hits, source = [], [], None
+        for i in self.row_success_idx.get(w, ()):
+            s, plan = self.successes[i], self.success_plans[i]
+            if plan != source:  # a lane's successes on every message are consecutive
+                source = plan
+                plans.append((first | (plan[0] & mask),))
+            hits.append((len(plans) - 1, s.message, s.signature, s.factor))
+        self._keep(plans, [[r]] * len(plans), hits)
 
     def _run_plans(self, plans: list[IdPlan]) -> None:
         """Run plans in batches of _BATCH, counting each on the rows it touches."""
-        attempts, no_output, silent_runs = self._attempts, self._no_output, self._silent
+        attempts, no_output = self._attempts, self._no_output
         n_runs = len(self.runs)
         for s in range(0, len(plans), _BATCH):
             batch = plans[s : s + _BATCH]
             faults, plan_rows = self._faults(batch)
             columns, none, hits = self._score(faults)
-            outs = [n_runs - vs.count(None) for vs in zip(*columns)] if none else [n_runs] * len(batch)
-            broke = [0] * len(batch)
-            for k, m, v, g in hits:
-                broke[k] += 1
-                self._success(batch[k], plan_rows[k], m, v, g)
-            for touched, out, b in zip(plan_rows, outs, broke):
+            ended = [vs.count(None) for vs in zip(*columns)] if none else repeat(0)
+            for touched, e in zip(plan_rows, ended):
                 for r in touched:
                     attempts[r] += n_runs
-                    no_output[r] += n_runs - out
-                    silent_runs[r] += out - b
+                    no_output[r] += e
+            self._keep(batch, plan_rows, hits)
 
     def _run_row(self, r: int) -> None:
         """Run each value of one zero or randomize row as an order-1 plan,
@@ -841,32 +860,11 @@ class _Tally:
             else:
                 faults = (len(lanes), {}, {index: [(k, slot, v) for k, v in lanes]}, {})
             _columns, none, hits = self._score(faults)
-            runs = n_runs * len(lanes)
-            self._attempts[r] += runs
+            self._attempts[r] += n_runs * len(lanes)
             self._no_output[r] += none
-            self._silent[r] += runs - none - len(hits)
             if hits:
-                self._keep_row(r, first + s, hits)
-
-    def _keep_row(self, r: int, first: int, hits: list[tuple[int, int, int, int]]) -> None:
-        """Count a row batch's breaks on row r and keep each as an
-        AttackSuccess, the batch's lane k being the plan of action first + k."""
-        p, q, mask = self.key.p, self.key.q, self.ids.mask
-        row, values = self.rows[r], self.table[r].values
-        successes, plans = self.successes, self.success_plans
-        self.row_success_idx.setdefault(r, []).extend(range(len(successes), len(successes) + len(hits)))
-        on_p, lane, plan = 0, -1, None
-        for k, m, v, g in hits:
-            if k != lane:  # a lane's breaks on every message share one plan tuple
-                lane, plan = k, (first + k,)
-            factor, side = _gcd_leak(p, q, g)
-            on_p += factor == p
-            actions = ((row.site, row.kind, values[plan[0] & mask]),)
-            successes.append(AttackSuccess(m, actions, v, factor, side, None))
-            plans.append(plan)
-        row.successes += len(hits)
-        row.factor_p += on_p
-        row.factor_q += len(hits) - on_p
+                plans = [(a,) for a in range(first + s, first + s + len(lanes))]
+                self._keep(plans, [[r]] * len(lanes), hits)
 
     def _score(self, faults: tuple) -> tuple[list[list], int, list[tuple[int, int, int, int]]]:
         """Run one batch, faults being run_batch's arguments, on every
@@ -918,27 +916,6 @@ class _Tally:
                     reads[i].append((lane, slot, v))
             plan_rows.append(rows)
         return (len(batch), writes, reads, skips), plan_rows
-
-    def _success(self, plan: IdPlan, touched: list[int], m: int, v: int, g: int) -> None:
-        """Count the break of plan on message m, which released v with
-        gcd(N, v - S) = g, on the plan's rows, and keep it as an
-        AttackSuccess."""
-        factor, side = _gcd_leak(self.key.p, self.key.q, g)
-        rows, table, mask = self.rows, self.table, self.ids.mask
-        idx = len(self.successes)
-        for r in touched:
-            row = rows[r]
-            row.successes += 1
-            if side == "p":
-                row.factor_p += 1
-            else:
-                row.factor_q += 1
-            self.row_success_idx.setdefault(r, []).append(idx)
-        actions = tuple(
-            [(rows[r].site, rows[r].kind, table[r].values[a & mask]) for r, a in zip(touched, plan)]
-        )
-        self.successes.append(AttackSuccess(m, actions, v, factor, side, None))
-        self.success_plans.append(plan)
 
 
 def _resolve_program(spec: CampaignSpec) -> Program:

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from crtfi import faultengine
+from crtfi import cli, faultengine
 from crtfi.circuit import BuildError, FaultRunner, Signature, execute, parse_dump, validate
 from crtfi.cli import main
 from crtfi.countermeasures import catalog, program_inputs
@@ -72,6 +72,18 @@ def test_campaign_reports_are_byte_identical_across_reruns(tmp_path, capsys):
     c = tmp_path / "c.csv"
     assert main(args + ["--format", "csv", "--out", str(c)]) == 0
     assert c.read_text().splitlines()[0].startswith("site,kind,phase,")
+
+
+def test_campaign_flag_defaults_are_the_spec_defaults(monkeypatch):
+    specs = []
+
+    def refuse(spec):
+        specs.append(spec)
+        raise ValueError("not run")
+
+    monkeypatch.setattr(cli, "run_campaign", refuse)
+    assert main(["campaign", "--algo", "shamir"]) == 3
+    assert specs == [faultengine.CampaignSpec(key=cli._DEMO_KEY, algo="shamir")]
 
 
 def test_a_campaign_notes_sampling_that_stops_short_of_the_plan_limit(tmp_path, monkeypatch, capsys):
@@ -199,6 +211,7 @@ def test_bad_inputs_exit_with_the_data_code(tmp_path, capsys):
     assert main(["campaign", "--algo", "unprotected", "--kinds", "melt"]) == 3
     # 0 and p = 7 are no messages for the 7x11 demo key
     assert main(["campaign", "--algo", "unprotected", "--messages", "0,7"]) == 3
+    assert main(["campaign", "--algo", "unprotected", "--messages", "2,2"]) == 3
     # keys that do not sign correctly on their own
     for field, value in (("iq", "3"), ("p", "8"), ("d", "44"), ("e", "5"), ("N", "1000")):
         key = {"p": "7", "q": "11", "dp": "1", "dq": "3", "iq": "2", "d": "43", field: value}
@@ -221,10 +234,11 @@ def test_bad_inputs_exit_with_the_data_code(tmp_path, capsys):
         path.write_text(f"# program bad\n# inputs m\n0: m <- input m\n{line}\n")
         assert main(["dump", "--program", str(path)]) == 3
     err = capsys.readouterr().err
-    assert err.count("error:") == 19
+    assert err.count("error:") == 20
     assert "key e=5 is not the inverse of dp=1 mod 6" in err
     assert "key N=1000 is not p*q=77" in err
     assert "not a unit mod N=77" in err
+    assert "message 2 is repeated" in err
     assert "no fault plans" in err
     assert "cannot parse line '1: s <- const'" in err
 

@@ -654,8 +654,9 @@ def _columns(draw):
 def test_column_scoring_matches_score_outcome_run_by_run(columns, order):
     """_Tally's counts and successes equal score_outcome's, called on each
     result in plan order, then message order, at order 1 (row batches,
-    twin rows included) and order 2 (plan batches)."""
-    kinds = ("zero", "randomize") if order == 1 else ("zero", "skip")
+    twin rows included, then the skip rows as one-id plans) and order 2
+    (plan batches)."""
+    kinds = ("zero", "randomize", "skip") if order == 1 else ("zero", "skip")
     spec = tiny_spec(order=order, kinds=kinds, plan_limit=40)
     prog = tiny_unprotected()
     table = site_action_table(prog, spec)
@@ -667,7 +668,10 @@ def test_column_scoring_matches_score_outcome_run_by_run(columns, order):
         tally.run(plans)
     # plan, its rows, and its lane in the batch that ran it
     if order == 1:
-        lanes = [((ids.base[r] + k,), [r], k % 4) for r, t in enumerate(table) for k in range(len(t.values))]
+        data = [r for r, t in enumerate(table) if t.kind is not FaultKind.SKIP]
+        skips = [r for r, t in enumerate(table) if t.kind is FaultKind.SKIP]
+        lanes = [((ids.base[r] + k,), [r], k % 4) for r in data for k in range(len(table[r].values))]
+        lanes += [((ids.base[r],), [r], i % 4) for i, r in enumerate(skips)]
     else:
         lanes = [(plan, [ids.by_id[a >> ids.shift] for a in plan], i % 4) for i, plan in enumerate(plans)]
     counts = [[0] * 6 for _ in table]  # attempts, successes, factor_p, factor_q, no_output, silent
@@ -753,6 +757,8 @@ def test_spec_validation_rejects_nonsense():
         CampaignSpec(key=TINY, algo="unprotected", kinds=("melt",))
     with pytest.raises(ValueError):
         CampaignSpec(key=TINY)  # neither algo nor program
+    with pytest.raises(ValueError, match="message 2 is repeated"):
+        CampaignSpec(key=TINY, algo="unprotected", messages=(2, 3, 2))
 
 
 @pytest.mark.parametrize("message", [0, 7, 11, -2, 77, 80])  # zero, p, q, negative, N, above N
