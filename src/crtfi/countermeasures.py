@@ -9,6 +9,8 @@ can enumerate every write, read, and skip site. Shared conventions:
   * extended-modulus draws happen per run through DrawRandomPrime sites except
     where a scheme needs build-time invertibility screening (see blomer);
   * recombination is the Garner form lo + q*((iq*(hi-lo)) mod m);
+  * blocks that schemes share are written once: _checked_widening (fixed-shamir,
+    aumuller), _joye_rings (joye, ciet-joye), _vigilant_half (both Vigilants);
   * meta.output_tail marks the post-verification instructions that merely
     assemble the released value; faulting those is output replacement, not an
     attack on the scheme, so campaigns exclude them.
@@ -29,6 +31,7 @@ from . import keytools
 from .circuit import Program, ProgramBuilder
 from .keytools import CrtKey
 from .modmath import is_prime
+from .transforms import to_infective
 
 
 class UnsatisfiableRandom(ValueError):
@@ -102,6 +105,42 @@ def _reduced_exponent(b: ProgramBuilder, x: str, r: str, dreg: str) -> None:
     b.sub(f"t{x}2", f"t{x}1", r)
     b.add(f"phi{x}", f"t{x}2", b.one())
     b.reduce(f"d{x}{x}", dreg, f"phi{x}")
+
+
+def _checked_widening(b: ProgramBuilder, r_bits: int, dp: str, dq: str) -> None:
+    """Draw r, widen pp = p*r and qq = q*r, check that each is 0 mod its prime,
+    and reduce the exponent registers dp and dq into dpp and dqq."""
+    b.set_phase("rng")
+    b.draw("r", r_bits, avoid=("p", "q"))
+    b.set_phase("precompute")
+    b.one()
+    b.const("zero", 0)
+    b.mul("pp", "p", "r")
+    b.mul("qq", "q", "r")
+    b.set_phase("verify")
+    b.check("pp", "zero", mod="p")
+    b.check("qq", "zero", mod="q")
+    b.set_phase("precompute")
+    _reduced_exponent(b, "p", "r", dp)
+    _reduced_exponent(b, "q", "r", dq)
+
+
+def _joye_rings(b: ProgramBuilder) -> None:
+    """Joye's two widened rings pp = p*r1 and qq = q*r2 with their reduced
+    exponents, the small-ring exponents dpr = dp mod r1-1 and dqr = dq mod r2-1,
+    and iqq = qq^-1 mod pp and n = p*q, which joye stores but never consumes."""
+    b.set_phase("precompute")
+    one = b.one()
+    b.mul("pp", "p", "r1")
+    b.mul("qq", "q", "r2")
+    b.inv("iqq", "qq", "pp")
+    b.mul("n", "p", "q")
+    _reduced_exponent(b, "p", "r1", "dp")
+    _reduced_exponent(b, "q", "r2", "dq")
+    b.sub("r1m1", "r1", one)
+    b.sub("r2m1", "r2", one)
+    b.reduce("dpr", "dp", "r1m1")
+    b.reduce("dqr", "dq", "r2m1")
 
 
 def _build_unprotected(key: CrtKey, r_bits: int, build_seed: int) -> Program:
@@ -223,19 +262,7 @@ def _build_shamir(key: CrtKey, r_bits: int, build_seed: int) -> Program:
 
 def _build_fixed_shamir(key: CrtKey, r_bits: int, build_seed: int) -> Program:
     b = _loaded("fixed-shamir", _D_INPUTS)
-    b.set_phase("rng")
-    b.draw("r", r_bits, avoid=("p", "q"))
-    b.set_phase("precompute")
-    b.one()
-    b.const("zero", 0)
-    b.mul("pp", "p", "r")
-    b.mul("qq", "q", "r")
-    b.set_phase("verify")
-    b.check("pp", "zero", mod="p")
-    b.check("qq", "zero", mod="q")
-    b.set_phase("precompute")
-    _reduced_exponent(b, "p", "r", "d")
-    _reduced_exponent(b, "q", "r", "d")
+    _checked_widening(b, r_bits, "d", "d")
     b.set_phase("exp-p")
     b.exp("spp", "m", "dpp", "pp")
     b.set_phase("exp-q")
@@ -263,18 +290,7 @@ def _build_joye(key: CrtKey, r_bits: int, build_seed: int) -> Program:
     b.set_phase("rng")
     b.draw("r1", r_bits, avoid=("p", "q"))
     b.draw("r2", r_bits, avoid=("p", "q", "r1"))
-    b.set_phase("precompute")
-    one = b.one()
-    b.mul("pp", "p", "r1")
-    b.mul("qq", "q", "r2")
-    b.inv("iqq", "qq", "pp")  # stored but never consumed: dead by design
-    b.mul("n", "p", "q")  # likewise
-    _reduced_exponent(b, "p", "r1", "dp")
-    _reduced_exponent(b, "q", "r2", "dq")
-    b.sub("r1m1", "r1", one)
-    b.sub("r2m1", "r2", one)
-    b.reduce("dpr", "dp", "r1m1")
-    b.reduce("dqr", "dq", "r2m1")
+    _joye_rings(b)
     b.set_phase("exp-p")
     b.exp("spp", "m", "dpp", "pp")
     b.exp("spr", "m", "dpr", "r1")
@@ -304,18 +320,7 @@ def _build_ciet_joye(key: CrtKey, r_bits: int, build_seed: int) -> Program:
     b.draw("r3", r_bits)
     b.draw("a", r_bits)
     b.draw("gamma0", r_bits)  # placeholder the infection line supersedes
-    b.set_phase("precompute")
-    one = b.one()
-    b.mul("pp", "p", "r1")
-    b.mul("qq", "q", "r2")
-    b.inv("iqq", "qq", "pp")
-    b.mul("n", "p", "q")
-    _reduced_exponent(b, "p", "r1", "dp")
-    _reduced_exponent(b, "q", "r2", "dq")
-    b.sub("r1m1", "r1", one)
-    b.sub("r2m1", "r2", one)
-    b.reduce("dpr", "dp", "r1m1")
-    b.reduce("dqr", "dq", "r2m1")
+    _joye_rings(b)
     b.set_phase("exp-p")
     b.exp("xp", "m", "dpp", "pp")
     b.add("spp", "a", "xp", mod="pp")
@@ -405,20 +410,8 @@ def _build_blomer(key: CrtKey, r_bits: int, build_seed: int) -> Program:
 
 def _build_aumuller(key: CrtKey, r_bits: int, build_seed: int) -> Program:
     b = _loaded("aumuller", _CRT_INPUTS)
-    b.set_phase("rng")
-    b.draw("r", r_bits, avoid=("p", "q"))
-    b.set_phase("precompute")
-    one = b.one()
-    b.const("zero", 0)
-    b.mul("pp", "p", "r")
-    b.mul("qq", "q", "r")
-    b.set_phase("verify")
-    b.check("pp", "zero", mod="p")
-    b.check("qq", "zero", mod="q")
-    b.set_phase("precompute")
-    _reduced_exponent(b, "p", "r", "dp")
-    _reduced_exponent(b, "q", "r", "dq")
-    b.sub("rm1", "r", one)
+    _checked_widening(b, r_bits, "dp", "dq")
+    b.sub("rm1", "r", b.one())
     b.set_phase("exp-p")
     b.exp("spp", "m", "dpp", "pp")
     b.set_phase("exp-q")
@@ -443,28 +436,26 @@ def _build_aumuller(key: CrtKey, r_bits: int, build_seed: int) -> Program:
     return b.build(output_tail=(ri,), checksum_power=1, r_regs=("r",))
 
 
-def _vigilant_embed(b: ProgramBuilder, side: str, prime: str) -> None:
-    """CRT-embed m into Z_{prime*r^2}: congruent to m mod prime, 1+r mod r^2."""
+def _vigilant_half(b: ProgramBuilder, x: str) -> None:
+    """Vigilant's half for the prime x: m CRT-embedded into Z_{x*r^2} (m mod x,
+    1+r mod r^2), raised to d{x} mod phi(x*r^2) = (x-1)*r*(r-1) into s{x}{x}."""
+    b.set_phase("precompute")
     one = b.one()
-    x = side  # register prefix: 'p' or 'q'
-    ext = f"{x}{x}"  # the widened modulus prime * r^2
-    b.mul(ext, prime, "rsq")
-    b.inv(f"i{x}r", prime, "rsq")
+    ext = f"{x}{x}"  # the widened modulus x * r^2
+    b.mul(ext, x, "rsq")
+    b.inv(f"i{x}r", x, "rsq")
     b.reduce(f"m{x}", "m", ext)
-    b.mul(f"b{x}", prime, f"i{x}r")
+    b.mul(f"b{x}", x, f"i{x}r")
     b.sub(f"a{x}", one, f"b{x}", mod=ext)
     b.mul(f"e{x}1", f"a{x}", f"m{x}", mod=ext)
     b.mul(f"e{x}2", f"b{x}", "onepr", mod=ext)
     b.add(f"m{x}{x}", f"e{x}1", f"e{x}2", mod=ext)
-
-
-def _vigilant_phi(b: ProgramBuilder, side: str, prime: str, dreg: str) -> None:
-    one = b.one()
-    x = side
-    b.sub(f"{x}m1", prime, one)
+    b.sub(f"{x}m1", x, one)
     b.mul(f"f{x}", f"{x}m1", "r")
     b.mul(f"phi{x}", f"f{x}", "rm1")
-    b.reduce(f"d{x}{x}", dreg, f"phi{x}")
+    b.reduce(f"d{x}{x}", f"d{x}", f"phi{x}")
+    b.set_phase(f"exp-{x}")
+    b.exp(f"s{x}{x}", f"m{x}{x}", f"d{x}{x}", ext)
 
 
 def _build_vigilant(key: CrtKey, r_bits: int, build_seed: int) -> Program:
@@ -479,10 +470,7 @@ def _build_vigilant(key: CrtKey, r_bits: int, build_seed: int) -> Program:
     b.mul("rsq", "r", "r")
     b.add("onepr", one, "r")
     b.sub("rm1", "r", one)
-    _vigilant_embed(b, "p", "p")
-    _vigilant_phi(b, "p", "p", "dp")
-    b.set_phase("exp-p")
-    b.exp("spp", "mpp", "dpp", "pp")
+    _vigilant_half(b, "p")
     b.set_phase("verify")
     b.check("mpp", "m", mod="p")
     b.mul("dpro", "dp", "r")
@@ -490,11 +478,7 @@ def _build_vigilant(key: CrtKey, r_bits: int, build_seed: int) -> Program:
     b.mul("u1", "bp", "spp", mod="pp")
     b.mul("u2", "bp", "ckp", mod="pp")
     b.check("u1", "u2", mod="pp")
-    b.set_phase("precompute")
-    _vigilant_embed(b, "q", "q")
-    _vigilant_phi(b, "q", "q", "dq")
-    b.set_phase("exp-q")
-    b.exp("sqq", "mqq", "dqq", "qq")
+    _vigilant_half(b, "q")
     b.set_phase("verify")
     b.check("mqq", "m", mod="q")
     b.mul("dqro", "dq", "r")
@@ -541,20 +525,13 @@ def _build_vigilant_simplified(key: CrtKey, r_bits: int, build_seed: int) -> Pro
     b.mul("rsq", "r", "r")
     b.add("onepr", one, "r")
     b.sub("rm1", "r", one)
-    _vigilant_embed(b, "p", "p")
-    _vigilant_phi(b, "p", "p", "dp")
-    b.set_phase("exp-p")
-    b.exp("spp", "mpp", "dpp", "pp")
+    _vigilant_half(b, "p")
     b.mul("dpro", "dp", "r")
     b.add("spr", one, "dpro")  # expected checksum residue 1 + dp*r
     b.set_phase("verify")
     b.add("cpa", "mpp", "n")
     b.factor("cp", "cpa", "m", "p", "cpd")
-    b.set_phase("precompute")
-    _vigilant_embed(b, "q", "q")
-    _vigilant_phi(b, "q", "q", "dq")
-    b.set_phase("exp-q")
-    b.exp("sqq", "mqq", "dqq", "qq")
+    _vigilant_half(b, "q")
     b.mul("dqro", "dq", "r")
     b.add("sqr", one, "dqro")
     b.set_phase("verify")
@@ -572,8 +549,6 @@ def _build_vigilant_simplified(key: CrtKey, r_bits: int, build_seed: int) -> Pro
 
 
 def _build_aumuller_infective(key: CrtKey, r_bits: int, build_seed: int) -> Program:
-    from .transforms import to_infective
-
     return to_infective(_build_aumuller(key, r_bits, build_seed))
 
 

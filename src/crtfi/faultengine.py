@@ -12,9 +12,9 @@ Governing domains come from the fault-free baseline of the first message:
 a replacement at a site ranges over the modulus that reduces the value
 stored there, or over a bit-length envelope when nothing reduces it. Small
 domains are swept exhaustively and classified by exact fraction; large
-ones are sampled and classified by replaying each hit under two alternate
-seeds, which re-draws the checksum primes - a collision evaporates, a real
-break does not.
+ones are sampled and classified by replaying each hit in four rounds, each
+under a moved seed (which re-draws the checksum primes) and on one of two
+other messages in turn - a collision evaporates, a real break does not.
 
 Every (table row, value) of a campaign has an integer action id
 (ActionIds): the row's rank shifted left, or'd with the value's index, so
@@ -58,7 +58,7 @@ import math
 import random
 import zlib
 from collections import defaultdict
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from itertools import combinations, product, repeat
 from operator import itemgetter, sub
 
@@ -115,7 +115,8 @@ class CampaignSpec:
     own, so faulted outputs would count as breaks the scheme did not cause,
     and one outside (0, N) aliases another message. No message may repeat,
     or its runs would count twice. samples_per_site must be at least 1, or
-    sampled randomize rows would run no value.
+    sampled randomize rows would run no value; with "skip" among the kinds,
+    max_skip_len must be at least 1, or there would be no skip row.
     workers is checked but not used: campaigns run on one thread, and the
     report does not depend on it.
     """
@@ -144,6 +145,8 @@ class CampaignSpec:
             raise ValueError("workers must be at least 1")
         if self.samples_per_site < 1:
             raise ValueError("samples_per_site < 1 gives sampled sites no fault plans")
+        if "skip" in self.kinds and self.max_skip_len < 1:
+            raise ValueError("max_skip_len < 1 gives the skip kind no fault plans")
         for k in self.kinds:
             if k not in KIND_NAMES:
                 raise ValueError(f"unknown fault kind {k!r}")
@@ -174,7 +177,7 @@ class SiteRow:
     silent: int = 0
     exhaustive: bool = False
     domain: int | None = None
-    persistent: int | None = None  # replayed hits surviving both alternate seeds
+    persistent: int | None = None  # replayed hits surviving every plan_persists round
     classification: str = CLASS_NONE
 
     @property
@@ -1038,19 +1041,11 @@ def _report(
         "persistent_successes": sum(1 for s in successes if s.persistent),
     }
     spec_echo = {
-        "algo": spec.algo,
-        "order": spec.order,
-        "kinds": list(spec.kinds),
-        "max_skip_len": spec.max_skip_len,
-        "exhaustive_threshold": spec.exhaustive_threshold,
-        "samples_per_site": spec.samples_per_site,
-        "seed": spec.seed,
-        "r_bits": spec.r_bits,
-        "build_seed": spec.build_seed,
-        "plan_limit": spec.plan_limit,
-        "p": str(key.p),
-        "q": str(key.q),
+        f.name: getattr(spec, f.name)
+        for f in fields(spec)
+        if f.name not in ("key", "program", "messages", "workers")
     }
+    spec_echo.update(kinds=list(spec.kinds), p=str(key.p), q=str(key.q))
     return CampaignReport(
         name=program.name,
         digest=program_digest(program),

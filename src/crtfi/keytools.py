@@ -106,9 +106,11 @@ def check_crt_key(key: CrtKey) -> None:
 
     p and q must be distinct primes and iq*q = 1 (mod p); when d is known,
     dp = d (mod p-1) and dq = d (mod q-1); when e is known, e*dp = 1
-    (mod p-1) and e*dq = 1 (mod q-1); when n is known, n = p*q. A key
-    failing any of these signs wrongly or names another modulus, so a fault
-    campaign on it measures nothing.
+    (mod p-1) and e*dq = 1 (mod q-1); when n is known, n = p*q. Whatever
+    is known, some private exponent must fit dp and dq: gcd(dp, p-1) =
+    gcd(dq, q-1) = 1 and dp = dq (mod gcd(p-1, q-1)). A key failing any of
+    these signs wrongly or names another modulus, so a fault campaign on it
+    measures nothing.
     """
     p, q = key.p, key.q
     if not (is_prime(p) and is_prime(q)) or p == q:
@@ -120,6 +122,11 @@ def check_crt_key(key: CrtKey) -> None:
             raise KeyError_(f"key {name}={half} is not d={key.d} mod {prime - 1}")
         if key.e is not None and (key.e * half - 1) % (prime - 1):
             raise KeyError_(f"key e={key.e} is not the inverse of {name}={half} mod {prime - 1}")
+        if _gcd(half, prime - 1) != 1:
+            raise KeyError_(f"key {name}={half} is not a unit mod {prime - 1}: no e inverts it")
+    g = _gcd(p - 1, q - 1)
+    if (key.dp - key.dq) % g:
+        raise KeyError_(f"key dp={key.dp} and dq={key.dq} differ mod gcd(p-1, q-1)={g}")
     if key.n is not None and key.n != p * q:
         raise KeyError_(f"key N={key.n} is not p*q={p * q}")
 

@@ -34,6 +34,13 @@ def test_recover_needs_only_the_crt_half(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "d=13 e=7 lambda=30"
 
 
+def test_recover_refuses_a_key_no_exponent_fits(tmp_path, capsys):
+    path = tmp_path / "unfit.json"
+    path.write_text(json.dumps({"p": "7", "q": "11", "dp": "2", "dq": "3", "iq": "2"}))
+    assert main(["recover", "--key", str(path)]) == 3
+    assert "dp=2 is not a unit mod 6" in capsys.readouterr().err
+
+
 def test_keygen_then_recover_round_trip(tmp_path, capsys):
     path = tmp_path / "key.json"
     assert main(["keygen", "--bits", "8", "--seed", "1", "--out", str(path)]) == 0

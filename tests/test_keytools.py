@@ -171,6 +171,23 @@ def test_optional_fields_survive_omission(tmp_path):
     assert key.modulus == 77
 
 
+def test_a_key_that_no_private_exponent_fits_is_refused(tmp_path):
+    # recover_d fits d = 23 to the first, yet 23 = 5 mod 6; units 1 and 5 differ mod 6
+    bad = (
+        (CrtKey(p=7, q=11, dp=2, dq=3, iq=2), "dp=2 is not a unit mod 6"),
+        (CrtKey(p=7, q=11, dp=1, dq=4, iq=2), "dq=4 is not a unit mod 10"),
+        (CrtKey(p=7, q=13, dp=1, dq=5, iq=6), "dp=1 and dq=5 differ mod gcd\\(p-1, q-1\\)=6"),
+    )
+    for k, (key, why) in enumerate(bad):
+        with pytest.raises(KeyError_, match=why):
+            check_crt_key(key)
+        path = tmp_path / f"unfit-{k}.json"
+        write_key_file(key, path)
+        with pytest.raises(KeyError_, match=why):
+            read_key_file(path)
+    check_crt_key(derive_crt(2, 5, 3))  # dp = 0 for p = 2 fits every d
+
+
 def test_a_key_whose_modulus_or_public_exponent_disagrees_is_refused(tmp_path):
     good = CrtKey(p=7, q=11, dp=1, dq=3, iq=2, d=43, e=7, n=77)
     check_crt_key(good)

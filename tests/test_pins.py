@@ -16,6 +16,10 @@ The whole spaces take one or two values per site to stay small.
 The rewrites are pinned on the demo key: every catalog program under six
 shapes of to_infective, to_testbased and harden, by digest, or by the
 exception class where the rewrite refuses the program.
+
+The builds at the default r_bits=8 are pinned on crt_from_rsa(gen_key(8, 5)),
+with blomer also at build_seed=1, since its masking pair is screened at build
+time from a seeded draw.
 """
 
 import hashlib
@@ -243,6 +247,25 @@ DERIVED_DIGEST = {
     "to_testbased(harden(vigilant-simplified-infective, 2))": "d01832354727da7c",
 }
 
+WIDE_KEY = crt_from_rsa(gen_key(8, 5))
+
+# default r_bits; "algo@seedN" builds at build_seed=N
+WIDE_DIGEST = {
+    "unprotected": "cf15a37b51da087b",
+    "straightforward": "a1fdf351eb2066f3",
+    "giraud-sketch": "23784283da403974",
+    "shamir": "dab172ae0a71813c",
+    "fixed-shamir": "6649ef6fe4fa8204",
+    "joye": "78676a328c2cece0",
+    "ciet-joye": "b646d43dbb3f81c1",
+    "blomer": "c8cbf9971053ba08",
+    "blomer@seed1": "b8b39028683d2534",
+    "aumuller": "40afe77c7f97627e",
+    "aumuller-infective": "0d7563b81c2cb5ee",
+    "vigilant": "1724efea0e5bbe92",
+    "vigilant-simplified-infective": "607e45513a9f8d5c",
+}
+
 CASES = [f"{k}/{e.algo}" for k in KEYS for e in catalog()]
 
 
@@ -259,6 +282,17 @@ def test_the_pins_cover_every_catalog_program_on_both_keys():
 def test_program_digest_is_pinned(case):
     key, algo = _split(case)
     assert program_digest(build(algo, key, r_bits=5)) == PROGRAM_DIGEST[case]
+
+
+def test_the_wide_pins_cover_every_catalog_program():
+    assert {case.partition("@")[0] for case in WIDE_DIGEST} == {e.algo for e in catalog()}
+
+
+@pytest.mark.parametrize("case", sorted(WIDE_DIGEST))
+def test_default_width_program_digest_is_pinned(case):
+    algo, _, seed = case.partition("@seed")
+    program = build(algo, WIDE_KEY, build_seed=int(seed or 0))
+    assert program_digest(program) == WIDE_DIGEST[case]
 
 
 @pytest.mark.parametrize("case", CASES)
