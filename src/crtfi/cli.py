@@ -83,21 +83,8 @@ def _cmd_sign(args) -> int:
 
 def _cmd_campaign(args) -> int:
     key = _load_key(args.key)
-    spec = CampaignSpec(
-        key=key,
-        algo=args.algo,
-        messages=args.messages,
-        order=args.order,
-        kinds=tuple(args.kinds.split(",")),
-        max_skip_len=args.max_skip_len,
-        exhaustive_threshold=args.exhaustive_threshold,
-        samples_per_site=args.samples,
-        seed=args.seed,
-        r_bits=args.r_bits,
-        build_seed=args.build_seed,
-        plan_limit=args.plan_limit,
-        workers=args.workers,
-    )
+    fields = [f.name for f in dataclasses.fields(CampaignSpec) if f.name not in ("key", "program")]
+    spec = CampaignSpec(key=key, **{name: getattr(args, name) for name in fields})
     report = run_campaign(spec)
     if report.sampled_plans and report.plans_total < spec.plan_limit:
         # build_plans gives up after 50 * plan_limit draws
@@ -187,11 +174,15 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", required=True)
     _add_key_flag(p)
     p.add_argument("--order", type=int, default=default["order"])
-    p.add_argument("--kinds", default=",".join(default["kinds"]), help="comma list")
+    p.add_argument(
+        "--kinds", type=lambda text: tuple(text.split(",")), default=default["kinds"],
+        help="comma list",
+    )
     p.add_argument("--max-skip-len", type=int, default=default["max_skip_len"])
     p.add_argument("--exhaustive-threshold", type=int, default=default["exhaustive_threshold"])
     p.add_argument(
-        "--samples", type=int, default=default["samples_per_site"], help="values per sampled site"
+        "--samples", type=int, dest="samples_per_site", default=default["samples_per_site"],
+        help="values per sampled site",
     )
     p.add_argument("--seed", type=int, default=default["seed"])
     p.add_argument(

@@ -113,10 +113,12 @@ class CampaignSpec:
     (0 < M < N and gcd(M, N) = 1), the default messages 2, 3 and N-2
     included: a message sharing a factor with N leaks that factor on its
     own, so faulted outputs would count as breaks the scheme did not cause,
-    and one outside (0, N) aliases another message. No message may repeat,
-    or its runs would count twice. samples_per_site must be at least 1, or
-    sampled randomize rows would run no value; with "skip" among the kinds,
-    max_skip_len must be at least 1, or there would be no skip row.
+    and one outside (0, N) aliases another message. No message or fault
+    kind may repeat: a repeated message's runs would count twice, and a
+    repeated kind gives the same rows under a second report hash.
+    samples_per_site must be at least 1, or sampled randomize rows would run
+    no value; with "skip" among the kinds, max_skip_len must be at least 1,
+    or there would be no skip row.
     workers is checked but not used: campaigns run on one thread, and the
     report does not depend on it.
     """
@@ -150,6 +152,8 @@ class CampaignSpec:
         for k in self.kinds:
             if k not in KIND_NAMES:
                 raise ValueError(f"unknown fault kind {k!r}")
+            if self.kinds.count(k) > 1:
+                raise ValueError(f"fault kind {k!r} is repeated: each kind runs once")
         check_crt_key(self.key)
         n = self.key.p * self.key.q
         messages = _messages_of(self)
@@ -367,17 +371,8 @@ def site_action_table(program: Program, spec: CampaignSpec) -> list[SiteActions]
     """Deterministic per-site action lists for the spec's kinds."""
     runner = _runner(program, spec.key, _messages_of(spec)[0], spec.seed)
     domains = site_domains(program, runner.baseline.regs())
-    want_data = "zero" in spec.kinds or "randomize" in spec.kinds
-    want_skip = "skip" in spec.kinds
-    sites = []
-    if want_data or want_skip:
-        sites = [
-            s
-            for s in enumerate_sites(program, max_skip_len=spec.max_skip_len if want_skip else 0)
-            if isinstance(s, SkipRange) or want_data
-        ]
     table: list[SiteActions] = []
-    for site in sites:
+    for site in enumerate_sites(program, spec.max_skip_len if "skip" in spec.kinds else 0):
         if isinstance(site, SkipRange):
             table.append(SiteActions(site, FaultKind.SKIP, (None,), True, None))
             continue

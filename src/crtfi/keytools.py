@@ -182,23 +182,15 @@ def recover_e(key: CrtKey) -> int:
     return mod_inv(d % key.lam, key.lam)
 
 
+# a key file's fields in the order written; N is written from the modulus
+# and read into n
 _FILE_FIELDS = ("p", "q", "dp", "dq", "iq", "e", "d", "N")
 
 
 def write_key_file(key: CrtKey, path: str | Path) -> None:
     """Serialize a key as one JSON object of decimal-string fields."""
-    obj: dict[str, str] = {
-        "p": str(key.p),
-        "q": str(key.q),
-        "dp": str(key.dp),
-        "dq": str(key.dq),
-        "iq": str(key.iq),
-    }
-    if key.e is not None:
-        obj["e"] = str(key.e)
-    if key.d is not None:
-        obj["d"] = str(key.d)
-    obj["N"] = str(key.modulus)
+    vals = {name: getattr(key, "modulus" if name == "N" else name) for name in _FILE_FIELDS}
+    obj = {name: str(v) for name, v in vals.items() if v is not None}
     Path(path).write_text(json.dumps(obj, indent=2) + "\n")
 
 
@@ -223,15 +215,6 @@ def read_key_file(path: str | Path) -> CrtKey:
     for name in ("p", "q", "dp", "dq", "iq"):
         if name not in vals:
             raise MissingKeyField(f"key file {path} lacks field {name!r}")
-    key = CrtKey(
-        p=vals["p"],
-        q=vals["q"],
-        dp=vals["dp"],
-        dq=vals["dq"],
-        iq=vals["iq"],
-        e=vals.get("e"),
-        d=vals.get("d"),
-        n=vals.get("N"),
-    )
+    key = CrtKey(**{name.lower(): v for name, v in vals.items()})
     check_crt_key(key)
     return key

@@ -12,7 +12,10 @@ Each rewrite is one pass over its source, writing the result through
 circuit.ProgramBuilder, the builder the catalog uses: each copied
 instruction keeps its source's phase tag, to_infective writes its factors
 with the builder's factor method and every rewrite its product/power chain
-with infect, and build lays the changes over the source's metadata. Helper
+with infect, and build lays the changes over the source's metadata. Those
+shapes are recognized by replaying the same two methods: what they emit
+must be the very instructions the program holds. harden takes who reads
+each value from the compiled program (Program.compiled). Helper
 registers a rewrite inserts (the unit constant, the public modulus product)
 use the reserved names below and are emitted immediately before their first
 consumer. Position matters: random draws are seeded by instruction index, so
@@ -116,38 +119,19 @@ def to_infective(program: Program) -> Program:
 
 
 def _canonical_chain(program: Program) -> ModExp:
-    """Verify the product/power shape; return the final power."""
+    """Verify the product/power shape by replaying infect; return the final power."""
     factors = program.meta.factors
-    infection = program.meta.infection_indices
-    instrs = program.instrs
-    if not infection:
-        raise UnrecognizedInfectionShape(
-            f"{program.name} does not mark a product/power infection chain"
-        )
-    if not isinstance(instrs[-1], Ret):
-        raise UnrecognizedInfectionShape(f"{program.name} has no final return")
-    exp_ins = instrs[infection[-1]]
-    if not isinstance(exp_ins, ModExp) or instrs[-1].src != exp_ins.dst:
-        raise UnrecognizedInfectionShape("released value is not the infected power")
-    c_regs = [f.c_reg for f in factors]
-    muls = infection[:-1]
-    if len(muls) != len(factors) - 1:
-        raise UnrecognizedInfectionShape("product chain length does not match factor count")
-    acc = c_regs[0]
-    for j, mi in enumerate(muls):
-        mins = instrs[mi]
-        if not (
-            isinstance(mins, BinOp)
-            and mins.op == "mul"
-            and mins.mod is None
-            and mins.a == acc
-            and mins.b == c_regs[j + 1]
-        ):
-            raise UnrecognizedInfectionShape("product chain is not a left fold over the factors")
-        acc = mins.dst
-    if exp_ins.exp != acc:
-        raise UnrecognizedInfectionShape("power exponent is not the factor product")
-    return exp_ins
+    chain = [program.instrs[i] for i in program.meta.infection_indices]
+    power = chain[-1] if chain else None
+    if len(chain) == len(factors) and isinstance(power, ModExp):
+        names = {f"m{k}": dst_of(ins) for k, ins in enumerate(chain[:-1], 1)} | {"s": power.dst}
+        replay = ProgramBuilder(program.name, program.inputs)
+        replay.infect(power.base, [f.c_reg for f in factors], power.mod, names.get)
+        if replay.instrs == [*chain, program.instrs[-1]]:
+            return power
+    raise UnrecognizedInfectionShape(
+        f"{program.name} does not release the product/power infection of its factors"
+    )
 
 
 def to_testbased(program: Program) -> Program:
@@ -168,22 +152,13 @@ def to_testbased(program: Program) -> Program:
     one_reg = program.meta.one_reg
     for f in factors:
         dins, cins = instrs[f.diff_idx], instrs[f.c_idx]
-        if not (
-            isinstance(dins, BinOp)
-            and dins.op == "sub"
-            and dins.a == f.a_reg
-            and dins.b == f.b_reg
-            and dins.mod == f.mod_reg
-        ):
-            raise UnrecognizedInfectionShape(f"factor {f.c_reg} difference has an unexpected form")
-        if not (
-            isinstance(cins, BinOp)
-            and cins.op == "add"
-            and cins.a == dins.dst
-            and cins.dst == f.c_reg
-            and (one_reg is None or cins.b == one_reg)
-        ):
-            raise UnrecognizedInfectionShape(f"factor {f.c_reg} is not difference plus one")
+        replay = ProgramBuilder(program.name, program.inputs)
+        replay.one(one_reg or getattr(cins, "b", None))  # else the unit the add reads
+        replay.factor(f.c_reg, f.a_reg, f.b_reg, f.mod_reg, dst_of(dins))
+        if replay.instrs[-2:] != [dins, cins]:
+            raise UnrecognizedInfectionShape(
+                f"factor {f.c_reg} is not ({f.a_reg} - {f.b_reg} + 1) mod {f.mod_reg}"
+            )
         check_at[f.diff_idx] = f
         drop.add(f.diff_idx)
         drop.add(f.c_idx)
@@ -230,26 +205,27 @@ def to_testbased(program: Program) -> Program:
 # -------------------------------------------------------------- replication
 
 
-def _exclusive_slice(program: Program, unit: tuple[int, ...], readers: dict[str, set[int]]) -> list[int]:
+def _exclusive_slice(program: Program, unit: tuple[int, ...]) -> list[int]:
     """Instructions whose stored values feed nothing outside this unit.
 
-    Single descending pass: registers are write-once and defined before
-    use, so every reader of instruction i sits at a higher index and is
-    already classified when i is visited. Input loads and random draws stay
-    shared - a replicated draw would draw a different prime and the copies
-    would verify different rings.
+    Single descending pass over the compiled readers: registers are
+    write-once and defined before use, so every reader of instruction i sits
+    at a higher index and is already classified when i is visited. Input
+    loads and random draws stay shared - a replicated draw would draw a
+    different prime and the copies would verify different rings - and so
+    does a computed register named in a draw's avoid list, which it reads.
     """
-    sinks = set(unit)
-    members: set[int] = set()
+    readers = program.compiled.readers
+    inside = sum(1 << j for j in unit)
+    members = []
     for i in range(min(unit) - 1, -1, -1):
         ins = program.instrs[i]
-        dst = dst_of(ins)
-        if dst is None or isinstance(ins, (LoadInput, DrawRandomPrime)):
+        if dst_of(ins) is None or isinstance(ins, (LoadInput, DrawRandomPrime)):
             continue
-        rs = readers.get(dst, set())
-        if rs and rs <= sinks | members:
-            members.add(i)
-    return sorted(members)
+        if readers[i] and not readers[i] & ~inside:
+            inside |= 1 << i
+            members.append(i)
+    return members
 
 
 def harden(program: Program, copies: int) -> Program:
@@ -286,10 +262,6 @@ def harden(program: Program, copies: int) -> Program:
     else:
         raise NoVerifications(f"{program.name} verifies nothing to replicate")
 
-    readers: dict[str, set[int]] = {}
-    for i, ins in enumerate(instrs):
-        for _s, r in reads_of(ins):
-            readers.setdefault(r, set()).add(i)
     taken = {dst_of(ins) for ins in instrs}
 
     def fresh(stem: str) -> str:
@@ -323,7 +295,7 @@ def harden(program: Program, copies: int) -> Program:
         if i not in by_anchor:
             continue
         ufs, unit = by_anchor[i]
-        block = sorted(_exclusive_slice(program, unit, readers) + list(unit))
+        block = sorted(_exclusive_slice(program, unit) + list(unit))
         dsts = [dst_of(instrs[j]) for j in block]
         for t in range(1, copies):
             ren = {r: fresh(f"{r}h{t}") for r in dsts if r is not None}

@@ -10,6 +10,7 @@ from crtfi.circuit import BuildError, FaultRunner, Signature, execute, parse_dum
 from crtfi.cli import main
 from crtfi.countermeasures import catalog, program_inputs
 from crtfi.keytools import CrtKey, derive_crt, write_key_file
+from crtfi.transforms import UnrecognizedInfectionShape, to_testbased
 
 
 def test_sign_prints_the_signature(capsys):
@@ -162,6 +163,29 @@ def test_dumps_naming_missing_instructions_are_refused_by_every_transform(tmp_pa
     assert "no instruction 999" in err
 
 
+@pytest.mark.parametrize(
+    "line, edited",
+    [
+        ("13: inf0c <- add inf0d onei mod p", "13: inf0c <- add inf0d onei mod q"),
+        ("15: inf1c <- add inf1d onei mod q", "15: inf1c <- add inf1d onei"),
+        ("46: infm1 <- mul inf0c inf1c", "46: infm1 <- mul inf0c inf1c mod p"),
+        ("51: return infs", "51: return infm4"),
+    ],
+    ids=["factor-mod", "factor-no-mod", "product-mod", "return"],
+)
+def test_tampered_infection_shapes_are_not_turned_into_checks(tmp_path, capsys, line, edited):
+    plain = tmp_path / "plain.txt"
+    assert main(["dump", "--algo", "aumuller-infective", "--r-bits", "5", "--out", str(plain)]) == 0
+    text = plain.read_text()
+    assert text.count(f"\n{line}\n") == 1
+    path = tmp_path / "tampered.txt"
+    path.write_text(text.replace(f"\n{line}\n", f"\n{edited}\n"))
+    with pytest.raises(UnrecognizedInfectionShape):
+        to_testbased(parse_dump(path.read_text()))
+    assert main(["transform", "--kind", "to-testbased", "--program", str(path)]) == 3
+    assert "error: " in capsys.readouterr().err
+
+
 def test_a_dump_whose_phases_miss_instructions_is_refused(tmp_path, capsys):
     path = tmp_path / "short.txt"
     assert main(["dump", "--algo", "aumuller", "--r-bits", "5", "--out", str(path)]) == 0
@@ -219,6 +243,7 @@ def test_bad_inputs_exit_with_the_data_code(tmp_path, capsys):
     # 0 and p = 7 are no messages for the 7x11 demo key
     assert main(["campaign", "--algo", "unprotected", "--messages", "0,7"]) == 3
     assert main(["campaign", "--algo", "unprotected", "--messages", "2,2"]) == 3
+    assert main(["campaign", "--algo", "unprotected", "--kinds", "zero,zero"]) == 3
     # keys that do not sign correctly on their own
     for field, value in (("iq", "3"), ("p", "8"), ("d", "44"), ("e", "5"), ("N", "1000")):
         key = {"p": "7", "q": "11", "dp": "1", "dq": "3", "iq": "2", "d": "43", field: value}
@@ -241,11 +266,12 @@ def test_bad_inputs_exit_with_the_data_code(tmp_path, capsys):
         path.write_text(f"# program bad\n# inputs m\n0: m <- input m\n{line}\n")
         assert main(["dump", "--program", str(path)]) == 3
     err = capsys.readouterr().err
-    assert err.count("error:") == 20
+    assert err.count("error:") == 21
     assert "key e=5 is not the inverse of dp=1 mod 6" in err
     assert "key N=1000 is not p*q=77" in err
     assert "not a unit mod N=77" in err
     assert "message 2 is repeated" in err
+    assert "fault kind 'zero' is repeated" in err
     assert "no fault plans" in err
     assert "cannot parse line '1: s <- const'" in err
 

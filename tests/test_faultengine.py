@@ -759,6 +759,8 @@ def test_spec_validation_rejects_nonsense():
         CampaignSpec(key=TINY)  # neither algo nor program
     with pytest.raises(ValueError, match="message 2 is repeated"):
         CampaignSpec(key=TINY, algo="unprotected", messages=(2, 3, 2))
+    with pytest.raises(ValueError, match="fault kind 'zero' is repeated"):
+        CampaignSpec(key=TINY, algo="unprotected", kinds=("zero", "zero"))
     with pytest.raises(ValueError, match="max_skip_len < 1"):
         CampaignSpec(key=TINY, algo="unprotected", max_skip_len=0)
     assert CampaignSpec(key=TINY, algo="unprotected", kinds=("zero",), max_skip_len=0)

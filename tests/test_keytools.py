@@ -148,6 +148,20 @@ def test_key_file_round_trip(tmp_path):
     assert read_key_file(path) == key
 
 
+def test_key_file_bytes_are_pinned(tmp_path):
+    path = tmp_path / "k.json"
+    write_key_file(crt_from_rsa(gen_key(8, 5)), path)
+    assert path.read_text() == (
+        '{\n  "p": "193",\n  "q": "191",\n  "dp": "55",\n  "dq": "163",\n  "iq": "96",\n'
+        '  "e": "7",\n  "d": "10423",\n  "N": "36863"\n}\n'
+    )
+    write_key_file(CrtKey(p=7, q=11, dp=1, dq=3, iq=2), path)
+    assert path.read_text() == (
+        '{\n  "p": "7",\n  "q": "11",\n  "dp": "1",\n  "dq": "3",\n  "iq": "2",\n  "N": "77"\n}\n'
+    )
+    assert read_key_file(path) == CrtKey(p=7, q=11, dp=1, dq=3, iq=2, n=77)
+
+
 def test_key_file_missing_field_rejected(tmp_path):
     path = tmp_path / "k.json"
     path.write_text(json.dumps({"p": "7", "q": "11", "dp": "1", "dq": "3"}))

@@ -165,6 +165,12 @@ def test_to_testbased_rejects_unmarked_programs():
         to_testbased(build("unprotected", TINY, r_bits=5, build_seed=0))
     with pytest.raises(UnrecognizedInfectionShape):
         to_testbased(build("ciet-joye", TINY, r_bits=5, build_seed=0))
+    # a factor record whose "+1" add is an input load, with no unit register named
+    p = build("blomer", TINY, r_bits=5, build_seed=0)
+    f = p.meta.factors[0]
+    moved = replace(p.meta, one_reg=None, factors=(replace(f, c_idx=0), *p.meta.factors[1:]))
+    with pytest.raises(UnrecognizedInfectionShape, match="factor c1"):
+        to_testbased(replace(p, meta=moved))
 
 
 # ---------------------------------------------------------------------- harden
