@@ -193,7 +193,8 @@ def _parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=default["workers"],
-        help="accepted for compatibility; campaigns run serially",
+        help="processes that run and score the batches (default: the usable CPUs); "
+        "the parent keeps the bookkeeping, so reports do not depend on it",
     )
     _add_build_flags(p)
     p.add_argument("--out", help="report file")

@@ -47,20 +47,25 @@ is injected, each message's fault-free output must be its CRT signature.
 
 Everything is deterministic in (spec, program): sampling is seeded per
 site and runs are tallied in plan order, then message order.
-CampaignSpec.workers is accepted for compatibility but runs nothing in
-parallel, so reports are byte-identical for any worker setting.
+CampaignSpec.workers, by default the number of CPUs this process may use,
+forks the scoring of a campaign's batches across that many processes.
+The bookkeeping stays in the parent, which applies every batch's result in
+batch order, so reports are byte-identical for any worker count.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import random
+import threading
 import zlib
 from collections import defaultdict
 from dataclasses import asdict, dataclass, field, fields
 from itertools import combinations, product, repeat
 from operator import itemgetter, sub
+from typing import NoReturn
 
 from . import modmath
 from .circuit import (
@@ -99,6 +104,9 @@ _SUCCESSES_PER_ROW = 5  # successes to_json lists per (first site, kind)
 # tally and score_outcome read the gcd through _gcd_leak, not through it
 bellcore_extract = modmath.bellcore_extract
 
+# CampaignSpec.workers' default
+_USABLE_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
 CLASS_NONE = "none"
 CLASS_STRUCTURAL = "structural-break"
 CLASS_COLLISION = "subring-collision"
@@ -119,7 +127,9 @@ class CampaignSpec:
     samples_per_site must be at least 1, or sampled randomize rows would run
     no value; with "skip" among the kinds, max_skip_len must be at least 1,
     or there would be no skip row.
-    workers is checked but not used: campaigns run on one thread, and the
+    workers is how many processes run and score the campaign's batches;
+    it defaults to the CPUs this process may use. The parent keeps the
+    bookkeeping and applies each batch's result in batch order, so the
     report does not depend on it.
     """
 
@@ -136,7 +146,7 @@ class CampaignSpec:
     r_bits: int = 8
     build_seed: int = 0
     plan_limit: int = 10000
-    workers: int = 1
+    workers: int = _USABLE_CPUS
 
     def __post_init__(self):
         if (self.algo is None) == (self.program is None):
@@ -712,6 +722,102 @@ def _twin_rows(code: CompiledProgram, table: list[SiteActions]) -> dict[int, int
 _BATCH = 256
 
 
+def _fork_join(jobs: list[tuple], compute, apply, workers: int) -> None:
+    """apply(job, compute(job)) for every job, strictly in job order. A
+    job's first item is its lane count; a job of no lanes is applied with
+    None and never computed.
+
+    compute must be pure. With workers >= 2, on a process of one thread
+    that can fork, and at least two jobs with lanes per process, the jobs
+    are cut into up to `workers` contiguous chunks of about equal lane
+    count. A child forked for each chunk after the first computes it and
+    writes its results to a pipe, one pickle each (_child); this process
+    computes and applies chunk 0 meanwhile, then loads each child's
+    results in turn, one pickle.load apiece, so that no unpickler memo
+    keeps them alive. Where a child could not be forked, or its results
+    stop short because it raised or died, this process computes the rest
+    of its chunk, so a batch that fails raises what it raises in a serial
+    run. Every child is killed if still running, and reaped, before this
+    returns or raises. Otherwise every job is computed here.
+    """
+    procs = min(workers, sum(1 for job in jobs if job[0]) // 2)
+    if procs < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        for job in jobs:
+            apply(job, compute(job) if job[0] else None)
+        return
+    import pickle  # only a forked campaign pays for these imports
+    import signal
+
+    chunks = _chunks(jobs, procs)
+    pids, streams = [], [None]  # chunk 0 has no child
+    try:
+        for chunk in chunks[1:]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no child: this process computes the chunk
+                os.close(r)
+                os.close(w)
+                streams.append(None)
+                continue
+            if pid == 0:
+                _child(chunk, compute, w)
+            os.close(w)
+            pids.append(pid)
+            streams.append(open(r, "rb"))
+        for chunk, stream in zip(chunks, streams):
+            for job in chunk:
+                if not job[0]:
+                    apply(job, None)
+                    continue
+                out = None
+                if stream is not None:
+                    try:
+                        out = pickle.load(stream)
+                    except (EOFError, pickle.UnpicklingError):  # the child stopped short
+                        pass
+                apply(job, compute(job) if out is None else out)
+    finally:
+        for stream in streams:
+            if stream is not None:
+                stream.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _chunks(jobs: list[tuple], procs: int) -> list[list[tuple]]:
+    """jobs cut into procs contiguous chunks of about equal lane count: a
+    chunk ends at the job that brings the lanes so far to its share."""
+    total, chunks, start, done = sum(job[0] for job in jobs), [], 0, 0
+    for i, job in enumerate(jobs):
+        done += job[0]
+        if len(chunks) < procs - 1 and done * procs >= total * (len(chunks) + 1):
+            chunks.append(jobs[start : i + 1])
+            start = i + 1
+    chunks.append(jobs[start:])
+    return chunks
+
+
+def _child(chunk: list[tuple], compute, fd: int) -> NoReturn:
+    """In a forked child: compute the chunk's jobs with lanes, write their
+    results to fd, one pickle each, and end the process without unwinding
+    the parent's stack. Every result is computed before any is written:
+    the parent reads only once its own chunk is done, and a full pipe
+    would stall the child until then. A child whose compute raises writes
+    nothing."""
+    import pickle
+
+    status = 1
+    try:
+        blobs = [pickle.dumps(compute(job), pickle.HIGHEST_PROTOCOL) for job in chunk if job[0]]
+        with open(fd, "wb") as out:
+            out.writelines(blobs)
+        status = 0
+    finally:
+        os._exit(status)
+
+
 class _Tally:
     """A campaign's faulted runs and their bookkeeping.
 
@@ -722,15 +828,21 @@ class _Tally:
     lanes' released values, an ErrorOut or Crash having none (no output),
     then gcd(N, v - S) of each. A column with neither p nor q in it is
     counted by list counts alone; only a lane that breaks is visited on
-    its own. Two producers make batches: _run_row takes an order-1 row's
-    values as its faults, and _run_plans decodes id plans, gathering a
-    batch's per-index fault lists once for all messages. Each adds its
-    attempts and no-output runs into two flat per-row int lists, and hands
-    its breaks to _keep, the one writer of successes: a break becomes an
-    AttackSuccess whose id plan is kept for the replay pass, listed on
-    every row its plan touches; successes come in plan order, then
-    message order. When every plan has run, run derives each row's
-    successes, factor_p, factor_q and silent runs from those lists.
+    its own.
+
+    run makes one ordered list of jobs, each a tuple whose first item is
+    its lane count: (lanes, row, first value index) for a batch of an
+    order-1 row's values, (0, write row, read row) for a twin read row,
+    and (lanes, None, plans) for a batch of id plans. _compute runs a
+    batch job and reads nothing the bookkeeping writes, so _fork_join may
+    run it in a child; _apply books each result in this process, in job
+    order. It adds attempts and no-output runs into two flat per-row int
+    lists, and hands the breaks to _keep, the one writer of successes: a
+    break becomes an AttackSuccess whose id plan is kept for the replay
+    pass, listed on every row its plan touches; successes come in plan
+    order, then message order, whatever the number of workers. When every
+    job is applied, run derives each row's successes, factor_p, factor_q
+    and silent runs from those lists.
 
     At order 1 a read row twin to a write row (_twin_rows) does not run: it
     takes the write row's counts, and keeps the write row's successes again
@@ -768,13 +880,15 @@ class _Tally:
             for t in self.table
         ]
 
-    def run(self, plans: list[IdPlan] | None) -> None:
-        """Run build_plans' plans in order, in batches of _BATCH. At order 1
-        (None) run the table in order instead: each zero and randomize row
-        in batches of _BATCH of its values, unless it is a twin read row,
-        then the skip rows, one plan each, in batches of _BATCH
-        (enumerate_sites lists every skip window after every data site).
-        Then write each row's counts into rows, which _replay reads."""
+    def run(self, plans: list[IdPlan] | None, workers: int) -> None:
+        """Run build_plans' plans in order, in batches of _BATCH, across up
+        to `workers` processes. At order 1 (None) run the table in order
+        instead: each zero and randomize row in batches of _BATCH of its
+        values, unless it is a twin read row, then the skip rows, one plan
+        each, in batches of _BATCH (enumerate_sites lists every skip window
+        after every data site). Then write each row's counts into rows,
+        which _replay reads."""
+        jobs = []
         if plans is None:
             twins = _twin_rows(self.code, self.table)
             plans = []
@@ -782,16 +896,63 @@ class _Tally:
                 if t.kind is FaultKind.SKIP:
                     plans.append((self.ids.base[r],))
                 elif r in twins:
-                    self._copy_row(twins[r], r)
+                    jobs.append((0, twins[r], r))
                 else:
-                    self._run_row(r)
-        self._run_plans(plans)
+                    n = len(t.values)
+                    jobs += [(min(_BATCH, n - s), r, s) for s in range(0, n, _BATCH)]
+        jobs += [(len(b), None, b) for b in (plans[s : s + _BATCH] for s in range(0, len(plans), _BATCH))]
+        _fork_join(jobs, self._compute, self._apply, workers)
         successes, kept = self.successes, self.row_success_idx
         for r, (row, attempts, none) in enumerate(zip(self.rows, self._attempts, self._no_output)):
             sides = [successes[i].side for i in kept.get(r, ())]
             row.attempts, row.no_output, row.successes = attempts, none, len(sides)
             row.factor_p, row.factor_q = sides.count("p"), sides.count("q")
             row.silent = attempts - none - len(sides)
+
+    def _compute(self, job: tuple) -> tuple:
+        """Run one batch job on every message. A row batch's faults come
+        from the row's values, an id-plan batch's from decoded ids (_faults).
+        Returns (no-output runs, None, hits) for a row batch, and (no-output
+        runs per plan, None if there are none; the rows each plan touches;
+        hits) for an id-plan batch, hits as _score gives them."""
+        lanes, r, arg = job
+        if r is None:
+            faults, plan_rows = self._faults(arg)
+            columns, none, hits = self._score(faults)
+            return ([vs.count(None) for vs in zip(*columns)] if none else None), plan_rows, hits
+        index, slot, _window = self._sites[r]
+        # zero is randomize to 0
+        values = list(enumerate(v or 0 for v in self.table[r].values[arg : arg + lanes]))
+        if slot is None:
+            faults = (lanes, {index: values}, {}, {})
+        else:
+            faults = (lanes, {}, {index: [(k, slot, v) for k, v in values]}, {})
+        _columns, none, hits = self._score(faults)
+        return none, None, hits
+
+    def _apply(self, job: tuple, result: tuple | None) -> None:
+        """Book one job: a batch's attempts and no-output runs on the rows
+        its plans touch, and its breaks through _keep; a twin read row's
+        copy of its write row."""
+        lanes, r, arg = job
+        if not lanes:
+            self._copy_row(r, arg)
+            return
+        ended, plan_rows, hits = result
+        n_runs = len(self.runs)
+        if r is not None:
+            self._attempts[r] += n_runs * lanes
+            self._no_output[r] += ended
+            if hits:
+                first = self.ids.base[r] + arg
+                self._keep([(a,) for a in range(first, first + lanes)], [[r]] * lanes, hits)
+            return
+        attempts, no_output = self._attempts, self._no_output
+        for touched, e in zip(plan_rows, ended or repeat(0)):
+            for row in touched:
+                attempts[row] += n_runs
+                no_output[row] += e
+        self._keep(arg, plan_rows, hits)
 
     def _keep(self, plans: list[IdPlan], plan_rows: list[list[int]], hits: list[tuple]) -> None:
         """Keep a batch's breaks: each hit (lane k, message, released value,
@@ -800,6 +961,9 @@ class _Tally:
         p, q, mask = self.key.p, self.key.q, self.ids.mask
         rows, table = self.rows, self.table
         successes, kept, row_idx = self.successes, self.success_plans, self.row_success_idx
+        # the runs' own message ints: hits unpickled from a forked child
+        # hold a copy of the message each
+        message = {m: m for m, _runner, _sig in self.runs}
         lane = -1
         for k, m, v, g in hits:
             if k != lane:
@@ -810,7 +974,7 @@ class _Tally:
             for r in touched:
                 row_idx[r].append(len(successes))
             factor, side = _gcd_leak(p, q, g)
-            successes.append(AttackSuccess(m, actions, v, factor, side, None))
+            successes.append(AttackSuccess(message[m], actions, v, factor, side, None))
             kept.append(plan)
 
     def _copy_row(self, w: int, r: int) -> None:
@@ -827,42 +991,6 @@ class _Tally:
                 plans.append((first | (plan[0] & mask),))
             hits.append((len(plans) - 1, s.message, s.signature, s.factor))
         self._keep(plans, [[r]] * len(plans), hits)
-
-    def _run_plans(self, plans: list[IdPlan]) -> None:
-        """Run plans in batches of _BATCH, counting each on the rows it touches."""
-        attempts, no_output = self._attempts, self._no_output
-        n_runs = len(self.runs)
-        for s in range(0, len(plans), _BATCH):
-            batch = plans[s : s + _BATCH]
-            faults, plan_rows = self._faults(batch)
-            columns, none, hits = self._score(faults)
-            ended = [vs.count(None) for vs in zip(*columns)] if none else repeat(0)
-            for touched, e in zip(plan_rows, ended):
-                for r in touched:
-                    attempts[r] += n_runs
-                    no_output[r] += e
-            self._keep(batch, plan_rows, hits)
-
-    def _run_row(self, r: int) -> None:
-        """Run each value of one zero or randomize row as an order-1 plan,
-        _BATCH values per batch, whose faults come from the row rather than
-        from decoded ids, and count the batch on the row."""
-        index, slot, _window = self._sites[r]
-        values = self.table[r].values
-        first = self.ids.base[r]
-        n_runs = len(self.runs)
-        for s in range(0, len(values), _BATCH):
-            lanes = list(enumerate(v or 0 for v in values[s : s + _BATCH]))  # zero is randomize to 0
-            if slot is None:
-                faults = (len(lanes), {index: lanes}, {}, {})
-            else:
-                faults = (len(lanes), {}, {index: [(k, slot, v) for k, v in lanes]}, {})
-            _columns, none, hits = self._score(faults)
-            self._attempts[r] += n_runs * len(lanes)
-            self._no_output[r] += none
-            if hits:
-                plans = [(a,) for a in range(first + s, first + s + len(lanes))]
-                self._keep(plans, [[r]] * len(lanes), hits)
 
     def _score(self, faults: tuple) -> tuple[list[list], int, list[tuple[int, int, int, int]]]:
         """Run one batch, faults being run_batch's arguments, on every
@@ -935,7 +1063,7 @@ def run_campaign(spec: CampaignSpec) -> CampaignReport:
     table = site_action_table(program, spec)
     plans, sampled, ids, plans_total = _plans(program, spec, table)
     tally = _Tally(spec.key, program, ids, runs)
-    tally.run(plans)
+    tally.run(plans, spec.workers)
     first_regs = runs[0][1].baseline.regs()
     r_min = min(first_regs[r] for r in program.meta.r_regs) if program.meta.r_regs else None
     bound = (2 / r_min) if r_min else None

@@ -491,7 +491,8 @@ def batches(monkeypatch):
 
 def test_a_campaign_decodes_each_plan_once_for_all_messages(batches):
     # order 2 runs the plan list in batches; this spec's space is enumerated whole
-    spec = tiny_spec(messages=(2, 3, 5), order=2, kinds=("zero", "skip"))
+    # one process: a forked child's calls never reach the fixture
+    spec = tiny_spec(messages=(2, 3, 5), order=2, kinds=("zero", "skip"), workers=1)
     rep = run_campaign(spec)
     assert not rep.sampled_plans
     table = site_action_table(tiny_unprotected(), spec)
@@ -511,7 +512,8 @@ def test_a_campaign_decodes_each_plan_once_for_all_messages(batches):
 
 def test_order_one_runs_each_row_in_batches_of_its_actions(batches, monkeypatch):
     monkeypatch.setattr(faultengine, "_BATCH", 3)  # to split rows and the 7 skip windows
-    spec = tiny_spec(messages=(2, 3, 5), kinds=("zero", "randomize", "skip"), max_skip_len=1)
+    # one process: a forked child's calls never reach the fixture
+    spec = tiny_spec(messages=(2, 3, 5), kinds=("zero", "randomize", "skip"), max_skip_len=1, workers=1)
     rep = run_campaign(spec)
     table = site_action_table(tiny_unprotected(), spec)
     twins = faultengine._twin_rows(tiny_unprotected().compiled, table)
@@ -665,7 +667,7 @@ def test_column_scoring_matches_score_outcome_run_by_run(columns, order):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(faultengine, "_BATCH", 4)
         tally = faultengine._Tally(TINY, prog, ids, runs)
-        tally.run(plans)
+        tally.run(plans, 1)
     # plan, its rows, and its lane in the batch that ran it
     if order == 1:
         data = [r for r, t in enumerate(table) if t.kind is not FaultKind.SKIP]
@@ -748,6 +750,104 @@ def test_worker_pool_size_does_not_change_the_report():
     solo = run_campaign(tiny_spec(workers=1))
     pool = run_campaign(tiny_spec(workers=3))
     assert solo.to_json() == pool.to_json()
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Each job list run_campaign hands _fork_join, and a count of os.fork
+    calls, both kept in this process."""
+    seen = {"jobs": [], "forks": 0}
+    fork_join, fork = faultengine._fork_join, faultengine.os.fork
+
+    def recording(jobs, compute, apply, workers):
+        seen["jobs"].append(jobs)
+        return fork_join(jobs, compute, apply, workers)
+
+    def counting():
+        seen["forks"] += 1
+        return fork()
+
+    monkeypatch.setattr(faultengine, "_fork_join", recording)
+    monkeypatch.setattr(faultengine.os, "fork", counting)
+    return seen
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        faultengine.os.waitpid(-1, faultengine.os.WNOHANG)
+
+
+def test_forked_order_one_campaigns_give_the_serial_bytes(forks, monkeypatch):
+    monkeypatch.setattr(faultengine, "_BATCH", 64)
+    spec = tiny_spec(algo="shamir", messages=(2, 3), **ALL_KINDS)
+    want = run_campaign(replace(spec, workers=1))
+    assert want.successes and forks["forks"] == 0
+    (jobs,) = forks["jobs"]
+    for workers in (2, 3):
+        got = run_campaign(replace(spec, workers=workers))
+        assert (got.to_json(), got.to_csv()) == (want.to_json(), want.to_csv())
+        _no_child_left()
+        # some twin read rows copy in a later chunk than their write rows
+        # ran, and the skip rows, last in the table, run after chunk 0
+        chunks = faultengine._chunks(jobs, workers)
+        first = {}  # chunk of each row's first batch; None keys the id-plan batches
+        for c, chunk in enumerate(chunks):
+            for lanes, row, _arg in chunk:
+                if lanes:
+                    first.setdefault(row, c)
+        late = [w for c, chunk in enumerate(chunks) for lanes, w, _r in chunk if not lanes and first[w] < c]
+        assert late and first[None] > 0
+    assert forks["forks"] == 1 + 2
+
+
+def test_forked_sampled_campaigns_give_the_serial_bytes(forks, monkeypatch):
+    monkeypatch.setattr(faultengine, "_BATCH", 16)
+    spec = tiny_spec(algo="shamir", messages=(2, 3), order=3, plan_limit=200, **ALL_KINDS)
+    want = run_campaign(replace(spec, workers=1))
+    assert want.sampled_plans and want.successes
+    for workers in (2, 3):
+        got = run_campaign(replace(spec, workers=workers))
+        assert (got.to_json(), got.to_csv()) == (want.to_json(), want.to_csv())
+        _no_child_left()
+    assert forks["forks"] == 1 + 2
+
+
+def test_a_batch_that_raises_in_a_child_raises_in_the_caller(forks, monkeypatch):
+    monkeypatch.setattr(faultengine, "_BATCH", 64)
+    run_batch = FaultRunner.run_batch
+
+    def failing(self, lanes, writes, reads, skips):
+        if skips:  # the skip rows run last, so in the last chunk
+            raise RuntimeError(f"skip batch of {lanes} lanes from index {min(skips)}")
+        return run_batch(self, lanes, writes, reads, skips)
+
+    monkeypatch.setattr(FaultRunner, "run_batch", failing)  # forked children inherit it
+    spec = tiny_spec(algo="shamir", messages=(2, 3), **ALL_KINDS)
+    raised = []
+    for workers in (1, 2):
+        with pytest.raises(RuntimeError) as err:
+            run_campaign(replace(spec, workers=workers))
+        raised.append(str(err.value))
+        _no_child_left()
+    assert raised[0] == raised[1] and raised[0].startswith("skip batch")
+    assert forks["forks"] == 1
+
+
+def test_one_worker_never_forks_and_a_failed_fork_runs_its_chunk_here(forks, monkeypatch):
+    monkeypatch.setattr(faultengine, "_BATCH", 16)
+    spec = tiny_spec(messages=(2, 3), **ALL_KINDS)
+    want = run_campaign(replace(spec, workers=1))
+    assert forks["forks"] == 0
+
+    tried = []
+
+    def failing():
+        tried.append(True)
+        raise OSError("no process")
+
+    monkeypatch.setattr(faultengine.os, "fork", failing)
+    got = run_campaign(replace(spec, workers=2))
+    assert tried and (got.to_json(), got.to_csv()) == (want.to_json(), want.to_csv())
 
 
 def test_spec_validation_rejects_nonsense():
