@@ -36,13 +36,13 @@ Programs run on three paths that give the same results:
     command, skip-fault subsumption, ExecOutcome.regs(), and the tests that
     check the other paths against it.
   * FaultRunner.run runs one faulted plan, decoded as plan_faults decodes
-    it, for faultengine.replay_plan and the replay probes. It re-evaluates
+    it, for faultengine.replay_plan and plan_persists. It re-evaluates
     only the instructions the plan changes.
   * FaultRunner.run_batch runs a batch of faulted plans, one lane per plan,
-    for campaigns (faultengine.run_campaign), by run's rule: the plans may
-    fault different sites, and an instruction is evaluated, once for all
-    lanes and through the vector kernels, when some lane faults it or some
-    lane changed a value it reads.
+    for campaigns (faultengine.run_campaign) and their replay probes, by
+    run's rule: the plans may fault different sites, and an instruction is
+    evaluated, once for all lanes and through the vector kernels, when some
+    lane faults it or some lane changed a value it reads.
 
 Both runners start from a baseline execute() run and use the program's
 compiled form (Program.compiled, built once per Program).

@@ -20,8 +20,8 @@ Every (table row, value) of a campaign has an integer action id
 (ActionIds): the row's rank shifted left, or'd with the value's index, so
 ids ascend in plan sort order and decode by shift and mask. A plan of
 order 2 and above is a tuple of ids: it is drawn, deduplicated and sorted
-as ints, and the campaign decodes its ids where a batch gathers its faults.
-FaultActions are built only for the successes the replay pass probes.
+as ints, and the campaign decodes its ids where a batch gathers its faults,
+the replay pass's batches included, so a campaign builds no FaultAction.
 
 Faulted runs go through circuit.FaultRunner, which replays faults against
 the fault-free baseline of their message; circuit.execute stays the
@@ -39,11 +39,14 @@ whose register has one reader, naming it once, is the same fault as a
 write fault on that register's writer: such a read row, with the write
 row's values, is not run, and takes the write row's counts and successes
 under its own site.
-The replay probes run one plan at a time through FaultRunner.run. Runners
-are kept by the program under (key, message, seed), so each baseline runs
-once: the campaign's messages, the site-action table and every replay
-probe share them. Before any fault
-is injected, each message's fault-free output must be its CRT signature.
+The replay probes run round-major: each round runs the successes still
+pending as run_batch lanes, one runner pass per batch and alternate
+message, scored as a column; plan_persists, which runs one plan at a time
+through FaultRunner.run, stays the reference. Runners are kept by the
+program under (key, message, seed), so each baseline runs once: the
+campaign's messages, the site-action table and every replay round share
+them. Before any fault is injected, each message's fault-free output must
+be its CRT signature.
 
 Everything is deterministic in (spec, program): sampling is seeded per
 site and runs are tallied in plan order, then message order.
@@ -62,7 +65,7 @@ import random
 import threading
 import zlib
 from collections import defaultdict
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from itertools import combinations, product, repeat
 from operator import itemgetter, sub
 from typing import NoReturn
@@ -232,6 +235,11 @@ class AttackSuccess:
     persistent: bool | None  # None when the row is classified by exact fraction
 
 
+# an AttackSuccess's fields: to_json's keys per listed success; its values
+# are ints, strs, None and tuples of them, so they need no copy
+_SUCCESS_FIELDS = tuple(f.name for f in fields(AttackSuccess))
+
+
 @dataclass
 class CampaignReport:
     name: str
@@ -277,7 +285,7 @@ class CampaignReport:
             head = (s.actions[0][0], s.actions[0][1])
             seen[head] = seen.get(head, 0) + 1
             if seen[head] <= _SUCCESSES_PER_ROW:
-                capped.append(asdict(s))
+                capped.append({f: getattr(s, f) for f in _SUCCESS_FIELDS})
         doc = {
             "name": self.name,
             "digest": self.digest,
@@ -378,7 +386,15 @@ class SiteActions:
 
 
 def site_action_table(program: Program, spec: CampaignSpec) -> list[SiteActions]:
-    """Deterministic per-site action lists for the spec's kinds."""
+    """Deterministic per-site action lists for the spec's kinds.
+
+    A sampled randomize row draws rng.randrange(domain) until it holds
+    samples_per_site values other than the nominal one, or every such
+    value. The loop makes the rng.getrandbits calls randrange makes on
+    CPython (_randbelow's redraws) without its layers; test_faultengine's
+    differential test against random.Random on the running interpreter
+    guards the sequence.
+    """
     runner = _runner(program, spec.key, _messages_of(spec)[0], spec.seed)
     domains = site_domains(program, runner.baseline.regs())
     table: list[SiteActions] = []
@@ -397,11 +413,12 @@ def site_action_table(program: Program, spec: CampaignSpec) -> list[SiteActions]
                     vals = tuple(range(dom))
                 table.append(SiteActions(site, FaultKind.RANDOMIZE, vals, True, dom))
             else:
-                rng = _site_sample_rng(spec, site.key(program))
+                bits, dom_bits = _site_sample_rng(spec, site.key(program)).getrandbits, dom.bit_length()
+                want = min(spec.samples_per_site, dom - 1)
                 picked: set[int] = set()
-                while len(picked) < min(spec.samples_per_site, dom - 1):
-                    v = rng.randrange(dom)
-                    if v != nominal:
+                while len(picked) < want:
+                    v = bits(dom_bits)
+                    if v < dom and v != nominal:  # a draw past dom is redrawn
                         picked.add(v)
                 table.append(
                     SiteActions(site, FaultKind.RANDOMIZE, tuple(sorted(picked)), False, dom)
@@ -507,9 +524,8 @@ def build_plans(
     of the site's actions under any kind uniform), or as many as 50 *
     plan_limit draws find, sorted. No plan faults a site twice. Plans are
     tuples of ints, so drawing, deduplicating and sorting never build a
-    FaultAction; the campaign decodes ids by shift and mask, and
-    ActionIds.fault_plan builds FaultActions only for the successes the
-    replay pass probes.
+    FaultAction; the campaign, its replay pass included, decodes ids by
+    shift and mask.
 
     A draw is rng.sample(range(sites), order), sorted, then one
     rng.randrange(size) per picked site, decoded through ActionIds.spans.
@@ -600,6 +616,25 @@ def score_outcome(n: int, p: int, q: int, baseline_sig: int, result) -> tuple[st
     return ("success" if side else "silent"), factor, side
 
 
+def _column(n: int, p: int, q: int, results: list, sig: int) -> tuple[list, int, list[tuple[int, int, int]]]:
+    """One run_batch pass scored as a column against signature sig, N = p*q:
+    (values, ended, leaks). values[k] is the value lane k released, None
+    when it released none (an ErrorOut or Crash); ended counts those lanes.
+    leaks holds (lane, released value, gcd(N, v - S)) per lane whose value
+    leaks p or q, in lane order; every other lane with output is silent. A
+    column whose values are all the signature or None needs no gcd."""
+    values = list(map(getattr, results, repeat("value"), repeat(None)))
+    ended = values.count(None)
+    if ended + values.count(sig) == len(values):
+        return values, ended, []
+    # no output scores as the signature, so gcd N: no break
+    released = list(map(getattr, results, repeat("value"), repeat(sig))) if ended else values
+    gs = list(map(math.gcd, repeat(n), map(sub, released, repeat(sig))))
+    if not gs.count(p) + gs.count(q):
+        return values, ended, []
+    return values, ended, [(k, released[k], g) for k, g in enumerate(gs) if g == p or g == q]
+
+
 def _runner(program: Program, key: CrtKey, message: int, seed: int) -> FaultRunner:
     """program's runner on one message, kept under (key, message, seed), so
     program_inputs runs once per new key and message."""
@@ -628,6 +663,18 @@ def _alt_messages(n: int, message: int) -> list[int]:
     return alts
 
 
+def _redrawn_value(site: FaultSite, dom: int, nominal: int, seed: int, round_no: int) -> int:
+    """The value a randomize action at site takes in probe round round_no,
+    given the site's (domain, nominal): a draw below dom other than nominal.
+    It depends on (seed, site, round) alone, so one draw serves every
+    action on that site in that round."""
+    rng = random.Random((seed * 0x9E3779B1 + zlib.crc32(f"{site!r}|{round_no}".encode())) & 0xFFFFFFFFFFFF)
+    v = rng.randrange(dom)
+    while v == nominal:
+        v = rng.randrange(dom)
+    return v
+
+
 def _redrawn_plan(
     plan: FaultPlan,
     redraw: dict[FaultSite, tuple[int, int]] | None,
@@ -636,20 +683,12 @@ def _redrawn_plan(
 ) -> FaultPlan:
     if not redraw:
         return plan
-    acts = []
-    for a in plan:
-        if a.kind is FaultKind.RANDOMIZE and a.site in redraw:
-            dom, nominal = redraw[a.site]
-            rng = random.Random(
-                (seed * 0x9E3779B1 + zlib.crc32(f"{a.site!r}|{round_no}".encode()))
-                & 0xFFFFFFFFFFFF
-            )
-            v = rng.randrange(dom)
-            while v == nominal:
-                v = rng.randrange(dom)
-            a = FaultAction(a.site, a.kind, v)
-        acts.append(a)
-    return tuple(acts)
+    return tuple(
+        FaultAction(a.site, a.kind, _redrawn_value(a.site, *redraw[a.site], seed, round_no))
+        if a.kind is FaultKind.RANDOMIZE and a.site in redraw
+        else a
+        for a in plan
+    )
 
 
 def plan_persists(
@@ -670,6 +709,10 @@ def plan_persists(
     values (a multi-fault hit that needed its random values to agree is
     coordination luck, not a property of the scheme).  A structural break
     exploits the dataflow itself and survives every round.
+
+    This is the one-plan reference: campaigns do not call it, but probe
+    their successes in _replay, round by round as run_batch lanes, which
+    test_faultengine checks against it success by success.
     """
     alts = _alt_messages(key.p * key.q, message)
     for t, step in enumerate(_ALT_SEED_STEPS):
@@ -994,33 +1037,26 @@ class _Tally:
 
     def _score(self, faults: tuple) -> tuple[list[list], int, list[tuple[int, int, int, int]]]:
         """Run one batch, faults being run_batch's arguments, on every
-        message, and score each pass as a column: (columns, none, hits).
-        columns[i][k] is the value lane k released on message i, None when
-        it released none (an ErrorOut or Crash); none counts those runs.
-        hits holds (lane, message, released value, gcd) per run whose value
-        leaks a factor, in lane order, then message order; every other run
-        with output is silent. A column whose values are all the signature
-        or None needs no gcd."""
+        message, and score each pass as a column (_column): (columns, none,
+        hits). columns[i] is message i's values; none counts the runs with
+        no output. hits holds (lane, message, released value, gcd) per run
+        whose value leaks a factor, in lane order, then message order."""
         n, p, q = self.n, self.key.p, self.key.q
         columns, none, hits = [], 0, []
         for m, runner, sig in self.runs:
-            results = runner.run_batch(*faults)
-            values = list(map(getattr, results, repeat("value"), repeat(None)))
+            values, ended, leaks = _column(n, p, q, runner.run_batch(*faults), sig)
             columns.append(values)
-            ended = values.count(None)
             none += ended
-            if ended + values.count(sig) == len(values):
-                continue
-            if ended:  # no output scores as the signature, so gcd N: no break
-                values = list(map(getattr, results, repeat("value"), repeat(sig)))
-            gs = list(map(math.gcd, repeat(n), map(sub, values, repeat(sig))))
-            if gs.count(p) + gs.count(q):
-                hits += [(k, m, values[k], g) for k, g in enumerate(gs) if g == p or g == q]
+            hits += [(k, m, v, g) for k, v, g in leaks]
         hits.sort(key=itemgetter(0))  # stable: messages stay in order within a lane
         return columns, none, hits
 
-    def _faults(self, batch: list[IdPlan]) -> tuple[tuple, list[list[int]]]:
-        """run_batch's arguments for a batch, and the rows each plan touches."""
+    def _faults(
+        self, batch: list[IdPlan], redrawn: dict[int, int] | None = None
+    ) -> tuple[tuple, list[list[int]]]:
+        """run_batch's arguments for a batch, and the rows each plan touches.
+        An action on a row that redrawn maps takes that value instead of its
+        own."""
         by_id, shift, mask = self.ids.by_id, self.ids.shift, self.ids.mask
         sites, table = self._sites, self.table
         writes, reads, skips = defaultdict(list), defaultdict(list), defaultdict(list)
@@ -1036,6 +1072,8 @@ class _Tally:
                         skips[j].append(lane)
                     continue
                 v = table[r].values[a & mask] or 0  # zero is randomize to 0
+                if redrawn and r in redrawn:
+                    v = redrawn[r]
                 if slot is None:
                     writes[i].append((lane, v))
                 else:
@@ -1107,12 +1145,23 @@ def _plans(
 def _replay(
     tally: _Tally, program: Program, spec: CampaignSpec, bound: float | None, first_regs: dict[str, int]
 ) -> None:
-    """Probe successes with plan_persists and set each row's persistent count.
+    """Probe successes as plan_persists does and set each row's persistent
+    count.
 
     Fraction bands settle most randomize rows outright; the ambiguous
     middle band, the single-shot zero and skip rows, and every multi-fault
     plan get replayed under fresh seeds and messages instead. A persistent
     leak reproduces, so a handful of witnesses per row is enough to find one.
+
+    The probes run round-major: round t takes the successes still pending,
+    groups them by runner (the alternate message _alt_messages(N,
+    message)[t % 2] under seed + _ALT_SEED_STEPS[t]), and runs each group
+    as run_batch lanes, _BATCH at a time, gathered from the id plans by
+    _Tally._faults and scored as one column each. At order >= 2 each
+    randomize action takes its site's redrawn value for the round, drawn
+    once per (site, round). Only the lanes that still break go on to round
+    t + 1, so a success is persistent when it breaks in every round: the
+    verdict plan_persists gives its plan.
     """
     successes, rows = tally.successes, tally.rows
     need: set[int] = set()
@@ -1125,10 +1174,32 @@ def _replay(
             elif _band(rows[r], bound) is None:
                 need.update(idxs[:_REPLAY_CAP])
     redraw = site_domains(program, first_regs) if spec.order > 1 else None
-    for idx in sorted(need):
-        s = successes[idx]
-        plan = tally.ids.fault_plan(tally.success_plans[idx])
-        s.persistent = plan_persists(program, spec.key, s.message, plan, spec.seed, redraw=redraw)
+    key, plans, table = spec.key, tally.success_plans, tally.table
+    by_id, shift = tally.ids.by_id, tally.ids.shift
+    n, p, q = tally.n, key.p, key.q
+    alts = {m: _alt_messages(n, m) for m in {successes[i].message for i in need}}
+    pending = sorted(need)
+    for t, step in enumerate(_ALT_SEED_STEPS):
+        redrawn = {}
+        if redraw:
+            for r in {by_id[a >> shift] for i in pending for a in plans[i]}:
+                site = table[r].site
+                if table[r].kind is FaultKind.RANDOMIZE and site in redraw:
+                    redrawn[r] = _redrawn_value(site, *redraw[site], spec.seed, t)
+        groups: dict[int, list[int]] = defaultdict(list)
+        for i in pending:
+            groups[alts[successes[i].message][t % 2]].append(i)
+        pending = []
+        for m, group in groups.items():
+            runner = _runner(program, key, m, spec.seed + step)
+            for start in range(0, len(group), _BATCH):
+                chunk = group[start : start + _BATCH]
+                faults, _rows = tally._faults([plans[i] for i in chunk], redrawn)
+                _values, _ended, leaks = _column(n, p, q, runner.run_batch(*faults), runner.signature)
+                pending += [chunk[k] for k, _v, _g in leaks]
+    persistent = set(pending)
+    for i in need:
+        successes[i].persistent = i in persistent
     for r, idxs in tally.row_success_idx.items():
         replayed = [successes[i].persistent for i in idxs if successes[i].persistent is not None]
         if replayed:

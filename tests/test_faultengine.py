@@ -1,6 +1,7 @@
 """Campaign engine: plan spaces, scoring, reports, persistence probes."""
 
 import random
+from collections import defaultdict
 from dataclasses import replace
 from itertools import combinations
 
@@ -252,6 +253,27 @@ def test_sampling_gives_up_at_the_guard_as_the_reference_does():
     assert len(plans) < spec.plan_limit
 
 
+@pytest.mark.parametrize("algo", sorted(CATALOG))
+def test_sampled_site_values_are_the_random_randrange_draws(algo):
+    # site_action_table makes randrange's getrandbits calls itself; the
+    # reference is the draw loop through random.Random.randrange
+    prog = CATALOG[algo]
+    for threshold, samples in ((64, 8), (8, 64), (2, 1)):
+        spec, table = all_kinds_table(algo, exhaustive_threshold=threshold, samples_per_site=samples)
+        domains = site_domains(prog, execute(prog, program_inputs(prog, TINY, 2), seed=spec.seed).regs())
+        sampled = [t for t in table if not t.exhaustive]
+        assert sampled
+        for t in sampled:
+            dom, nominal = domains[t.site]
+            rng = faultengine._site_sample_rng(spec, t.site.key(prog))
+            picked = set()
+            while len(picked) < min(spec.samples_per_site, dom - 1):
+                v = rng.randrange(dom)
+                if v != nominal:
+                    picked.add(v)
+            assert t.values == tuple(sorted(picked))
+
+
 def test_sampled_plans_build_fault_actions_only_for_replayed_successes(monkeypatch):
     built = {"campaign": 0, "probe": 0}
     probing = []
@@ -261,27 +283,26 @@ def test_sampled_plans_build_fault_actions_only_for_replayed_successes(monkeypat
         built["probe" if probing else "campaign"] += 1
         post_init(self)
 
-    persists = faultengine.plan_persists
+    replay = faultengine._replay
 
     def probe(*args, **kw):
         probing.append(True)
         try:
-            return persists(*args, **kw)
+            return replay(*args, **kw)
         finally:
             probing.pop()
 
     monkeypatch.setattr(FaultAction, "__post_init__", counting_post_init)
-    monkeypatch.setattr(faultengine, "plan_persists", probe)
+    monkeypatch.setattr(faultengine, "_replay", probe)
     spec = tiny_spec(algo="shamir", order=3, plan_limit=300, **ALL_KINDS)
     rep = run_campaign(spec)
     assert rep.sampled_plans and rep.plans_total == 300
-    # order >= 2 replays every success; its plan is the only one built
+    # order >= 2 replays every success, re-drawing its randomize actions
     assert all(s.persistent is not None for s in rep.successes)
-    assert 0 < built["campaign"] <= spec.order * len(rep.successes)
-    # inside the probe, each round re-draws every randomize action, until a
-    # round does not break
-    redrawn = sum(kind == "randomize" for s in rep.successes for _site, kind, _v in s.actions)
-    assert 0 < built["probe"] <= len(faultengine._ALT_SEED_STEPS) * redrawn
+    assert any(kind == "randomize" for s in rep.successes for _site, kind, _v in s.actions)
+    # the replay pass gathers its lanes from the id plans, as the tally
+    # does, so neither builds a FaultAction
+    assert built == {"campaign": 0, "probe": 0}
 
 
 def test_order_one_builds_fault_actions_only_for_replayed_successes(monkeypatch):
@@ -297,11 +318,8 @@ def test_order_one_builds_fault_actions_only_for_replayed_successes(monkeypatch)
     replayed = [s for s in rep.successes if s.persistent is not None]
     # the fraction bands settle some rows, so not every success is replayed
     assert 0 < len(replayed) < len(rep.successes)
-    # one action per replayed success; an order-1 probe re-draws nothing
-    assert len(built) == len(replayed)
-    assert [(a.site.key(CATALOG["shamir"]), a.kind.value, a.value) for a in built] == [
-        s.actions[0] for s in replayed
-    ]
+    # the replayed successes' lanes come from their id plans, as the tally's do
+    assert built == []
 
 
 def test_oversized_spaces_sample_down_to_the_limit():
@@ -398,6 +416,110 @@ def test_structural_breaks_persist_and_collisions_do_not():
     assert not any(plan_persists(isf, TINY, 2, plan, 3) for plan in hits)
 
 
+def _first_miss(prog, message, plan, redraw, seed=42):
+    """How plan_persists' rounds end for a plan: the result of the first
+    round that does not break, or None when every round breaks."""
+    alts = faultengine._alt_messages(TINY.p * TINY.q, message)
+    for t, step in enumerate(faultengine._ALT_SEED_STEPS):
+        plan_t = faultengine._redrawn_plan(plan, redraw, seed, t)
+        result, broke, _factor = replay_plan(prog, TINY, alts[t % 2], plan_t, seed + step)
+        if not broke:
+            return result
+    return None
+
+
+@pytest.fixture(scope="module")
+def probed():
+    """Every success a campaign probes, on each catalog program at order 1
+    (all kinds: nothing is re-drawn) and at order 2 (randomize: every
+    action is re-drawn), as (order, success, plan_persists' verdict on its
+    plan, how its rounds end as _first_miss gives it)."""
+    out = []
+    for order, kw in ((1, ALL_KINDS), (2, dict(kinds=("randomize",), r_bits=5, plan_limit=200))):
+        for algo, prog in CATALOG.items():
+            spec = CampaignSpec(
+                key=TINY, program=prog, order=order, exhaustive_threshold=16, samples_per_site=4, **kw
+            )
+            rep = run_campaign(spec)
+            first = faultengine._messages_of(spec)[0]
+            first_regs = execute(prog, program_inputs(prog, TINY, first), seed=spec.seed).regs()
+            redraw = site_domains(prog, first_regs) if order > 1 else None
+            sites = {site.key(prog): site for site in enumerate_sites(prog, spec.max_skip_len)}
+            for s in rep.successes:
+                if s.persistent is not None:
+                    plan = tuple(FaultAction(sites[k], FaultKind(kind), v) for k, kind, v in s.actions)
+                    verdict = plan_persists(prog, TINY, s.message, plan, spec.seed, redraw=redraw)
+                    out.append((order, s, verdict, _first_miss(prog, s.message, plan, redraw)))
+    return out
+
+
+def test_batched_replay_verdicts_are_plan_persists_verdicts(probed):
+    for order in (1, 2):
+        verdicts = [(s.persistent, verdict) for o, s, verdict, _end in probed if o == order]
+        assert {v for _p, v in verdicts} == {True, False}
+        assert all(persistent is verdict for persistent, verdict in verdicts)
+
+
+def test_a_success_whose_replay_ends_without_output_is_not_persistent(probed):
+    # some round of these lanes ends at a check (ErrorOut) or a crash
+    for order in (1, 2):
+        ends = [
+            (s, verdict, end)
+            for o, s, verdict, end in probed
+            if o == order and isinstance(end, (ErrorOut, Crash))
+        ]
+        assert {type(end) for _s, _v, end in ends} == {ErrorOut, Crash}
+        assert all(s.persistent is False and verdict is False for s, verdict, _end in ends)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_replay_runs_each_round_in_batches_per_alternate_message(monkeypatch, order):
+    size = 8
+    monkeypatch.setattr(faultengine, "_BATCH", size)
+    replaying, runs, passes = [], [], defaultdict(list)
+    replay, run, run_batch = faultengine._replay, FaultRunner.run, FaultRunner.run_batch
+
+    def in_replay(*args, **kw):
+        replaying.append(True)
+        return replay(*args, **kw)
+
+    def counting_run(self, plan):
+        if replaying:
+            runs.append(plan)
+        return run(self, plan)
+
+    def counting_run_batch(self, lanes, *faults):
+        if replaying:
+            passes[self._env[1], self.baseline.regs()["m"]].append(lanes)
+        return run_batch(self, lanes, *faults)
+
+    monkeypatch.setattr(faultengine, "_replay", in_replay)
+    monkeypatch.setattr(FaultRunner, "run", counting_run)
+    monkeypatch.setattr(FaultRunner, "run_batch", counting_run_batch)
+    spec = tiny_spec(algo="shamir", messages=(2, 3, 75), order=order, plan_limit=300, **ALL_KINDS)
+    rep = run_campaign(spec)
+    replayed = [s for s in rep.successes if s.persistent is not None]
+    assert replayed and not runs
+    steps = faultengine._ALT_SEED_STEPS
+    assert {seed for seed, _m in passes} <= {spec.seed + step for step in steps}
+    # each (round, alternate message) runs its pending lanes _BATCH at a time
+    for lanes in passes.values():
+        assert len(lanes) <= -(-sum(lanes) // size) and max(lanes) <= size
+    assert any(len(lanes) > 1 for lanes in passes.values())
+    # round 0 takes every replayed success, on its first alternate message;
+    # a round takes no more lanes than the round before it
+    alts = {m: faultengine._alt_messages(77, m)[0] for m in spec.messages}
+    first = {m: sum(lanes) for (seed, m), lanes in passes.items() if seed == spec.seed + steps[0]}
+    want = defaultdict(int)
+    for s in replayed:
+        want[alts[s.message]] += 1
+    assert first == want
+    totals = [
+        sum(sum(lanes) for (seed, _m), lanes in passes.items() if seed == spec.seed + step) for step in steps
+    ]
+    assert totals == sorted(totals, reverse=True) and totals[0] == len(replayed)
+
+
 def test_random_draw_sites_are_phase_flagged():
     sh = build("shamir", TINY, r_bits=5, build_seed=0)
     ridx = find_write(sh, "r")
@@ -469,9 +591,9 @@ def test_skip_faults_reduce_to_value_faults():
 
 @pytest.fixture
 def batches(monkeypatch):
-    """What a campaign runs: the FaultAction plans of each batch whose fault
-    lists _Tally gathers from its action ids, and each run_batch pass as
-    (message, lane count, its non-empty fault lists)."""
+    """What a campaign's tally runs: the FaultAction plans of each batch
+    whose fault lists _Tally gathers from its action ids, and each run_batch
+    pass as (message, lane count, its non-empty fault lists)."""
     seen = {"gathered": [], "passes": []}
     faults, run_batch = faultengine._Tally._faults, FaultRunner.run_batch
 
@@ -486,6 +608,15 @@ def batches(monkeypatch):
 
     monkeypatch.setattr(faultengine._Tally, "_faults", gathering)
     monkeypatch.setattr(FaultRunner, "run_batch", passing)
+    # the replay pass's batches come after every tally batch: stop there
+    replay = faultengine._replay
+
+    def replaying(*args, **kw):
+        monkeypatch.setattr(faultengine._Tally, "_faults", faults)
+        monkeypatch.setattr(FaultRunner, "run_batch", run_batch)
+        return replay(*args, **kw)
+
+    monkeypatch.setattr(faultengine, "_replay", replaying)
     return seen
 
 
