@@ -24,10 +24,15 @@ r values with the fault-free baseline.
 
 Each instruction class is described once, in the OPCODES table: its dump
 keyword, its immediate fields, its register operands in slot order, the
-field naming the modulus it reduces by, one kernel computing its result
-from its operand values, and for the arithmetic, checks and Return a vector
-kernel computing it for many lanes at once. Operand reads, moduli, dumps,
-parsing, register renaming and every run path are derived from that table.
+field naming the modulus it reduces by, one scalar rule, and for the
+arithmetic, checks and Return a vector kernel computing it for many lanes
+at once. The scalar rule is a binder: given the positions of the
+instruction's operands in a value list, it returns one closure that
+computes the instruction from that list. execute and run_batch's per-lane
+fallback bind it to an operand list (positions 0..k-1), FaultRunner.run to
+the writers' indices in its list of stored values, so one binder per
+opcode serves all three. Operand reads, moduli, dumps, parsing, register
+renaming and every run path are derived from that table.
 
 Programs run on three paths that give the same results:
 
@@ -37,7 +42,9 @@ Programs run on three paths that give the same results:
     check the other paths against it.
   * FaultRunner.run runs one faulted plan, decoded as plan_faults decodes
     it, for faultengine.replay_plan and plan_persists. It re-evaluates
-    only the instructions the plan changes.
+    only the instructions the plan changes, each in one call of its
+    closure bound once per program (CompiledProgram.bound), except the
+    indices the plan itself faults or skips.
   * FaultRunner.run_batch runs a batch of faulted plans, one lane per plan,
     for campaigns (faultengine.run_campaign) and their replay probes, by
     run's rule: the plans may fault different sites, and an instruction is
@@ -65,7 +72,7 @@ import random
 from dataclasses import astuple, dataclass, field, replace
 from enum import Enum
 from itertools import repeat
-from operator import add, eq, itemgetter, mod, mul, sub
+from operator import add, eq, mod, mul, sub
 from typing import Callable, Hashable, get_type_hints
 
 from .modmath import is_prime
@@ -192,98 +199,138 @@ _NOT_INVERTIBLE = Crash("not-invertible")
 
 # ---------------------------------------------------------------- opcode table
 
-# A kernel computes one instruction: kernel(ins, xs, index, (inputs, seed))
-# gets the values of the instruction's operands (with any read faults already
-# applied) and returns the value to store, None for a check that passed, or
-# the ExecResult that ends the run. A modulus below 2 crashes the run.
+# A binder compiles one instruction's scalar rule once: bind(ins, pos, index)
+# gets the positions in a value list of the instruction's operands (its read
+# slots in slot order, then its lookups) and returns f(values, (inputs, seed)),
+# which reads those operands from values and returns the value to store, None
+# for a check that passed, or the ExecResult that ends the run. execute and
+# run_batch's per-lane fallback bind to positions 0..k-1 of an operand list
+# (with any read faults already applied); FaultRunner.run binds to the
+# writers' indices of a list of stored values. A modulus below 2 crashes the
+# run before a negative exponent or a missing inverse; div checks exactness
+# before it reads the modulus.
 
 
-def _k_input(ins, xs, i, env):
-    return env[0][ins.name]  # KeyError = caller bug, not a fault
+def _b_input(ins, pos, i):
+    name = ins.name
+    return lambda v, env: env[0][name]  # KeyError = caller bug, not a fault
 
 
-def _k_draw(ins, xs, i, env):
-    return draw_prime_value(env[1], i, ins.bits, set(xs))
+def _b_draw(ins, pos, i):
+    bits = ins.bits
+    return lambda v, env: draw_prime_value(env[1], i, bits, {v[p] for p in pos})
 
 
-def _k_const(ins, xs, i, env):
-    return ins.value
+def _b_const(ins, pos, i):
+    value = ins.value
+    return lambda v, env: value
 
 
-def _arith_kernel(op: Callable[[int, int], int]) -> Callable:
-    """The kernel of a BinOp over op: a op b, reduced mod the third operand if any."""
+def _arith_binder(op: Callable[[int, int], int]) -> Callable:
+    """The binder of a BinOp over op: a op b, reduced mod the third operand if any."""
 
-    def kernel(ins, xs, i, env):
-        v = op(xs[0], xs[1])
-        if len(xs) == 2:
-            return v
-        return v % xs[2] if xs[2] >= 2 else _BAD_MODULUS
+    def bind(ins, pos, i):
+        if len(pos) == 2:
+            a, b = pos
+            return lambda v, env: op(v[a], v[b])
+        a, b, m = pos
 
-    return kernel
+        def f(v, env):
+            mv = v[m]
+            return op(v[a], v[b]) % mv if mv >= 2 else _BAD_MODULUS
 
+        return f
 
-def _k_div(ins, xs, i, env):
-    a, b = xs[0], xs[1]
-    if b == 0 or a % b:  # exact or crash, before the modulus is read
-        return _INEXACT_DIVISION
-    if len(xs) == 2:
-        return a // b
-    return a // b % xs[2] if xs[2] >= 2 else _BAD_MODULUS
+    return bind
 
 
-def _k_reduce(ins, xs, i, env):
-    m = xs[1]
-    if m < 2:
-        return _BAD_MODULUS
-    return xs[0] % m
+def _b_div(ins, pos, i):
+    a, b, *m = pos
+
+    def f(v, env):
+        x, y = v[a], v[b]
+        if y == 0 or x % y:  # exact or crash, before the modulus is read
+            return _INEXACT_DIVISION
+        if not m:
+            return x // y
+        mv = v[m[0]]
+        return x // y % mv if mv >= 2 else _BAD_MODULUS
+
+    return f
 
 
-def _k_exp(ins, xs, i, env):
-    m = xs[2]
-    if m < 2:
-        return _BAD_MODULUS
-    if xs[1] < 0:
-        return _BAD_EXPONENT
-    return pow(xs[0], xs[1], m)
+def _b_reduce(ins, pos, i):
+    a, m = pos
+
+    def f(v, env):
+        mv = v[m]
+        return v[a] % mv if mv >= 2 else _BAD_MODULUS
+
+    return f
 
 
-def _k_inv(ins, xs, i, env):
-    m = xs[1]
-    if m < 2:
-        return _BAD_MODULUS
-    try:
-        return pow(xs[0], -1, m)
-    except ValueError:
-        return _NOT_INVERTIBLE
+def _b_exp(ins, pos, i):
+    a, e, m = pos
 
-
-def _k_check(ins, xs, i, env):
-    if len(xs) == 3:
-        m = xs[2]
-        if m < 2:
+    def f(v, env):
+        mv, ev = v[m], v[e]
+        if mv < 2:
             return _BAD_MODULUS
-        ok = (xs[0] - xs[1]) % m == 0
-    else:
-        ok = xs[0] == xs[1]
-    return None if ok else ErrorOut(i)
+        if ev < 0:
+            return _BAD_EXPONENT
+        return pow(v[a], ev, mv)
+
+    return f
 
 
-def _k_ret(ins, xs, i, env):
-    return Signature(xs[0])
+def _b_inv(ins, pos, i):
+    a, m = pos
+
+    def f(v, env):
+        mv = v[m]
+        if mv < 2:
+            return _BAD_MODULUS
+        try:
+            return pow(v[a], -1, mv)
+        except ValueError:
+            return _NOT_INVERTIBLE
+
+    return f
+
+
+def _b_check(ins, pos, i):
+    fail = ErrorOut(i)
+    if len(pos) == 2:
+        a, b = pos
+        return lambda v, env: None if v[a] == v[b] else fail
+    a, b, m = pos
+
+    def f(v, env):
+        mv = v[m]
+        if mv < 2:
+            return _BAD_MODULUS
+        return None if (v[a] - v[b]) % mv == 0 else fail
+
+    return f
+
+
+def _b_ret(ins, pos, i):
+    (s,) = pos
+    return lambda v, env: Signature(v[s])
 
 
 _ARITH = {"add": add, "sub": sub, "mul": mul}
-_BINOP_KERNELS = {**{op: _arith_kernel(f) for op, f in _ARITH.items()}, "div": _k_div}
+_BINOP_BINDERS = {**{op: _arith_binder(f) for op, f in _ARITH.items()}, "div": _b_div}
 
 
 # A vector kernel computes one instruction for many lanes at once:
 # vkernel(ins, xs, index, env) gets operands that are each a scalar (a value
 # every lane shares) or a lane list, at least one a list (ValueError if none
 # is: the lane count is the lists' length), and returns the lane list of what
-# the kernel returns per lane. It returns None where that is not the common
+# the scalar rule returns per lane. It returns None where that is not the common
 # case (a modulus below 2, a negative exponent, a value with no inverse); the
-# caller then runs the kernel once per lane, so crash reasons and their
-# precedence are the kernel's.
+# caller then runs the binder's closure once per lane, so crash reasons and
+# their precedence are the scalar rule's.
 
 
 def _lanes(xs) -> list:
@@ -317,7 +364,7 @@ def _v_reduce(ins, xs, i, env):
 def _v_exp(ins, xs, i, env):
     cols = _lanes(xs)
     exp = xs[1]
-    # pow takes a negative exponent as an inverse power; the kernel crashes there
+    # pow takes a negative exponent as an inverse power; the scalar rule crashes there
     if not _moduli_ok(xs[2]) or (exp if exp.__class__ is int else min(exp)) < 0:
         return None
     return list(map(pow, *cols))
@@ -356,24 +403,27 @@ class Opcode:
     """Everything the rest of the system knows about one instruction class.
 
     keyword is the dump keyword; None means the instruction's op field holds
-    it (BinOp), and kernel maps each op to its own kernel. immediates are
-    the non-register fields printed after the keyword, with their types.
+    it (BinOp), and bind maps each op to its own binder. immediates are the
+    non-register fields printed after the keyword, with their types. bind
+    is the one scalar rule, as a binder (see above): execute,
+    FaultRunner.run and run_batch's per-lane fallback all evaluate the
+    closures it returns.
     reads are the register operand fields in slot order; a trailing mod that
     is None has no slot. reduces_by names the field holding the modulus the
     stored value is reduced by; CheckEq's mod is a comparison ring, not
-    that. lookups names a field of registers the kernel also sees, after the
+    that. lookups names a field of registers the binder also sees, after the
     operands, without fault sites (the avoid set of a draw); validate wants
     each written before it is looked up, as an operand is, and execute
     reads an unwritten one as 0. vector is the vector kernel, keyed by op
-    like kernel for BinOp; None (or an op missing from the dict) means the
-    lanes run the kernel one by one.
+    like bind for BinOp; None (or an op missing from the dict) means the
+    lanes run the scalar rule one by one.
     """
 
     keyword: str | None
     immediates: tuple[tuple[str, type], ...]
     reads: tuple[str, ...]
     reduces_by: str | None
-    kernel: Callable[[Instr, list[int], int, tuple], object] | dict[str, Callable]
+    bind: Callable[[Instr, tuple[int, ...], int], Callable] | dict[str, Callable]
     lookups: str | None = None
     vector: Callable[[Instr, list, int, tuple], list | None] | dict[str, Callable] | None = None
 
@@ -385,35 +435,37 @@ class Opcode:
 
 
 OPCODES: dict[type, Opcode] = {
-    LoadInput: Opcode("input", (("name", str),), (), None, _k_input),
-    DrawRandomPrime: Opcode("randprime", (("bits", int),), (), None, _k_draw, "distinct_from"),
-    Const: Opcode("const", (("value", int),), (), None, _k_const),
-    BinOp: Opcode(None, (), ("a", "b", "mod"), "mod", _BINOP_KERNELS, vector=_BINOP_VECTORS),
-    ModReduce: Opcode("reduce", (), ("src", "mod"), "mod", _k_reduce, vector=_v_reduce),
-    ModExp: Opcode("modexp", (), ("base", "exp", "mod"), "mod", _k_exp, vector=_v_exp),
-    ModInv: Opcode("modinv", (), ("src", "mod"), "mod", _k_inv, vector=_v_inv),
-    CheckEq: Opcode("checkeq", (), ("a", "b", "mod"), None, _k_check, vector=_v_check),
-    Ret: Opcode("return", (), ("src",), None, _k_ret, vector=_v_ret),
+    LoadInput: Opcode("input", (("name", str),), (), None, _b_input),
+    DrawRandomPrime: Opcode("randprime", (("bits", int),), (), None, _b_draw, "distinct_from"),
+    Const: Opcode("const", (("value", int),), (), None, _b_const),
+    BinOp: Opcode(None, (), ("a", "b", "mod"), "mod", _BINOP_BINDERS, vector=_BINOP_VECTORS),
+    ModReduce: Opcode("reduce", (), ("src", "mod"), "mod", _b_reduce, vector=_v_reduce),
+    ModExp: Opcode("modexp", (), ("base", "exp", "mod"), "mod", _b_exp, vector=_v_exp),
+    ModInv: Opcode("modinv", (), ("src", "mod"), "mod", _b_inv, vector=_v_inv),
+    CheckEq: Opcode("checkeq", (), ("a", "b", "mod"), None, _b_check, vector=_v_check),
+    Ret: Opcode("return", (), ("src",), None, _b_ret, vector=_v_ret),
 }
 
 # fields a dump prints after a tag word, and leaves out when unset
 _TAGS = {"mod": "mod", "distinct_from": "avoid"}
 
 _BY_KEYWORD = {row.keyword: cls for cls, row in OPCODES.items() if row.keyword}
-_BY_KEYWORD.update(dict.fromkeys(_BINOP_KERNELS, BinOp))
+_BY_KEYWORD.update(dict.fromkeys(_BINOP_BINDERS, BinOp))
 
 
 def dst_of(ins: Instr) -> str | None:
     return getattr(ins, "dst", None)
 
 
-def _kernel_of(ins: Instr) -> Callable:
+def _bind(ins: Instr, pos: tuple[int, ...], i: int) -> Callable:
+    """ins, the instruction at index i, bound to operand positions pos by
+    its opcode's binder; ValueError for an unknown BinOp op."""
     row = OPCODES[type(ins)]
     if row.keyword:
-        return row.kernel
-    if ins.op not in row.kernel:
+        return row.bind(ins, pos, i)
+    if ins.op not in row.bind:
         raise ValueError(f"unknown op {ins.op!r}")
-    return row.kernel[ins.op]
+    return row.bind[ins.op](ins, pos, i)
 
 
 def _vector_of(ins: Instr) -> Callable | None:
@@ -422,7 +474,7 @@ def _vector_of(ins: Instr) -> Callable | None:
 
 
 def _operand_regs(ins: Instr) -> tuple[tuple[str, ...], int]:
-    """Registers whose values ins's kernel gets, and how many are read slots."""
+    """Registers whose values ins's binder reads, and how many are read slots."""
     row = OPCODES[type(ins)]
     regs = tuple(r for r in (getattr(ins, f) for f in row.reads) if r is not None)
     if row.lookups:
@@ -538,15 +590,17 @@ class Program:
 
     @functools.cached_property
     def steps(self) -> tuple[tuple[Instr, Callable, tuple[str, ...], int, str | None], ...]:
-        """(instruction, kernel, operand registers, read slots, destination)
-        per instruction.
+        """(instruction, scalar rule bound to operand positions 0..k-1,
+        its k operand registers, read slots, destination) per instruction.
 
         Built on first use from OPCODES without validating, so execute runs
         malformed programs too; only an unknown BinOp op raises ValueError.
         """
-        return tuple(
-            (ins, _kernel_of(ins), *_operand_regs(ins), dst_of(ins)) for ins in self.instrs
-        )
+        steps = []
+        for i, ins in enumerate(self.instrs):
+            regs, slots = _operand_regs(ins)
+            steps.append((ins, _bind(ins, tuple(range(len(regs))), i), regs, slots, dst_of(ins)))
+        return tuple(steps)
 
     @functools.cached_property
     def compiled(self) -> CompiledProgram:
@@ -607,7 +661,7 @@ def validate(program: Program) -> list[Defect]:
     for idx, ins in enumerate(program.instrs):
         if ret_seen:
             defects.append(Defect("misplaced-return", idx, "instruction after Return", "error"))
-        if isinstance(ins, BinOp) and ins.op not in _BINOP_KERNELS:
+        if isinstance(ins, BinOp) and ins.op not in _BINOP_BINDERS:
             defects.append(Defect("bad-op", idx, f"unknown op {ins.op!r}", "error"))
         if isinstance(ins, LoadInput) and ins.name not in program.inputs:
             defects.append(Defect("bad-input", idx, f"{ins.name!r} not declared", "error"))
@@ -715,6 +769,7 @@ class FaultAction:
 FaultPlan = tuple[FaultAction, ...]
 # a plan as plan_faults decodes it: writes, reads, skipped, pending
 DecodedPlan = tuple[dict[int, int], dict[int, dict[int, int]], int, int]
+_RANDOMIZE = FaultKind.RANDOMIZE  # a module global: the enum class lookup costs ~10x
 
 
 def enumerate_sites(program: Program, max_skip_len: int = 0) -> list[FaultSite]:
@@ -788,24 +843,24 @@ def plan_faults(plan: FaultPlan, n: int) -> DecodedPlan:
     """
     writes: dict[int, int] = {}
     reads: dict[int, dict[int, int]] = {}
-    windows: set[tuple[int, int]] = set()
     skipped = pending = 0
     for act in plan:
         site = act.site
-        val = (act.value or 0) if act.kind is FaultKind.RANDOMIZE else 0
-        if isinstance(site, SkipRange):
-            windows.add((site.first, site.last))
+        cls = site.__class__
+        if cls is SkipRange:
             first, last = max(site.first, 0), min(site.last, n - 1)
             if first <= last:
                 skipped |= (1 << (last + 1)) - (1 << first)
             continue
-        if isinstance(site, WriteOf):
-            writes[site.index] = val
+        i = site.index
+        val = (act.value or 0) if act.kind is _RANDOMIZE else 0
+        if cls is WriteOf:
+            writes[i] = val
         else:
-            reads.setdefault(site.index, {})[site.slot] = val
-        if 0 <= site.index < n:
-            pending |= 1 << site.index
-    if len(writes) + sum(map(len, reads.values())) + len(windows) < len(plan):
+            reads.setdefault(i, {})[site.slot] = val
+        if 0 <= i < n:
+            pending |= 1 << i
+    if len(plan) > 1 and len({act.site for act in plan}) < len(plan):
         raise ValueError("a plan faults one site twice")
     return writes, reads, skipped, pending | skipped
 
@@ -856,7 +911,7 @@ def execute(
     draws: list[tuple[int, int]] = []
     # a skipped Return releases the zero-initialized output buffer
     result: ExecResult = Signature(0)
-    for idx, (ins, kernel, operands, slots, dst) in enumerate(steps):
+    for idx, (ins, rule, operands, slots, dst) in enumerate(steps):
         if skipped >> idx & 1:
             if dst is None:
                 continue  # a skipped check passes; a skipped Return is settled above
@@ -868,7 +923,7 @@ def execute(
                 for slot, v in rd.items():
                     if 0 <= slot < slots:
                         xs[slot] = v
-            val = kernel(ins, xs, idx, env)
+            val = rule(xs, env)
             if val.__class__ is not int:
                 if val is None:
                     continue  # a check that passed
@@ -891,40 +946,36 @@ class CompiledProgram:
     """A program lowered to what FaultRunner needs, one row per instruction.
 
     A register is named by the index of the instruction that writes it.
-    ops[i] is (instruction, kernel, writer indices of its operand registers
-    in Program.steps order, read slots, vector kernel or None, getter). The
-    getter takes a list of values indexed like ops and returns the
-    instruction's operand values, in one C call. readers[i]
-    is the bitmask of the instructions whose operands see the value
-    instruction i stores.
+    ops[i] is (instruction, scalar rule bound to operand positions 0..k-1
+    as in Program.steps, writer indices of its k operand registers, read
+    slots, vector kernel or None). bound[i] is the same scalar rule bound
+    to the writer indices, so bound[i](values, env) evaluates instruction i
+    straight from a list of values indexed like ops. readers[i] is the
+    bitmask of the instructions whose operands see the value instruction i
+    stores.
     """
 
-    ops: tuple[tuple[Instr, Callable, tuple[int, ...], int, Callable | None, Callable], ...]
+    ops: tuple[tuple[Instr, Callable, tuple[int, ...], int, Callable | None], ...]
+    bound: tuple[Callable, ...]
     readers: tuple[int, ...]
-
-
-def _getter(srcs: tuple[int, ...]) -> Callable:
-    """The values at srcs of a list, as a tuple or list of len(srcs)."""
-    if len(srcs) > 1:
-        return itemgetter(*srcs)
-    return itemgetter(slice(srcs[0], srcs[0] + 1) if srcs else slice(0))
 
 
 def _compile(program: Program) -> CompiledProgram:
     check_runnable(program)
     n = len(program.instrs)
     writer: dict[str, int] = {}
-    ops = []
+    ops, bound = [], []
     readers = [0] * n
-    for i, (ins, kernel, operands, slots, dst) in enumerate(program.steps):
+    for i, (ins, rule, operands, slots, dst) in enumerate(program.steps):
         # validation puts every operand, lookups included, after its write
         srcs = tuple(writer[r] for r in operands)
         for s in srcs:
             readers[s] |= 1 << i
-        ops.append((ins, kernel, srcs, slots, _vector_of(ins), _getter(srcs)))
+        ops.append((ins, rule, srcs, slots, _vector_of(ins)))
+        bound.append(_bind(ins, srcs, i))
         if dst is not None:
             writer[dst] = i
-    return CompiledProgram(tuple(ops), tuple(readers))
+    return CompiledProgram(tuple(ops), tuple(bound), tuple(readers))
 
 
 # per-index fault lists of a batch (FaultRunner.run_batch): writes[i] holds
@@ -960,6 +1011,7 @@ class FaultRunner:
         self.signature: int = self.baseline.result.value
         self._env = (inputs, seed)
         self._ops = code.ops
+        self._bound = code.bound
         self._readers = code.readers
         n = len(code.ops)
         self._base = [0] * n
@@ -969,39 +1021,51 @@ class FaultRunner:
 
     def run(self, plan: FaultPlan) -> ExecResult:
         writes, reads, skipped, pending = plan_faults(plan, len(self._ops))
-        ops, readers, base, env = self._ops, self._readers, self._base, self._env
+        bound, readers, base, env = self._bound, self._readers, self._base, self._env
+        own = pending  # the indices the plan faults or skips
         vals = base.copy()
         while pending:
             low = pending & -pending
             pending ^= low
             i = low.bit_length() - 1
-            ins, kernel, _srcs, slots, _vector, get = ops[i]
-            if skipped & low:
-                if dst_of(ins) is None:
-                    continue  # a skipped check passes; a skipped Return is settled below
-                v = skip_fill_value(env[1], i)
+            if own & low:
+                v = self._faulted(i, vals, writes, reads, skipped)
             else:
-                xs = get(vals)
-                rd = reads.get(i)
-                if rd:
-                    xs = list(xs)
-                    for slot, rv in rd.items():
-                        if 0 <= slot < slots:
-                            xs[slot] = rv
-                v = kernel(ins, xs, i, env)
-                if v.__class__ is not int:
-                    if v is None:
-                        continue  # a check that passed
-                    if v.__class__ in _ENDS:
-                        return v
-            if i in writes:
-                v = writes[i]
+                v = bound[i](vals, env)
+            if v.__class__ is not int:
+                if v is None:
+                    continue  # a check that passed or was skipped
+                return v
             if v != base[i]:
                 vals[i] = v
                 pending |= readers[i]
         if skipped >> self._ret & 1:
             return Signature(0)  # the output buffer keeps its zero initialization
         return self.baseline.result
+
+    def _faulted(
+        self, i: int, vals: list[int], writes: dict, reads: dict, skipped: int
+    ) -> int | ExecResult | None:
+        """run's step for an index its plan faults or skips: the value
+        instruction i stores, None if it stores none, or the end of the run."""
+        ins, rule, srcs, slots, _vector = self._ops[i]
+        if skipped >> i & 1:
+            if dst_of(ins) is None:
+                return None  # a skipped check passes; a skipped Return is settled in run
+            v = skip_fill_value(self._env[1], i)
+        else:
+            rd = reads.get(i)
+            if rd:
+                xs = [vals[s] for s in srcs]
+                for slot, rv in rd.items():
+                    if 0 <= slot < slots:
+                        xs[slot] = rv
+                v = rule(xs, self._env)
+            else:
+                v = self._bound[i](vals, self._env)
+            if v.__class__ is not int:
+                return v
+        return writes.get(i, v)
 
     def run_batch(
         self, lanes: int, writes: BatchWrites, reads: BatchReads, skips: BatchSkips
@@ -1014,7 +1078,7 @@ class FaultRunner:
         follows run's rule for all lanes at once, in program order: it
         evaluates an instruction some lane faults or skips, or one reading a
         value some lane changed, through the vector kernel where it applies
-        and the kernel lane by lane elsewhere, then puts each lane's skip
+        and the scalar rule lane by lane elsewhere, then puts each lane's skip
         fills and write replacements in. A stored lane list that equals the
         baseline value in every lane is not kept, so it wakes no reader. A
         lane that reaches an ErrorOut or Crash keeps that end and drops out;
@@ -1031,7 +1095,7 @@ class FaultRunner:
             low = mask & -mask
             mask ^= low
             j = low.bit_length() - 1
-            ins, kernel, srcs, slots, vector, _get = self._ops[j]
+            ins, rule, srcs, slots, vector = self._ops[j]
             stores = dst_of(ins) is not None
             rd, skipping = reads.get(j), skips.get(j)
             putting = writes.get(j) if stores else None
@@ -1055,7 +1119,7 @@ class FaultRunner:
             if out is None and laned:
                 ends = True
                 out = [
-                    kernel(ins, [x[k] if x.__class__ is list else x for x in xs], j, env)
+                    rule([x[k] if x.__class__ is list else x for x in xs], env)
                     for k in range(len(alive))
                 ]
             if out is None:  # every lane computes the baseline

@@ -84,6 +84,7 @@ from .circuit import (
     Program,
     ReadOf,
     Ret,
+    Signature,
     SkipRange,
     WriteOf,
     dst_of,
@@ -104,7 +105,8 @@ _REPLAY_CAP = 8
 _SUCCESSES_PER_ROW = 5  # successes to_json lists per (first site, kind)
 
 # perfbench's tracer wraps faultengine.bellcore_extract by this name; the
-# tally and score_outcome read the gcd through _gcd_leak, not through it
+# tally, replay_plan and score_outcome read the gcd through _gcd_leak, not
+# through it
 bellcore_extract = modmath.bellcore_extract
 
 # CampaignSpec.workers' default
@@ -609,7 +611,8 @@ def _gcd_leak(p: int, q: int, g: int) -> tuple[int | None, str | None]:
 
 
 def score_outcome(n: int, p: int, q: int, baseline_sig: int, result) -> tuple[str, int | None, str | None]:
-    """Classify one faulted outcome: (tally, factor, side)."""
+    """Classify one faulted outcome: (tally, factor, side). The reference
+    the tests score against; replay_plan scores its result the same way."""
     if isinstance(result, (ErrorOut, Crash)):
         return "no_output", None, None
     factor, side = _gcd_leak(p, q, math.gcd(n, result.value - baseline_sig))
@@ -644,12 +647,16 @@ def _runner(program: Program, key: CrtKey, message: int, seed: int) -> FaultRunn
 def replay_plan(
     program: Program, key: CrtKey, message: int, plan: FaultPlan, seed: int
 ) -> tuple[object, bool, int | None]:
-    """Run one plan; return (result, broke, factor). Baseline uses the same seed."""
+    """Run one plan; return (result, broke, factor). Baseline uses the same
+    seed. The result is scored as score_outcome scores it, without the
+    tally name."""
     runner = _runner(program, key, message, seed)
     result = runner.run(plan)
-    n = key.p * key.q
-    tally, factor, _side = score_outcome(n, key.p, key.q, runner.signature, result)
-    return result, tally == "success", factor
+    if result.__class__ is not Signature:
+        return result, False, None
+    p, q = key.p, key.q
+    factor, _side = _gcd_leak(p, q, math.gcd(p * q, result.value - runner.signature))
+    return result, factor is not None, factor
 
 
 def _alt_messages(n: int, message: int) -> list[int]:

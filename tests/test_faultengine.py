@@ -835,6 +835,28 @@ def test_column_scoring_matches_score_outcome_run_by_run(columns, order):
     assert len(tally.successes) == len(tally.success_plans)
 
 
+class _Ran:
+    """A stand-in runner whose run gives one result against signature sig."""
+
+    def __init__(self, sig, result):
+        self.signature, self.result = sig, result
+
+    def run(self, plan):
+        return self.result
+
+
+@settings(max_examples=60, deadline=None)
+@given(_columns())
+def test_replay_plan_scores_each_result_as_score_outcome_does(columns):
+    for sig, results in columns:
+        for res in results:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(faultengine, "_runner", lambda *_args: _Ran(sig, res))
+                got = faultengine.replay_plan(None, TINY, 2, (), 42)
+            tally_name, factor, _side = faultengine.score_outcome(77, 7, 11, sig, res)
+            assert got == (res, tally_name == "success", factor)
+
+
 @pytest.mark.parametrize("order", [1, 2])
 def test_the_batch_size_does_not_change_the_report(monkeypatch, order):
     spec = tiny_spec(algo="shamir", messages=(2, 3), order=order, plan_limit=300, **ALL_KINDS)

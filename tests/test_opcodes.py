@@ -6,11 +6,16 @@ opcode runs in a program that loads its operands and returns its result,
 on both paths, against an oracle written with Python's own operators. The
 operands reach the instruction once as inputs and once as read faults
 replacing benign baseline operands, alone and as the lanes of one batch.
-Each vector kernel in the opcode table is checked lane by lane against its
-kernel, with every mix of scalar and lane operands, and must refuse
-operands none of which is a lane list.
+Each opcode's binder is checked against the same oracle bound both ways
+the run paths bind it: to positions 0..k-1 of an operand list, and to
+scattered (sometimes shared) positions of a longer value list, as
+FaultRunner.run binds it to the writers of its operands. Each vector kernel
+in the opcode table is checked lane by lane against the scalar rule, with
+every mix of scalar and lane operands, and must refuse operands none of
+which is a lane list.
 """
 
+import random
 from itertools import product
 
 import pytest
@@ -35,8 +40,9 @@ from crtfi.circuit import (
     Ret,
     Signature,
     WriteOf,
-    _kernel_of,
+    _bind,
     _vector_of,
+    draw_prime_value,
     execute,
 )
 
@@ -137,6 +143,37 @@ def _inputs(ins, operands):
     return {**BENIGN, **dict(zip(_operands(ins), operands))}
 
 
+def _scalar(ins, operands, env, i=3):
+    """ins's scalar rule, at index i, bound to positions 0..k-1 and run on operands."""
+    return _bind(ins, tuple(range(len(operands))), i)(list(operands), env)
+
+
+def _as_result(got, want):
+    """A closure's return read as the oracle writes it: a stored value as
+    its Signature, a check that passed as PASSED, an ErrorOut as the
+    oracle's ErrorOut(3) when want is one."""
+    if got is None:
+        return PASSED
+    if isinstance(got, int):
+        return Signature(got)
+    return ErrorOut(3) if isinstance(got, ErrorOut) and isinstance(want, ErrorOut) else got
+
+
+def _scattered(operands, rng, share):
+    """A value list of junk with operands at scattered positions, and those
+    positions; with share, operands of equal value share one position, as
+    two slots reading one register share its writer."""
+    size = 3 * len(operands) + rng.randrange(1, 6)
+    values = [rng.randrange(-(10**9), 10**9) for _ in range(size)]
+    free = rng.sample(range(size), len(operands))
+    pos, first = [], {}
+    for v, p in zip(operands, free):
+        p = first.setdefault(v, p) if share else p
+        values[p] = v
+        pos.append(p)
+    return values, tuple(pos)
+
+
 @pytest.mark.parametrize("opcode", OPCODES_UNDER_TEST)
 def test_each_opcode_matches_python_on_both_paths(opcode):
     runners = {}
@@ -209,7 +246,7 @@ def test_each_vector_kernel_matches_its_kernel_lane_by_lane(opcode):
             rows_of.setdefault(ins, []).append(operands)
     checked = 0
     for ins, rows in rows_of.items():
-        kernel, vector = _kernel_of(ins), _vector_of(ins)
+        vector = _vector_of(ins)
         width = len(rows[0])
         # the operands at positions `fixed` are scalars, the others lane lists
         for fixed in product((False, True), repeat=width):
@@ -224,7 +261,7 @@ def test_each_vector_kernel_matches_its_kernel_lane_by_lane(opcode):
                 if got is None:
                     assert _uncommon(ins, xs), (ins, xs)
                     continue
-                assert got == [kernel(ins, list(r), 3, env) for r in lanes], (ins, xs)
+                assert got == [_scalar(ins, r, env) for r in lanes], (ins, xs)
                 checked += 1
     assert checked
 
@@ -249,12 +286,12 @@ def test_each_vector_kernel_refuses_operands_with_no_lane_list(opcode):
     ],
 )
 def test_lanes_keep_the_crash_precedence_of_the_kernel(ins, operands):
-    kernel, vector = _kernel_of(ins), _vector_of(ins)
-    want = kernel(ins, list(operands), 3, (BENIGN, 0))
+    vector = _vector_of(ins)
+    want = _scalar(ins, operands, (BENIGN, 0))
     assert isinstance(want, Crash)
     for p in range(len(operands)):  # each operand once as the lane list
         xs = [[v, v] if q == p else v for q, v in enumerate(operands)]
-        # no vector kernel for this case: the lanes run the kernel one by one
+        # no vector kernel for this case: the lanes run the scalar rule one by one
         assert vector is None or vector(ins, xs, 3, (BENIGN, 0)) is None
 
 
@@ -279,6 +316,50 @@ def test_crash_reasons_and_their_precedence(ins, operands, reason):
     )
     assert execute(prog, _inputs(ins, operands)).result == Crash(reason)
     assert FaultRunner(prog, BENIGN, 0).run(plan) == Crash(reason)
+    # the binder itself, bound both ways the run paths bind it
+    assert _scalar(ins, operands, (BENIGN, 0)) == Crash(reason)
+    rng = random.Random(reason)
+    for share in (False, True):
+        values, pos = _scattered(operands, rng, share)
+        assert _bind(ins, pos, 9)(values, (BENIGN, 0)) == Crash(reason), pos
+
+
+@pytest.mark.parametrize("opcode", OPCODES_UNDER_TEST + ["Ret"])
+def test_each_binder_matches_python_at_any_positions(opcode):
+    rng = random.Random(opcode)
+    env = (BENIGN, 0)
+    checked = 0
+    for ins, operands, want in LANE_CASES:
+        if _name(ins) != opcode:
+            continue
+        # positions 0..k-1 of an operand list, as execute and run_batch bind it
+        assert _as_result(_scalar(ins, operands, env), want) == want, (ins, operands)
+        for share in (False, True):
+            values, pos = _scattered(operands, rng, share)
+            i = rng.randrange(100)
+            before = values.copy()
+            got = _bind(ins, pos, i)(values, env)
+            assert values == before, (ins, pos)
+            if isinstance(want, ErrorOut):
+                assert got == ErrorOut(i), (ins, operands, pos)
+            assert _as_result(got, want) == want, (ins, operands, pos)
+        checked += 1
+    assert checked >= len(VALUES)
+
+
+def test_source_binders_read_the_inputs_the_immediate_and_the_avoid_set():
+    env = ({"a": 5, "b": 8}, 42)
+    assert _bind(LoadInput("x", "b"), (), 4)([], env) == 8
+    assert _bind(Const("c", 12), (), 4)([], env) == 12
+    draw = DrawRandomPrime("r", 5, ("p", "q"))
+    free = draw_prime_value(42, 7, 5, set())  # the prime drawn with nothing to avoid
+    values = [0, 1, 0, 0, free, 0]
+    moved = draw_prime_value(42, 7, 5, {1, free})
+    assert moved != free
+    for pos in ((1, 4), (4, 1), (4, 4)):  # the avoided prime at either slot
+        assert _bind(draw, pos, 7)(values, env) == moved, pos
+        assert _scalar(draw, [values[p] for p in pos], env, i=7) == moved, pos
+    assert _bind(draw, (0, 1), 7)(values, env) == free
 
 
 def test_sources_store_their_values():

@@ -6,6 +6,8 @@ whole order-1 campaign plan lists. FaultRunner.run_batch must give each
 lane the result of its own plan, so it is compared with both on random
 batches of mixed plans of order 1 to 4, on one-site batches of random
 values and on the same plan lists, row by row and in fixed-size chunks.
+Beyond the catalog's shapes, both runners are compared with the reference
+on random programs written through ProgramBuilder, under random plans.
 A plan that names one site twice, and a program whose phases do not tag
 each instruction once, are refused. Program.runner keeps one runner per
 (inputs, seed); the last tests check that it runs each baseline once and
@@ -13,8 +15,10 @@ changes no result.
 """
 
 import functools
+import math
 from collections import defaultdict
 from dataclasses import replace
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import example, given, settings
@@ -34,12 +38,14 @@ from crtfi.circuit import (
     FaultRunner,
     LoadInput,
     Program,
+    ProgramBuilder,
     ProgramMeta,
     ReadOf,
     Ret,
     SkipRange,
     WriteOf,
     _vector_of,
+    draw_prime_value,
     dst_of,
     execute,
     modulus_reg,
@@ -285,7 +291,7 @@ def test_batches_of_mixed_plans_match_the_reference(name):
         message=75, seed=0)
     @example(  # every lane ends: a modulus below 2 crashes each one
         plans_=[(_read(e, m, v),) for v in (0, 1, -5)], message=2, seed=42)
-    @example(  # one lane's modulus of 0 sends every lane through the scalar kernel
+    @example(  # one lane's modulus of 0 sends every lane through the scalar rule
         plans_=[(_read(e, m, v),) for v in (0, 3, 97, 10**6)], message=3, seed=0)
     def check(plans_, message, seed):
         got = runner(name, message, seed).run_batch(*batch(plans_, n))
@@ -317,22 +323,155 @@ def test_a_batch_can_end_every_lane_or_fall_back_to_the_kernel(name):
     assert got == [reference(name, 2, 42, plan) for plan in plans_]
 
 
+# what random_programs emits between the loads and the Return
+KINDS = ("const", "draw", "add", "sub", "mul", "div", "reduce", "exp", "inv", "check")
+ARITH = {"add": add, "sub": sub, "mul": mul}
+
+
+@st.composite
+def random_programs(draw):
+    """(program, inputs, seed): a program of 5 to 40 instructions written
+    through ProgramBuilder, with every opcode, whose fault-free run on
+    inputs under seed releases a signature. Moduli, divisors, exponents,
+    inverted values and checks are chosen from the values the baseline
+    computes, so that it runs cleanly while a fault can still crash it (a
+    modulus below 2, an inexact division, a negative exponent, a value with
+    no inverse) or fail a check. Unreduced products and moduli read leaves
+    only (loads, constants, draws and reduced values), so that no fault
+    makes a value grow without bound."""
+    seed = draw(st.sampled_from(SEEDS))
+    names = ("x", "y")
+    inputs = {r: draw(st.integers(-50, 10**6)) for r in names}
+    b = ProgramBuilder("random", names)
+    vals, leaves = {}, set()
+
+    def store(dst, v, leaf):
+        vals[dst] = v
+        if leaf:
+            leaves.add(dst)
+
+    def pick(ok=lambda r: True):
+        regs = [r for r in vals if ok(r)]
+        return draw(st.sampled_from(regs)) if regs else None
+
+    def modulus():
+        m = pick(lambda r: r in leaves and vals[r] >= 2)
+        if m is None:
+            m = f"k{len(b.instrs)}"
+            store(m, draw(st.integers(2, 10**6)), True)
+            b.const(m, vals[m])
+        return m
+
+    for r in names:
+        store(r, inputs[r], True)
+        b.inp(r)
+    size = draw(st.integers(5, 38))
+    while len(b.instrs) < size - 1:
+        kind = draw(st.sampled_from(KINDS))
+        reduced = draw(st.booleans())
+        dst = f"v{len(b.instrs)}"
+        if kind == "const":
+            store(dst, draw(st.integers(-3, 10**6)), True)
+            b.const(dst, vals[dst])
+        elif kind == "draw":
+            avoid = tuple(draw(st.lists(st.sampled_from(sorted(vals)), max_size=2, unique=True)))
+            bits = draw(st.integers(5, 9))
+            store(dst, draw_prime_value(seed, len(b.instrs), bits, {vals[r] for r in avoid}), True)
+            b.draw(dst, bits, avoid)
+        elif kind in ARITH:
+            leafy = kind == "mul" and not reduced
+            a, c = (pick(lambda r: r in leaves or not leafy) for _ in range(2))
+            m = modulus() if reduced else None
+            v = ARITH[kind](vals[a], vals[c])
+            store(dst, v % vals[m] if m else v, reduced)
+            b.emit(BinOp(dst, kind, a, c, m))
+        elif kind == "div":
+            c = pick(lambda r: r in leaves and vals[r] != 0)
+            if c is None:
+                continue
+            if draw(st.booleans()):  # a multiple of c, so that c does not divide it trivially
+                f, a = pick(lambda r: r in leaves), f"t{len(b.instrs)}"
+                store(a, vals[f] * vals[c], False)
+                b.mul(a, f, c)
+            else:
+                a = pick(lambda r: vals[r] % vals[c] == 0)
+            m = modulus() if reduced else None
+            v = vals[a] // vals[c]
+            store(dst, v % vals[m] if m else v, reduced)
+            b.emit(BinOp(dst, "div", a, c, m))
+        elif kind == "reduce":
+            a, m = pick(), modulus()
+            store(dst, vals[a] % vals[m], True)
+            b.reduce(dst, a, m)
+        elif kind == "exp":
+            a, e, m = pick(), pick(lambda r: vals[r] >= 0), modulus()
+            if e is None:
+                continue
+            store(dst, pow(vals[a], vals[e], vals[m]), True)
+            b.exp(dst, a, e, m)
+        elif kind == "inv":
+            m = modulus()
+            a = pick(lambda r: math.gcd(vals[r], vals[m]) == 1)
+            if a is None:
+                continue
+            store(dst, pow(vals[a], -1, vals[m]), True)
+            b.inv(dst, a, m)
+        else:
+            m = modulus() if reduced else None
+            a = pick()
+            if m and draw(st.booleans()):  # a's residue, held in another register
+                store(dst, vals[a] % vals[m], True)
+                b.reduce(dst, a, m)
+            c = pick(lambda r: (vals[r] - vals[a]) % vals[m] == 0 if m else vals[r] == vals[a])
+            b.check(a, c, m)
+    b.ret(pick())
+    return b.build(), inputs, seed
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_random_programs_give_the_reference_result_on_both_runner_paths(data):
+    prog, inputs, seed = data.draw(random_programs(), label="program")
+    n = len(prog.instrs)
+    assert 5 <= n <= 40
+    plans_ = data.draw(st.lists(plans(n), min_size=1, max_size=8), label="plans")
+    want = [execute(prog, inputs, seed=seed, plan=plan).result for plan in plans_]
+    r = FaultRunner(prog, inputs, seed)
+    assert [r.run(plan) for plan in plans_] == want
+    assert r.run_batch(*batch(plans_, n)) == want
+
+
 def test_lanes_that_all_write_the_baseline_value_evaluate_no_reader(monkeypatch):
     calls = []
 
-    def counting(kernel):
-        if isinstance(kernel, dict):
-            return {op: counting(k) for op, k in kernel.items()}
+    def counting(vector):
+        if isinstance(vector, dict):
+            return {op: counting(k) for op, k in vector.items()}
 
         def counted(ins, xs, i, env):
             calls.append(i)
-            return kernel(ins, xs, i, env)
+            return vector(ins, xs, i, env)
 
-        return kernel and counted
+        return vector and counted
+
+    def counting_binder(bind):
+        if isinstance(bind, dict):
+            return {op: counting_binder(b) for op, b in bind.items()}
+
+        def counted_bind(ins, pos, i):
+            rule = bind(ins, pos, i)
+
+            def counted(values, env):
+                calls.append(i)
+                return rule(values, env)
+
+            return counted
+
+        return counted_bind
 
     for cls, row in list(OPCODES.items()):
         monkeypatch.setitem(
-            OPCODES, cls, replace(row, kernel=counting(row.kernel), vector=counting(row.vector))
+            OPCODES, cls, replace(row, bind=counting_binder(row.bind), vector=counting(row.vector))
         )
     prog = replace(PROGRAMS["aumuller"])  # a fresh Program compiles the counting rows
     w = _first_data_write(prog)
