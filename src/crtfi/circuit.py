@@ -22,13 +22,13 @@ have no WriteOf site. Random draws are per-instruction-site seeded streams, so
 a plan never shifts the draws of untouched sites and faulted runs share their
 r values with the fault-free baseline.
 
-Each instruction class is described once, in the OPCODES table: its dump
-keyword, its immediate fields, its register operands in slot order, the
-field naming the modulus it reduces by, one scalar rule, and for the
-arithmetic, checks and Return a vector kernel computing it for many lanes
-at once. The scalar rule is a binder: given the positions of the
-instruction's operands in a value list, it returns one closure that
-computes the instruction from that list. execute and run_batch's per-lane
+Each instruction class is one opcode, described once, in the OPCODES
+table: its dump keyword, its immediate fields, its register operands in
+slot order, the field naming the modulus it reduces by, one scalar rule,
+and for add, sub, mul, the reductions, checks and Return a vector kernel
+computing it for many lanes at once. The scalar rule is a binder: given
+the positions of the instruction's operands in a value list, it returns
+one closure that computes the instruction from that list. execute and run_batch's per-lane
 fallback bind it to an operand list (positions 0..k-1), FaultRunner.run to
 the writers' indices in its list of stored values, so one binder per
 opcode serves all three. Operand reads, moduli, dumps, parsing, register
@@ -53,7 +53,8 @@ Programs run on three paths that give the same results:
 
 Both runners start from a baseline execute() run and use the program's
 compiled form (Program.compiled, built once per Program).
-Program.runner keeps the runners it builds, so a baseline runs once per
+Program.runner_for keeps the runners it builds under a caller's name for
+the inputs (faultengine's key and message), so a baseline runs once per
 (program, inputs, seed), however many plans replay against it.
 
 Every program is written through ProgramBuilder: the catalog builders of
@@ -80,7 +81,7 @@ from .modmath import is_prime
 # ------------------------------------------------------------------ registers
 
 
-# runners one Program keeps (Program.runner); a campaign needs one per message
+# runners one Program keeps (Program.runner_for); a campaign needs one per message
 # plus four per message for its replay probes
 _RUNNER_MEMO_SIZE = 64
 
@@ -115,18 +116,32 @@ class Const:
 
 
 @dataclass(frozen=True)
-class BinOp:
+class _BinOp:
     """dst <- a op b, optionally reduced mod the value of register mod.
 
-    op "div" is exact integer division and crashes the run on a nonzero
-    remainder or zero divisor; without a modulus, sub may go negative.
+    Each subclass is one op, with its own OPCODES row.
     """
 
     dst: str
-    op: str  # add | sub | mul | div
     a: str
     b: str
     mod: str | None = None
+
+
+class Add(_BinOp):
+    """dst <- a + b."""
+
+
+class Sub(_BinOp):
+    """dst <- a - b, which may go negative without a modulus."""
+
+
+class Mul(_BinOp):
+    """dst <- a * b."""
+
+
+class Div(_BinOp):
+    """dst <- a / b, exactly: a nonzero remainder or a zero divisor crashes the run."""
 
 
 @dataclass(frozen=True)
@@ -165,7 +180,10 @@ class Ret:
     src: str
 
 
-Instr = LoadInput | DrawRandomPrime | Const | BinOp | ModReduce | ModExp | ModInv | CheckEq | Ret
+Instr = (
+    LoadInput | DrawRandomPrime | Const | Add | Sub | Mul | Div
+    | ModReduce | ModExp | ModInv | CheckEq | Ret
+)
 
 
 # --------------------------------------------------------------------- results
@@ -227,7 +245,7 @@ def _b_const(ins, pos, i):
 
 
 def _arith_binder(op: Callable[[int, int], int]) -> Callable:
-    """The binder of a BinOp over op: a op b, reduced mod the third operand if any."""
+    """The binder of a op b, reduced mod the third operand if any."""
 
     def bind(ins, pos, i):
         if len(pos) == 2:
@@ -319,15 +337,12 @@ def _b_ret(ins, pos, i):
     return lambda v, env: Signature(v[s])
 
 
-_ARITH = {"add": add, "sub": sub, "mul": mul}
-_BINOP_BINDERS = {**{op: _arith_binder(f) for op, f in _ARITH.items()}, "div": _b_div}
-
-
 # A vector kernel computes one instruction for many lanes at once:
-# vkernel(ins, xs, index, env) gets operands that are each a scalar (a value
-# every lane shares) or a lane list, at least one a list (ValueError if none
-# is: the lane count is the lists' length), and returns the lane list of what
-# the scalar rule returns per lane. It returns None where that is not the common
+# vector(xs, index) gets operands that are each a scalar (a value every lane
+# shares) or a lane list, at least one a list (ValueError if none is: the
+# lane count is the lists' length), and the instruction's index (a failed
+# check's ErrorOut carries it), and returns the lane list of what the scalar
+# rule returns per lane. It returns None where that is not the common
 # case (a modulus below 2, a negative exponent, a value with no inverse); the
 # caller then runs the binder's closure once per lane, so crash reasons and
 # their precedence are the scalar rule's.
@@ -345,9 +360,9 @@ def _moduli_ok(m) -> bool:
 
 
 def _arith_vector(op: Callable[[int, int], int]) -> Callable:
-    """The vector kernel of a BinOp over op."""
+    """The vector kernel of a op b, reduced mod the third operand if any."""
 
-    def vector(ins, xs, i, env):
+    def vector(xs, i):
         cols = _lanes(xs)
         if len(xs) == 2:
             return list(map(op, *cols))
@@ -356,12 +371,12 @@ def _arith_vector(op: Callable[[int, int], int]) -> Callable:
     return vector
 
 
-def _v_reduce(ins, xs, i, env):
+def _v_reduce(xs, i):
     cols = _lanes(xs)
     return list(map(mod, *cols)) if _moduli_ok(xs[1]) else None
 
 
-def _v_exp(ins, xs, i, env):
+def _v_exp(xs, i):
     cols = _lanes(xs)
     exp = xs[1]
     # pow takes a negative exponent as an inverse power; the scalar rule crashes there
@@ -370,7 +385,7 @@ def _v_exp(ins, xs, i, env):
     return list(map(pow, *cols))
 
 
-def _v_inv(ins, xs, i, env):
+def _v_inv(xs, i):
     a, m = _lanes(xs)
     if not _moduli_ok(xs[1]):
         return None
@@ -380,7 +395,7 @@ def _v_inv(ins, xs, i, env):
         return None
 
 
-def _v_check(ins, xs, i, env):
+def _v_check(xs, i):
     cols = _lanes(xs)
     fail = ErrorOut(i)
     if len(xs) == 2:
@@ -390,42 +405,36 @@ def _v_check(ins, xs, i, env):
     return [fail if r else None for r in map(mod, map(sub, cols[0], cols[1]), cols[2])]
 
 
-def _v_ret(ins, xs, i, env):
+def _v_ret(xs, i):
     (src,) = [x for x in xs if x.__class__ is list]
     return list(map(Signature, src))
-
-
-_BINOP_VECTORS = {op: _arith_vector(f) for op, f in _ARITH.items()}
 
 
 @dataclass(frozen=True)
 class Opcode:
     """Everything the rest of the system knows about one instruction class.
 
-    keyword is the dump keyword; None means the instruction's op field holds
-    it (BinOp), and bind maps each op to its own binder. immediates are the
-    non-register fields printed after the keyword, with their types. bind
-    is the one scalar rule, as a binder (see above): execute,
-    FaultRunner.run and run_batch's per-lane fallback all evaluate the
-    closures it returns.
+    keyword is the dump keyword. immediates are the non-register fields
+    printed after the keyword, with their types. bind is the one scalar
+    rule, as a binder (see above): execute, FaultRunner.run and run_batch's
+    per-lane fallback all evaluate the closures it returns.
     reads are the register operand fields in slot order; a trailing mod that
     is None has no slot. reduces_by names the field holding the modulus the
     stored value is reduced by; CheckEq's mod is a comparison ring, not
     that. lookups names a field of registers the binder also sees, after the
     operands, without fault sites (the avoid set of a draw); validate wants
     each written before it is looked up, as an operand is, and execute
-    reads an unwritten one as 0. vector is the vector kernel, keyed by op
-    like bind for BinOp; None (or an op missing from the dict) means the
-    lanes run the scalar rule one by one.
+    reads an unwritten one as 0. vector is the vector kernel (see above);
+    None means the lanes run the scalar rule one by one.
     """
 
-    keyword: str | None
+    keyword: str
     immediates: tuple[tuple[str, type], ...]
     reads: tuple[str, ...]
     reduces_by: str | None
-    bind: Callable[[Instr, tuple[int, ...], int], Callable] | dict[str, Callable]
+    bind: Callable[[Instr, tuple[int, ...], int], Callable]
     lookups: str | None = None
-    vector: Callable[[Instr, list, int, tuple], list | None] | dict[str, Callable] | None = None
+    vector: Callable[[list, int], list | None] | None = None
 
     @property
     def printed(self) -> tuple[str, ...]:
@@ -438,7 +447,10 @@ OPCODES: dict[type, Opcode] = {
     LoadInput: Opcode("input", (("name", str),), (), None, _b_input),
     DrawRandomPrime: Opcode("randprime", (("bits", int),), (), None, _b_draw, "distinct_from"),
     Const: Opcode("const", (("value", int),), (), None, _b_const),
-    BinOp: Opcode(None, (), ("a", "b", "mod"), "mod", _BINOP_BINDERS, vector=_BINOP_VECTORS),
+    Add: Opcode("add", (), ("a", "b", "mod"), "mod", _arith_binder(add), vector=_arith_vector(add)),
+    Sub: Opcode("sub", (), ("a", "b", "mod"), "mod", _arith_binder(sub), vector=_arith_vector(sub)),
+    Mul: Opcode("mul", (), ("a", "b", "mod"), "mod", _arith_binder(mul), vector=_arith_vector(mul)),
+    Div: Opcode("div", (), ("a", "b", "mod"), "mod", _b_div),
     ModReduce: Opcode("reduce", (), ("src", "mod"), "mod", _b_reduce, vector=_v_reduce),
     ModExp: Opcode("modexp", (), ("base", "exp", "mod"), "mod", _b_exp, vector=_v_exp),
     ModInv: Opcode("modinv", (), ("src", "mod"), "mod", _b_inv, vector=_v_inv),
@@ -449,28 +461,11 @@ OPCODES: dict[type, Opcode] = {
 # fields a dump prints after a tag word, and leaves out when unset
 _TAGS = {"mod": "mod", "distinct_from": "avoid"}
 
-_BY_KEYWORD = {row.keyword: cls for cls, row in OPCODES.items() if row.keyword}
-_BY_KEYWORD.update(dict.fromkeys(_BINOP_BINDERS, BinOp))
+_BY_KEYWORD = {row.keyword: cls for cls, row in OPCODES.items()}
 
 
 def dst_of(ins: Instr) -> str | None:
     return getattr(ins, "dst", None)
-
-
-def _bind(ins: Instr, pos: tuple[int, ...], i: int) -> Callable:
-    """ins, the instruction at index i, bound to operand positions pos by
-    its opcode's binder; ValueError for an unknown BinOp op."""
-    row = OPCODES[type(ins)]
-    if row.keyword:
-        return row.bind(ins, pos, i)
-    if ins.op not in row.bind:
-        raise ValueError(f"unknown op {ins.op!r}")
-    return row.bind[ins.op](ins, pos, i)
-
-
-def _vector_of(ins: Instr) -> Callable | None:
-    vector = OPCODES[type(ins)].vector
-    return vector.get(ins.op) if isinstance(vector, dict) else vector
 
 
 def _operand_regs(ins: Instr) -> tuple[tuple[str, ...], int]:
@@ -585,21 +580,19 @@ class Program:
     instrs: tuple[Instr, ...]
     meta: ProgramMeta = field(default_factory=ProgramMeta)
 
-    def __len__(self) -> int:
-        return len(self.instrs)
-
     @functools.cached_property
     def steps(self) -> tuple[tuple[Instr, Callable, tuple[str, ...], int, str | None], ...]:
         """(instruction, scalar rule bound to operand positions 0..k-1,
         its k operand registers, read slots, destination) per instruction.
 
         Built on first use from OPCODES without validating, so execute runs
-        malformed programs too; only an unknown BinOp op raises ValueError.
+        malformed programs too.
         """
         steps = []
         for i, ins in enumerate(self.instrs):
             regs, slots = _operand_regs(ins)
-            steps.append((ins, _bind(ins, tuple(range(len(regs))), i), regs, slots, dst_of(ins)))
+            rule = OPCODES[type(ins)].bind(ins, tuple(range(len(regs))), i)
+            steps.append((ins, rule, regs, slots, dst_of(ins)))
         return tuple(steps)
 
     @functools.cached_property
@@ -611,24 +604,17 @@ class Program:
     def _runners(self) -> dict[tuple, FaultRunner]:
         return {}
 
-    def runner(self, inputs: dict[str, int], seed: int) -> FaultRunner:
-        """The FaultRunner of this program on these inputs and seed.
-
-        Built once and kept, so its fault-free baseline runs once per
-        (program, inputs, seed). At most _RUNNER_MEMO_SIZE runners are kept;
-        the oldest goes first. A construction that raises is not kept, so
-        the next call raises again.
-        """
-        return self.runner_for(tuple(inputs.items()), seed, lambda: inputs)
-
     def runner_for(
         self, tag: Hashable, seed: int, inputs: Callable[[], dict[str, int]]
     ) -> FaultRunner:
-        """The runner kept under (tag, seed), built on inputs() if there is none.
+        """The FaultRunner kept under (tag, seed), built on inputs() if there
+        is none.
 
-        tag stands for the input map: runner passes the map itself, and a
-        caller that can name the map more cheaply (a key and a message)
-        passes that name and builds the map only on a miss.
+        tag names the input map (faultengine passes its key and message), so
+        a runner's fault-free baseline runs once per (program, tag, seed)
+        and the map is built only on a miss. At most _RUNNER_MEMO_SIZE
+        runners are kept; the oldest goes first. A construction that raises
+        is not kept, so the next call raises again.
         """
         key = (tag, seed)
         memo = self._runners
@@ -661,8 +647,6 @@ def validate(program: Program) -> list[Defect]:
     for idx, ins in enumerate(program.instrs):
         if ret_seen:
             defects.append(Defect("misplaced-return", idx, "instruction after Return", "error"))
-        if isinstance(ins, BinOp) and ins.op not in _BINOP_BINDERS:
-            defects.append(Defect("bad-op", idx, f"unknown op {ins.op!r}", "error"))
         if isinstance(ins, LoadInput) and ins.name not in program.inputs:
             defects.append(Defect("bad-input", idx, f"{ins.name!r} not declared", "error"))
         if isinstance(ins, DrawRandomPrime) and ins.bits < 2:
@@ -971,8 +955,9 @@ def _compile(program: Program) -> CompiledProgram:
         srcs = tuple(writer[r] for r in operands)
         for s in srcs:
             readers[s] |= 1 << i
-        ops.append((ins, rule, srcs, slots, _vector_of(ins)))
-        bound.append(_bind(ins, srcs, i))
+        row = OPCODES[type(ins)]
+        ops.append((ins, rule, srcs, slots, row.vector))
+        bound.append(row.bind(ins, srcs, i))
         if dst is not None:
             writer[dst] = i
     return CompiledProgram(tuple(ops), tuple(bound), tuple(readers))
@@ -1000,7 +985,7 @@ class FaultRunner:
     run. `run_batch` applies the same rule to many plans in one pass.
     This relies on def-before-use, write-once registers, so a program that
     `validate` rejects raises BuildError here. Campaigns get their runners
-    from Program.runner, which keeps them.
+    from Program.runner_for, which keeps them.
     """
 
     def __init__(self, program: Program, inputs: dict[str, int], seed: int):
@@ -1115,7 +1100,7 @@ class FaultRunner:
                         xs[slot][k] = v
                 laned = laned or bool(own)
             ends = not stores  # whether out may hold an ExecResult
-            out = vector(ins, xs, j, env) if laned and vector else None
+            out = vector(xs, j) if laned and vector else None
             if out is None and laned:
                 ends = True
                 out = [
@@ -1162,8 +1147,8 @@ class FaultRunner:
 
 def _instr_line(idx: int, ins: Instr) -> str:
     row = OPCODES[type(ins)]
-    dst, keyword = dst_of(ins), row.keyword or ins.op
-    words = [keyword] if dst is None else [dst, "<-", keyword]
+    dst = dst_of(ins)
+    words = [row.keyword] if dst is None else [dst, "<-", row.keyword]
     for f in row.printed:
         v = getattr(ins, f)
         if f not in _TAGS:
@@ -1204,8 +1189,6 @@ def _parse_instr(line: str) -> Instr:
         if cls is None:
             raise ValueError("no known keyword")
         row = OPCODES[cls]
-        if row.keyword is None:
-            fields["op"] = toks[0]
         plain = [f for f in row.printed if f not in _TAGS]
         args, tagged = toks[1 : 1 + len(plain)], toks[1 + len(plain) :]
         if len(tagged) % 2:
@@ -1330,16 +1313,16 @@ class ProgramBuilder:
         return self._one
 
     def add(self, dst: str, a: str, b: str, mod: str | None = None) -> int:
-        return self.emit(BinOp(dst, "add", a, b, mod))
+        return self.emit(Add(dst, a, b, mod))
 
     def sub(self, dst: str, a: str, b: str, mod: str | None = None) -> int:
-        return self.emit(BinOp(dst, "sub", a, b, mod))
+        return self.emit(Sub(dst, a, b, mod))
 
     def mul(self, dst: str, a: str, b: str, mod: str | None = None) -> int:
-        return self.emit(BinOp(dst, "mul", a, b, mod))
+        return self.emit(Mul(dst, a, b, mod))
 
     def div(self, dst: str, a: str, b: str) -> int:
-        return self.emit(BinOp(dst, "div", a, b))
+        return self.emit(Div(dst, a, b))
 
     def reduce(self, dst: str, src: str, mod: str) -> int:
         return self.emit(ModReduce(dst, src, mod))
@@ -1379,7 +1362,7 @@ class ProgramBuilder:
         acc = c_regs[0]
         for k, c in enumerate(c_regs[1:], 1):
             reg = name(f"m{k}")
-            chain.append(self.emit(BinOp(reg, "mul", acc, c), "infect"))
+            chain.append(self.emit(Mul(reg, acc, c), "infect"))
             acc = reg
         sig = name("s")
         chain.append(self.emit(ModExp(sig, base, acc, mod), "output"))

@@ -99,7 +99,6 @@ from .circuit import (
 from .countermeasures import build, program_inputs
 from .keytools import CrtKey, check_crt_key
 
-KIND_NAMES = ("zero", "randomize", "skip")
 _ALT_SEED_STEPS = (1_000_003, 2_000_003, 3_000_017, 4_000_037)
 _REPLAY_CAP = 8
 _SUCCESSES_PER_ROW = 5  # successes to_json lists per (first site, kind)
@@ -165,7 +164,7 @@ class CampaignSpec:
         if "skip" in self.kinds and self.max_skip_len < 1:
             raise ValueError("max_skip_len < 1 gives the skip kind no fault plans")
         for k in self.kinds:
-            if k not in KIND_NAMES:
+            if k not in [kind.value for kind in FaultKind]:
                 raise ValueError(f"unknown fault kind {k!r}")
             if self.kinds.count(k) > 1:
                 raise ValueError(f"fault kind {k!r} is repeated: each kind runs once")

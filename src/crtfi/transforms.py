@@ -32,13 +32,13 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .circuit import (
-    BinOp,
     CheckEq,
     Const,
     DrawRandomPrime,
     InfectionFactor,
     LoadInput,
     ModExp,
+    Mul,
     Program,
     ProgramBuilder,
     Ret,
@@ -108,7 +108,7 @@ def to_infective(program: Program) -> Program:
         elif isinstance(ins, Ret):
             if need_n:
                 # feeds only the final power's modulus slot: output machinery
-                helper_tail.append(out.emit(BinOp(n_reg, "mul", loads["p"], loads["q"]), "infect"))
+                helper_tail.append(out.emit(Mul(n_reg, loads["p"], loads["q"]), "infect"))
             c_regs = [f.c_reg for f in out.factors]
             *chain, idx_map[i] = out.infect(ins.src, c_regs, n_reg, lambda stem: "inf" + stem)
         else:

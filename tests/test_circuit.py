@@ -3,7 +3,7 @@
 import pytest
 
 from crtfi.circuit import (
-    BinOp,
+    Add,
     CheckEq,
     Const,
     Crash,
@@ -15,6 +15,7 @@ from crtfi.circuit import (
     ModExp,
     ModInv,
     ModReduce,
+    Mul,
     ProgramBuilder,
     ReadOf,
     Ret,
@@ -342,14 +343,27 @@ def test_malformed_program_lines_are_refused(line):
         parse_dump(f"# inputs m\n0: m <- input m\n{line}\n")
 
 
+@pytest.mark.parametrize(
+    "site, kind, detail",
+    [
+        (WriteOf(3), FaultKind.RANDOMIZE, "Randomize needs a replacement value"),
+        (ReadOf(3, 0), FaultKind.SKIP, "Skip applies to SkipRange sites only"),
+        (SkipRange(2, 3), FaultKind.ZERO, "SkipRange sites take Skip faults only"),
+    ],
+)
+def test_a_fault_action_of_the_wrong_kind_for_its_site_is_refused(site, kind, detail):
+    with pytest.raises(ValueError, match=detail):
+        FaultAction(site, kind)
+
+
 def test_operand_slots_and_moduli_per_instruction():
-    assert reads_of(BinOp("x", "add", "a", "b")) == ((0, "a"), (1, "b"))
-    assert reads_of(BinOp("x", "mul", "a", "b", "m")) == ((0, "a"), (1, "b"), (2, "m"))
+    assert reads_of(Add("x", "a", "b")) == ((0, "a"), (1, "b"))
+    assert reads_of(Mul("x", "a", "b", "m")) == ((0, "a"), (1, "b"), (2, "m"))
     assert reads_of(ModExp("x", "b", "e", "m")) == ((0, "b"), (1, "e"), (2, "m"))
     assert reads_of(ModReduce("x", "a", "m")) == reads_of(ModInv("x", "a", "m"))
     assert reads_of(DrawRandomPrime("r", 5, ("p",))) == ()
-    assert modulus_reg(BinOp("x", "add", "a", "b", "m")) == "m"
-    assert modulus_reg(BinOp("x", "add", "a", "b")) is None
+    assert modulus_reg(Add("x", "a", "b", "m")) == "m"
+    assert modulus_reg(Add("x", "a", "b")) is None
     assert modulus_reg(ModInv("x", "a", "m")) == "m"
     # a check compares in its ring but stores nothing reduced by it
     assert modulus_reg(CheckEq("a", "b", "m")) is None

@@ -6,10 +6,18 @@ import re
 import pytest
 
 from crtfi import cli, faultengine
-from crtfi.circuit import BuildError, FaultRunner, Signature, execute, parse_dump, validate
+from crtfi.circuit import (
+    BuildError,
+    FaultRunner,
+    Signature,
+    check_runnable,
+    execute,
+    parse_dump,
+    validate,
+)
 from crtfi.cli import main
 from crtfi.countermeasures import catalog, program_inputs
-from crtfi.keytools import CrtKey, derive_crt, write_key_file
+from crtfi.keytools import CrtKey, KeyError_, derive_crt, read_key_file, write_key_file
 from crtfi.transforms import UnrecognizedInfectionShape, to_testbased
 
 
@@ -225,6 +233,61 @@ def test_a_dump_whose_draw_avoids_an_unwritten_register_is_refused(tmp_path, cap
             for kind in kinds:
                 assert main(["transform", "--kind", kind, "--program", str(path)]) == 3, (algo, avoid, kind)
     assert capsys.readouterr().err.count("avoided before any write") == 8
+
+
+# a runnable dump that harden takes
+RUNNABLE = """\
+# program tiny
+# inputs M p
+0: m <- input M
+1: p <- input p
+2: r <- randprime 5
+3: s <- mul m r mod p
+4: t <- mul r m mod p
+5: checkeq s t
+6: return s
+"""
+
+
+@pytest.mark.parametrize(
+    "kind, old, new, detail",
+    [
+        ("bad-input", "1: p <- input p", "1: p <- input q", "'q' not declared"),
+        ("bad-width", "randprime 5", "randprime 1", "draw width must be >= 2 bits"),
+        ("rewrite", "4: t <- mul r m mod p\n5: checkeq s t", "4: r <- mul r m mod p\n5: checkeq s r",
+         "'r' already written at 2"),
+        ("missing-return", "6: return s\n", "", "no Return"),
+    ],
+)
+def test_a_dump_with_one_validate_error_is_refused(tmp_path, capsys, kind, old, new, detail):
+    path = tmp_path / "tiny.txt"
+    path.write_text(RUNNABLE)
+    assert main(["transform", "--kind", "harden", "--program", str(path)]) == 0
+    text = RUNNABLE.replace(old, new)
+    assert text != RUNNABLE
+    prog = parse_dump(text)
+    assert [d.kind for d in validate(prog) if d.severity == "error"] == [kind]
+    with pytest.raises(BuildError, match=re.escape(detail)):
+        check_runnable(prog)
+    path.write_text(text)
+    assert main(["transform", "--kind", "harden", "--program", str(path)]) == 3
+    assert f"is not runnable: {detail}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, detail",
+    [
+        ('["7", "11", "1", "3", "2"]', "must hold one object"),
+        ('{"p": "7", "q": "eleven", "dp": "1", "dq": "3", "iq": "2"}', "field 'q' is not a decimal string"),
+    ],
+)
+def test_a_key_file_that_is_not_one_object_of_decimals_is_refused(tmp_path, capsys, text, detail):
+    path = tmp_path / "key.json"
+    path.write_text(text)
+    with pytest.raises(KeyError_, match=detail):
+        read_key_file(path)
+    assert main(["recover", "--key", str(path)]) == 3
+    assert detail in capsys.readouterr().err
 
 
 def test_dump_demands_exactly_one_source(tmp_path, capsys):

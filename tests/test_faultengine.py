@@ -691,7 +691,7 @@ def test_a_twin_read_row_runs_as_its_write_row(seed, pairs):
         prog = build(entry.algo, key, r_bits=5, build_seed=0)
         spec = CampaignSpec(key=key, program=prog, kinds=("zero", "randomize"), exhaustive_threshold=8192)
         table = site_action_table(prog, spec)
-        runners = [prog.runner(program_inputs(prog, key, m), 42) for m in (2, 3, n - 2)]
+        runners = [faultengine._runner(prog, key, m, 42) for m in (2, 3, n - 2)]
         for r, w in faultengine._twin_rows(prog.compiled, table).items():
             assert (table[r].kind, table[r].values) == (table[w].kind, table[w].values)
             for runner in runners:
@@ -734,7 +734,7 @@ def test_twin_rows_need_one_reader_naming_the_register_once_and_equal_values():
     assert (ReadOf(wide + 1, 0), WriteOf(wide), FaultKind.RANDOMIZE) not in got
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.integers(-200, 200), st.integers(0, 76))
 def test_score_outcome_reads_the_gcd_as_bellcore_extract(v, sig):
     ref = bellcore_extract(77, sig, v, 7, 11)
@@ -782,7 +782,7 @@ def _columns(draw):
     return cols
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(_columns(), st.sampled_from([1, 2]))
 def test_column_scoring_matches_score_outcome_run_by_run(columns, order):
     """_Tally's counts and successes equal score_outcome's, called on each
@@ -845,7 +845,7 @@ class _Ran:
         return self.result
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(_columns())
 def test_replay_plan_scores_each_result_as_score_outcome_does(columns):
     for sig, results in columns:

@@ -22,10 +22,11 @@ import pytest
 
 from crtfi.circuit import (
     OPCODES,
-    BinOp,
+    Add,
     CheckEq,
     Const,
     Crash,
+    Div,
     DrawRandomPrime,
     ErrorOut,
     FaultAction,
@@ -35,17 +36,18 @@ from crtfi.circuit import (
     ModExp,
     ModInv,
     ModReduce,
+    Mul,
     Program,
     ReadOf,
     Ret,
     Signature,
+    Sub,
     WriteOf,
-    _bind,
-    _vector_of,
     draw_prime_value,
     execute,
 )
 
+ARITH = (Add, Sub, Mul, Div)
 VALUES = (-7, -1, 0, 1, 2, 5, 12)
 MODULI = (-3, 0, 1, 2, 7, 12)
 BENIGN = {"a": 3, "b": 3, "m": 7}  # every opcode below runs cleanly on these
@@ -65,12 +67,12 @@ def _crash_or(value, m):
     return Signature(value % m)
 
 
-def oracle_binop(op, a, b, m):
-    if op == "div":
+def oracle_binop(cls, a, b, m):
+    if cls is Div:
         if b == 0 or a % b:
             return Crash("inexact-division")  # before the modulus is looked at
         return _crash_or(a // b, m)
-    return _crash_or({"add": a + b, "sub": a - b, "mul": a * b}[op], m)
+    return _crash_or({Add: a + b, Sub: a - b, Mul: a * b}[cls], m)
 
 
 def oracle_reduce(a, m):
@@ -107,10 +109,10 @@ def _program(ins, operands):
 
 
 def _cases():
-    for op, a, b in product(("add", "sub", "mul", "div"), VALUES, VALUES):
-        yield BinOp("x", op, "a", "b"), (a, b), oracle_binop(op, a, b, None)
+    for cls, a, b in product(ARITH, VALUES, VALUES):
+        yield cls("x", "a", "b"), (a, b), oracle_binop(cls, a, b, None)
         for m in MODULI:
-            yield BinOp("x", op, "a", "b", "m"), (a, b, m), oracle_binop(op, a, b, m)
+            yield cls("x", "a", "b", "m"), (a, b, m), oracle_binop(cls, a, b, m)
     for a, m in product(VALUES, MODULI):
         yield ModReduce("x", "a", "m"), (a, m), oracle_reduce(a, m)
         yield ModInv("x", "a", "m"), (a, m), oracle_inv(a, m)
@@ -125,12 +127,14 @@ def _cases():
             yield CheckEq("a", "b", "m"), (a, b, m), oracle_check(a, b, m)
 
 
-def _name(ins):
-    return type(ins).__name__ + getattr(ins, "op", "")
+def _name(cls):
+    """An opcode's test id: its class name, or for the arithmetic its
+    keyword after BinOp, the id it had when one class held all four."""
+    return "BinOp" + OPCODES[cls].keyword if cls in ARITH else cls.__name__
 
 
 CASES = list(_cases())
-OPCODES_UNDER_TEST = sorted({_name(ins) for ins, _x, _r in CASES})
+OPCODES_UNDER_TEST = sorted({_name(type(ins)) for ins, _x, _r in CASES})
 
 
 def _operands(ins):
@@ -141,6 +145,11 @@ def _operands(ins):
 
 def _inputs(ins, operands):
     return {**BENIGN, **dict(zip(_operands(ins), operands))}
+
+
+def _bind(ins, pos, i):
+    """ins, at index i, bound to operand positions pos by its opcode's binder."""
+    return OPCODES[type(ins)].bind(ins, pos, i)
 
 
 def _scalar(ins, operands, env, i=3):
@@ -179,7 +188,7 @@ def test_each_opcode_matches_python_on_both_paths(opcode):
     runners = {}
     checked = 0
     for ins, operands, want in CASES:
-        if _name(ins) != opcode:
+        if _name(type(ins)) != opcode:
             continue
         prog = _program(ins, operands)
         inputs = _inputs(ins, operands)
@@ -228,12 +237,7 @@ def _uncommon(ins, xs):
 
 # every opcode with a vector kernel, by the table; Ret, which the programs
 # above end with, has cases here only
-VECTORS = sorted(
-    cls.__name__ + op
-    for cls, row in OPCODES.items()
-    if row.vector
-    for op in (row.vector if isinstance(row.vector, dict) else ("",))
-)
+VECTORS = sorted(_name(cls) for cls, row in OPCODES.items() if row.vector)
 LANE_CASES = CASES + [(Ret("a"), (a,), Signature(a)) for a in VALUES]
 
 
@@ -242,11 +246,11 @@ def test_each_vector_kernel_matches_its_kernel_lane_by_lane(opcode):
     env = (BENIGN, 0)
     rows_of = {}
     for ins, operands, _want in LANE_CASES:
-        if _name(ins) == opcode:
+        if _name(type(ins)) == opcode:
             rows_of.setdefault(ins, []).append(operands)
     checked = 0
     for ins, rows in rows_of.items():
-        vector = _vector_of(ins)
+        vector = OPCODES[type(ins)].vector
         width = len(rows[0])
         # the operands at positions `fixed` are scalars, the others lane lists
         for fixed in product((False, True), repeat=width):
@@ -257,7 +261,7 @@ def test_each_vector_kernel_matches_its_kernel_lane_by_lane(opcode):
                 groups.setdefault(tuple(v for v, f in zip(r, fixed) if f), []).append(r)
             for lanes in groups.values():
                 xs = [lanes[0][q] if fixed[q] else [r[q] for r in lanes] for q in range(width)]
-                got = vector(ins, xs, 3, env)
+                got = vector(xs, 3)
                 if got is None:
                     assert _uncommon(ins, xs), (ins, xs)
                     continue
@@ -270,9 +274,9 @@ def test_each_vector_kernel_matches_its_kernel_lane_by_lane(opcode):
 def test_each_vector_kernel_refuses_operands_with_no_lane_list(opcode):
     checked = 0
     for ins, operands, _want in LANE_CASES:
-        if _name(ins) == opcode:
+        if _name(type(ins)) == opcode:
             with pytest.raises(ValueError):
-                _vector_of(ins)(ins, list(operands), 3, (BENIGN, 0))
+                OPCODES[type(ins)].vector(list(operands), 3)
             checked += 1
     assert checked
 
@@ -280,27 +284,27 @@ def test_each_vector_kernel_refuses_operands_with_no_lane_list(opcode):
 @pytest.mark.parametrize(
     "ins, operands",
     [
-        (BinOp("x", "div", "a", "b", "m"), (5, 0, 1)),  # inexact-division before bad-modulus
+        (Div("x", "a", "b", "m"), (5, 0, 1)),  # inexact-division before bad-modulus
         (ModExp("x", "a", "b", "m"), (2, -1, 1)),  # bad-modulus before bad-exponent
         (ModInv("x", "a", "m"), (0, 1)),  # bad-modulus before not-invertible
     ],
 )
 def test_lanes_keep_the_crash_precedence_of_the_kernel(ins, operands):
-    vector = _vector_of(ins)
+    vector = OPCODES[type(ins)].vector
     want = _scalar(ins, operands, (BENIGN, 0))
     assert isinstance(want, Crash)
     for p in range(len(operands)):  # each operand once as the lane list
         xs = [[v, v] if q == p else v for q, v in enumerate(operands)]
         # no vector kernel for this case: the lanes run the scalar rule one by one
-        assert vector is None or vector(ins, xs, 3, (BENIGN, 0)) is None
+        assert vector is None or vector(xs, 3) is None
 
 
 @pytest.mark.parametrize(
     "ins, operands, reason",
     [
-        (BinOp("x", "div", "a", "b", "m"), (5, 0, 1), "inexact-division"),
-        (BinOp("x", "div", "a", "b", "m"), (5, 2, 0), "inexact-division"),
-        (BinOp("x", "div", "a", "b", "m"), (6, 2, 1), "bad-modulus"),
+        (Div("x", "a", "b", "m"), (5, 0, 1), "inexact-division"),
+        (Div("x", "a", "b", "m"), (5, 2, 0), "inexact-division"),
+        (Div("x", "a", "b", "m"), (6, 2, 1), "bad-modulus"),
         (ModExp("x", "a", "b", "m"), (2, -1, 1), "bad-modulus"),
         (ModExp("x", "a", "b", "m"), (2, -1, 7), "bad-exponent"),
         (ModInv("x", "a", "m"), (0, 1), "bad-modulus"),
@@ -330,7 +334,7 @@ def test_each_binder_matches_python_at_any_positions(opcode):
     env = (BENIGN, 0)
     checked = 0
     for ins, operands, want in LANE_CASES:
-        if _name(ins) != opcode:
+        if _name(type(ins)) != opcode:
             continue
         # positions 0..k-1 of an operand list, as execute and run_batch bind it
         assert _as_result(_scalar(ins, operands, env), want) == want, (ins, operands)
@@ -366,7 +370,7 @@ def test_sources_store_their_values():
     prog = Program(
         "sources",
         ("a",),
-        (LoadInput("x", "a"), Const("c", 12), BinOp("s", "add", "x", "c"), Ret("s")),
+        (LoadInput("x", "a"), Const("c", 12), Add("s", "x", "c"), Ret("s")),
     )
     assert execute(prog, {"a": 5}).result == Signature(17)
     plan = (FaultAction(WriteOf(0), FaultKind.RANDOMIZE, 30),)

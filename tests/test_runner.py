@@ -8,10 +8,11 @@ batches of mixed plans of order 1 to 4, on one-site batches of random
 values and on the same plan lists, row by row and in fixed-size chunks.
 Beyond the catalog's shapes, both runners are compared with the reference
 on random programs written through ProgramBuilder, under random plans.
-A plan that names one site twice, and a program whose phases do not tag
-each instruction once, are refused. Program.runner keeps one runner per
-(inputs, seed); the last tests check that it runs each baseline once and
-changes no result.
+A random program's dump must parse back to it. A plan that names one site
+twice, and a program whose phases do not tag each instruction once, are
+refused. faultengine keeps one runner per (program, key, message, seed);
+the last tests check that it runs each baseline once and changes no
+result.
 """
 
 import functools
@@ -28,10 +29,11 @@ import crtfi.circuit
 import crtfi.faultengine
 from crtfi.circuit import (
     OPCODES,
-    BinOp,
+    Add,
     CheckEq,
     Const,
     Crash,
+    Div,
     DrawRandomPrime,
     FaultAction,
     FaultKind,
@@ -44,11 +46,13 @@ from crtfi.circuit import (
     Ret,
     SkipRange,
     WriteOf,
-    _vector_of,
     draw_prime_value,
     dst_of,
+    dump_program,
     execute,
     modulus_reg,
+    parse_dump,
+    program_digest,
     reads_of,
 )
 from crtfi.countermeasures import build, catalog, program_inputs
@@ -58,6 +62,7 @@ from crtfi.faultengine import (
     replay_plan,
     run_campaign,
     site_action_table,
+    _runner,
 )
 from crtfi.keytools import derive_crt
 from crtfi.transforms import harden, to_infective, to_testbased
@@ -174,7 +179,7 @@ def plans(draw, n, longest=3):
 def test_runner_matches_the_reference_on_random_plans(name):
     n = len(PROGRAMS[name].instrs)
 
-    @settings(max_examples=80, derandomize=True, deadline=None)
+    @settings(max_examples=80)
     @given(plan=plans(n), message=st.sampled_from(MESSAGES), seed=st.sampled_from(SEEDS))
     @example(  # skip, then a write override on the same index
         plan=(FaultAction(SkipRange(8, 10), FaultKind.SKIP),
@@ -225,7 +230,7 @@ def test_lanes_match_one_run_per_value_and_the_reference(name):
     prog = PROGRAMS[name]
     n = len(prog.instrs)
 
-    @settings(max_examples=60, derandomize=True, deadline=None)
+    @settings(max_examples=60)
     @given(
         index=st.integers(0, n - 1),
         slot=st.one_of(st.none(), st.integers(0, 3)),  # slots 1 and 2 read exponents, moduli
@@ -274,7 +279,7 @@ def test_batches_of_mixed_plans_match_the_reference(name):
     w, ret = _first_data_write(prog), n - 1
     e, m = _first_reduced(prog)
 
-    @settings(max_examples=40, derandomize=True, deadline=None)
+    @settings(max_examples=40)
     @given(
         plans_=st.lists(plans(n, longest=4), min_size=1, max_size=12),
         message=st.sampled_from(MESSAGES),
@@ -316,7 +321,7 @@ def test_a_batch_can_end_every_lane_or_fall_back_to_the_kernel(name):
     base = r.baseline.regs()
     xs = [base[reg] for _slot, reg in reads_of(ins)]
     xs[m] = [0, 3, 97, 10**6]
-    assert _vector_of(ins)(ins, xs, e, (None, 42)) is None
+    assert OPCODES[type(ins)].vector(xs, e) is None
     plans_ = [(_read(e, m, v),) for v in xs[m]]
     got = r.run_batch(*batch(plans_, n))
     assert got[0] == Crash("bad-modulus")
@@ -384,7 +389,7 @@ def random_programs(draw):
             m = modulus() if reduced else None
             v = ARITH[kind](vals[a], vals[c])
             store(dst, v % vals[m] if m else v, reduced)
-            b.emit(BinOp(dst, kind, a, c, m))
+            getattr(b, kind)(dst, a, c, m)
         elif kind == "div":
             c = pick(lambda r: r in leaves and vals[r] != 0)
             if c is None:
@@ -398,7 +403,7 @@ def random_programs(draw):
             m = modulus() if reduced else None
             v = vals[a] // vals[c]
             store(dst, v % vals[m] if m else v, reduced)
-            b.emit(BinOp(dst, "div", a, c, m))
+            b.emit(Div(dst, a, c, m))
         elif kind == "reduce":
             a, m = pick(), modulus()
             store(dst, vals[a] % vals[m], True)
@@ -428,7 +433,7 @@ def random_programs(draw):
     return b.build(), inputs, seed
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
+@settings(max_examples=150)
 @given(data=st.data())
 def test_random_programs_give_the_reference_result_on_both_runner_paths(data):
     prog, inputs, seed = data.draw(random_programs(), label="program")
@@ -439,25 +444,23 @@ def test_random_programs_give_the_reference_result_on_both_runner_paths(data):
     r = FaultRunner(prog, inputs, seed)
     assert [r.run(plan) for plan in plans_] == want
     assert r.run_batch(*batch(plans_, n)) == want
+    # the dump names each instruction's class by its keyword, and parses back
+    text = dump_program(prog)
+    assert parse_dump(text) == prog
+    assert program_digest(parse_dump(text)) == program_digest(prog)
 
 
 def test_lanes_that_all_write_the_baseline_value_evaluate_no_reader(monkeypatch):
     calls = []
 
     def counting(vector):
-        if isinstance(vector, dict):
-            return {op: counting(k) for op, k in vector.items()}
-
-        def counted(ins, xs, i, env):
+        def counted(xs, i):
             calls.append(i)
-            return vector(ins, xs, i, env)
+            return vector(xs, i)
 
         return vector and counted
 
     def counting_binder(bind):
-        if isinstance(bind, dict):
-            return {op: counting_binder(b) for op, b in bind.items()}
-
         def counted_bind(ins, pos, i):
             rule = bind(ins, pos, i)
 
@@ -540,7 +543,7 @@ def test_runner_refuses_a_program_that_reads_before_writing():
     prog = Program(
         "ghost",
         ("M",),
-        (LoadInput("m", "M"), BinOp("s", "add", "m", "g"), Const("g", 0), Ret("s")),
+        (LoadInput("m", "M"), Add("s", "m", "g"), Const("g", 0), Ret("s")),
         ProgramMeta(phases=("main",) * 4),
     )
     # the reference reads the unwritten register as 0 and signs anyway
@@ -620,27 +623,25 @@ def test_replay_plans_build_the_inputs_once_per_key_message_and_seed(monkeypatch
 
 def test_a_different_message_or_seed_gets_a_different_runner():
     prog = build("shamir", TINY, r_bits=5, build_seed=0)
-    at2, at3 = program_inputs(prog, TINY, 2), program_inputs(prog, TINY, 3)
-    kept = prog.runner(at2, 42)
-    assert prog.runner(dict(at2), 42) is kept
-    assert prog.runner(at3, 42) is not kept
-    assert prog.runner(at2, 43) is not kept
-    assert prog.runner(at3, 42).signature != kept.signature
+    kept = _runner(prog, TINY, 2, 42)
+    assert _runner(prog, replace(TINY), 2, 42) is kept  # an equal key
+    assert _runner(prog, TINY, 3, 42) is not kept
+    assert _runner(prog, TINY, 2, 43) is not kept
+    assert _runner(prog, TINY, 3, 42).signature != kept.signature
 
 
 def test_the_runner_memo_keeps_a_bounded_number_dropping_the_oldest(execute_calls):
     prog = build("unprotected", TINY, r_bits=5, build_seed=0)
-    inputs = program_inputs(prog, TINY, 2)
     bound = crtfi.circuit._RUNNER_MEMO_SIZE
     for seed in range(bound + 5):
-        prog.runner(inputs, seed)
+        _runner(prog, TINY, 2, seed)
         assert len(prog._runners) <= bound
     assert len(prog._runners) == bound
     assert len(execute_calls) == bound + 5
     for seed in range(5, bound + 5):  # the newest are all kept
-        prog.runner(inputs, seed)
+        _runner(prog, TINY, 2, seed)
     assert len(execute_calls) == bound + 5
-    prog.runner(inputs, 0)  # the oldest was dropped
+    _runner(prog, TINY, 2, 0)  # the oldest was dropped
     assert len(execute_calls) == bound + 6
 
 
@@ -652,10 +653,9 @@ def test_a_kept_runner_gives_what_a_fresh_one_gives_on_a_whole_plan_list():
     )
     table = site_action_table(prog, spec)
     plans_ = [(FaultAction(t.site, t.kind, v),) for t in table for v in t.values]
-    inputs = program_inputs(prog, TINY, 2)
-    kept = prog.runner(inputs, 42)
-    assert prog.runner(inputs, 42) is kept
-    fresh = FaultRunner(prog, inputs, 42)
+    kept = _runner(prog, TINY, 2, 42)
+    assert _runner(prog, TINY, 2, 42) is kept
+    fresh = FaultRunner(prog, program_inputs(prog, TINY, 2), 42)
     for plan in plans_ + plans_:  # the second pass runs on a kept, used runner
         assert kept.run(plan) == fresh.run(plan), plan
 
@@ -669,5 +669,5 @@ def test_a_baseline_that_is_not_a_signature_is_refused_on_every_call():
     )
     for _ in range(2):
         with pytest.raises(ValueError, match="fault-free baseline"):
-            prog.runner({"M": 5}, 0)
+            _runner(prog, TINY, 5, 0)
     assert not prog._runners
