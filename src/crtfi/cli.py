@@ -16,7 +16,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .circuit import Crash, ErrorOut, Program, Signature, dump_program, execute, parse_dump
+from .circuit import Crash, ErrorOut, Program, Signature, check_runnable, dump_program, execute, parse_dump
 from .countermeasures import build, catalog, program_inputs
 from .faultengine import CampaignSpec, run_campaign
 from .keytools import CrtKey, crt_from_rsa, gen_key, read_key_file, recover_d, recover_e, write_key_file
@@ -33,9 +33,12 @@ def _load_key(path: str | None) -> CrtKey:
 
 
 def _load_program(args) -> Program:
+    """The --program dump, refused (BuildError) unless validate finds it
+    runnable, or the --algo build."""
     if args.program is not None:
-        text = Path(args.program).read_text()
-        return parse_dump(text)
+        program = parse_dump(Path(args.program).read_text())
+        check_runnable(program)
+        return program
     key = _load_key(args.key)
     return build(args.algo, key, r_bits=args.r_bits, build_seed=args.build_seed)
 

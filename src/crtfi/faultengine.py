@@ -32,13 +32,18 @@ order 2 and above; at order 1 each zero and randomize row's values, then
 the skip rows. A batch's per-index fault lists are gathered once for all
 messages, and each pass is scored as soon as it returns, as one column:
 gcd(N, v - S) over the lanes' released values, so only a lane that breaks
-is visited on its own. One writer keeps every break, listing it on each
-row its plan touches; a row's success, factor and silent counts are
-derived from those lists once every plan has run. At order 1 a read fault
-whose register has one reader, naming it once, is the same fault as a
-write fault on that register's writer: such a read row, with the write
-row's values, is not run, and takes the write row's counts and successes
-under its own site.
+is visited on its own. One writer keeps every break as one entry of a
+few parallel columns (its id plan, message, released value and factor),
+listing its index on each row its plan touches; a row's success, factor
+and silent counts are derived from those lists once every plan has run.
+A report keeps those columns, each plan decoded to its actions, and
+nothing else of the campaign, and builds AttackSuccess objects only where
+it is read: successes builds the whole list on first use, to_json only
+the few successes it lists per row. At order 1 a read
+fault whose register has one reader, naming it once, is the same fault
+as a write fault on that register's writer: such a read row, with the
+write row's values, is not run, and takes the write row's counts and
+breaks under its own site.
 The replay probes run round-major: each round runs the successes still
 pending as run_batch lanes, one runner pass per batch and alternate
 message, scored as a column; plan_persists, which runs one plan at a time
@@ -58,15 +63,17 @@ batch order, so reports are byte-identical for any worker count.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 import random
 import threading
+import weakref
 import zlib
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
-from itertools import combinations, product, repeat
+from itertools import combinations, islice, product, repeat
 from operator import itemgetter, sub
 from typing import NoReturn
 
@@ -242,7 +249,40 @@ _SUCCESS_FIELDS = tuple(f.name for f in fields(AttackSuccess))
 
 
 @dataclass
+class _Breaks:
+    """A campaign's breaks as parallel columns, one entry per break in
+    report order: its actions, (site key, kind, value) per fault, one tuple
+    shared by a lane's breaks; its message; its released value
+    (signature); the factor gcd(N, v - S) gave; and the replay verdict,
+    None for a break the replay pass did not probe. p is N's factor named
+    "p", and listed holds the indices of the breaks to_json lists."""
+
+    p: int
+    actions: list[tuple[tuple[str, str, int | None], ...]]
+    messages: list[int]
+    signatures: list[int]
+    factors: list[int]
+    persistent: list[bool | None]
+    listed: list[int]
+
+    def successes(self, hits) -> list[AttackSuccess]:
+        """One AttackSuccess per break index of hits, in that order."""
+        p = self.p
+        return [
+            AttackSuccess(
+                self.messages[i], self.actions[i], self.signatures[i], self.factors[i],
+                "p" if self.factors[i] == p else "q", self.persistent[i],
+            )
+            for i in hits
+        ]
+
+
+@dataclass
 class CampaignReport:
+    """A campaign's outcome. The breaks are kept as columns (_Breaks), and
+    successes builds their AttackSuccess list on first use; to_json builds
+    only the ones it lists."""
+
     name: str
     digest: str
     spec: dict
@@ -253,8 +293,13 @@ class CampaignReport:
     plans_total: int
     sampled_plans: bool
     rows: list[SiteRow]
-    successes: list[AttackSuccess]
+    breaks: _Breaks
     totals: dict = field(default_factory=dict)
+
+    @functools.cached_property
+    def successes(self) -> list[AttackSuccess]:
+        """Every break, in plan order, then message order."""
+        return self.breaks.successes(range(len(self.breaks.messages)))
 
     @property
     def summary_line(self) -> str:
@@ -274,19 +319,13 @@ class CampaignReport:
         derandomized variant, which says nothing about the scheme proper.
         """
         phases = {r.site: r.phase for r in self.rows}
-        out = [s for s in self.successes if s.persistent]
+        out = self.breaks.successes([i for i, kept in enumerate(self.breaks.persistent) if kept])
         if not include_rng:
             out = [s for s in out if not _touches_rng(phases, s)]
         return out
 
     def to_json(self) -> str:
-        capped: list[dict] = []
-        seen: dict[tuple[str, str], int] = {}
-        for s in self.successes:
-            head = (s.actions[0][0], s.actions[0][1])
-            seen[head] = seen.get(head, 0) + 1
-            if seen[head] <= _SUCCESSES_PER_ROW:
-                capped.append({f: getattr(s, f) for f in _SUCCESS_FIELDS})
+        listed = self.breaks.successes(self.breaks.listed)
         doc = {
             "name": self.name,
             "digest": self.digest,
@@ -298,8 +337,8 @@ class CampaignReport:
             "plans_total": self.plans_total,
             "sampled_plans": self.sampled_plans,
             "rows": [{c: _json_cell(getattr(r, c)) for c in _COLUMNS} for r in self.rows],
-            "successes_total": len(self.successes),
-            "successes": capped,
+            "successes_total": len(self.breaks.messages),
+            "successes": [{f: getattr(s, f) for f in _SUCCESS_FIELDS} for s in listed],
             "totals": self.totals,
             "line": self.summary_line,
         }
@@ -637,10 +676,27 @@ def _column(n: int, p: int, q: int, results: list, sig: int) -> tuple[list, int,
     return values, ended, [(k, released[k], g) for k, g in enumerate(gs) if g == p or g == q]
 
 
+# _runner's last answer: weak references to its program, key and runner,
+# then its message and seed
+_last_runner: tuple = (None, None, None, None, None)
+
+
 def _runner(program: Program, key: CrtKey, message: int, seed: int) -> FaultRunner:
-    """program's runner on one message, kept under (key, message, seed), so
-    program_inputs runs once per new key and message."""
-    return program.runner_for((key, message), seed, lambda: program_inputs(program, key, message))
+    """program's runner on one message, kept by the program under (key,
+    message, seed) (Program.runner_for), so program_inputs runs once per new
+    key and message. A call that repeats the last one with the same
+    program and key objects, as replay_plan's callers make one per plan,
+    gets the same runner without hashing the key or building the inputs
+    closure; the weak references keep nothing alive."""
+    global _last_runner
+    prog_ref, key_ref, m, s, runner_ref = _last_runner
+    if m == message and s == seed and prog_ref() is program and key_ref() is key:
+        runner = runner_ref()
+        if runner is not None:
+            return runner
+    runner = program.runner_for((key, message), seed, lambda: program_inputs(program, key, message))
+    _last_runner = (weakref.ref(program), weakref.ref(key), message, seed, weakref.ref(runner))
+    return runner
 
 
 def replay_plan(
@@ -886,15 +942,19 @@ class _Tally:
     batch job and reads nothing the bookkeeping writes, so _fork_join may
     run it in a child; _apply books each result in this process, in job
     order. It adds attempts and no-output runs into two flat per-row int
-    lists, and hands the breaks to _keep, the one writer of successes: a
-    break becomes an AttackSuccess whose id plan is kept for the replay
-    pass, listed on every row its plan touches; successes come in plan
-    order, then message order, whatever the number of workers. When every
-    job is applied, run derives each row's successes, factor_p, factor_q
-    and silent runs from those lists.
+    lists, and hands the breaks to _keep, the one writer of breaks: a
+    break becomes one entry of each break column (plans, kept for the
+    replay pass, messages, signatures, factors and persistent), and its
+    index is listed in row_hits on every row its plan touches; breaks come
+    in plan order, then message order, whatever the number of workers.
+    When every job is applied, run derives each row's successes, factor_p,
+    factor_q and silent runs from those lists. _replay writes its verdicts
+    into persistent by index, and report_breaks hands the columns, each
+    plan decoded to its actions, to the report, which keeps nothing else
+    of the tally.
 
     At order 1 a read row twin to a write row (_twin_rows) does not run: it
-    takes the write row's counts, and keeps the write row's successes again
+    takes the write row's counts, and keeps the write row's breaks again
     under its own action ids.
     """
 
@@ -915,9 +975,18 @@ class _Tally:
             for t in self.table
         ]
         self.runs = runs
-        self.successes: list[AttackSuccess] = []
-        self.success_plans: list[IdPlan] = []
-        self.row_success_idx: dict[int, list[int]] = defaultdict(list)
+        # the break columns, one entry per break as in _Breaks, but for the
+        # id plan in place of its actions; _replay fills in persistent
+        self.plans: list[IdPlan] = []
+        self.messages: list[int] = []
+        self.signatures: list[int] = []
+        self.factors: list[int] = []
+        self.persistent: list[bool | None] = []
+        # the runs' own message ints: hits unpickled from a forked child
+        # hold a copy of the message each
+        self._messages = {m: m for m, _runner, _sig in runs}
+        # per table row, the indices of the breaks whose plans touch it
+        self.row_hits: dict[int, list[int]] = defaultdict(list)
         self._attempts, self._no_output = [0] * len(self.table), [0] * len(self.table)
         # (index, read slot or None, skipped indices) per table row: a skip
         # window has index -1 and its indices as the range, a data site its
@@ -951,12 +1020,12 @@ class _Tally:
                     jobs += [(min(_BATCH, n - s), r, s) for s in range(0, n, _BATCH)]
         jobs += [(len(b), None, b) for b in (plans[s : s + _BATCH] for s in range(0, len(plans), _BATCH))]
         _fork_join(jobs, self._compute, self._apply, workers)
-        successes, kept = self.successes, self.row_success_idx
+        factors, p, q, row_hits = self.factors, self.key.p, self.key.q, self.row_hits
         for r, (row, attempts, none) in enumerate(zip(self.rows, self._attempts, self._no_output)):
-            sides = [successes[i].side for i in kept.get(r, ())]
-            row.attempts, row.no_output, row.successes = attempts, none, len(sides)
-            row.factor_p, row.factor_q = sides.count("p"), sides.count("q")
-            row.silent = attempts - none - len(sides)
+            hits = [factors[i] for i in row_hits.get(r, ())]
+            row.attempts, row.no_output, row.successes = attempts, none, len(hits)
+            row.factor_p, row.factor_q = hits.count(p), hits.count(q)
+            row.silent = attempts - none - len(hits)
 
     def _compute(self, job: tuple) -> tuple:
         """Run one batch job on every message. A row batch's faults come
@@ -994,59 +1063,90 @@ class _Tally:
             self._no_output[r] += ended
             if hits:
                 first = self.ids.base[r] + arg
-                self._keep([(a,) for a in range(first, first + lanes)], [[r]] * lanes, hits)
+                self._keep({k: (first + k,) for k in set(hits[0])}, r, hits)
             return
         attempts, no_output = self._attempts, self._no_output
         for touched, e in zip(plan_rows, ended or repeat(0)):
             for row in touched:
                 attempts[row] += n_runs
                 no_output[row] += e
-        self._keep(arg, plan_rows, hits)
+        if hits:
+            self._keep(arg, plan_rows, hits)
 
-    def _keep(self, plans: list[IdPlan], plan_rows: list[list[int]], hits: list[tuple]) -> None:
-        """Keep a batch's breaks: each hit (lane k, message, released value,
-        gcd(N, v - S)) becomes an AttackSuccess of plans[k], listed on every
-        row of plan_rows[k]. A lane's hits share its plan and actions."""
-        p, q, mask = self.key.p, self.key.q, self.ids.mask
-        rows, table = self.rows, self.table
-        successes, kept, row_idx = self.successes, self.success_plans, self.row_success_idx
-        # the runs' own message ints: hits unpickled from a forked child
-        # hold a copy of the message each
-        message = {m: m for m, _runner, _sig in self.runs}
-        lane = -1
-        for k, m, v, g in hits:
-            if k != lane:
-                lane, plan, touched = k, plans[k], plan_rows[k]
-                actions = tuple(
-                    [(rows[r].site, rows[r].kind, table[r].values[a & mask]) for r, a in zip(touched, plan)]
-                )
-            for r in touched:
-                row_idx[r].append(len(successes))
-            factor, side = _gcd_leak(p, q, g)
-            successes.append(AttackSuccess(message[m], actions, v, factor, side, None))
-            kept.append(plan)
+    def _keep(
+        self, plans: list[IdPlan] | dict[int, IdPlan], plan_rows: list[list[int]] | int, hits: list[tuple]
+    ) -> None:
+        """Keep a batch's breaks, hits being the columns _score gives: each
+        hit (lane k, message, released value, gcd(N, v - S)) becomes one
+        entry of every break column, with plan plans[k] (a lane's hits share
+        its plan tuple), and is listed on the rows its plan touches: each
+        row of plan_rows[k], or the one row plan_rows when it is an int."""
+        p, q = self.key.p, self.key.q
+        start = len(self.plans)
+        lanes, messages, signatures, gcds = hits
+        self.plans += map(plans.__getitem__, lanes)
+        self.messages += map(self._messages.__getitem__, messages)
+        self.signatures += signatures
+        self.factors += [p if g == p else q for g in gcds]
+        self.persistent += repeat(None, len(lanes))
+        if plan_rows.__class__ is int:
+            self.row_hits[plan_rows] += range(start, len(self.plans))
+            return
+        row_hits = self.row_hits
+        for i, k in enumerate(lanes, start):
+            for r in plan_rows[k]:
+                row_hits[r].append(i)
 
     def _copy_row(self, w: int, r: int) -> None:
         """Give twin read row r the runs of write row w: its counts, and its
-        successes in order, kept under r's action ids (the rows' values are
+        breaks in order, kept under r's action ids (the rows' values are
         equal)."""
         self._attempts[r], self._no_output[r] = self._attempts[w], self._no_output[w]
         first, mask = self.ids.base[r], self.ids.mask
-        plans, hits, source = [], [], None
-        for i in self.row_success_idx.get(w, ()):
-            s, plan = self.successes[i], self.success_plans[i]
-            if plan != source:  # a lane's successes on every message are consecutive
+        kept = self.row_hits.get(w, [])
+        plans, lanes, source = [], [], None
+        for i in kept:
+            plan = self.plans[i]
+            if plan != source:  # a lane's breaks on every message are consecutive
                 source = plan
                 plans.append((first | (plan[0] & mask),))
-            hits.append((len(plans) - 1, s.message, s.signature, s.factor))
-        self._keep(plans, [[r]] * len(plans), hits)
+            lanes.append(len(plans) - 1)
+        if kept:
+            columns = (self.messages, self.signatures, self.factors)
+            self._keep(plans, r, [lanes] + [[column[i] for i in kept] for column in columns])
 
-    def _score(self, faults: tuple) -> tuple[list[list], int, list[tuple[int, int, int, int]]]:
+    def report_breaks(self) -> _Breaks:
+        """The breaks as a report keeps them, holding nothing else of the
+        tally or its table: each id plan decoded to its actions, once per
+        lane, and listed the first _SUCCESSES_PER_ROW breaks, in order,
+        whose plans start on each row, found among the breaks listed on
+        that row."""
+        ids, plans = self.ids, self.plans
+        shift, mask = ids.shift, ids.mask
+        labels = [(self.rows[r].site, self.rows[r].kind) for r in ids.by_id]  # by rank
+        values = [self.table[r].values for r in ids.by_id]
+        actions, source = [], None
+        for plan in plans:
+            if plan is not source:  # a lane's breaks share its plan tuple
+                source = plan
+                decoded = tuple([(*labels[a >> shift], values[a >> shift][a & mask]) for a in plan])
+            actions.append(decoded)
+        listed = []
+        for r, hits in self.row_hits.items():
+            rank = ids.base[r] >> shift
+            listed += islice((i for i in hits if plans[i][0] >> shift == rank), _SUCCESSES_PER_ROW)
+        return _Breaks(
+            self.key.p, actions, self.messages, self.signatures,
+            self.factors, self.persistent, sorted(listed),
+        )
+
+    def _score(self, faults: tuple) -> tuple[list[list], int, list[tuple]]:
         """Run one batch, faults being run_batch's arguments, on every
         message, and score each pass as a column (_column): (columns, none,
         hits). columns[i] is message i's values; none counts the runs with
-        no output. hits holds (lane, message, released value, gcd) per run
-        whose value leaks a factor, in lane order, then message order."""
+        no output. hits is empty when no run leaks a factor, else four
+        columns, one entry per run that does, in lane order, then message
+        order: its lane, message, released value and gcd."""
         n, p, q = self.n, self.key.p, self.key.q
         columns, none, hits = [], 0, []
         for m, runner, sig in self.runs:
@@ -1055,7 +1155,7 @@ class _Tally:
             none += ended
             hits += [(k, m, v, g) for k, v, g in leaks]
         hits.sort(key=itemgetter(0))  # stable: messages stay in order within a lane
-        return columns, none, hits
+        return columns, none, list(zip(*hits))
 
     def _faults(
         self, batch: list[IdPlan], redrawn: dict[int, int] | None = None
@@ -1113,7 +1213,7 @@ def run_campaign(spec: CampaignSpec) -> CampaignReport:
     bound = (2 / r_min) if r_min else None
     _replay(tally, program, spec, bound, first_regs)
     rows = _classify_rows(tally.rows, bound)
-    return _report(program, spec, runs, r_min, plans_total, sampled, rows, tally.successes)
+    return _report(program, spec, runs, r_min, plans_total, sampled, rows, tally.report_breaks())
 
 
 def _signed_baselines(program: Program, spec: CampaignSpec) -> list[tuple[int, FaultRunner, int]]:
@@ -1151,7 +1251,8 @@ def _plans(
 def _replay(
     tally: _Tally, program: Program, spec: CampaignSpec, bound: float | None, first_regs: dict[str, int]
 ) -> None:
-    """Probe successes as plan_persists does and set each row's persistent
+    """Probe successes as plan_persists does, keep each probed break's
+    verdict by its index (tally.persistent), and set each row's persistent
     count.
 
     Fraction bands settle most randomize rows outright; the ambiguous
@@ -1169,22 +1270,22 @@ def _replay(
     t + 1, so a success is persistent when it breaks in every round: the
     verdict plan_persists gives its plan.
     """
-    successes, rows = tally.successes, tally.rows
+    rows, messages = tally.rows, tally.messages
     need: set[int] = set()
     if spec.order > 1:
-        need.update(range(len(successes)))
+        need.update(range(len(messages)))
     else:
-        for r, idxs in tally.row_success_idx.items():
+        for r, idxs in tally.row_hits.items():
             if rows[r].kind != "randomize":
                 need.update(idxs)
             elif _band(rows[r], bound) is None:
                 need.update(idxs[:_REPLAY_CAP])
     redraw = site_domains(program, first_regs) if spec.order > 1 else None
-    key, plans, table = spec.key, tally.success_plans, tally.table
+    key, plans, table = spec.key, tally.plans, tally.table
     by_id, shift = tally.ids.by_id, tally.ids.shift
     n, p, q = tally.n, key.p, key.q
-    alts = {m: _alt_messages(n, m) for m in {successes[i].message for i in need}}
-    pending = sorted(need)
+    alts = {m: _alt_messages(n, m) for m in {messages[i] for i in need}}
+    replayed = pending = sorted(need)
     for t, step in enumerate(_ALT_SEED_STEPS):
         redrawn = {}
         if redraw:
@@ -1194,7 +1295,7 @@ def _replay(
                     redrawn[r] = _redrawn_value(site, *redraw[site], spec.seed, t)
         groups: dict[int, list[int]] = defaultdict(list)
         for i in pending:
-            groups[alts[successes[i].message][t % 2]].append(i)
+            groups[alts[messages[i]][t % 2]].append(i)
         pending = []
         for m, group in groups.items():
             runner = _runner(program, key, m, spec.seed + step)
@@ -1203,13 +1304,13 @@ def _replay(
                 faults, _rows = tally._faults([plans[i] for i in chunk], redrawn)
                 _values, _ended, leaks = _column(n, p, q, runner.run_batch(*faults), runner.signature)
                 pending += [chunk[k] for k, _v, _g in leaks]
-    persistent = set(pending)
-    for i in need:
-        successes[i].persistent = i in persistent
-    for r, idxs in tally.row_success_idx.items():
-        replayed = [successes[i].persistent for i in idxs if successes[i].persistent is not None]
-        if replayed:
-            rows[r].persistent = sum(replayed)
+    survived, verdicts = set(pending), tally.persistent
+    for i in replayed:
+        verdicts[i] = i in survived
+    for r, idxs in tally.row_hits.items():
+        kept = [v for v in map(verdicts.__getitem__, idxs) if v is not None]
+        if kept:
+            rows[r].persistent = sum(kept)
 
 
 def _classify_rows(rows: list[SiteRow], bound: float | None) -> list[SiteRow]:
@@ -1229,16 +1330,16 @@ def _report(
     plans_total: int,
     sampled: bool,
     rows: list[SiteRow],
-    successes: list[AttackSuccess],
+    breaks: _Breaks,
 ) -> CampaignReport:
     key = spec.key
     totals = {
         "order": spec.order,
         "attempts": sum(r.attempts for r in rows),
-        "successes_total": len(successes),
+        "successes_total": len(breaks.messages),
         "structural_rows": sum(1 for r in rows if r.classification == CLASS_STRUCTURAL),
         "collision_rows": sum(1 for r in rows if r.classification == CLASS_COLLISION),
-        "persistent_successes": sum(1 for s in successes if s.persistent),
+        "persistent_successes": breaks.persistent.count(True),
     }
     spec_echo = {
         f.name: getattr(spec, f.name)
@@ -1257,7 +1358,7 @@ def _report(
         plans_total=plans_total,
         sampled_plans=sampled,
         rows=rows,
-        successes=successes,
+        breaks=breaks,
         totals=totals,
     )
 

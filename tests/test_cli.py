@@ -90,6 +90,26 @@ def test_campaign_reports_are_byte_identical_across_reruns(tmp_path, capsys):
     assert c.read_text().splitlines()[0].startswith("site,kind,phase,")
 
 
+def test_a_campaign_builds_only_the_successes_its_report_lists(tmp_path, monkeypatch):
+    built = []
+    real = faultengine.AttackSuccess
+
+    def counting(*fields):
+        built.append(fields)
+        return real(*fields)
+
+    monkeypatch.setattr(faultengine, "AttackSuccess", counting)
+    args = ["campaign", "--algo", "shamir", "--kinds", "zero,randomize,skip", "--r-bits", "5"]
+    out = tmp_path / "rep.json"
+    assert main(args + ["--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["successes_total"] > len(doc["successes"]) > 0
+    assert len(built) == len(doc["successes"])
+    built.clear()
+    assert main(args + ["--format", "csv", "--out", str(tmp_path / "rep.csv")]) == 0
+    assert built == []
+
+
 def test_campaign_flag_defaults_are_the_spec_defaults(monkeypatch):
     specs = []
 
@@ -263,6 +283,8 @@ def test_a_dump_with_one_validate_error_is_refused(tmp_path, capsys, kind, old, 
     path = tmp_path / "tiny.txt"
     path.write_text(RUNNABLE)
     assert main(["transform", "--kind", "harden", "--program", str(path)]) == 0
+    assert main(["dump", "--program", str(path)]) == 0
+    assert capsys.readouterr().out.endswith(RUNNABLE)
     text = RUNNABLE.replace(old, new)
     assert text != RUNNABLE
     prog = parse_dump(text)
@@ -272,6 +294,10 @@ def test_a_dump_with_one_validate_error_is_refused(tmp_path, capsys, kind, old, 
     path.write_text(text)
     assert main(["transform", "--kind", "harden", "--program", str(path)]) == 3
     assert f"is not runnable: {detail}" in capsys.readouterr().err
+    # dump refuses what it could not re-emit as a runnable program
+    assert main(["dump", "--program", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and f"is not runnable: {detail}" in err
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,10 @@
 """Campaign engine: plan spaces, scoring, reports, persistence probes."""
 
+import gc
+import hashlib
+import json
 import random
+import weakref
 from collections import defaultdict
 from dataclasses import replace
 from itertools import combinations
@@ -785,7 +789,7 @@ def _columns(draw):
 @settings(max_examples=60)
 @given(_columns(), st.sampled_from([1, 2]))
 def test_column_scoring_matches_score_outcome_run_by_run(columns, order):
-    """_Tally's counts and successes equal score_outcome's, called on each
+    """_Tally's counts and break columns equal score_outcome's, called on each
     result in plan order, then message order, at order 1 (row batches,
     twin rows included, then the skip rows as one-id plans) and order 2
     (plan batches)."""
@@ -828,11 +832,13 @@ def test_column_scoring_matches_score_outcome_run_by_run(columns, order):
                 successes.append((m, acts, res.value, factor, side, plan))
     got = [[r.attempts, r.successes, r.factor_p, r.factor_q, r.no_output, r.silent] for r in tally.rows]
     assert got == counts
+    breaks = tally.report_breaks()
     assert [
         (s.message, s.actions, s.signature, s.factor, s.side, plan)
-        for s, plan in zip(tally.successes, tally.success_plans)
+        for s, plan in zip(breaks.successes(range(len(tally.plans))), tally.plans)
     ] == successes
-    assert len(tally.successes) == len(tally.success_plans)
+    columns = (breaks.actions, breaks.messages, breaks.signatures, breaks.factors, breaks.persistent)
+    assert {len(column) for column in columns} == {len(tally.plans)}
 
 
 class _Ran:
@@ -1001,6 +1007,96 @@ def test_one_worker_never_forks_and_a_failed_fork_runs_its_chunk_here(forks, mon
     monkeypatch.setattr(faultengine.os, "fork", failing)
     got = run_campaign(replace(spec, workers=2))
     assert tried and (got.to_json(), got.to_csv()) == (want.to_json(), want.to_csv())
+
+
+# ---------------------------------------------------------------- report store
+
+# sha256 of repr([(message, actions, signature, factor, side, persistent)])
+# over a report's successes, as an AttackSuccess per break, built while the
+# campaign ran, gave them before the breaks were kept as columns
+EAGER_SUCCESSES = {
+    "shamir@1": (
+        dict(algo="shamir", messages=(2, 3, 75), **ALL_KINDS),
+        3356,
+        "428a932b94aa50c7b0b48fa6b5b1d99745cbe51efd6b523ffe51300ac92ac924",
+    ),
+    "shamir@2": (
+        dict(algo="shamir", messages=(2, 3), order=2, plan_limit=300, **ALL_KINDS),
+        106,
+        "0625f5f5e32ee08a24da161839944a239b34ffa70f08a8e1bc92b796dd7699b4",
+    ),
+    "aumuller@2": (
+        dict(algo="aumuller", order=2, kinds=("randomize",), r_bits=5, plan_limit=400),
+        10,
+        "602f69cdd4c5b6dd9265c93999f173c3dfcc9539d5b889221f02e7f6a5a11d07",
+    ),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", sorted(EAGER_SUCCESSES))
+def test_report_successes_are_the_list_an_eager_tally_built(forks, monkeypatch, name, workers):
+    monkeypatch.setattr(faultengine, "_BATCH", 16)  # enough batches to fork at workers=2
+    kw, count, digest = EAGER_SUCCESSES[name]
+    spec = CampaignSpec(key=TINY, workers=workers, **kw)
+    rep = run_campaign(spec)
+    assert (forks["forks"] > 0) == (workers > 1)
+    got = [(s.message, s.actions, s.signature, s.factor, s.side, s.persistent) for s in rep.successes]
+    assert len(got) == count and rep.totals["successes_total"] == count
+    assert hashlib.sha256(repr(got).encode()).hexdigest() == digest
+    assert all(type(s) is faultengine.AttackSuccess for s in rep.successes)
+    assert rep.successes is rep.successes  # built once
+    assert rep.totals["persistent_successes"] == sum(1 for s in rep.successes if s.persistent)
+    assert rep.persistent_successes() == [s for s in rep.successes if s.persistent]
+    # to_json lists the first successes of each (first site, kind)
+    seen, listed = defaultdict(int), []
+    for s in rep.successes:
+        seen[s.actions[0][:2]] += 1
+        if seen[s.actions[0][:2]] <= faultengine._SUCCESSES_PER_ROW:
+            listed.append({f: getattr(s, f) for f in faultengine._SUCCESS_FIELDS})
+    doc = json.loads(rep.to_json())
+    assert doc["successes"] == json.loads(json.dumps(listed)) and doc["successes_total"] == count
+    if spec.order == 1:
+        # twin read rows kept the successes of their write rows
+        prog = build(spec.algo, TINY, r_bits=spec.r_bits, build_seed=spec.build_seed)
+        table = site_action_table(prog, spec)
+        rows = {(r.site, r.kind): r for r in rep.rows}
+        twins = faultengine._twin_rows(prog.compiled, table)
+        assert any(rows[table[r].site.key(prog), table[r].kind.value].successes for r in twins)
+
+
+def test_no_tally_runner_or_table_outlives_run_campaign(monkeypatch):
+    made = []
+
+    def recording(make):
+        def made_by(*args, **kw):
+            out = make(*args, **kw)
+            made.extend((type(x).__name__, weakref.ref(x)) for x in (out if isinstance(out, list) else [out]))
+            return out
+
+        return made_by
+
+    tally_init, runner_init = faultengine._Tally.__init__, FaultRunner.__init__
+
+    def recording_init(init):
+        def made_by(self, *args):
+            made.append((type(self).__name__, weakref.ref(self)))
+            init(self, *args)
+
+        return made_by
+
+    monkeypatch.setattr(faultengine._Tally, "__init__", recording_init(tally_init))
+    monkeypatch.setattr(FaultRunner, "__init__", recording_init(runner_init))
+    monkeypatch.setattr(faultengine, "site_action_table", recording(faultengine.site_action_table))
+    monkeypatch.setattr(faultengine, "build", recording(faultengine.build))
+    for order, workers in ((1, 1), (1, 2), (2, 2)):
+        made.clear()
+        spec = tiny_spec(algo="shamir", order=order, plan_limit=300, workers=workers, **ALL_KINDS)
+        rep = run_campaign(spec)
+        assert {name for name, _ref in made} == {"_Tally", "FaultRunner", "SiteActions", "Program"}
+        gc.collect()
+        assert [name for name, ref in made if ref() is not None] == []
+        assert rep.successes and rep.to_json()  # the report still reads its breaks
 
 
 def test_spec_validation_rejects_nonsense():
