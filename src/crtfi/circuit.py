@@ -52,10 +52,9 @@ Programs run on three paths that give the same results:
     lane faults it or some lane changed a value it reads.
 
 Both runners start from a baseline execute() run and use the program's
-compiled form (Program.compiled, built once per Program).
-Program.runner_for keeps the runners it builds under a caller's name for
-the inputs (faultengine's key and message), so a baseline runs once per
-(program, inputs, seed), however many plans replay against it.
+compiled form (Program.compiled, built once per Program). Each Program
+holds a dict, _runners, in which faultengine keeps the runners it builds,
+so a baseline runs once per (program, key, message, seed).
 
 Every program is written through ProgramBuilder: the catalog builders of
 countermeasures and the rewrites of transforms alike. Its factor method
@@ -74,16 +73,9 @@ from dataclasses import astuple, dataclass, field, replace
 from enum import Enum
 from itertools import repeat
 from operator import add, eq, mod, mul, sub
-from typing import Callable, Hashable, get_type_hints
+from typing import Callable, get_type_hints
 
 from .modmath import is_prime
-
-# ------------------------------------------------------------------ registers
-
-
-# runners one Program keeps (Program.runner_for); a campaign needs one per message
-# plus four per message for its replay probes
-_RUNNER_MEMO_SIZE = 64
 
 
 # ---------------------------------------------------------------- instructions
@@ -540,7 +532,9 @@ class ProgramMeta:
     factors: tuple[InfectionFactor, ...] = ()
     infection_indices: tuple[int, ...] = ()  # product chain + final ModExp
     output_tail: tuple[int, ...] = ()  # result retrieval, not faultable as data
-    checksum_power: int = 0  # 1: collisions ~1/r, 2: ~1/r^2, 0: no checksum ring
+    # the checksum ring's collision rate (1: ~1/r, 2: ~1/r^2, 0: no ring), read
+    # by dumps only: faultengine._classify bounds both powers by 2/r_min
+    checksum_power: int = 0
     r_regs: tuple[str, ...] = ()  # registers holding the small checksum moduli
     n_reg: str | None = None  # register holding p*q when the program computes it
     one_reg: str | None = None
@@ -603,28 +597,6 @@ class Program:
     @functools.cached_property
     def _runners(self) -> dict[tuple, FaultRunner]:
         return {}
-
-    def runner_for(
-        self, tag: Hashable, seed: int, inputs: Callable[[], dict[str, int]]
-    ) -> FaultRunner:
-        """The FaultRunner kept under (tag, seed), built on inputs() if there
-        is none.
-
-        tag names the input map (faultengine passes its key and message), so
-        a runner's fault-free baseline runs once per (program, tag, seed)
-        and the map is built only on a miss. At most _RUNNER_MEMO_SIZE
-        runners are kept; the oldest goes first. A construction that raises
-        is not kept, so the next call raises again.
-        """
-        key = (tag, seed)
-        memo = self._runners
-        found = memo.get(key)
-        if found is None:
-            found = FaultRunner(self, inputs(), seed)
-            if len(memo) >= _RUNNER_MEMO_SIZE:
-                del memo[next(iter(memo))]
-            memo[key] = found
-        return found
 
 
 # ------------------------------------------------------------------ validation
@@ -985,7 +957,7 @@ class FaultRunner:
     run. `run_batch` applies the same rule to many plans in one pass.
     This relies on def-before-use, write-once registers, so a program that
     `validate` rejects raises BuildError here. Campaigns get their runners
-    from Program.runner_for, which keeps them.
+    from faultengine, which keeps them in Program._runners.
     """
 
     def __init__(self, program: Program, inputs: dict[str, int], seed: int):

@@ -47,11 +47,11 @@ breaks under its own site.
 The replay probes run round-major: each round runs the successes still
 pending as run_batch lanes, one runner pass per batch and alternate
 message, scored as a column; plan_persists, which runs one plan at a time
-through FaultRunner.run, stays the reference. Runners are kept by the
-program under (key, message, seed), so each baseline runs once: the
-campaign's messages, the site-action table and every replay round share
-them. Before any fault is injected, each message's fault-free output must
-be its CRT signature.
+through FaultRunner.run, stays the reference. _runner alone keeps runners,
+a bounded dict per program under (key, message, seed), so each baseline
+runs once: the campaign's messages, the site-action table and every replay
+round share them. Before any fault is injected, each message's fault-free
+output must be its CRT signature.
 
 Everything is deterministic in (spec, program): sampling is seeded per
 site and runs are tallied in plan order, then message order.
@@ -69,7 +69,6 @@ import math
 import os
 import random
 import threading
-import weakref
 import zlib
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
@@ -676,26 +675,25 @@ def _column(n: int, p: int, q: int, results: list, sig: int) -> tuple[list, int,
     return values, ended, [(k, released[k], g) for k, g in enumerate(gs) if g == p or g == q]
 
 
-# _runner's last answer: weak references to its program, key and runner,
-# then its message and seed
-_last_runner: tuple = (None, None, None, None, None)
+# runners _runner keeps per program; a campaign needs one per message plus
+# four per message for its replay probes
+_RUNNER_MEMO_SIZE = 64
 
 
 def _runner(program: Program, key: CrtKey, message: int, seed: int) -> FaultRunner:
-    """program's runner on one message, kept by the program under (key,
-    message, seed) (Program.runner_for), so program_inputs runs once per new
-    key and message. A call that repeats the last one with the same
-    program and key objects, as replay_plan's callers make one per plan,
-    gets the same runner without hashing the key or building the inputs
-    closure; the weak references keep nothing alive."""
-    global _last_runner
-    prog_ref, key_ref, m, s, runner_ref = _last_runner
-    if m == message and s == seed and prog_ref() is program and key_ref() is key:
-        runner = runner_ref()
-        if runner is not None:
-            return runner
-    runner = program.runner_for((key, message), seed, lambda: program_inputs(program, key, message))
-    _last_runner = (weakref.ref(program), weakref.ref(key), message, seed, weakref.ref(runner))
+    """program's runner on one message, kept in program._runners under
+    (key, message, seed), so a baseline runs and program_inputs builds its
+    map once per new key, message and seed. At most _RUNNER_MEMO_SIZE
+    runners are kept; the oldest goes first. A construction that raises
+    is not kept, so the next call raises again."""
+    memo = program._runners
+    tag = (key, message, seed)
+    runner = memo.get(tag)
+    if runner is None:
+        runner = FaultRunner(program, program_inputs(program, key, message), seed)
+        if len(memo) >= _RUNNER_MEMO_SIZE:
+            del memo[next(iter(memo))]
+        memo[tag] = runner
     return runner
 
 

@@ -24,9 +24,11 @@ from crtfi.circuit import (
     Signature,
     SkipRange,
     WriteOf,
+    dump_program,
     enumerate_sites,
     execute,
     find_write,
+    parse_dump,
     same_result,
 )
 from crtfi import faultengine
@@ -537,6 +539,22 @@ def test_random_draw_sites_are_phase_flagged():
     assert len(without) <= len(with_rng)
     kept = {(s.message, s.actions) for s in without}
     assert kept <= {(s.message, s.actions) for s in with_rng}
+
+
+def test_a_dump_without_phases_tags_every_row_main():
+    dump = dump_program(build("aumuller", TINY, r_bits=5, build_seed=0))
+    lines = dump.splitlines(keepends=True)
+    stripped = "".join(line for line in lines if not line.startswith("# phases "))
+    assert len(stripped.splitlines()) == len(lines) - 1
+    spec = dict(
+        key=TINY, messages=(2, 3), kinds=("zero", "randomize", "skip"),
+        exhaustive_threshold=64, samples_per_site=8, r_bits=5,
+    )
+    rows = run_campaign(CampaignSpec(program=parse_dump(dump), **spec)).rows
+    bare = run_campaign(CampaignSpec(program=parse_dump(stripped), **spec)).rows
+    assert len({r.phase for r in rows}) > 1
+    assert {r.phase for r in bare} == {"main"}
+    assert bare == [replace(r, phase="main") for r in rows]
 
 
 # ----------------------------------------------------------------- subsumption
@@ -1100,11 +1118,13 @@ def test_no_tally_runner_or_table_outlives_run_campaign(monkeypatch):
 
 
 def test_spec_validation_rejects_nonsense():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="order must be at least 1"):
         CampaignSpec(key=TINY, algo="unprotected", order=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        CampaignSpec(key=TINY, algo="unprotected", workers=0)
+    with pytest.raises(ValueError, match="unknown fault kind 'melt'"):
         CampaignSpec(key=TINY, algo="unprotected", kinds=("melt",))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="give exactly one of algo or program"):
         CampaignSpec(key=TINY)  # neither algo nor program
     with pytest.raises(ValueError, match="message 2 is repeated"):
         CampaignSpec(key=TINY, algo="unprotected", messages=(2, 3, 2))

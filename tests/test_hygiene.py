@@ -6,7 +6,8 @@ every public module-level name somewhere in the package or its tests,
 every public method of a package class is referenced outside that class, in
 the package or its tests, and every attribute a package class stores on
 self is read somewhere in the package or its tests, so no leftover import,
-helper, method or memo survives the code that needed it.
+helper, method or memo survives the code that needed it. The modules form
+layers, and each imports only from the layers below it.
 """
 
 import ast
@@ -136,3 +137,32 @@ def test_every_attribute_stored_on_self_is_read():
         and node.attr not in read
     ]
     assert unread == []
+
+
+# the package's modules, lowest layer first
+LAYERS = ("modmath", "keytools", "circuit", "transforms", "countermeasures", "faultengine", "cli")
+
+
+def _package_imports(tree: ast.Module) -> set[str]:
+    """The package modules a tree imports, at any depth. The package imports
+    itself relatively; an absolute import of it is named "crtfi", which is
+    no layer."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            out.update([node.module.split(".")[0]] if node.module else [a.name for a in node.names])
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module]
+            out.update(n.split(".")[0] for n in names if n.split(".")[0] == "crtfi")
+    return out
+
+
+def test_each_module_imports_only_from_the_layers_below_it():
+    assert sorted(f"{m}.py" for m in LAYERS) == sorted(MODULES)
+    upward = [
+        f"{m} imports {dep}"
+        for i, m in enumerate(LAYERS)
+        for dep in sorted(_package_imports(MODULES[f"{m}.py"]))
+        if dep not in LAYERS[:i]
+    ]
+    assert upward == []

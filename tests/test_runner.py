@@ -50,6 +50,7 @@ from crtfi.circuit import (
     dst_of,
     dump_program,
     execute,
+    find_write,
     modulus_reg,
     parse_dump,
     program_digest,
@@ -632,7 +633,7 @@ def test_a_different_message_or_seed_gets_a_different_runner():
 
 def test_the_runner_memo_keeps_a_bounded_number_dropping_the_oldest(execute_calls):
     prog = build("unprotected", TINY, r_bits=5, build_seed=0)
-    bound = crtfi.circuit._RUNNER_MEMO_SIZE
+    bound = crtfi.faultengine._RUNNER_MEMO_SIZE
     for seed in range(bound + 5):
         _runner(prog, TINY, 2, seed)
         assert len(prog._runners) <= bound
@@ -643,6 +644,16 @@ def test_the_runner_memo_keeps_a_bounded_number_dropping_the_oldest(execute_call
     assert len(execute_calls) == bound + 5
     _runner(prog, TINY, 2, 0)  # the oldest was dropped
     assert len(execute_calls) == bound + 6
+
+
+def test_plan_persists_builds_each_probe_baseline_once(execute_calls):
+    # its four rounds alternate two messages under four seeds
+    prog = build("unprotected", TINY, r_bits=5, build_seed=0)  # a fresh memo
+    plan = (FaultAction(WriteOf(find_write(prog, "sq")), FaultKind.RANDOMIZE, 0),)
+    assert plan_persists(prog, TINY, 2, plan, 42)
+    assert len(execute_calls) == 4
+    assert plan_persists(prog, TINY, 2, plan, 42)
+    assert len(execute_calls) == 4
 
 
 def test_a_kept_runner_gives_what_a_fresh_one_gives_on_a_whole_plan_list():
