@@ -17,6 +17,11 @@ its destination register - the memory content an attacker would find after the
 store never happened. A skipped CheckEq counts as passed. A skipped Return
 releases the zero-initialized output buffer.
 
+The three sites and FaultAction are slotted frozen dataclasses, with no
+per-instance dict: a replay grid holds some 10^5 of them. A FaultAction
+carries a value for Randomize only. plan_faults decodes a plan and refuses
+a site it names twice as it decodes, hashing no site.
+
 Raw inputs (loaded by LoadInput) can be faulted transiently at each read but
 have no WriteOf site. Random draws are per-instruction-site seeded streams, so
 a plan never shifts the draws of untouched sites and faulted runs share their
@@ -675,7 +680,12 @@ class FaultKind(Enum):
     SKIP = "skip"
 
 
-@dataclass(frozen=True, order=True)
+# module globals: the enum class lookup costs ~10x
+_RANDOMIZE = FaultKind.RANDOMIZE
+_SKIP = FaultKind.SKIP
+
+
+@dataclass(frozen=True, order=True, slots=True)
 class WriteOf:
     index: int
 
@@ -683,7 +693,7 @@ class WriteOf:
         return f"W{self.index}:{dst_of(program.instrs[self.index])}"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class ReadOf:
     index: int
     slot: int
@@ -693,7 +703,7 @@ class ReadOf:
         return f"R{self.index}.{self.slot}:{reg}"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class SkipRange:
     first: int
     last: int
@@ -705,27 +715,32 @@ class SkipRange:
 FaultSite = WriteOf | ReadOf | SkipRange
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FaultAction:
-    """One injection: a site, a kind, and the replacement for Randomize."""
+    """One injection: a site, a kind, and the replacement value, which
+    Randomize needs and Zero and Skip refuse."""
 
     site: FaultSite
     kind: FaultKind
     value: int | None = None
 
     def __post_init__(self):
-        if self.kind is FaultKind.RANDOMIZE and self.value is None:
-            raise ValueError("Randomize needs a replacement value")
-        if self.kind is FaultKind.SKIP and not isinstance(self.site, SkipRange):
+        kind = self.kind
+        if kind is _RANDOMIZE:
+            if self.value is None:
+                raise ValueError("Randomize needs a replacement value")
+        elif self.value is not None:
+            raise ValueError(f"{kind.name.capitalize()} takes no replacement value")
+        window = self.site.__class__ is SkipRange
+        if kind is _SKIP and not window:
             raise ValueError("Skip applies to SkipRange sites only")
-        if self.kind is not FaultKind.SKIP and isinstance(self.site, SkipRange):
+        if kind is not _SKIP and window:
             raise ValueError("SkipRange sites take Skip faults only")
 
 
 FaultPlan = tuple[FaultAction, ...]
 # a plan as plan_faults decodes it: writes, reads, skipped, pending
 DecodedPlan = tuple[dict[int, int], dict[int, dict[int, int]], int, int]
-_RANDOMIZE = FaultKind.RANDOMIZE  # a module global: the enum class lookup costs ~10x
 
 
 def enumerate_sites(program: Program, max_skip_len: int = 0) -> list[FaultSite]:
@@ -790,34 +805,45 @@ class ExecOutcome:
         return out
 
 
+_TWICE = "a plan faults one site twice"
+
+
 def plan_faults(plan: FaultPlan, n: int) -> DecodedPlan:
     """A plan over n instructions as (write replacements, read replacements
     by index then slot, bitmask of skipped indices, bitmask of the indices
     FaultRunner must re-evaluate first). A site past either end changes
-    nothing. A plan that names one site twice is refused with ValueError;
-    overlapping windows, and a write inside a window, are different sites.
+    nothing. A plan that names one site twice is refused with ValueError,
+    as it is decoded: a write index already in writes, a read slot already
+    in its instruction's reads, a window seen before. Overlapping windows,
+    and a write inside a window, are different sites.
     """
     writes: dict[int, int] = {}
     reads: dict[int, dict[int, int]] = {}
+    windows: list[SkipRange] = []
     skipped = pending = 0
     for act in plan:
         site = act.site
         cls = site.__class__
         if cls is SkipRange:
+            if site in windows:
+                raise ValueError(_TWICE)
+            windows.append(site)
             first, last = max(site.first, 0), min(site.last, n - 1)
             if first <= last:
                 skipped |= (1 << (last + 1)) - (1 << first)
             continue
         i = site.index
-        val = (act.value or 0) if act.kind is _RANDOMIZE else 0
         if cls is WriteOf:
-            writes[i] = val
+            if i in writes:
+                raise ValueError(_TWICE)
+            writes[i] = act.value or 0
         else:
-            reads.setdefault(i, {})[site.slot] = val
+            slots = reads.setdefault(i, {})
+            if site.slot in slots:
+                raise ValueError(_TWICE)
+            slots[site.slot] = act.value or 0
         if 0 <= i < n:
             pending |= 1 << i
-    if len(plan) > 1 and len({act.site for act in plan}) < len(plan):
-        raise ValueError("a plan faults one site twice")
     return writes, reads, skipped, pending | skipped
 
 

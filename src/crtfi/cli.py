@@ -110,7 +110,7 @@ def _cmd_transform(args) -> int:
     elif args.kind == "to-testbased":
         prog = to_testbased(prog)
     else:
-        prog = harden(prog, args.copies)
+        prog = harden(prog, 2 if args.copies is None else args.copies)
     _emit(dump_program(prog), args.out)
     return 0
 
@@ -210,7 +210,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--program", help="read an existing dump instead of building")
     _add_key_flag(p)
     _add_build_flags(p)
-    p.add_argument("--copies", type=int, default=2, help="harden replication count")
+    p.add_argument("--copies", type=int, help="harden replication count (default 2)")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_transform)
 
@@ -225,6 +225,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     if args.command in ("dump", "transform") and (args.algo is None) == (args.program is None):
         print("give exactly one of --algo or --program", file=sys.stderr)
+        return 2
+    if args.command == "transform" and args.copies is not None and args.kind != "harden":
+        print("--copies applies to --kind harden only", file=sys.stderr)
         return 2
     try:
         return args.fn(args)

@@ -75,8 +75,8 @@ def gen_key(prime_bits: int, seed: int) -> RsaKey:
     e is the smallest odd value >= 3 coprime to lambda(n); d = e^-1 mod phi(n).
     Deterministic per (prime_bits, seed).
     """
-    if not 2 <= prime_bits <= 64:
-        raise DomainError(f"prime_bits must be in [2, 64], got {prime_bits}")
+    if not 3 <= prime_bits <= 64:
+        raise DomainError(f"prime_bits must be in [3, 64], got {prime_bits}")
     rng = random.Random(seed)
     p = _draw_prime(rng, prime_bits)
     q = _draw_prime(rng, prime_bits)

@@ -1,5 +1,8 @@
 """Instruction set, interpreter, and fault semantics."""
 
+import copy
+import pickle
+
 import pytest
 
 from crtfi.circuit import (
@@ -37,6 +40,7 @@ from crtfi.circuit import (
     validate,
 )
 from crtfi.countermeasures import build, catalog, program_inputs
+from crtfi.faultengine import _redrawn_value
 from crtfi.keytools import derive_crt
 from crtfi.modmath import bellcore_extract, mod_exp
 from crtfi.transforms import (
@@ -344,16 +348,48 @@ def test_malformed_program_lines_are_refused(line):
 
 
 @pytest.mark.parametrize(
-    "site, kind, detail",
+    "site, kind, detail, value",
     [
-        (WriteOf(3), FaultKind.RANDOMIZE, "Randomize needs a replacement value"),
-        (ReadOf(3, 0), FaultKind.SKIP, "Skip applies to SkipRange sites only"),
-        (SkipRange(2, 3), FaultKind.ZERO, "SkipRange sites take Skip faults only"),
+        (WriteOf(3), FaultKind.RANDOMIZE, "Randomize needs a replacement value", None),
+        (ReadOf(3, 0), FaultKind.SKIP, "Skip applies to SkipRange sites only", None),
+        (SkipRange(2, 3), FaultKind.ZERO, "SkipRange sites take Skip faults only", None),
+        # a value on a Zero or Skip action would run as the bare kind yet compare unequal
+        (WriteOf(3), FaultKind.ZERO, "Zero takes no replacement value", 5),
+        (ReadOf(3, 0), FaultKind.ZERO, "Zero takes no replacement value", 0),
+        (SkipRange(2, 3), FaultKind.SKIP, "Skip takes no replacement value", 5),
     ],
 )
-def test_a_fault_action_of_the_wrong_kind_for_its_site_is_refused(site, kind, detail):
+def test_a_fault_action_of_the_wrong_kind_for_its_site_is_refused(site, kind, detail, value):
     with pytest.raises(ValueError, match=detail):
-        FaultAction(site, kind)
+        FaultAction(site, kind, value)
+
+
+SITES = (WriteOf(3), ReadOf(3, 1), SkipRange(2, 3))
+ACTIONS = (
+    FaultAction(WriteOf(3), FaultKind.ZERO),
+    FaultAction(ReadOf(3, 1), FaultKind.RANDOMIZE, 5),
+    FaultAction(SkipRange(2, 3), FaultKind.SKIP),
+)
+
+
+def test_fault_sites_and_actions_are_slotted_values_that_keep_repr_and_order():
+    for obj in (*SITES, *ACTIONS):
+        assert not hasattr(obj, "__dict__"), obj
+        for twin in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+            assert twin == obj and hash(twin) == hash(obj)
+    # probe rounds seed their redraws from repr(site), so it must not change
+    assert [repr(s) for s in SITES] == [
+        "WriteOf(index=3)", "ReadOf(index=3, slot=1)", "SkipRange(first=2, last=3)",
+    ]
+    assert _redrawn_value(WriteOf(3), 100, 7, 42, 0) == 32
+    # each class still sorts by its fields
+    assert sorted([WriteOf(9), WriteOf(-1), WriteOf(3)]) == [WriteOf(-1), WriteOf(3), WriteOf(9)]
+    assert sorted([ReadOf(3, 1), ReadOf(2, 2), ReadOf(3, 0)]) == [
+        ReadOf(2, 2), ReadOf(3, 0), ReadOf(3, 1),
+    ]
+    assert sorted([SkipRange(2, 3), SkipRange(1, 4), SkipRange(2, 2)]) == [
+        SkipRange(1, 4), SkipRange(2, 2), SkipRange(2, 3),
+    ]
 
 
 def test_operand_slots_and_moduli_per_instruction():

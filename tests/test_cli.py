@@ -316,6 +316,18 @@ def test_a_key_file_that_is_not_one_object_of_decimals_is_refused(tmp_path, caps
     assert detail in capsys.readouterr().err
 
 
+def test_copies_is_refused_outside_harden(capsys):
+    for kind in ("to-infective", "to-testbased"):
+        assert main(["transform", "--kind", kind, "--algo", "aumuller", "--copies", "5"]) == 2
+    assert capsys.readouterr().err.count("--copies applies to --kind harden only") == 2
+    # harden keeps its default of two copies
+    assert main(["transform", "--kind", "harden", "--algo", "aumuller", "--r-bits", "5"]) == 0
+    default = capsys.readouterr().out
+    assert main(["transform", "--kind", "harden", "--algo", "aumuller", "--r-bits", "5",
+                 "--copies", "2"]) == 0
+    assert capsys.readouterr().out == default
+
+
 def test_dump_demands_exactly_one_source(tmp_path, capsys):
     assert main(["dump"]) == 2
     some = tmp_path / "p.txt"

@@ -23,7 +23,7 @@ from crtfi.keytools import (
     recover_e,
     write_key_file,
 )
-from crtfi.modmath import is_prime, mod_exp
+from crtfi.modmath import DomainError, is_prime, mod_exp
 
 # ---------------------------------------------------------------- generation
 
@@ -47,6 +47,16 @@ def test_generated_primes_are_distinct_and_prime():
 def test_same_seed_reproduces_the_key():
     assert gen_key(8, 5) == gen_key(8, 5)
     assert gen_key(8, 5) != gen_key(8, 6)
+
+
+def test_prime_widths_outside_three_to_sixty_four_bits_are_refused():
+    # the only 2-bit primes, 2 and 3, give N = 6, where dp = 0 and no
+    # default campaign message is a unit
+    for bits in (1, 2, 65):
+        with pytest.raises(DomainError, match=r"prime_bits must be in \[3, 64\]"):
+            gen_key(bits, 0)
+    for seed in range(4):
+        assert {gen_key(3, seed).p, gen_key(3, seed).q} == {5, 7}
 
 
 # ---------------------------------------------------------------- derivation

@@ -102,7 +102,7 @@ def batch(plans, n):
     for lane, plan in enumerate(plans):
         for act in plan:
             site = act.site
-            v = (act.value or 0) if act.kind is FaultKind.RANDOMIZE else 0
+            v = act.value or 0
             if isinstance(site, SkipRange):
                 for j in range(max(site.first, 0), min(site.last, n - 1) + 1):
                     skips[j].append(lane)
@@ -205,6 +205,8 @@ def test_a_plan_that_faults_one_site_twice_is_refused():
         (_write(w, 5), _read(w + 1, 0, 3), FaultAction(WriteOf(w), FaultKind.ZERO)),
         (_skip(w, w + 1), _write(w, 5), _skip(w, w + 1)),
         (_write(n + 4, 1), _write(n + 4, 2)),  # a site past the end is still one site
+        (_write(-2, 1), FaultAction(WriteOf(-2), FaultKind.ZERO)),  # and one before the start
+        (_read(w, 7, 1), _read(w, 7, 2)),  # and a slot past the instruction's read slots
     ]
     inputs = program_inputs(prog, TINY, 2)
     for plan in twice:
@@ -216,6 +218,17 @@ def test_a_plan_that_faults_one_site_twice_is_refused():
         ):
             with pytest.raises(ValueError, match="one site twice"):
                 run()
+    # sites that share an index or overlap are still different sites
+    b = next(i for i, ins in enumerate(prog.instrs) if i > w and len(reads_of(ins)) >= 2)
+    different = [
+        (_read(b, 0, 3), FaultAction(ReadOf(b, 1), FaultKind.ZERO)),
+        (_skip(w, w + 1), _skip(w + 1, w + 2)),
+        (_skip(w, w + 2), _write(w + 1, 5)),
+    ]
+    for plan in different:
+        want = execute(prog, inputs, seed=42, plan=plan).result
+        assert runner("aumuller", 2, 42).run(plan) == want, plan
+        assert replay_plan(prog, TINY, 2, plan, 42)[0] == want, plan
 
 
 def _nominal(prog, base, site):
