@@ -6,7 +6,10 @@ transforms, and private-exponent recovery. Output bytes depend only on the
 flags and seeds, so reports can be diffed across reruns.
 
 Exit codes: 0 success, 2 flag grammar, 3 data error (unknown algorithm,
-malformed key or program file, unsatisfiable campaign spec).
+malformed key or program file, unsatisfiable campaign spec). Flags that a
+command would ignore are flag grammar: --key, --r-bits and --build-seed
+with dump or transform --program, which build nothing, and --copies with a
+transform kind other than harden.
 """
 
 from __future__ import annotations
@@ -34,13 +37,14 @@ def _load_key(path: str | None) -> CrtKey:
 
 def _load_program(args) -> Program:
     """The --program dump, refused (BuildError) unless validate finds it
-    runnable, or the --algo build."""
+    runnable, or the --algo build, at r_bits 8 and build_seed 0 unless
+    given."""
     if args.program is not None:
         program = parse_dump(Path(args.program).read_text())
         check_runnable(program)
         return program
-    key = _load_key(args.key)
-    return build(args.algo, key, r_bits=args.r_bits, build_seed=args.build_seed)
+    r_bits = 8 if args.r_bits is None else args.r_bits
+    return build(args.algo, _load_key(args.key), r_bits=r_bits, build_seed=args.build_seed or 0)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -138,9 +142,11 @@ def _add_key_flag(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_build_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--r-bits", type=int, default=8, help="checksum prime width")
-    p.add_argument("--build-seed", type=int, default=0, help="build-time blinder draws")
+def _add_build_flags(p: argparse.ArgumentParser, r_bits: int | None = 8, build_seed: int | None = 0) -> None:
+    """dump and transform default both to None, not given, so that a
+    --program run can refuse them; _load_program resolves them to 8 and 0."""
+    p.add_argument("--r-bits", type=int, default=r_bits, help="checksum prime width (default 8)")
+    p.add_argument("--build-seed", type=int, default=build_seed, help="build-time blinder draws (default 0)")
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -160,7 +166,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--algo")
     p.add_argument("--program", help="read an existing dump instead of building")
     _add_key_flag(p)
-    _add_build_flags(p)
+    _add_build_flags(p, None, None)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_dump)
 
@@ -209,7 +215,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--algo")
     p.add_argument("--program", help="read an existing dump instead of building")
     _add_key_flag(p)
-    _add_build_flags(p)
+    _add_build_flags(p, None, None)
     p.add_argument("--copies", type=int, help="harden replication count (default 2)")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_transform)
@@ -225,6 +231,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     if args.command in ("dump", "transform") and (args.algo is None) == (args.program is None):
         print("give exactly one of --algo or --program", file=sys.stderr)
+        return 2
+    if args.command in ("dump", "transform") and args.program is not None and (
+        (args.key, args.r_bits, args.build_seed) != (None, None, None)
+    ):
+        print("--key, --r-bits and --build-seed apply to --algo only", file=sys.stderr)
         return 2
     if args.command == "transform" and args.copies is not None and args.kind != "harden":
         print("--copies applies to --kind harden only", file=sys.stderr)

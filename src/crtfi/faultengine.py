@@ -76,7 +76,6 @@ from itertools import combinations, islice, product, repeat
 from operator import itemgetter, sub
 from typing import NoReturn
 
-from . import modmath
 from .circuit import (
     CompiledProgram,
     Crash,
@@ -104,15 +103,11 @@ from .circuit import (
 )
 from .countermeasures import build, program_inputs
 from .keytools import CrtKey, check_crt_key
+from .modmath import bellcore_extract
 
 _ALT_SEED_STEPS = (1_000_003, 2_000_003, 3_000_017, 4_000_037)
 _REPLAY_CAP = 8
 _SUCCESSES_PER_ROW = 5  # successes to_json lists per (first site, kind)
-
-# perfbench's tracer wraps faultengine.bellcore_extract by this name; the
-# tally, replay_plan and score_outcome read the gcd through _gcd_leak, not
-# through it
-bellcore_extract = modmath.bellcore_extract
 
 # CampaignSpec.workers' default
 _USABLE_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -422,6 +417,7 @@ class SiteActions:
     values: tuple[int | None, ...]  # None for zero and skip
     exhaustive: bool
     domain: int | None
+    nominal: int | None  # the site's fault-free value; None for skip
 
 
 def site_action_table(program: Program, spec: CampaignSpec) -> list[SiteActions]:
@@ -439,18 +435,18 @@ def site_action_table(program: Program, spec: CampaignSpec) -> list[SiteActions]
     table: list[SiteActions] = []
     for site in enumerate_sites(program, spec.max_skip_len if "skip" in spec.kinds else 0):
         if isinstance(site, SkipRange):
-            table.append(SiteActions(site, FaultKind.SKIP, (None,), True, None))
+            table.append(SiteActions(site, FaultKind.SKIP, (None,), True, None, None))
             continue
         dom, nominal = domains[site]
         if "zero" in spec.kinds:
-            table.append(SiteActions(site, FaultKind.ZERO, (None,), True, dom))
+            table.append(SiteActions(site, FaultKind.ZERO, (None,), True, dom, nominal))
         if "randomize" in spec.kinds:
             if dom <= spec.exhaustive_threshold:
                 if 0 <= nominal < dom:
                     vals = (*range(nominal), *range(nominal + 1, dom))
                 else:
                     vals = tuple(range(dom))
-                table.append(SiteActions(site, FaultKind.RANDOMIZE, vals, True, dom))
+                table.append(SiteActions(site, FaultKind.RANDOMIZE, vals, True, dom, nominal))
             else:
                 bits, dom_bits = _site_sample_rng(spec, site.key(program)).getrandbits, dom.bit_length()
                 want = min(spec.samples_per_site, dom - 1)
@@ -460,7 +456,7 @@ def site_action_table(program: Program, spec: CampaignSpec) -> list[SiteActions]
                     if v < dom and v != nominal:  # a draw past dom is redrawn
                         picked.add(v)
                 table.append(
-                    SiteActions(site, FaultKind.RANDOMIZE, tuple(sorted(picked)), False, dom)
+                    SiteActions(site, FaultKind.RANDOMIZE, tuple(sorted(picked)), False, dom, nominal)
                 )
     return table
 
@@ -478,13 +474,9 @@ def _messages_of(spec: CampaignSpec) -> tuple[int, ...]:
 IdPlan = tuple[int, ...]
 
 
-def _site_order(site: FaultSite) -> tuple[int, int, int]:
-    """Where a site sorts among actions: writes, reads, then skip windows."""
-    if isinstance(site, WriteOf):
-        return (0, site.index, 0)
-    if isinstance(site, ReadOf):
-        return (1, site.index, site.slot)
-    return (2, site.first, site.last)
+# where a site's class sorts among actions: writes, reads, then skip windows;
+# within a class a site sorts by its own order
+_SITE_RANK = {WriteOf: 0, ReadOf: 1, SkipRange: 2}
 
 
 class ActionIds:
@@ -507,7 +499,8 @@ class ActionIds:
 
     def __init__(self, table: list[SiteActions]):
         self.table = table
-        self.by_id = sorted(range(len(table)), key=lambda r: (_site_order(table[r].site), table[r].kind.value))
+        rank = [(_SITE_RANK[t.site.__class__], t.site, t.kind.value) for t in table]
+        self.by_id = sorted(range(len(table)), key=rank.__getitem__)
         self.shift = max((len(t.values) for t in table), default=0).bit_length()
         self.mask = (1 << self.shift) - 1
         self.base = [0] * len(table)
@@ -636,24 +629,15 @@ def build_plans(
 # ----------------------------------------------------------------- scoring
 
 
-def _gcd_leak(p: int, q: int, g: int) -> tuple[int | None, str | None]:
-    """(factor, side) the gcd oracle reads from g = gcd(N, v - S), N = p*q:
-    p or q when g is that factor, else (None, None), as for g = N (v = S
-    mod N) and g = 1. modmath.bellcore_extract is the reference."""
-    if g == p:
-        return p, "p"
-    if g == q:
-        return q, "q"
-    return None, None
-
-
 def score_outcome(n: int, p: int, q: int, baseline_sig: int, result) -> tuple[str, int | None, str | None]:
-    """Classify one faulted outcome: (tally, factor, side). The reference
-    the tests score against; replay_plan scores its result the same way."""
+    """Classify one faulted outcome through bellcore_extract: (tally,
+    factor, side). The reference the tests and replay_plan score against."""
     if isinstance(result, (ErrorOut, Crash)):
         return "no_output", None, None
-    factor, side = _gcd_leak(p, q, math.gcd(n, result.value - baseline_sig))
-    return ("success" if side else "silent"), factor, side
+    leak = bellcore_extract(n, baseline_sig, result.value, p, q)
+    if not leak.success:
+        return "silent", None, None
+    return "success", leak.factor, "p" if leak.factor == p else "q"
 
 
 def _column(n: int, p: int, q: int, results: list, sig: int) -> tuple[list, int, list[tuple[int, int, int]]]:
@@ -675,8 +659,8 @@ def _column(n: int, p: int, q: int, results: list, sig: int) -> tuple[list, int,
     return values, ended, [(k, released[k], g) for k, g in enumerate(gs) if g == p or g == q]
 
 
-# runners _runner keeps per program; a campaign needs one per message plus
-# four per message for its replay probes
+# runners _runner keeps per program; a campaign on the default messages keeps
+# 11: 3 for the messages, 8 for the 4 replay rounds, whose alternates coincide
 _RUNNER_MEMO_SIZE = 64
 
 
@@ -708,8 +692,10 @@ def replay_plan(
     if result.__class__ is not Signature:
         return result, False, None
     p, q = key.p, key.q
-    factor, _side = _gcd_leak(p, q, math.gcd(p * q, result.value - runner.signature))
-    return result, factor is not None, factor
+    g = math.gcd(p * q, result.value - runner.signature)
+    if g == p or g == q:
+        return result, True, g
+    return result, False, None
 
 
 def _alt_messages(n: int, message: int) -> list[int]:
@@ -1209,7 +1195,7 @@ def run_campaign(spec: CampaignSpec) -> CampaignReport:
     first_regs = runs[0][1].baseline.regs()
     r_min = min(first_regs[r] for r in program.meta.r_regs) if program.meta.r_regs else None
     bound = (2 / r_min) if r_min else None
-    _replay(tally, program, spec, bound, first_regs)
+    _replay(tally, program, spec, bound)
     rows = _classify_rows(tally.rows, bound)
     return _report(program, spec, runs, r_min, plans_total, sampled, rows, tally.report_breaks())
 
@@ -1246,9 +1232,7 @@ def _plans(
     return plans, sampled, ids, total
 
 
-def _replay(
-    tally: _Tally, program: Program, spec: CampaignSpec, bound: float | None, first_regs: dict[str, int]
-) -> None:
+def _replay(tally: _Tally, program: Program, spec: CampaignSpec, bound: float | None) -> None:
     """Probe successes as plan_persists does, keep each probed break's
     verdict by its index (tally.persistent), and set each row's persistent
     count.
@@ -1264,9 +1248,10 @@ def _replay(
     as run_batch lanes, _BATCH at a time, gathered from the id plans by
     _Tally._faults and scored as one column each. At order >= 2 each
     randomize action takes its site's redrawn value for the round, drawn
-    once per (site, round). Only the lanes that still break go on to round
-    t + 1, so a success is persistent when it breaks in every round: the
-    verdict plan_persists gives its plan.
+    once per (site, round) from its table row's domain and nominal value.
+    Only the lanes that still break go on to round t + 1, so a success is
+    persistent when it breaks in every round: the verdict plan_persists
+    gives its plan.
     """
     rows, messages = tally.rows, tally.messages
     need: set[int] = set()
@@ -1278,7 +1263,6 @@ def _replay(
                 need.update(idxs)
             elif _band(rows[r], bound) is None:
                 need.update(idxs[:_REPLAY_CAP])
-    redraw = site_domains(program, first_regs) if spec.order > 1 else None
     key, plans, table = spec.key, tally.plans, tally.table
     by_id, shift = tally.ids.by_id, tally.ids.shift
     n, p, q = tally.n, key.p, key.q
@@ -1286,11 +1270,11 @@ def _replay(
     replayed = pending = sorted(need)
     for t, step in enumerate(_ALT_SEED_STEPS):
         redrawn = {}
-        if redraw:
+        if spec.order > 1:
             for r in {by_id[a >> shift] for i in pending for a in plans[i]}:
-                site = table[r].site
-                if table[r].kind is FaultKind.RANDOMIZE and site in redraw:
-                    redrawn[r] = _redrawn_value(site, *redraw[site], spec.seed, t)
+                row = table[r]
+                if row.kind is FaultKind.RANDOMIZE:
+                    redrawn[r] = _redrawn_value(row.site, row.domain, row.nominal, spec.seed, t)
         groups: dict[int, list[int]] = defaultdict(list)
         for i in pending:
             groups[alts[messages[i]][t % 2]].append(i)

@@ -2,6 +2,8 @@
 
 import json
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +21,35 @@ from crtfi.cli import main
 from crtfi.countermeasures import catalog, program_inputs
 from crtfi.keytools import CrtKey, KeyError_, derive_crt, read_key_file, write_key_file
 from crtfi.transforms import UnrecognizedInfectionShape, to_testbased
+
+
+def _readme_transcript() -> list[tuple[list[str], list[str]]]:
+    """(argv, output lines) per `$ crtfi ...` line of the README's command
+    line block, the output being the lines up to the next blank line."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    runs = []
+    for chunk in block.strip().split("\n\n"):
+        command, *output = chunk.splitlines()
+        assert command.startswith("$ crtfi "), command
+        runs.append((shlex.split(command)[2:], output))
+    return runs
+
+
+def test_the_readme_transcript_is_what_the_cli_prints(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    runs = _readme_transcript()
+    commands = [argv[0] for argv, _out in runs]
+    assert commands == ["keygen", "list-algos", "sign", "campaign", "transform", "recover"]
+    for argv, want in runs:
+        assert main(argv) == 0, argv
+        got = capsys.readouterr().out.splitlines()
+        if "..." in want:  # the README elides the lines between
+            cut = want.index("...")
+            head, tail = want[:cut], want[cut + 1 :]
+            assert len(got) > len(head) + len(tail), argv
+            got = got[: len(head)] + ["..."] + got[len(got) - len(tail) :]
+        assert got == want, argv
 
 
 def test_sign_prints_the_signature(capsys):
@@ -326,6 +357,36 @@ def test_copies_is_refused_outside_harden(capsys):
     assert main(["transform", "--kind", "harden", "--algo", "aumuller", "--r-bits", "5",
                  "--copies", "2"]) == 0
     assert capsys.readouterr().out == default
+
+
+@pytest.mark.parametrize(
+    "command", [["dump"], ["transform", "--kind", "to-infective"]], ids=["dump", "transform"]
+)
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--key", "bad.json"), ("--r-bits", "7"), ("--build-seed", "3")],
+    ids=["key", "r-bits", "build-seed"],
+)
+def test_build_flags_are_refused_with_a_program_file(tmp_path, capsys, command, flag, value):
+    program = tmp_path / "p.txt"
+    assert main(["dump", "--algo", "aumuller", "--r-bits", "5", "--out", str(program)]) == 0
+    # p = q: a key every subcommand taking --key refuses
+    (tmp_path / "bad.json").write_text(json.dumps({"p": "7", "q": "7", "dp": "1", "dq": "1", "iq": "1"}))
+    capsys.readouterr()
+    arg = str(tmp_path / value) if flag == "--key" else value
+    assert main([*command, "--program", str(program), flag, arg]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--key, --r-bits and --build-seed apply to --algo only" in err
+    assert main([*command, "--program", str(program)]) == 0
+
+
+def test_dump_builds_at_the_default_build_flags_unless_given(capsys):
+    assert main(["dump", "--algo", "blomer"]) == 0
+    default = capsys.readouterr().out
+    assert main(["dump", "--algo", "blomer", "--r-bits", "8", "--build-seed", "0"]) == 0
+    assert capsys.readouterr().out == default
+    assert main(["dump", "--algo", "blomer", "--build-seed", "3"]) == 0
+    assert capsys.readouterr().out != default
 
 
 def test_dump_demands_exactly_one_source(tmp_path, capsys):

@@ -382,7 +382,8 @@ def test_factor_side_matches_the_injured_branch():
 def test_site_domains_follow_the_governing_modulus():
     prog = tiny_unprotected()
     base = execute(prog, program_inputs(prog, TINY, 2), seed=42)
-    doms = {s.key(prog): (d, n) for s, (d, n) in site_domains(prog, base.regs()).items()}
+    domains = site_domains(prog, base.regs())
+    doms = {s.key(prog): (d, n) for s, (d, n) in domains.items()}
     assert doms["W6:sp"] == (7, 2)
     assert doms["W7:sq"] == (11, 8)
     # reads inherit the writer's ring
@@ -393,6 +394,31 @@ def test_site_domains_follow_the_governing_modulus():
     assert doms["W10:s_t"][0] == 128
     # the half-difference may sit below zero before reduction
     assert doms["W8:s_d"] == (8, -6)
+    # the table's rows carry the same (domain, nominal), which the replay
+    # pass redraws from; a skip row has neither
+    spec = tiny_spec(exhaustive_threshold=16, samples_per_site=4, **ALL_KINDS)
+    table = site_action_table(prog, spec)
+    assert {t.kind for t in table} == set(FaultKind) and not all(t.exhaustive for t in table)
+    for t in table:
+        if t.kind is FaultKind.SKIP:
+            assert (t.domain, t.nominal) == (None, None), t
+        else:
+            assert (t.domain, t.nominal) == domains[t.site], t
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_a_campaign_reads_the_site_domains_once(monkeypatch, order):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return site_domains(*args)
+
+    monkeypatch.setattr(faultengine, "site_domains", counted)
+    rep = run_campaign(tiny_spec(order=order, kinds=("randomize",), plan_limit=200))
+    # order 2 replays its successes with every randomize value redrawn
+    assert any(s.persistent is not None for s in rep.successes)
+    assert len(calls) == 1
 
 
 # ----------------------------------------------------------------- persistence

@@ -7,10 +7,13 @@ every public method of a package class is referenced outside that class, in
 the package or its tests, and every attribute a package class stores on
 self is read somewhere in the package or its tests, so no leftover import,
 helper, method or memo survives the code that needed it. The modules form
-layers, and each imports only from the layers below it.
+layers, and each imports only from the layers below it. Every package
+attribute that the benchmark's tracer wraps exists, so a refactor cannot
+drop one unnoticed.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import crtfi
@@ -166,3 +169,26 @@ def test_each_module_imports_only_from_the_layers_below_it():
         if dep not in LAYERS[:i]
     ]
     assert upward == []
+
+
+def test_every_attribute_the_benchmark_tracer_wraps_exists():
+    """perfbench/tracing.py's WRAPPED rows name (owner, attribute, span):
+    a module, or a class in one, and the attribute the tracer replaces.
+    The table is read through ast, so perfbench is neither imported nor
+    run."""
+    tree = ast.parse((Path(__file__).parents[1] / "perfbench" / "tracing.py").read_text())
+    (table,) = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["WRAPPED"]
+    ]
+    rows = [(row.elts[0].value, row.elts[1].value) for row in table.elts]
+    assert rows
+    missing = []
+    for owner_name, attr in rows:
+        package, module, *inner = owner_name.split(".")
+        owner = importlib.import_module(f"{package}.{module}")
+        for name in inner:
+            owner = getattr(owner, name, None)
+        if not hasattr(owner, attr):
+            missing.append(f"{owner_name}.{attr}")
+    assert missing == []
