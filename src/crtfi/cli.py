@@ -8,8 +8,9 @@ flags and seeds, so reports can be diffed across reruns.
 Exit codes: 0 success, 2 flag grammar, 3 data error (unknown algorithm,
 malformed key or program file, unsatisfiable campaign spec). Flags that a
 command would ignore are flag grammar: --key, --r-bits and --build-seed
-with dump or transform --program, which build nothing, and --copies with a
-transform kind other than harden.
+with dump or transform --program, which build nothing, --copies with a
+transform kind other than harden, and campaign --format without --out,
+which writes no report.
 """
 
 from __future__ import annotations
@@ -100,9 +101,8 @@ def _cmd_campaign(args) -> int:
             "before its draw guard",
             file=sys.stderr,
         )
-    text = report.to_csv() if args.format == "csv" else report.to_json() + "\n"
     if args.out is not None:
-        Path(args.out).write_text(text)
+        Path(args.out).write_text(report.to_csv() if args.format == "csv" else report.to_json() + "\n")
     print(report.summary_line)
     return 0
 
@@ -207,7 +207,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     _add_build_flags(p)
     p.add_argument("--out", help="report file")
-    p.add_argument("--format", choices=("report", "csv"), default="report")
+    p.add_argument("--format", choices=("report", "csv"), help="report file format (default report)")
     p.set_defaults(fn=_cmd_campaign)
 
     p = sub.add_parser("transform", help="rewrite a program's verification style")
@@ -239,6 +239,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     if args.command == "transform" and args.copies is not None and args.kind != "harden":
         print("--copies applies to --kind harden only", file=sys.stderr)
+        return 2
+    if args.command == "campaign" and args.format is not None and args.out is None:
+        print("--format applies with --out only", file=sys.stderr)
         return 2
     try:
         return args.fn(args)

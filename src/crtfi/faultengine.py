@@ -42,8 +42,8 @@ it is read: successes builds the whole list on first use, to_json only
 the few successes it lists per row. At order 1 a read
 fault whose register has one reader, naming it once, is the same fault
 as a write fault on that register's writer: such a read row, with the
-write row's values, is not run, and takes the write row's counts and
-breaks under its own site.
+write row's values, is not run, and takes the write row's batch results,
+booked under its own row and action ids.
 The replay probes run round-major: each round runs the successes still
 pending as run_batch lanes, one runner pass per batch and alternate
 message, scored as a column; plan_persists, which runs one plan at a time
@@ -631,7 +631,8 @@ def build_plans(
 
 def score_outcome(n: int, p: int, q: int, baseline_sig: int, result) -> tuple[str, int | None, str | None]:
     """Classify one faulted outcome through bellcore_extract: (tally,
-    factor, side). The reference the tests and replay_plan score against."""
+    factor, side). The reference the tests check _column and replay_plan
+    against."""
     if isinstance(result, (ErrorOut, Crash)):
         return "no_output", None, None
     leak = bellcore_extract(n, baseline_sig, result.value, p, q)
@@ -938,8 +939,8 @@ class _Tally:
     of the tally.
 
     At order 1 a read row twin to a write row (_twin_rows) does not run: it
-    takes the write row's counts, and keeps the write row's breaks again
-    under its own action ids.
+    takes the write row's batch results, booked by _apply under its own
+    row and action ids.
     """
 
     def __init__(self, key: CrtKey, program: Program, ids: ActionIds, runs: list):
@@ -972,6 +973,9 @@ class _Tally:
         # per table row, the indices of the breaks whose plans touch it
         self.row_hits: dict[int, list[int]] = defaultdict(list)
         self._attempts, self._no_output = [0] * len(self.table), [0] * len(self.table)
+        # per write row with a twin read row, its (job, result) pairs booked
+        # so far, until the twin's job books them again (order 1 only)
+        self._twin_batches: dict[int, list[tuple]] = {}
         # (index, read slot or None, skipped indices) per table row: a skip
         # window has index -1 and its indices as the range, a data site its
         # faulted index and an empty range
@@ -993,6 +997,7 @@ class _Tally:
         jobs = []
         if plans is None:
             twins = _twin_rows(self.code, self.table)
+            self._twin_batches = {w: [] for w in twins.values()}
             plans = []
             for r, t in enumerate(self.table):
                 if t.kind is FaultKind.SKIP:
@@ -1034,15 +1039,19 @@ class _Tally:
 
     def _apply(self, job: tuple, result: tuple | None) -> None:
         """Book one job: a batch's attempts and no-output runs on the rows
-        its plans touch, and its breaks through _keep; a twin read row's
-        copy of its write row."""
+        its plans touch, and its breaks through _keep. A write row's batch
+        whose row has a twin is kept in _twin_batches; the twin's job books
+        each kept batch again, the read row in the write row's place."""
         lanes, r, arg = job
         if not lanes:
-            self._copy_row(r, arg)
+            for (lanes, _w, s), result in self._twin_batches.pop(r):
+                self._apply((lanes, arg, s), result)
             return
         ended, plan_rows, hits = result
         n_runs = len(self.runs)
         if r is not None:
+            if r in self._twin_batches:
+                self._twin_batches[r].append((job, result))
             self._attempts[r] += n_runs * lanes
             self._no_output[r] += ended
             if hits:
@@ -1080,24 +1089,6 @@ class _Tally:
         for i, k in enumerate(lanes, start):
             for r in plan_rows[k]:
                 row_hits[r].append(i)
-
-    def _copy_row(self, w: int, r: int) -> None:
-        """Give twin read row r the runs of write row w: its counts, and its
-        breaks in order, kept under r's action ids (the rows' values are
-        equal)."""
-        self._attempts[r], self._no_output[r] = self._attempts[w], self._no_output[w]
-        first, mask = self.ids.base[r], self.ids.mask
-        kept = self.row_hits.get(w, [])
-        plans, lanes, source = [], [], None
-        for i in kept:
-            plan = self.plans[i]
-            if plan != source:  # a lane's breaks on every message are consecutive
-                source = plan
-                plans.append((first | (plan[0] & mask),))
-            lanes.append(len(plans) - 1)
-        if kept:
-            columns = (self.messages, self.signatures, self.factors)
-            self._keep(plans, r, [lanes] + [[column[i] for i in kept] for column in columns])
 
     def report_breaks(self) -> _Breaks:
         """The breaks as a report keeps them, holding nothing else of the

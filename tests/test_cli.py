@@ -153,6 +153,25 @@ def test_campaign_flag_defaults_are_the_spec_defaults(monkeypatch):
     assert specs == [faultengine.CampaignSpec(key=cli._DEMO_KEY, algo="shamir")]
 
 
+@pytest.mark.parametrize("fmt", ["report", "csv"])
+def test_format_is_refused_without_out(tmp_path, monkeypatch, capsys, fmt):
+    ran = []
+    real = cli.run_campaign
+    monkeypatch.setattr(cli, "run_campaign", lambda spec: ran.append(spec) or real(spec))
+    args = ["campaign", "--algo", "unprotected", "--kinds", "zero", "--messages", "2"]
+    assert main(args + ["--format", fmt]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--format applies with --out only" in err
+    assert ran == []
+    # --out alone and --out with --format report write the same JSON report
+    plain, named = tmp_path / "plain.json", tmp_path / "named.json"
+    assert main(args + ["--out", str(plain)]) == 0
+    assert main(args + ["--out", str(named), "--format", "report"]) == 0
+    assert len(ran) == 2
+    assert plain.read_bytes() == named.read_bytes()
+    assert json.loads(plain.read_text())["line"] == capsys.readouterr().out.splitlines()[0]
+
+
 def test_a_campaign_notes_sampling_that_stops_short_of_the_plan_limit(tmp_path, monkeypatch, capsys):
     args = ["campaign", "--algo", "unprotected", "--order", "2", "--kinds", "zero",
             "--r-bits", "5", "--messages", "2", "--plan-limit", "40"]

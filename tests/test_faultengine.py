@@ -990,7 +990,7 @@ def test_forked_order_one_campaigns_give_the_serial_bytes(forks, monkeypatch):
         got = run_campaign(replace(spec, workers=workers))
         assert (got.to_json(), got.to_csv()) == (want.to_json(), want.to_csv())
         _no_child_left()
-        # some twin read rows copy in a later chunk than their write rows
+        # some twin read rows are booked in a later chunk than their write rows
         # ran, and the skip rows, last in the table, run after chunk 0
         chunks = faultengine._chunks(jobs, workers)
         first = {}  # chunk of each row's first batch; None keys the id-plan batches
@@ -1001,6 +1001,30 @@ def test_forked_order_one_campaigns_give_the_serial_bytes(forks, monkeypatch):
         late = [w for c, chunk in enumerate(chunks) for lanes, w, _r in chunk if not lanes and first[w] < c]
         assert late and first[None] > 0
     assert forks["forks"] == 1 + 2
+
+
+@pytest.mark.parametrize("algo", ["shamir", "aumuller", "vigilant"])
+def test_twin_read_rows_book_the_bytes_they_would_run(forks, monkeypatch, algo):
+    monkeypatch.setattr(faultengine, "_BATCH", 4)
+    # domains over 3072 are sampled: vigilant's whole 16383-value rows
+    # would take seconds a run in batches of 4
+    spec = tiny_spec(algo=algo, messages=(2, 3), exhaustive_threshold=3072, **ALL_KINDS)
+    prog = CATALOG[algo]
+    table = site_action_table(prog, spec)
+    twins = faultengine._twin_rows(prog.compiled, table)
+    want = run_campaign(replace(spec, workers=1))
+    # some twin row breaks past its first batch, under an id of a later one
+    late = {(table[r].site.key(prog), table[r].kind.value): table[r].values[4:] for r in twins}
+    assert any(v in late.get((site, kind), ()) for ((site, kind, v),) in (s.actions for s in want.successes))
+    reports = {(want.to_json(), want.to_csv())}
+    for shortcut, workers in ((True, 2), (False, 1), (False, 2)):
+        if not shortcut:
+            monkeypatch.setattr(faultengine, "_twin_rows", lambda code, table: {})
+        rep = run_campaign(replace(spec, workers=workers))
+        reports.add((rep.to_json(), rep.to_csv()))
+        _no_child_left()
+    assert len(reports) == 1
+    assert forks["forks"] == 2
 
 
 def test_forked_sampled_campaigns_give_the_serial_bytes(forks, monkeypatch):

@@ -9,17 +9,23 @@ self is read somewhere in the package or its tests, so no leftover import,
 helper, method or memo survives the code that needed it. The modules form
 layers, and each imports only from the layers below it. Every package
 attribute that the benchmark's tracer wraps exists, so a refactor cannot
-drop one unnoticed.
+drop one unnoticed, and every private name that a docstring or comment
+mentions is defined in the package, so prose cannot outlive the code it
+describes.
 """
 
 import ast
 import importlib
+import io
+import re
+import tokenize
 from pathlib import Path
 
 import crtfi
 
 PACKAGE = Path(crtfi.__file__).parent
-TREES = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+SOURCES = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+TREES = {name: ast.parse(text) for name, text in SOURCES.items()}
 MODULES = {name: tree for name, tree in TREES.items() if name != "__init__.py"}
 TEST_TREES = [ast.parse(path.read_text()) for path in sorted(Path(__file__).parent.glob("*.py"))]
 
@@ -192,3 +198,53 @@ def test_every_attribute_the_benchmark_tracer_wraps_exists():
         if not hasattr(owner, attr):
             missing.append(f"{owner_name}.{attr}")
     assert missing == []
+
+
+def _bound(tree: ast.AST) -> set[str]:
+    """Names a tree binds anywhere: definitions, assignment targets,
+    attributes stored, parameters and import aliases."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            out.add(node.attr)
+        elif isinstance(node, ast.arg):
+            out.add(node.arg)
+        elif isinstance(node, ast.alias):
+            out.add(node.asname or node.name)
+    return out
+
+
+def _prose(text: str, tree: ast.Module) -> list[str]:
+    """A module's docstrings and comments."""
+    docs = [
+        ast.get_docstring(node, clean=False)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+    ]
+    comments = [
+        tok.string for tok in tokenize.generate_tokens(io.StringIO(text).readline) if tok.type == tokenize.COMMENT
+    ]
+    return [doc for doc in docs if doc] + comments
+
+
+# the one private name prose may mention that the package does not define:
+# CPython's random.Random._randbelow, whose redraws the samplers reproduce
+FOREIGN_PRIVATE = {"_randbelow"}
+
+
+def test_every_private_name_in_docstrings_and_comments_is_defined():
+    bound = set().union(*map(_bound, TREES.values()))
+    stale = sorted(
+        {
+            f"{name}: {word}"
+            for name, text in SOURCES.items()
+            for chunk in _prose(text, TREES[name])
+            for word in re.findall(r"(?<!\w)_[A-Za-z]\w*", chunk)
+            if word not in bound and word not in FOREIGN_PRIVATE
+        }
+    )
+    assert stale == []
