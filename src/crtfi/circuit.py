@@ -739,7 +739,8 @@ class FaultAction:
 
 
 FaultPlan = tuple[FaultAction, ...]
-# a plan as plan_faults decodes it: writes, reads, skipped, pending
+# a plan as plan_faults decodes it: writes, reads, skipped, pending; skipped
+# holds instruction i as bit i, pending as bit n-1-i like CompiledProgram.readers
 DecodedPlan = tuple[dict[int, int], dict[int, dict[int, int]], int, int]
 
 
@@ -811,11 +812,13 @@ _TWICE = "a plan faults one site twice"
 def plan_faults(plan: FaultPlan, n: int) -> DecodedPlan:
     """A plan over n instructions as (write replacements, read replacements
     by index then slot, bitmask of skipped indices, bitmask of the indices
-    FaultRunner must re-evaluate first). A site past either end changes
-    nothing. A plan that names one site twice is refused with ValueError,
-    as it is decoded: a write index already in writes, a read slot already
-    in its instruction's reads, a window seen before. Overlapping windows,
-    and a write inside a window, are different sites.
+    FaultRunner must re-evaluate first). The skipped mask holds index i as
+    bit i; the pending mask holds it as bit n-1-i, the order of
+    CompiledProgram.readers. A site past either end changes nothing. A
+    plan that names one site twice is refused with ValueError, as it is
+    decoded: a write index already in writes, a read slot already in its
+    instruction's reads, a window seen before. Overlapping windows, and a
+    write inside a window, are different sites.
     """
     writes: dict[int, int] = {}
     reads: dict[int, dict[int, int]] = {}
@@ -831,6 +834,7 @@ def plan_faults(plan: FaultPlan, n: int) -> DecodedPlan:
             first, last = max(site.first, 0), min(site.last, n - 1)
             if first <= last:
                 skipped |= (1 << (last + 1)) - (1 << first)
+                pending |= (1 << (n - first)) - (1 << (n - 1 - last))
             continue
         i = site.index
         if cls is WriteOf:
@@ -843,8 +847,8 @@ def plan_faults(plan: FaultPlan, n: int) -> DecodedPlan:
                 raise ValueError(_TWICE)
             slots[site.slot] = act.value or 0
         if 0 <= i < n:
-            pending |= 1 << i
-    return writes, reads, skipped, pending | skipped
+            pending |= 1 << (n - 1 - i)
+    return writes, reads, skipped, pending
 
 
 def _site_rng(seed: int, index: int, salt: int) -> random.Random:
@@ -934,7 +938,8 @@ class CompiledProgram:
     to the writer indices, so bound[i](values, env) evaluates instruction i
     straight from a list of values indexed like ops. readers[i] is the
     bitmask of the instructions whose operands see the value instruction i
-    stores.
+    stores, instruction j being bit n-1-j of n: the lowest index of a mask
+    is its highest set bit, so a walk in program order takes bit_length.
     """
 
     ops: tuple[tuple[Instr, Callable, tuple[int, ...], int, Callable | None], ...]
@@ -952,7 +957,7 @@ def _compile(program: Program) -> CompiledProgram:
         # validation puts every operand, lookups included, after its write
         srcs = tuple(writer[r] for r in operands)
         for s in srcs:
-            readers[s] |= 1 << i
+            readers[s] |= 1 << (n - 1 - i)
         row = OPCODES[type(ins)]
         ops.append((ins, rule, srcs, slots, row.vector))
         bound.append(row.bind(ins, srcs, i))
@@ -997,20 +1002,27 @@ class FaultRunner:
         self._bound = code.bound
         self._readers = code.readers
         n = len(code.ops)
+        self._top = tuple(1 << b >> 1 for b in range(n + 1))  # top[b]: bit b-1, index n-b
         self._base = [0] * n
         for idx, _reg, val in self.baseline.trace:
             self._base[idx] = val
         self._ret = n - 1  # validation puts Return last
 
     def run(self, plan: FaultPlan) -> ExecResult:
-        writes, reads, skipped, pending = plan_faults(plan, len(self._ops))
+        """execute(program, inputs, seed, plan).result. The pending mask
+        holds the indices still to re-evaluate in the readers' order, index i
+        as bit n-1-i, so the lowest is the top bit: index n - bit_length."""
+        n = len(self._ops)
+        writes, reads, skipped, pending = plan_faults(plan, n)
         bound, readers, base, env = self._bound, self._readers, self._base, self._env
+        top = self._top
         own = pending  # the indices the plan faults or skips
         vals = base.copy()
         while pending:
-            low = pending & -pending
+            b = pending.bit_length()
+            low = top[b]
             pending ^= low
-            i = low.bit_length() - 1
+            i = n - b
             if own & low:
                 v = self._faulted(i, vals, writes, reads, skipped)
             else:
@@ -1068,16 +1080,18 @@ class FaultRunner:
         a lane never ended keeps the baseline result, or Signature(0) when it
         skips the Return.
         """
-        readers, base, env = self._readers, self._base, self._env
+        readers, base, env, top = self._readers, self._base, self._env, self._top
+        n = len(self._ops)
         results = [self.baseline.result] * lanes
-        mask = sum(1 << i for i in {*writes, *reads, *skips})
+        mask = sum(1 << (n - 1 - i) for i in {*writes, *reads, *skips})
         alive = list(range(lanes))  # the lane at each position of a lane list
         at, at_alive = None, alive  # each running lane's position (None: its lane)
         vecs: dict[int, list] = {}  # lane lists of stored values, by index
         while mask:
-            low = mask & -mask
+            b = mask.bit_length()
+            low = top[b]
             mask ^= low
-            j = low.bit_length() - 1
+            j = n - b
             ins, rule, srcs, slots, vector = self._ops[j]
             stores = dst_of(ins) is not None
             rd, skipping = reads.get(j), skips.get(j)
@@ -1133,7 +1147,7 @@ class FaultRunner:
                     alive = [alive[k] for k in keep]
                     out = [out[k] for k in keep]
                     # compact only the lists a later instruction still reads
-                    vecs = {s: [v[k] for k in keep] for s, v in vecs.items() if readers[s] >> j > 1}
+                    vecs = {s: [v[k] for k in keep] for s, v in vecs.items() if readers[s] & low - 1}
             if stores and out.count(base[j]) < len(out):
                 vecs[j] = out
                 mask |= readers[j]

@@ -800,7 +800,7 @@ def _twin_rows(code: CompiledProgram, table: list[SiteActions]) -> dict[int, int
             if (
                 wr is not None
                 and wr < r
-                and readers[w] == 1 << j
+                and readers[w] == 1 << (len(ops) - 1 - j)
                 and srcs.count(w) == 1
                 and table[wr].values == t.values
             ):

@@ -208,22 +208,25 @@ def to_testbased(program: Program) -> Program:
 def _exclusive_slice(program: Program, unit: tuple[int, ...]) -> list[int]:
     """Instructions whose stored values feed nothing outside this unit.
 
-    Single descending pass over the compiled readers: registers are
-    write-once and defined before use, so every reader of instruction i sits
-    at a higher index and is already classified when i is visited. Input
-    loads and random draws stay shared - a replicated draw would draw a
-    different prime and the copies would verify different rings - and so
-    does a computed register named in a draw's avoid list, which it reads.
+    One pass over the compiled readers, from the unit's first instruction
+    down to index 0: registers are write-once and defined before use, so
+    every reader of instruction i sits at a higher index and is already
+    classified when i is visited. inside holds instruction j as bit n-1-j,
+    the readers' order. Input loads and random draws stay shared - a
+    replicated draw would draw a different prime and the copies would
+    verify different rings - and so does a computed register named in a
+    draw's avoid list, which it reads.
     """
     readers = program.compiled.readers
-    inside = sum(1 << j for j in unit)
+    n = len(readers)
+    inside = sum(1 << (n - 1 - j) for j in unit)
     members = []
     for i in range(min(unit) - 1, -1, -1):
         ins = program.instrs[i]
         if dst_of(ins) is None or isinstance(ins, (LoadInput, DrawRandomPrime)):
             continue
         if readers[i] and not readers[i] & ~inside:
-            inside |= 1 << i
+            inside |= 1 << (n - 1 - i)
             members.append(i)
     return members
 

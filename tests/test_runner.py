@@ -7,7 +7,10 @@ lane the result of its own plan, so it is compared with both on random
 batches of mixed plans of order 1 to 4, on one-site batches of random
 values and on the same plan lists, row by row and in fixed-size chunks.
 Beyond the catalog's shapes, both runners are compared with the reference
-on random programs written through ProgramBuilder, under random plans.
+on random programs written through ProgramBuilder, under random plans, and
+on plans whose sites lie past either end of the program. The compiled
+reader masks hold instruction j as bit n-1-j, and run re-evaluates in
+ascending index order, each instruction at most once.
 A random program's dump must parse back to it. A plan that names one site
 twice, and a program whose phases do not tag each instruction once, are
 refused. faultengine keeps one runner per (program, key, message, seed);
@@ -55,6 +58,7 @@ from crtfi.circuit import (
     parse_dump,
     program_digest,
     reads_of,
+    registers_of,
 )
 from crtfi.countermeasures import build, catalog, program_inputs
 from crtfi.faultengine import (
@@ -462,6 +466,95 @@ def test_random_programs_give_the_reference_result_on_both_runner_paths(data):
     text = dump_program(prog)
     assert parse_dump(text) == prog
     assert program_digest(parse_dump(text)) == program_digest(prog)
+
+
+def _assert_reader_bits(prog):
+    """Bit n-1-j of readers[i] is set exactly when instruction j's operands,
+    lookups included, name the register instruction i writes."""
+    n = len(prog.instrs)
+    readers = prog.compiled.readers
+    assert len(readers) == n
+    named = [{r for r in registers_of(ins)[1:] if r is not None} for ins in prog.instrs]
+    for i, ins in enumerate(prog.instrs):
+        reg = dst_of(ins)
+        want = [reg is not None and reg in named[j] for j in range(n)]
+        assert readers[i] < 1 << n
+        assert [bool(readers[i] >> (n - 1 - j) & 1) for j in range(n)] == want, (prog.name, i)
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_PROGRAMS))
+def test_reader_masks_hold_instruction_j_as_bit_n_minus_1_minus_j(name):
+    _assert_reader_bits(BATCH_PROGRAMS[name])
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_reader_masks_of_random_programs_hold_the_same_bit_order(data):
+    prog, _inputs, _seed = data.draw(random_programs(), label="program")
+    _assert_reader_bits(prog)
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_sites_past_either_end_match_the_reference(name):
+    n = len(PROGRAMS[name].instrs)
+    w = _first_data_write(PROGRAMS[name])
+    plans_ = [
+        (_skip(-2, 1),),
+        (_skip(n - 2, n + 3),),
+        (_skip(-3, -1),),
+        (_skip(n, n + 2),),
+        (_skip(-5, n + 5),),
+        (_write(n, 5),),
+        (_write(n + 4, 0),),
+        (_read(n, 0, 7),),
+        (_read(n + 4, 1, 3),),
+        (_skip(-2, 1), _write(n + 4, 9)),
+        (_skip(n - 2, n + 3), _read(n, 0, 1), _write(w, 11)),
+        (_skip(-2, 1), _skip(n - 2, n + 3), _write(w, 2)),
+    ]
+    for message, seed in ((2, 42), (75, 0)):
+        r = runner(name, message, seed)
+        want = [reference(name, message, seed, plan) for plan in plans_]
+        assert [r.run(plan) for plan in plans_] == want
+        assert r.run_batch(*batch(plans_, n)) == want
+
+
+@pytest.mark.parametrize("name", ["aumuller-infective", "aumuller-infective-x2"])
+def test_run_re_evaluates_in_ascending_order_each_instruction_once(name):
+    """A spy over the runner's bound rules, on the erase-the-check grid's
+    plan shapes: randomize a data write, then zero or skip a verification
+    write."""
+    prog = PROGRAMS[name]
+    r = FaultRunner(prog, program_inputs(prog, TINY, 2), 42)
+    calls = []
+
+    def spy(i, rule):
+        def counted(values, env):
+            calls.append(i)
+            return rule(values, env)
+
+        return counted
+
+    r._bound = tuple(spy(i, rule) for i, rule in enumerate(r._bound))
+    verify = sorted({i for f in prog.meta.factors for i in (f.diff_idx, f.c_idx)})
+    assert verify
+    data = [
+        i for i, ins in enumerate(prog.instrs)
+        if i not in verify and dst_of(ins) is not None and not isinstance(ins, (LoadInput, Ret))
+    ]
+    longest = 0
+    for d in data:
+        nominal = r.baseline.regs()[dst_of(prog.instrs[d])]
+        for v in (1, nominal + 1):
+            for vi in verify:
+                for check in (FaultAction(WriteOf(vi), FaultKind.ZERO), _skip(vi, vi)):
+                    plan = (_write(d, v), check)
+                    calls.clear()
+                    assert r.run(plan) == reference(name, 2, 42, plan)
+                    assert calls == sorted(set(calls)), plan
+                    assert d in calls and calls[0] >= min(d, vi)
+                    longest = max(longest, len(calls))
+    assert longest > 10
 
 
 def test_lanes_that_all_write_the_baseline_value_evaluate_no_reader(monkeypatch):
