@@ -49,7 +49,17 @@ Programs run on three paths that give the same results:
     it, for faultengine.replay_plan and plan_persists. It re-evaluates
     only the instructions the plan changes, each in one call of its
     closure bound once per program (CompiledProgram.bound), except the
-    indices the plan itself faults or skips.
+    indices the plan itself faults or skips. A plan that faults two or
+    more indices resumes at its second faulted index i2 from a record of
+    what the faults at its first index i1 do alone, kept per runner under
+    i1, its write and read replacements and whether i1 is skipped (at
+    most _WALK_MEMO_SIZE records, the oldest dropped first). A record is
+    complete below its horizon, and a plan whose i2 lies past it walks
+    the missing part and extends it. If the first fault's walk ends below
+    i2, so does the plan (the End rule); if it is absorbed below i2,
+    nothing of it is pending at i2 (the Absorption rule). The erase-the-
+    check grids pair each first fault with every verification erasure,
+    so their plans of one first fault run in a row.
   * FaultRunner.run_batch runs a batch of faulted plans, one lane per plan,
     for campaigns (faultengine.run_campaign) and their replay probes, by
     run's rule: the plans may fault different sites, and an instruction is
@@ -940,11 +950,14 @@ class CompiledProgram:
     bitmask of the instructions whose operands see the value instruction i
     stores, instruction j being bit n-1-j of n: the lowest index of a mask
     is its highest set bit, so a walk in program order takes bit_length.
+    top[b] is 1 << b >> 1, the bit of index n-b, shared by every runner of
+    the program.
     """
 
     ops: tuple[tuple[Instr, Callable, tuple[int, ...], int, Callable | None], ...]
     bound: tuple[Callable, ...]
     readers: tuple[int, ...]
+    top: tuple[int, ...]
 
 
 def _compile(program: Program) -> CompiledProgram:
@@ -963,7 +976,13 @@ def _compile(program: Program) -> CompiledProgram:
         bound.append(row.bind(ins, srcs, i))
         if dst is not None:
             writer[dst] = i
-    return CompiledProgram(tuple(ops), tuple(bound), tuple(readers))
+    top = tuple(1 << b >> 1 for b in range(n + 1))
+    return CompiledProgram(tuple(ops), tuple(bound), tuple(readers), top)
+
+
+# first-fault records FaultRunner.run keeps per runner: the erase-the-check
+# grids run every plan of one first fault in a row
+_WALK_MEMO_SIZE = 64
 
 
 # per-index fault lists of a batch (FaultRunner.run_batch): writes[i] holds
@@ -985,10 +1004,13 @@ class FaultRunner:
     skipped, or when a register it reads now differs from the baseline.
     Every other instruction keeps its baseline value; its checks pass and
     the Return releases the baseline signature, as they did in the baseline
-    run. `run_batch` applies the same rule to many plans in one pass.
-    This relies on def-before-use, write-once registers, so a program that
-    `validate` rejects raises BuildError here. Campaigns get their runners
-    from faultengine, which keeps them in Program._runners.
+    run. A plan that faults two or more indices takes its walk below its
+    second faulted index from a record of its first fault, which the
+    runner keeps (see `_first_walk`). `run_batch` applies the same rule
+    to many plans in one pass, and keeps no record. This relies on
+    def-before-use, write-once registers, so a program that `validate`
+    rejects raises BuildError here. Campaigns get their runners from
+    faultengine, which keeps them in Program._runners.
     """
 
     def __init__(self, program: Program, inputs: dict[str, int], seed: int):
@@ -1001,23 +1023,36 @@ class FaultRunner:
         self._ops = code.ops
         self._bound = code.bound
         self._readers = code.readers
+        self._top = code.top
         n = len(code.ops)
-        self._top = tuple(1 << b >> 1 for b in range(n + 1))  # top[b]: bit b-1, index n-b
         self._base = [0] * n
         for idx, _reg, val in self.baseline.trace:
             self._base[idx] = val
         self._ret = n - 1  # validation puts Return last
+        self._walks: dict[tuple, list] = {}  # first-fault records, see _first_walk
 
     def run(self, plan: FaultPlan) -> ExecResult:
         """execute(program, inputs, seed, plan).result. The pending mask
         holds the indices still to re-evaluate in the readers' order, index i
-        as bit n-1-i, so the lowest is the top bit: index n - bit_length."""
+        as bit n-1-i, so the lowest is the top bit: index n - bit_length.
+        With a second faulted index i2, the walk below i2 comes from the
+        first fault's record (_first_walk), and the pending mask starts as
+        what that leaves pending from i2 on, with the plan's own indices.
+        Each call evaluates an instruction at most once, in ascending
+        index order."""
         n = len(self._ops)
         writes, reads, skipped, pending = plan_faults(plan, n)
         bound, readers, base, env = self._bound, self._readers, self._base, self._env
         top = self._top
         own = pending  # the indices the plan faults or skips
         vals = base.copy()
+        b = pending.bit_length()
+        rest = pending ^ top[b]
+        if rest:  # a second faulted index: resume there from the first fault's record
+            walk = self._first_walk(n - b, n - rest.bit_length(), vals, writes, reads, skipped)
+            if walk.__class__ is not int:
+                return walk  # the first fault's walk ended below the second
+            pending = walk | rest
         while pending:
             b = pending.bit_length()
             low = top[b]
@@ -1037,6 +1072,72 @@ class FaultRunner:
         if skipped >> self._ret & 1:
             return Signature(0)  # the output buffer keeps its zero initialization
         return self.baseline.result
+
+    def _first_walk(
+        self, i1: int, i2: int, vals: list[int], writes: dict, reads: dict, skipped: int
+    ) -> int | ExecResult:
+        """run's walk below i2 of the faults at i1 alone, from their record.
+
+        Below i2 a plan faults nothing but i1, so its walk there is that
+        of the faults at i1 alone, shared by every plan with the same
+        ones. The record is keyed on i1 and those faults, as plan_faults
+        decodes them: the write replacement, the read replacements and
+        whether i1 is skipped. It holds [changes, horizon, end]: each
+        (index, stored value, readers mask accumulated so far) the walk
+        changed, in index order; the index below which it is complete;
+        and (index, ErrorOut or Crash) if the walk ended, its horizon then
+        being n. This returns the recorded end if it lies below i2 (the
+        End rule). Otherwise it puts the recorded values below i2 into
+        vals and returns the accumulated readers from i2 on, which is
+        empty when the fault was absorbed below i2 (the Absorption rule).
+        A record whose horizon lies below i2 is first walked on to i2 in
+        vals, in this call, so nothing is evaluated twice. At most
+        _WALK_MEMO_SIZE records are kept; the oldest goes first.
+        """
+        n = len(vals)
+        rd = reads.get(i1)
+        key = (i1, writes.get(i1), tuple(rd.items()) if rd else (), skipped >> i1 & 1)
+        memo = self._walks
+        rec = memo.get(key)
+        if rec is None:
+            if len(memo) >= _WALK_MEMO_SIZE:
+                del memo[next(iter(memo))]
+            rec = memo[key] = [[], i1, None]
+        changes, horizon, end = rec
+        if end is not None and end[0] < i2:
+            return end[1]
+        acc = 0
+        for j, v, acc_j in changes:
+            if j >= i2:
+                break
+            vals[j] = v
+            acc = acc_j
+        if horizon < i2:
+            bound, readers, base, env = self._bound, self._readers, self._base, self._env
+            top = self._top
+            pending = (acc | top[n - i1]) & (1 << (n - horizon)) - 1
+            while pending:
+                b = pending.bit_length()
+                i = n - b
+                if i >= i2:
+                    break
+                pending ^= top[b]
+                if i == i1:
+                    v = self._faulted(i, vals, writes, reads, skipped)
+                else:
+                    v = bound[i](vals, env)
+                if v.__class__ is not int:
+                    if v is None:
+                        continue
+                    rec[1:] = n, (i, v)
+                    return v
+                if v != base[i]:
+                    vals[i] = v
+                    pending |= readers[i]
+                    acc |= readers[i]
+                    changes.append((i, v, acc))
+            rec[1] = i2
+        return acc & (1 << (n - i2)) - 1
 
     def _faulted(
         self, i: int, vals: list[int], writes: dict, reads: dict, skipped: int

@@ -6,11 +6,13 @@ transforms, and private-exponent recovery. Output bytes depend only on the
 flags and seeds, so reports can be diffed across reruns.
 
 Exit codes: 0 success, 2 flag grammar, 3 data error (unknown algorithm,
-malformed key or program file, unsatisfiable campaign spec). Flags that a
-command would ignore are flag grammar: --key, --r-bits and --build-seed
-with dump or transform --program, which build nothing, --copies with a
-transform kind other than harden, and campaign --format without --out,
-which writes no report.
+malformed key or program file, unsatisfiable campaign spec, a sign
+--message outside [0, N), which RSASP1 refuses as "message
+representative out of range"). Flags that a command would ignore are
+flag grammar: --key, --r-bits and --build-seed with dump or transform
+--program, which build nothing, --copies with a transform kind other
+than harden, and campaign --format without --out, which writes no
+report.
 """
 
 from __future__ import annotations
@@ -77,6 +79,8 @@ def _cmd_dump(args) -> int:
 
 def _cmd_sign(args) -> int:
     key = _load_key(args.key)
+    if not 0 <= args.message < key.modulus:  # RSASP1's range check
+        raise ValueError(f"message representative out of range: --message takes 0 to {key.modulus - 1}")
     prog = build(args.algo, key, r_bits=args.r_bits, build_seed=args.build_seed)
     out = execute(prog, program_inputs(prog, key, args.message), seed=args.seed)
     if isinstance(out.result, Signature):

@@ -58,6 +58,22 @@ def test_sign_prints_the_signature(capsys):
     assert capsys.readouterr().out.strip() == "30"
 
 
+@pytest.mark.parametrize("offset", [-78, 0, 23])  # messages -1, N and N + 23
+def test_sign_refuses_a_message_outside_zero_to_n(offset, capsys):
+    n = 77  # the demo key's modulus
+    assert main(["sign", "--algo", "unprotected", "--message", str(n + offset)]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "message representative out of range" in out.err
+
+
+def test_sign_signs_zero_and_n_minus_one(capsys):
+    for message in (0, 76):
+        assert main(["sign", "--algo", "shamir", "--message", str(message), "--r-bits", "5"]) == 0
+    # 76 is -1 mod 77, and d = 43 is odd
+    assert capsys.readouterr().out.split() == ["0", "76"]
+
+
 def test_protected_schemes_sign_identically(capsys):
     for algo in ("shamir", "aumuller", "vigilant"):
         rc = main(["sign", "--algo", algo, "--message", "2", "--r-bits", "5"])

@@ -10,7 +10,13 @@ Beyond the catalog's shapes, both runners are compared with the reference
 on random programs written through ProgramBuilder, under random plans, and
 on plans whose sites lie past either end of the program. The compiled
 reader masks hold instruction j as bit n-1-j, and run re-evaluates in
-ascending index order, each instruction at most once.
+ascending index order, each instruction at most once. Plans that share a
+first fault, run on one runner, resume from the record the runner keeps
+of it: their results equal the reference's whether the second faulted
+index lies below, at or past the record's horizon, on the catalog and on
+random programs; a warm run walks nothing the record holds, and at most
+a bounded number of records are kept, the oldest dropped first. Every
+runner of a program shares its compiled top tuple.
 A random program's dump must parse back to it. A plan that names one site
 twice, and a program whose phases do not tag each instruction once, are
 refused. faultengine keeps one runner per (program, key, message, seed);
@@ -38,6 +44,7 @@ from crtfi.circuit import (
     Crash,
     Div,
     DrawRandomPrime,
+    ErrorOut,
     FaultAction,
     FaultKind,
     FaultRunner,
@@ -47,6 +54,7 @@ from crtfi.circuit import (
     ProgramMeta,
     ReadOf,
     Ret,
+    Signature,
     SkipRange,
     WriteOf,
     draw_prime_value,
@@ -56,6 +64,7 @@ from crtfi.circuit import (
     find_write,
     modulus_reg,
     parse_dump,
+    plan_faults,
     program_digest,
     reads_of,
     registers_of,
@@ -519,13 +528,8 @@ def test_sites_past_either_end_match_the_reference(name):
         assert r.run_batch(*batch(plans_, n)) == want
 
 
-@pytest.mark.parametrize("name", ["aumuller-infective", "aumuller-infective-x2"])
-def test_run_re_evaluates_in_ascending_order_each_instruction_once(name):
-    """A spy over the runner's bound rules, on the erase-the-check grid's
-    plan shapes: randomize a data write, then zero or skip a verification
-    write."""
-    prog = PROGRAMS[name]
-    r = FaultRunner(prog, program_inputs(prog, TINY, 2), 42)
+def _spied(r):
+    """The list every call of r's bound rules appends its index to."""
     calls = []
 
     def spy(i, rule):
@@ -536,6 +540,19 @@ def test_run_re_evaluates_in_ascending_order_each_instruction_once(name):
         return counted
 
     r._bound = tuple(spy(i, rule) for i, rule in enumerate(r._bound))
+    return calls
+
+
+@pytest.mark.parametrize("name", ["aumuller-infective", "aumuller-infective-x2"])
+def test_run_re_evaluates_in_ascending_order_each_instruction_once(name):
+    """A spy over the runner's bound rules, on the erase-the-check grid's
+    plan shapes: randomize a data write, then zero or skip a verification
+    write. Each plan runs first with no first-fault record kept, then again
+    from the record its first run kept, which walks nothing below the
+    plan's second faulted index."""
+    prog = PROGRAMS[name]
+    r = FaultRunner(prog, program_inputs(prog, TINY, 2), 42)
+    calls = _spied(r)
     verify = sorted({i for f in prog.meta.factors for i in (f.diff_idx, f.c_idx)})
     assert verify
     data = [
@@ -549,12 +566,220 @@ def test_run_re_evaluates_in_ascending_order_each_instruction_once(name):
             for vi in verify:
                 for check in (FaultAction(WriteOf(vi), FaultKind.ZERO), _skip(vi, vi)):
                     plan = (_write(d, v), check)
+                    r._walks.clear()
                     calls.clear()
-                    assert r.run(plan) == reference(name, 2, 42, plan)
+                    want = reference(name, 2, 42, plan)
+                    assert r.run(plan) == want
                     assert calls == sorted(set(calls)), plan
                     assert d in calls and calls[0] >= min(d, vi)
                     longest = max(longest, len(calls))
+                    calls.clear()
+                    assert r.run(plan) == want
+                    assert calls == sorted(set(calls)), plan
+                    assert not calls or calls[0] >= max(d, vi), plan
     assert longest > 10
+
+
+def _first_two(plan, n):
+    """The plan's lowest two faulted indices, as plan_faults decodes them."""
+    pending = plan_faults(plan, n)[3]
+    faulted = [i for i in range(n) if pending >> (n - 1 - i) & 1]
+    return faulted[0], faulted[1]
+
+
+def _tail(prog, base, j, k):
+    """A fault at j > i1 for a plan's tail: a skip of j, or a value fault on it."""
+    if k % 2 == 0:
+        return _skip(j, j)
+    dst = dst_of(prog.instrs[j])
+    return _write(j, base[dst] + 1) if dst is not None else _read(j, 0, 1)
+
+
+def _end_index(prog, inputs, seed, plan):
+    """The index at which execute ends plan's run, None if it releases a
+    signature: the shortest prefix of prog whose run ends the same way."""
+    result = execute(prog, inputs, seed=seed, plan=plan).result
+    if isinstance(result, Signature):
+        return None
+    return next(
+        k for k in range(len(prog.instrs))
+        if execute(replace(prog, instrs=prog.instrs[: k + 1]), inputs, seed=seed, plan=plan).result
+        == result
+    )
+
+
+def _first_fault_groups(prog, inputs, seed):
+    """(label, heads, i1, end, live): heads are the faults at i1 of plans
+    that share one first-fault record; end is the index where the walk of
+    the first head alone ends (None if it does not), live the last index
+    reading a value it changes (None if not worked out)."""
+    n = len(prog.instrs)
+    base = execute(prog, inputs, seed=seed)
+    at = {i: v for i, _reg, v in base.trace}
+    w = _first_data_write(prog)
+    e, m = _first_reduced(prog)
+    rd = next(i for i, ins in enumerate(prog.instrs) if i > w and reads_of(ins) and dst_of(ins))
+    groups = [
+        ("read", [(_read(rd, 0, 5),)], rd),
+        ("skipped store, then a window from it spanning i2", [(_skip(w, w),), (_skip(w, w + 2),)], w),
+        ("write plus read", [(_write(rd, 3), _read(rd, 0, 5))], rd),
+        ("crash at i1", [(_read(e, m, 0),)], e),
+    ]
+    for c in prog.meta.verification_checks[:1]:
+        groups.append(("skipped check", [(_skip(c, c),)], c))
+    groups = [(*g, _end_index(prog, inputs, seed, g[1][0]), None) for g in groups]
+    readers = prog.compiled.readers
+    ended = absorbed = None
+    for i in range(w, n - 2):
+        if dst_of(prog.instrs[i]) is None:
+            continue
+        for v in (0, at[i] + 1):
+            out = execute(prog, inputs, seed=seed, plan=(_write(i, v),))
+            if ended is None and isinstance(out.result, ErrorOut) and out.result.check_index > i + 1:
+                ended = ("error output below i2", [(_write(i, v),)], i, out.result.check_index, None)
+            if absorbed is None and out.result == base.result:
+                changed = [j for j, _reg, x in out.trace if x != at[j]]
+                live = max((n - 1 - b for j in changed for b in range(n) if readers[j] >> b & 1),
+                           default=n)
+                if len(changed) > 1 and live < n - 2:
+                    absorbed = ("absorbed before i2", [(_write(i, v),)], i, None, live)
+    return groups + [g for g in (ended, absorbed) if g], base.regs()
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_plans_that_share_a_first_fault_resume_from_its_record(name):
+    """Plans of one first fault run on one runner, their second faulted
+    index i2 below, at and above the kept record's horizon, each giving the
+    reference result. Below i2 a run walks only what the record lacks, and
+    the record then reaches i2, or the end of the program once its walk
+    ended. A walk that ends below i2 ends the plan; one absorbed below i2
+    leaves the result of the plan without it."""
+    prog = PROGRAMS[name]
+    n = len(prog.instrs)
+    inputs = program_inputs(prog, TINY, 2)
+    r = FaultRunner(prog, inputs, 42)
+    calls = _spied(r)
+    groups, base = _first_fault_groups(prog, inputs, 42)
+    labels = {g[0] for g in groups}
+    assert {"read", "write plus read", "crash at i1"} <= labels
+    assert next(g for g in groups if g[0] == "crash at i1")[3] == _first_reduced(prog)[0]
+    for label, heads, i1, end, live in groups:
+        last = max(a.site.last if isinstance(a.site, SkipRange) else a.site.index
+                   for head in heads for a in head)
+        js = list(range(last + 1, n))
+        picks = [js[len(js) // 2], js[0], js[len(js) // 2], js[-1], js[len(js) // 4],
+                 js[3 * len(js) // 4]]
+        if end is not None and end > i1:  # before, at and past the end
+            picks += [end - 1, end, min(end + 1, n - 1)]
+        plans_ = [head + (_tail(prog, base, j, k),) for head in heads for k, j in enumerate(picks)]
+        r._walks.clear()
+        horizon = None  # where the kept record is complete, once there is one
+        for plan in plans_:
+            first, i2 = _first_two(plan, n)
+            assert first == i1, (label, plan)
+            want = reference(name, 2, 42, plan)
+            calls.clear()
+            assert r.run(plan) == want, (label, plan)
+            assert calls == sorted(set(calls)), (label, plan)
+            assert all(c >= (horizon or i1) for c in calls if c < i2), (label, plan, horizon)
+            if end is not None and end < i2:
+                assert all(c <= end for c in calls), (label, plan)
+                horizon = n
+            elif horizon != n:
+                horizon = max(horizon or i1, i2)
+            if live is not None and live < i2:
+                assert want == reference(name, 2, 42, plan[len(heads[0]):]), (label, plan)
+            (record,) = r._walks.values()
+            assert record[1] == horizon, (label, plan)  # [changes, horizon, end]
+    # faults at one index that differ only in whether it is skipped keep two records
+    w = _first_data_write(prog)
+    rd = next(i for i, ins in enumerate(prog.instrs) if i > w and reads_of(ins) and dst_of(ins))
+    pairs = [(rd, _read(rd, 0, 5))]  # a store, and a check that the read fails
+    pairs += [(c, _read(c, 0, 10**6 + 7)) for c in prog.meta.verification_checks[:1]]
+    for i, act in pairs:
+        r._walks.clear()
+        for j in (n - 1, i + 1):
+            for plan in ((_skip(i, i), act, _skip(j, j)), (act, _skip(j, j))):
+                assert r.run(plan) == reference(name, 2, 42, plan), plan
+        assert len(r._walks) == 2
+
+
+def _faults_at(i, n):
+    """One to three faults whose lowest index is i: a value fault on its
+    write, on one of its reads, or a skip window starting at i."""
+
+    @st.composite
+    def faults(draw):
+        shapes = draw(st.lists(st.sampled_from(("write", "read", "skip")),
+                               min_size=1, max_size=3, unique=True))
+        acts = []
+        for shape in shapes:
+            if shape == "skip":
+                acts.append(_skip(i, draw(st.integers(i, min(n - 1, i + 2)))))
+            else:
+                site = WriteOf(i) if shape == "write" else ReadOf(i, draw(st.integers(0, 2)))
+                acts.append(_value_action(draw, site))
+        return tuple(acts)
+
+    return faults()
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_random_programs_resume_plans_from_a_shared_first_fault(data):
+    prog, inputs, seed = data.draw(random_programs(), label="program")
+    n = len(prog.instrs)
+    i1 = data.draw(st.integers(0, n - 2), label="i1")
+    head = data.draw(_faults_at(i1, n), label="first fault")
+    tails = []
+    for _ in range(data.draw(st.integers(2, 6), label="tails")):
+        j = data.draw(st.integers(i1 + 1, n - 1))
+        tail = data.draw(_faults_at(j, n))
+        if j < n - 1 and data.draw(st.booleans()):
+            tail += data.draw(_faults_at(data.draw(st.integers(j + 1, n - 1)), n))
+        tails.append(tail)
+    order = data.draw(st.permutations(range(len(tails))), label="order")
+    r = FaultRunner(prog, inputs, seed)
+    calls = _spied(r)
+    for k in order + order:  # the second pass finds every walk recorded
+        plan = head + tails[k]
+        calls.clear()
+        assert r.run(plan) == execute(prog, inputs, seed=seed, plan=plan).result
+        assert calls == sorted(set(calls))
+
+
+def test_the_first_fault_records_keep_a_bounded_number_dropping_the_oldest():
+    prog = PROGRAMS["aumuller"]
+    n = len(prog.instrs)
+    r = FaultRunner(prog, program_inputs(prog, TINY, 2), 42)
+    calls = _spied(r)
+    bound = crtfi.circuit._WALK_MEMO_SIZE
+    w = _first_data_write(prog)
+    plans_ = [(_write(w, v), _skip(n - 1, n - 1)) for v in range(1, bound + 6)]
+    for plan in plans_:
+        r.run(plan)
+        assert len(r._walks) <= bound
+    assert len(r._walks) == bound
+    for plan in plans_[5:]:  # the newest are all kept: nothing below i2 runs
+        calls.clear()
+        assert r.run(plan) == reference("aumuller", 2, 42, plan)
+        assert not [c for c in calls if c < n - 1], plan
+    for plan in plans_[:5]:  # the oldest were dropped, and their walks run again
+        calls.clear()
+        assert r.run(plan) == reference("aumuller", 2, 42, plan)
+        assert w in calls, plan
+    # single-fault plans keep no record
+    r._walks.clear()
+    r.run(plans_[0][:1])
+    assert not r._walks
+
+
+def test_runners_of_one_program_share_its_top_tuple():
+    prog = PROGRAMS["vigilant"]
+    a = FaultRunner(prog, program_inputs(prog, TINY, 2), 42)
+    b = FaultRunner(prog, program_inputs(prog, TINY, 3), 0)
+    assert a._top is b._top is prog.compiled.top
+    assert prog.compiled.top == tuple(1 << k >> 1 for k in range(len(prog.instrs) + 1))
 
 
 def test_lanes_that_all_write_the_baseline_value_evaluate_no_reader(monkeypatch):
