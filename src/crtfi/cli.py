@@ -201,7 +201,10 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--messages", type=_int_list, default=default["messages"], help="comma list; default 2,3,N-2"
     )
-    p.add_argument("--plan-limit", type=int, default=default["plan_limit"])
+    p.add_argument(
+        "--plan-limit", type=int, default=default["plan_limit"],
+        help="most plans an order of 2 or more runs: a larger space is sampled to this many; at least 1",
+    )
     p.add_argument(
         "--workers",
         type=int,

@@ -18,10 +18,14 @@ other messages in turn - a collision evaporates, a real break does not.
 
 Every (table row, value) of a campaign has an integer action id
 (ActionIds): the row's rank shifted left, or'd with the value's index, so
-ids ascend in plan sort order and decode by shift and mask. A plan of
-order 2 and above is a tuple of ids: it is drawn, deduplicated and sorted
-as ints, and the campaign decodes its ids where a batch gathers its faults,
-the replay pass's batches included, so a campaign builds no FaultAction.
+ids ascend in plan sort order and decode by shift and mask. A plan is one
+int, its ids packed first site highest at the fixed width of the largest
+id, so packed plans sort, deduplicate and compare as tuples of their ids
+would; an order-1 plan is a bare id. Plans are drawn, deduplicated and
+sorted as ints, and the campaign unpacks their ids (ActionIds.unpack)
+where a batch gathers its faults, the replay pass's batches included, so
+a campaign builds no FaultAction. A whole-domain randomize row holds its
+values as an array('q'), not a tuple of ints.
 
 Faulted runs go through circuit.FaultRunner, which replays faults against
 the fault-free baseline of their message; circuit.execute stays the
@@ -70,10 +74,11 @@ import os
 import random
 import threading
 import zlib
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from itertools import combinations, islice, product, repeat
-from operator import itemgetter, sub
+from operator import eq, itemgetter, sub
 from typing import NoReturn
 
 from .circuit import (
@@ -131,7 +136,10 @@ class CampaignSpec:
     repeated kind gives the same rows under a second report hash.
     samples_per_site must be at least 1, or sampled randomize rows would run
     no value; with "skip" among the kinds, max_skip_len must be at least 1,
-    or there would be no skip row.
+    or there would be no skip row. plan_limit bounds the plans of orders 2
+    and above: their whole space runs when it holds at most plan_limit
+    plans, else plan_limit distinct plans are drawn (build_plans). It must
+    be at least 1 at every order, or a sampled space would run no plan.
     workers is how many processes run and score the campaign's batches;
     it defaults to the CPUs this process may use. The parent keeps the
     bookkeeping and applies each batch's result in batch order, so the
@@ -162,6 +170,8 @@ class CampaignSpec:
             raise ValueError("workers must be at least 1")
         if self.samples_per_site < 1:
             raise ValueError("samples_per_site < 1 gives sampled sites no fault plans")
+        if self.plan_limit < 1:
+            raise ValueError("plan_limit < 1 gives orders 2 and above no fault plans")
         if "skip" in self.kinds and self.max_skip_len < 1:
             raise ValueError("max_skip_len < 1 gives the skip kind no fault plans")
         for k in self.kinds:
@@ -246,7 +256,8 @@ _SUCCESS_FIELDS = tuple(f.name for f in fields(AttackSuccess))
 class _Breaks:
     """A campaign's breaks as parallel columns, one entry per break in
     report order: its actions, (site key, kind, value) per fault, one tuple
-    shared by a lane's breaks; its message; its released value
+    decoded from the lane's packed plan (ActionIds) and shared by the
+    lane's breaks; its message; its released value
     (signature); the factor gcd(N, v - S) gave; and the replay verdict,
     None for a break the replay pass did not probe. p is N's factor named
     "p", and listed holds the indices of the breaks to_json lists."""
@@ -410,11 +421,15 @@ def _site_sample_rng(spec: CampaignSpec, site_key: str) -> random.Random:
 
 @dataclass(frozen=True)
 class SiteActions:
-    """All actions a campaign may take at one site under one kind."""
+    """All actions a campaign may take at one site under one kind.
+
+    values holds a whole-domain randomize row as an array('q'), 8 bytes a
+    value; a sampled row, whose values may pass 64 bits on a larger key,
+    and the one-value zero and skip rows hold a tuple."""
 
     site: FaultSite
     kind: FaultKind
-    values: tuple[int | None, ...]  # None for zero and skip
+    values: tuple[int | None, ...] | array  # (None,) for zero and skip
     exhaustive: bool
     domain: int | None
     nominal: int | None  # the site's fault-free value; None for skip
@@ -423,7 +438,11 @@ class SiteActions:
 def site_action_table(program: Program, spec: CampaignSpec) -> list[SiteActions]:
     """Deterministic per-site action lists for the spec's kinds.
 
-    A sampled randomize row draws rng.randrange(domain) until it holds
+    A randomize row whose domain is at most exhaustive_threshold takes
+    every value of it but the nominal one, in order, as an array('q'): the
+    two ranges either side of the nominal value, each a slice of one ramp
+    array 0, 1, 2, ... that grows to the largest such domain. A sampled
+    randomize row draws rng.randrange(domain) until it holds
     samples_per_site values other than the nominal one, or every such
     value. The loop makes the rng.getrandbits calls randrange makes on
     CPython (_randbelow's redraws) without its layers; test_faultengine's
@@ -433,6 +452,7 @@ def site_action_table(program: Program, spec: CampaignSpec) -> list[SiteActions]
     runner = _runner(program, spec.key, _messages_of(spec)[0], spec.seed)
     domains = site_domains(program, runner.baseline.regs())
     table: list[SiteActions] = []
+    ramp = array("q")
     for site in enumerate_sites(program, spec.max_skip_len if "skip" in spec.kinds else 0):
         if isinstance(site, SkipRange):
             table.append(SiteActions(site, FaultKind.SKIP, (None,), True, None, None))
@@ -442,10 +462,9 @@ def site_action_table(program: Program, spec: CampaignSpec) -> list[SiteActions]
             table.append(SiteActions(site, FaultKind.ZERO, (None,), True, dom, nominal))
         if "randomize" in spec.kinds:
             if dom <= spec.exhaustive_threshold:
-                if 0 <= nominal < dom:
-                    vals = (*range(nominal), *range(nominal + 1, dom))
-                else:
-                    vals = tuple(range(dom))
+                if len(ramp) < dom:
+                    ramp = array("q", range(dom))
+                vals = ramp[:nominal] + ramp[nominal + 1 : dom] if 0 <= nominal < dom else ramp[:dom]
                 table.append(SiteActions(site, FaultKind.RANDOMIZE, vals, True, dom, nominal))
             else:
                 bits, dom_bits = _site_sample_rng(spec, site.key(program)).getrandbits, dom.bit_length()
@@ -470,8 +489,9 @@ def _messages_of(spec: CampaignSpec) -> tuple[int, ...]:
 
 # ------------------------------------------------------------ plan universes
 
-# a plan over ActionIds: one action id per faulted site, sites in table order
-IdPlan = tuple[int, ...]
+# a plan over ActionIds: one action id per faulted site, sites in table
+# order, packed into one int first site highest, ActionIds.width bits an id
+IdPlan = int
 
 
 # where a site's class sorts among actions: writes, reads, then skip windows;
@@ -480,24 +500,33 @@ _SITE_RANK = {WriteOf: 0, ReadOf: 1, SkipRange: 2}
 
 
 class ActionIds:
-    """Integer ids for a campaign's actions, one per (table row, value).
+    """Integer ids for a campaign's actions, one per (table row, value),
+    and the packing of its plans of `order` ids.
 
     Rows are ranked by site (writes by index, reads by index and slot, skip
     windows by first then last index), then by kind name (randomize, skip,
     zero); by_id lists the table rows in rank order. Value k of the row
     ranked i has the id i << shift | k, shift being the bit length of the
-    longest row's value count, so ids ascend by rank and then by value and
-    tuples of ids sort as the actions they stand for. An id decodes by
-    arithmetic: its row is by_id[a >> shift] and its value index a & mask.
-    Row r holds the consecutive ids from base[r]; ids are not dense. Sites
-    are numbered in order of first appearance in the table; sizes holds
-    their action counts, a site's actions counting through its rows in
-    table order. A site has at most two rows (zero and randomize, or one
-    skip row), so spans gives its action k: with spans[g] = (n0, b0, off),
-    the id is b0 + k in the first row (k < n0) and off + k in the second.
+    longest row's value count, so ids ascend by rank and then by value. An
+    id decodes by arithmetic: its row is by_id[a >> shift] and its value
+    index a & mask. Row r holds the consecutive ids from base[r]; ids are
+    not dense. Sites are numbered in order of first appearance in the
+    table; sizes holds their action counts, a site's actions counting
+    through its rows in table order. A site has at most two rows (zero and
+    randomize, or one skip row), so spans gives its action k: with
+    spans[g] = (n0, b0, off), the id is b0 + k in the first row (k < n0)
+    and off + k in the second.
+
+    A plan packs its ids first site highest, width bits each, width being
+    the largest id's bit length: plan = plan << width | id, id by id. Every
+    id is below 1 << width, so packed plans of one order sort as the id
+    tuples they pack, and so as the actions they stand for. An order-1
+    plan is its bare id. unpack is the one decoder: places holds each
+    position's shift, first site first, and id_mask one id's bits.
+    _Tally._faults and _Tally.report_breaks run its loop inline.
     """
 
-    def __init__(self, table: list[SiteActions]):
+    def __init__(self, table: list[SiteActions], order: int = 1):
         self.table = table
         rank = [(_SITE_RANK[t.site.__class__], t.site, t.kind.value) for t in table]
         self.by_id = sorted(range(len(table)), key=rank.__getitem__)
@@ -506,6 +535,10 @@ class ActionIds:
         self.base = [0] * len(table)
         for rank, r in enumerate(self.by_id):
             self.base[r] = rank << self.shift
+        largest = max((b + len(t.values) - 1 for b, t in zip(self.base, table)), default=0)
+        self.width = max(largest.bit_length(), 1)
+        self.id_mask = (1 << self.width) - 1
+        self.places = range(self.width * (order - 1), -1, -self.width)
         groups: dict[FaultSite, list[tuple[int, int]]] = {}
         for r, t in enumerate(table):
             groups.setdefault(t.site, []).append((len(t.values), self.base[r]))
@@ -523,30 +556,41 @@ class ActionIds:
         n0, b0, off = self.spans[group]
         return b0 + k if k < n0 else off + k
 
+    def unpack(self, plan: IdPlan) -> list[int]:
+        """The ids a packed plan holds, first site first."""
+        m = self.id_mask
+        return [plan >> s & m for s in self.places]
+
     def fault_plan(self, plan: IdPlan) -> FaultPlan:
-        """The FaultAction tuple an id plan stands for."""
+        """The FaultAction tuple a packed plan stands for."""
         acts = []
-        for a in plan:
+        for a in self.unpack(plan):
             t = self.table[self.by_id[a >> self.shift]]
             acts.append(FaultAction(t.site, t.kind, t.values[a & self.mask]))
         return tuple(acts)
 
 
-def plan_space_size(table: list[SiteActions], order: int) -> int:
-    """Number of plans faulting `order` distinct sites: elementary symmetric sum e_k."""
+def _space_size(sizes: list[int], order: int) -> int:
+    """Number of plans faulting `order` distinct sites, sizes holding each
+    site's action count: the elementary symmetric sum e_order."""
     e = [0] * (order + 1)
     e[0] = 1
-    for n in ActionIds(table).sizes:
+    for n in sizes:
         for k in range(order, 0, -1):
             e[k] += e[k - 1] * n
     return e[order]
 
 
+def plan_space_size(table: list[SiteActions], order: int) -> int:
+    """Number of plans faulting `order` distinct sites of the table."""
+    return _space_size(ActionIds(table).sizes, order)
+
+
 def build_plans(
     program: Program, spec: CampaignSpec, table: list[SiteActions]
 ) -> tuple[list[IdPlan] | None, bool, ActionIds]:
-    """The campaign's id plans, whether they had to be sampled, and the
-    ActionIds that decode them.
+    """The campaign's packed id plans, whether they had to be sampled, and
+    the ActionIds that unpack them.
 
     Order 1 builds no list (None): its plans are the table's actions, one
     each, which run_campaign runs row by row. Higher orders take every
@@ -554,10 +598,12 @@ def build_plans(
     combinations in table order with the first site's action varying
     fastest; otherwise plan_limit distinct draws (site subset uniform, one
     of the site's actions under any kind uniform), or as many as 50 *
-    plan_limit draws find, sorted. No plan faults a site twice. Plans are
-    tuples of ints, so drawing, deduplicating and sorting never build a
-    FaultAction; the campaign, its replay pass included, decodes ids by
-    shift and mask.
+    plan_limit draws find, sorted. No plan faults a site twice. A plan is
+    one int (ActionIds), so drawing, deduplicating and sorting never build
+    a tuple or a FaultAction: a whole space is the sums over the product
+    of each position's ids, shifted to that position beforehand, and a
+    draw packs each id as it is drawn. The campaign, its replay pass
+    included, unpacks ids by shift and mask.
 
     A draw is rng.sample(range(sites), order), sorted, then one
     rng.randrange(size) per picked site, decoded through ActionIds.spans.
@@ -566,17 +612,19 @@ def build_plans(
     redraws), without their layers; test_faultengine's differential test
     against random.Random on the running interpreter guards the sequence.
     """
-    ids = ActionIds(table)
     order, limit = spec.order, spec.plan_limit
+    ids = ActionIds(table, order)
     if order == 1:
         return None, False, ids
-    sizes = ids.sizes
-    if plan_space_size(table, order) <= limit:
+    sizes, width = ids.sizes, ids.width
+    if _space_size(sizes, order) <= limit:
         per_site = [[ids.nth(g, k) for k in range(n)] for g, n in enumerate(sizes)]
+        # per position, last first, each site's ids shifted to that position
+        placed = [[[a << s for a in acts] for acts in per_site] for s in reversed(ids.places)]
         plans = [
-            plan[::-1]
-            for combo in combinations(per_site, order)
-            for plan in product(*combo[::-1])
+            plan
+            for combo in combinations(range(len(sizes)), order)
+            for plan in map(sum, product(*[placed[j][g] for j, g in enumerate(reversed(combo))]))
         ]
         return plans, False, ids
     rng = random.Random((spec.seed * 0x9E3779B1 + order) & 0xFFFFFFFFFFFF)
@@ -615,14 +663,14 @@ def build_plans(
                 if j < n_sites:
                     picked.add(j)
             picks = sorted(picked)
-        plan = []
+        plan = 0
         for g in picks:
             n, n_bits, n0, b0, off = draws[g]
             k = bits(n_bits)
             while k >= n:
                 k = bits(n_bits)
-            plan.append(b0 + k if k < n0 else off + k)
-        plans_set.add(tuple(plan))
+            plan = plan << width | (b0 + k if k < n0 else off + k)
+        plans_set.add(plan)
     return sorted(plans_set), True, ids
 
 
@@ -785,8 +833,10 @@ def _twin_rows(code: CompiledProgram, table: list[SiteActions]) -> dict[int, int
     WriteOf(w) of the same kind when j is w's only reader, j's operands,
     avoid-list lookups included, name w once, and both rows have the same
     values: faulting w's write then changes that one operand of j and
-    nothing else, to the value the read fault puts there. Writes come
-    before reads in the table, so a campaign runs the write row first.
+    nothing else, to the value the read fault puts there. Values are
+    compared as sequences, an array('q') row against a tuple one too.
+    Writes come before reads in the table, so a campaign runs the write
+    row first.
     """
     ops, readers = code.ops, code.readers
     row_of = {(t.site, t.kind): r for r, t in enumerate(table)}
@@ -802,7 +852,8 @@ def _twin_rows(code: CompiledProgram, table: list[SiteActions]) -> dict[int, int
                 and wr < r
                 and readers[w] == 1 << (len(ops) - 1 - j)
                 and srcs.count(w) == 1
-                and table[wr].values == t.values
+                and len(table[wr].values) == len(t.values)
+                and all(map(eq, table[wr].values, t.values))
             ):
                 twins[r] = wr
     return twins
@@ -923,20 +974,23 @@ class _Tally:
     run makes one ordered list of jobs, each a tuple whose first item is
     its lane count: (lanes, row, first value index) for a batch of an
     order-1 row's values, (0, write row, read row) for a twin read row,
-    and (lanes, None, plans) for a batch of id plans. _compute runs a
-    batch job and reads nothing the bookkeeping writes, so _fork_join may
-    run it in a child; _apply books each result in this process, in job
+    and (lanes, None, plans) for a batch of packed id plans (ActionIds),
+    an order-1 skip plan being its bare id. _compute runs a batch job and
+    reads nothing the bookkeeping writes, so _fork_join may run it in a
+    child; _apply books each result in this process, in job
     order. It adds attempts and no-output runs into two flat per-row int
     lists, and hands the breaks to _keep, the one writer of breaks: a
-    break becomes one entry of each break column (plans, kept for the
-    replay pass, messages, signatures, factors and persistent), and its
-    index is listed in row_hits on every row its plan touches; breaks come
-    in plan order, then message order, whatever the number of workers.
-    When every job is applied, run derives each row's successes, factor_p,
-    factor_q and silent runs from those lists. _replay writes its verdicts
-    into persistent by index, and report_breaks hands the columns, each
-    plan decoded to its actions, to the report, which keeps nothing else
-    of the tally.
+    break becomes one entry of each break column (plans, one packed int
+    each, kept for the replay pass; messages, signatures, factors and
+    persistent), and its index is listed in row_hits on every row its plan
+    touches; breaks come in plan order, then message order, whatever the
+    number of workers. When every job is applied, run derives each row's
+    successes, factor_p, factor_q and silent runs from those lists.
+    _replay writes its verdicts into persistent by index, and
+    report_breaks hands the columns, each plan decoded to its actions, to
+    the report, which keeps nothing else of the tally. _replay unpacks
+    plans with ActionIds.unpack; _faults and report_breaks, which unpack
+    every plan they meet, run its loop inline.
 
     At order 1 a read row twin to a write row (_twin_rows) does not run: it
     takes the write row's batch results, booked by _apply under its own
@@ -1001,7 +1055,7 @@ class _Tally:
             plans = []
             for r, t in enumerate(self.table):
                 if t.kind is FaultKind.SKIP:
-                    plans.append((self.ids.base[r],))
+                    plans.append(self.ids.base[r])
                 elif r in twins:
                     jobs.append((0, twins[r], r))
                 else:
@@ -1056,7 +1110,7 @@ class _Tally:
             self._no_output[r] += ended
             if hits:
                 first = self.ids.base[r] + arg
-                self._keep({k: (first + k,) for k in set(hits[0])}, r, hits)
+                self._keep(range(first, first + lanes), r, hits)
             return
         attempts, no_output = self._attempts, self._no_output
         for touched, e in zip(plan_rows, ended or repeat(0)):
@@ -1067,13 +1121,14 @@ class _Tally:
             self._keep(arg, plan_rows, hits)
 
     def _keep(
-        self, plans: list[IdPlan] | dict[int, IdPlan], plan_rows: list[list[int]] | int, hits: list[tuple]
+        self, plans: list[IdPlan] | range, plan_rows: list[list[int]] | int, hits: list[tuple]
     ) -> None:
         """Keep a batch's breaks, hits being the columns _score gives: each
         hit (lane k, message, released value, gcd(N, v - S)) becomes one
-        entry of every break column, with plan plans[k] (a lane's hits share
-        its plan tuple), and is listed on the rows its plan touches: each
-        row of plan_rows[k], or the one row plan_rows when it is an int."""
+        entry of every break column, with plan plans[k], and is listed on
+        the rows its plan touches: each row of plan_rows[k], or the one row
+        plan_rows when it is an int (an order-1 row batch, whose plans are
+        the range of its ids)."""
         p, q = self.key.p, self.key.q
         start = len(self.plans)
         lanes, messages, signatures, gcds = hits
@@ -1092,24 +1147,28 @@ class _Tally:
 
     def report_breaks(self) -> _Breaks:
         """The breaks as a report keeps them, holding nothing else of the
-        tally or its table: each id plan decoded to its actions, once per
-        lane, and listed the first _SUCCESSES_PER_ROW breaks, in order,
+        tally or its table: each packed plan decoded to its actions, once
+        per lane, and listed the first _SUCCESSES_PER_ROW breaks, in order,
         whose plans start on each row, found among the breaks listed on
         that row."""
         ids, plans = self.ids, self.plans
-        shift, mask = ids.shift, ids.mask
+        shift, mask, places, id_mask = ids.shift, ids.mask, ids.places, ids.id_mask
+        first = places[0] + shift  # a plan shifted this far is its first id's rank
         labels = [(self.rows[r].site, self.rows[r].kind) for r in ids.by_id]  # by rank
         values = [self.table[r].values for r in ids.by_id]
         actions, source = [], None
         for plan in plans:
-            if plan is not source:  # a lane's breaks share its plan tuple
-                source = plan
-                decoded = tuple([(*labels[a >> shift], values[a >> shift][a & mask]) for a in plan])
+            if plan != source:  # a lane's breaks are consecutive and share its actions
+                source, acts = plan, []
+                for s in places:  # ActionIds.unpack, inline
+                    a = plan >> s & id_mask
+                    acts.append((*labels[a >> shift], values[a >> shift][a & mask]))
+                decoded = tuple(acts)
             actions.append(decoded)
         listed = []
         for r, hits in self.row_hits.items():
             rank = ids.base[r] >> shift
-            listed += islice((i for i in hits if plans[i][0] >> shift == rank), _SUCCESSES_PER_ROW)
+            listed += islice((i for i in hits if plans[i] >> first == rank), _SUCCESSES_PER_ROW)
         return _Breaks(
             self.key.p, actions, self.messages, self.signatures,
             self.factors, self.persistent, sorted(listed),
@@ -1135,16 +1194,18 @@ class _Tally:
     def _faults(
         self, batch: list[IdPlan], redrawn: dict[int, int] | None = None
     ) -> tuple[tuple, list[list[int]]]:
-        """run_batch's arguments for a batch, and the rows each plan touches.
-        An action on a row that redrawn maps takes that value instead of its
-        own."""
-        by_id, shift, mask = self.ids.by_id, self.ids.shift, self.ids.mask
+        """run_batch's arguments for a batch of packed plans, and the rows
+        each plan touches. An action on a row that redrawn maps takes that
+        value instead of its own."""
+        ids = self.ids
+        by_id, shift, mask, places, id_mask = ids.by_id, ids.shift, ids.mask, ids.places, ids.id_mask
         sites, table = self._sites, self.table
         writes, reads, skips = defaultdict(list), defaultdict(list), defaultdict(list)
         plan_rows = []
         for lane, plan in enumerate(batch):
             rows = []
-            for a in plan:
+            for s in places:  # ActionIds.unpack, inline
+                a = plan >> s & id_mask
                 r = by_id[a >> shift]
                 rows.append(r)
                 i, slot, window = sites[r]
@@ -1218,7 +1279,7 @@ def _plans(
         # zero breaks over zero plans would read as "secure"
         raise ValueError(
             f"campaign on {program.name} has no fault plans: widen kinds, "
-            "max_skip_len, samples_per_site or plan_limit, or lower the order"
+            "max_skip_len or samples_per_site, or lower the order"
         )
     return plans, sampled, ids, total
 
@@ -1255,14 +1316,14 @@ def _replay(tally: _Tally, program: Program, spec: CampaignSpec, bound: float | 
             elif _band(rows[r], bound) is None:
                 need.update(idxs[:_REPLAY_CAP])
     key, plans, table = spec.key, tally.plans, tally.table
-    by_id, shift = tally.ids.by_id, tally.ids.shift
+    by_id, shift, unpack = tally.ids.by_id, tally.ids.shift, tally.ids.unpack
     n, p, q = tally.n, key.p, key.q
     alts = {m: _alt_messages(n, m) for m in {messages[i] for i in need}}
     replayed = pending = sorted(need)
     for t, step in enumerate(_ALT_SEED_STEPS):
         redrawn = {}
         if spec.order > 1:
-            for r in {by_id[a >> shift] for i in pending for a in plans[i]}:
+            for r in {by_id[a >> shift] for i in pending for a in unpack(plans[i])}:
                 row = table[r]
                 if row.kind is FaultKind.RANDOMIZE:
                     redrawn[r] = _redrawn_value(row.site, row.domain, row.nominal, spec.seed, t)

@@ -486,6 +486,19 @@ def test_campaigns_that_would_drop_runs_exit_with_the_data_code(tmp_path, capsys
     assert "message 3 is not a unit mod N=33" in err
 
 
+@pytest.mark.parametrize("order", ["1", "2"])
+def test_a_plan_limit_below_one_is_refused_at_every_order(monkeypatch, capsys, order):
+    # refused by the spec, before any baseline runs or any table is built
+    built = []
+    monkeypatch.setattr(faultengine, "site_action_table", lambda *args: built.append(args))
+    monkeypatch.setattr(faultengine, "_signed_baselines", lambda *args: built.append(args))
+    assert main(["campaign", "--algo", "shamir", "--order", order, "--plan-limit", "0"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and built == []
+    # the one field at fault is named: widening kinds or max_skip_len would not help
+    assert err == "error: plan_limit < 1 gives orders 2 and above no fault plans\n"
+
+
 def test_flag_grammar_failures_use_the_argparse_code():
     with pytest.raises(SystemExit) as info:
         main([])

@@ -3,11 +3,14 @@
 import gc
 import hashlib
 import json
+import math
 import random
+import tracemalloc
 import weakref
+from array import array
 from collections import defaultdict
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +39,7 @@ from crtfi.countermeasures import build, catalog, program_inputs
 from crtfi.faultengine import (
     ActionIds,
     CampaignSpec,
+    SiteActions,
     build_plans,
     check_skip_subsumption,
     plan_persists,
@@ -194,13 +198,13 @@ def test_action_ids_ascend_in_plan_order_and_decode_as_the_reference(algo):
     # row r's value k has the id base[r] + k and decodes back to that action
     for r, t in enumerate(table):
         for k, v in enumerate(t.values):
-            assert ids.fault_plan((ids.base[r] + k,)) == (FaultAction(t.site, t.kind, v),)
+            assert ids.fault_plan(ids.base[r] + k) == (FaultAction(t.site, t.kind, v),)
     real = sorted(ids.base[r] + k for r, t in enumerate(table) for k in range(len(t.values)))
-    keys = [reference_plan_sort_key(ids.fault_plan((a,))) for a in real]
+    keys = [reference_plan_sort_key(ids.fault_plan(a)) for a in real]
     assert all(a < b for a, b in zip(keys, keys[1:]))
     for g, group in enumerate(reference_site_groups(table)):
         for k in range(ids.sizes[g]):
-            assert ids.fault_plan((ids.nth(g, k),)) == (reference_nth_action(group, k),)
+            assert ids.fault_plan(ids.nth(g, k)) == (reference_nth_action(group, k),)
 
 
 def assert_plans_are_the_reference(prog, spec, table, sampled):
@@ -257,6 +261,161 @@ def test_sampling_gives_up_at_the_guard_as_the_reference_does():
     spec = replace(spec, order=2, plan_limit=plan_space_size(table, 2) - 1)
     plans = assert_plans_are_the_reference(prog, spec, table, True)
     assert len(plans) < spec.plan_limit
+
+
+# build_plans as it was while plans were tuples of action ids, kept as the
+# reference: packed plans must unpack to exactly these tuples, in this order
+
+
+def reference_id_plans(spec, table, ids):
+    order, limit = spec.order, spec.plan_limit
+    sizes = ids.sizes
+    if plan_space_size(table, order) <= limit:
+        per_site = [[ids.nth(g, k) for k in range(n)] for g, n in enumerate(sizes)]
+        return [plan[::-1] for combo in combinations(per_site, order) for plan in product(*combo[::-1])]
+    rng = random.Random((spec.seed * 0x9E3779B1 + order) & 0xFFFFFFFFFFFF)
+    bits = rng.getrandbits
+    n_sites = len(sizes)
+    setsize = 21 + (4 ** math.ceil(math.log(order * 3, 4)) if order > 5 else 0)
+    pooled = n_sites <= setsize
+    site_bits = n_sites.bit_length()
+    draws = [(n, n.bit_length(), *span) for n, span in zip(sizes, ids.spans)]
+    plans_set = set()
+    guard = 0
+    while len(plans_set) < limit:
+        guard += 1
+        if guard > limit * 50:
+            break
+        if pooled:
+            pool = list(range(n_sites))
+            picks = []
+            for m in range(n_sites, n_sites - order, -1):
+                j = bits(m.bit_length())
+                while j >= m:
+                    j = bits(m.bit_length())
+                picks.append(pool[j])
+                pool[j] = pool[m - 1]
+            picks.sort()
+        else:
+            picked = set()
+            while len(picked) < order:
+                j = bits(site_bits)
+                if j < n_sites:
+                    picked.add(j)
+            picks = sorted(picked)
+        plan = []
+        for g in picks:
+            n, n_bits, n0, b0, off = draws[g]
+            k = bits(n_bits)
+            while k >= n:
+                k = bits(n_bits)
+            plan.append(b0 + k if k < n0 else off + k)
+        plans_set.add(tuple(plan))
+    return sorted(plans_set)
+
+
+def assert_packed_plans_are_the_reference_tuples(prog, spec, table, sampled):
+    plans, was_sampled, ids = build_plans(prog, spec, table)
+    assert was_sampled == sampled
+    assert all(type(plan) is int for plan in plans)
+    assert [tuple(ids.unpack(plan)) for plan in plans] == reference_id_plans(spec, table, ids)
+    return plans
+
+
+def twelve_spread_sites(table):
+    """The rows of 12 sites spread evenly across the table."""
+    sites = list(dict.fromkeys(t.site for t in table))
+    spread = set(sites[:: len(sites) // 12][:12])
+    return [t for t in table if t.site in spread]
+
+
+@pytest.mark.parametrize("algo", sorted(CATALOG))
+def test_packed_plans_unpack_to_the_tuple_plans_in_order(algo):
+    prog = CATALOG[algo]
+    # sampled: the whole table (Random.sample's set branch), and 12 sites
+    # spread across it (its pool branch)
+    spec, table = all_kinds_table(algo, exhaustive_threshold=64, samples_per_site=8)
+    part = twelve_spread_sites(table)
+    for order in (2, 3):
+        assert_packed_plans_are_the_reference_tuples(prog, replace(spec, order=order, plan_limit=300), table, True)
+        limit = min(plan_space_size(part, order) // 2, 300)
+        assert_packed_plans_are_the_reference_tuples(prog, replace(spec, order=order, plan_limit=limit), part, True)
+    # whole: 12 spread sites of up to four actions each
+    spec, table = all_kinds_table(algo, exhaustive_threshold=4, samples_per_site=2)
+    part = twelve_spread_sites(table)
+    for order in (2, 3):
+        plans = assert_packed_plans_are_the_reference_tuples(prog, replace(spec, order=order, plan_limit=10**6), part, False)
+        assert len(plans) == plan_space_size(part, order)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 2000), min_size=1, max_size=40), st.integers(1, 6), st.data())
+def test_packing_preserves_tuple_order_and_round_trips(counts, order, data):
+    # one randomize row per write site, holding counts[i] values: the width
+    # ActionIds derives ranges from 1 to 17 bits
+    table = [
+        SiteActions(WriteOf(i), FaultKind.RANDOMIZE, array("q", range(n)), True, n + 1, n)
+        for i, n in enumerate(counts)
+    ]
+    ids = ActionIds(table, order)
+    every = [ids.base[r] + k for r, n in enumerate(counts) for k in range(n)]
+    assert max(every) < 1 << ids.width  # the width covers every id
+
+    def pack(plan):
+        packed = 0
+        for a in plan:
+            packed = packed << ids.width | a
+        return packed
+
+    tuples = data.draw(st.lists(st.tuples(*[st.sampled_from(every)] * order), max_size=60))
+    packed = list(map(pack, tuples))
+    assert [tuple(ids.unpack(plan)) for plan in packed] == tuples
+    assert sorted(packed) == list(map(pack, sorted(tuples)))
+    assert len(set(packed)) == len(set(tuples))
+
+
+# memory budgets, with wide margins: tuples of ids held about 245 bytes per
+# order-5 plan and tuples of ints about 38 bytes per whole-domain value
+PLAN_BYTES, VALUE_BYTES = 64, 12
+WIDE = crt_from_rsa(gen_key(8, 2))
+
+
+def _traced(make):
+    """make() and the bytes it allocated that are still live when it returns."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = make()
+        return out, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_sampled_order_five_plan_list_holds_one_packed_int_a_plan():
+    spec = CampaignSpec(
+        key=WIDE, algo="vigilant", messages=(2,), order=5, kinds=("randomize",), r_bits=5,
+        exhaustive_threshold=8192, plan_limit=10_000,
+    )
+    prog = build("vigilant", WIDE, r_bits=5, build_seed=0)
+    table = site_action_table(prog, spec)
+    (plans, sampled, _ids), size = _traced(lambda: build_plans(prog, spec, table))
+    assert sampled and len(plans) == 10_000
+    assert size <= PLAN_BYTES * len(plans), size / len(plans)
+
+
+def test_a_whole_domain_row_holds_eight_bytes_a_value():
+    # one sampled value per sampled row, so nearly every byte is a whole
+    # row's; most of their values are past the interpreter's small ints
+    spec = CampaignSpec(
+        key=WIDE, algo="aumuller", messages=(2,), kinds=("randomize",), r_bits=5,
+        exhaustive_threshold=16384, samples_per_site=1,
+    )
+    prog = build("aumuller", WIDE, r_bits=5, build_seed=0)
+    site_action_table(prog, spec)  # the first message's runner, kept on the program
+    table, size = _traced(lambda: site_action_table(prog, spec))
+    values = sum(len(t.values) for t in table if t.exhaustive)
+    assert values > 100_000
+    assert size <= VALUE_BYTES * values, size / values
 
 
 @pytest.mark.parametrize("algo", sorted(CATALOG))
@@ -749,6 +908,22 @@ def test_a_twin_read_row_runs_as_its_write_row(seed, pairs):
     assert found == pairs
 
 
+@pytest.mark.parametrize("algo, count", [("shamir", 23), ("aumuller", 35), ("vigilant", 61)])
+def test_twin_rows_pair_whole_domain_rows_whatever_their_container(algo, count):
+    spec = tiny_spec(algo=algo, messages=(2, 3), exhaustive_threshold=3072, **ALL_KINDS)
+    prog = CATALOG[algo]
+    table = site_action_table(prog, spec)
+    twins = faultengine._twin_rows(prog.compiled, table)
+    assert len(twins) == count
+    whole = [w for w in twins.values() if isinstance(table[w].values, array)]
+    assert whole
+    # a write row's values held as a tuple still pair with the read row's array
+    w = whole[0]
+    as_tuple = list(table)
+    as_tuple[w] = replace(table[w], values=tuple(table[w].values))
+    assert faultengine._twin_rows(prog.compiled, as_tuple) == twins
+
+
 def test_twin_rows_need_one_reader_naming_the_register_once_and_equal_values():
     b = ProgramBuilder("twins", ("M", "p", "q"))
     b.inp("m", "M")
@@ -851,10 +1026,10 @@ def test_column_scoring_matches_score_outcome_run_by_run(columns, order):
     if order == 1:
         data = [r for r, t in enumerate(table) if t.kind is not FaultKind.SKIP]
         skips = [r for r, t in enumerate(table) if t.kind is FaultKind.SKIP]
-        lanes = [((ids.base[r] + k,), [r], k % 4) for r in data for k in range(len(table[r].values))]
-        lanes += [((ids.base[r],), [r], i % 4) for i, r in enumerate(skips)]
+        lanes = [(ids.base[r] + k, [r], k % 4) for r in data for k in range(len(table[r].values))]
+        lanes += [(ids.base[r], [r], i % 4) for i, r in enumerate(skips)]
     else:
-        lanes = [(plan, [ids.by_id[a >> ids.shift] for a in plan], i % 4) for i, plan in enumerate(plans)]
+        lanes = [(plan, [ids.by_id[a >> ids.shift] for a in ids.unpack(plan)], i % 4) for i, plan in enumerate(plans)]
     counts = [[0] * 6 for _ in table]  # attempts, successes, factor_p, factor_q, no_output, silent
     successes = []
     for plan, rows, lane in lanes:
@@ -871,7 +1046,7 @@ def test_column_scoring_matches_score_outcome_run_by_run(columns, order):
             if tally_name == "success":
                 acts = tuple(
                     (tally.rows[r].site, tally.rows[r].kind, table[r].values[a & ids.mask])
-                    for r, a in zip(rows, plan)
+                    for r, a in zip(rows, ids.unpack(plan))
                 )
                 successes.append((m, acts, res.value, factor, side, plan))
     got = [[r.attempts, r.successes, r.factor_p, r.factor_q, r.no_output, r.silent] for r in tally.rows]
@@ -1183,6 +1358,17 @@ def test_spec_validation_rejects_nonsense():
     with pytest.raises(ValueError, match="max_skip_len < 1"):
         CampaignSpec(key=TINY, algo="unprotected", max_skip_len=0)
     assert CampaignSpec(key=TINY, algo="unprotected", kinds=("zero",), max_skip_len=0)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_spec_refuses_a_plan_limit_below_one_at_every_order(order):
+    for limit in (0, -1):
+        with pytest.raises(ValueError, match="plan_limit < 1 gives orders 2 and above no fault plans"):
+            CampaignSpec(key=TINY, algo="unprotected", order=order, plan_limit=limit)
+    assert CampaignSpec(key=TINY, algo="unprotected", order=order, plan_limit=1).plan_limit == 1
+    if order > 1:
+        # one plan is drawn, and run
+        assert run_campaign(tiny_spec(order=order, plan_limit=1)).plans_total == 1
 
 
 @pytest.mark.parametrize("message", [0, 7, 11, -2, 77, 80])  # zero, p, q, negative, N, above N
