@@ -360,7 +360,9 @@ def _build_blomer(key: CrtKey, r_bits: int, build_seed: int) -> Program:
     rng = random.Random((build_seed * 0xB5297A4D + r_bits) & 0xFFFFFFFF)
     lo, hi = 1 << (r_bits - 1), 1 << r_bits
     r1 = r2 = None
-    for _ in range(400):
+    # both draws must be prime: at r_bits 16 the first pair that qualifies
+    # can come past draw 400
+    for _ in range(4000):
         c1 = rng.randrange(lo, hi)
         c2 = rng.randrange(lo, hi)
         if not (is_prime(c1) and is_prime(c2)):

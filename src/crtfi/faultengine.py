@@ -46,8 +46,9 @@ it is read: successes builds the whole list on first use, to_json only
 the few successes it lists per row. At order 1 a read
 fault whose register has one reader, naming it once, is the same fault
 as a write fault on that register's writer: such a read row, with the
-write row's values, is not run, and takes the write row's batch results,
-booked under its own row and action ids.
+write row's values, is not run. Each of its batch jobs names the write
+row's batch job of the same values, and _fork_join applies it with that
+job's result, booked under its own row and action ids.
 The replay probes run round-major: each round runs the successes still
 pending as run_batch lanes, one runner pass per batch and alternate
 message, scored as a column; plan_persists, which runs one plan at a time
@@ -561,14 +562,6 @@ class ActionIds:
         m = self.id_mask
         return [plan >> s & m for s in self.places]
 
-    def fault_plan(self, plan: IdPlan) -> FaultPlan:
-        """The FaultAction tuple a packed plan stands for."""
-        acts = []
-        for a in self.unpack(plan):
-            t = self.table[self.by_id[a >> self.shift]]
-            acts.append(FaultAction(t.site, t.kind, t.values[a & self.mask]))
-        return tuple(acts)
-
 
 def _space_size(sizes: list[int], order: int) -> int:
     """Number of plans faulting `order` distinct sites, sizes holding each
@@ -579,11 +572,6 @@ def _space_size(sizes: list[int], order: int) -> int:
         for k in range(order, 0, -1):
             e[k] += e[k - 1] * n
     return e[order]
-
-
-def plan_space_size(table: list[SiteActions], order: int) -> int:
-    """Number of plans faulting `order` distinct sites of the table."""
-    return _space_size(ActionIds(table).sizes, order)
 
 
 def build_plans(
@@ -864,60 +852,65 @@ _BATCH = 256
 
 
 def _fork_join(jobs: list[tuple], compute, apply, workers: int) -> None:
-    """apply(job, compute(job)) for every job, strictly in job order. A
-    job's first item is its lane count; a job of no lanes is applied with
-    None and never computed.
+    """apply(job, result) for every job, strictly in job order. A job's
+    first item is its lane count and its last the index of the earlier job
+    whose result it takes, or None. A job that names one is not computed:
+    it is applied with that result, held from the earlier job's apply
+    until its own. What is held is thus the results of applied jobs whose
+    takers are still to come: for twin read rows, the write rows' batch
+    results until their read rows' batches.
 
     compute must be pure. With workers >= 2, on a process of one thread
-    that can fork, and at least two jobs with lanes per process, the jobs
-    are cut into up to `workers` contiguous chunks of about equal lane
-    count. A child forked for each chunk after the first computes it and
-    writes its results to a pipe, one pickle each (_child); this process
-    computes and applies chunk 0 meanwhile, then loads each child's
-    results in turn, one pickle.load apiece, so that no unpickler memo
-    keeps them alive. Where a child could not be forked, or its results
-    stop short because it raised or died, this process computes the rest
-    of its chunk, so a batch that fails raises what it raises in a serial
-    run. Every child is killed if still running, and reaped, before this
-    returns or raises. Otherwise every job is computed here.
+    that can fork, and at least two computed jobs per process, the jobs
+    are cut into up to `workers` contiguous chunks (_chunks). A child
+    forked for each chunk after the first computes it and writes its
+    results to a pipe, one pickle each (_child); this process computes and
+    applies chunk 0 meanwhile, then loads each child's results in turn,
+    one pickle.load apiece, so that no unpickler memo keeps them alive.
+    Where a child could not be forked, or its results stop short because
+    it raised or died, this process computes the rest of its chunk, so a
+    batch that fails raises what it raises in a serial run. Every child is
+    killed if still running, and reaped, before this returns or raises.
+    Otherwise every job is computed here.
     """
-    procs = min(workers, sum(1 for job in jobs if job[0]) // 2)
-    if procs < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        for job in jobs:
-            apply(job, compute(job) if job[0] else None)
-        return
-    import pickle  # only a forked campaign pays for these imports
-    import signal
-
-    chunks = _chunks(jobs, procs)
-    pids, streams = [], [None]  # chunk 0 has no child
+    takers = {job[-1] for job in jobs}  # the indices of the jobs whose results are taken
+    chunks, pids, streams = [jobs], [], [None]  # chunk 0 has no child
+    procs = min(workers, sum(1 for job in jobs if job[-1] is None) // 2)
     try:
-        for chunk in chunks[1:]:
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # no child: this process computes the chunk
-                os.close(r)
+        if procs >= 2 and hasattr(os, "fork") and threading.active_count() == 1:
+            import pickle  # only a forked campaign pays for these imports
+            import signal
+
+            chunks = _chunks(jobs, procs)
+            for chunk in chunks[1:]:
+                r, w = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:  # no child: this process computes the chunk
+                    os.close(r)
+                    os.close(w)
+                    streams.append(None)
+                    continue
+                if pid == 0:
+                    _child(chunk, compute, w)
                 os.close(w)
-                streams.append(None)
-                continue
-            if pid == 0:
-                _child(chunk, compute, w)
-            os.close(w)
-            pids.append(pid)
-            streams.append(open(r, "rb"))
+                pids.append(pid)
+                streams.append(open(r, "rb"))
+        held, i = {}, 0
         for chunk, stream in zip(chunks, streams):
             for job in chunk:
-                if not job[0]:
-                    apply(job, None)
-                    continue
-                out = None
-                if stream is not None:
+                out = held.pop(job[-1], None)  # None unless the job takes a result
+                if out is None and stream is not None:
                     try:
                         out = pickle.load(stream)
                     except (EOFError, pickle.UnpicklingError):  # the child stopped short
                         pass
-                apply(job, compute(job) if out is None else out)
+                if out is None:
+                    out = compute(job)
+                apply(job, out)
+                if i in takers:
+                    held[i] = out
+                i += 1
     finally:
         for stream in streams:
             if stream is not None:
@@ -928,11 +921,12 @@ def _fork_join(jobs: list[tuple], compute, apply, workers: int) -> None:
 
 
 def _chunks(jobs: list[tuple], procs: int) -> list[list[tuple]]:
-    """jobs cut into procs contiguous chunks of about equal lane count: a
-    chunk ends at the job that brings the lanes so far to its share."""
-    total, chunks, start, done = sum(job[0] for job in jobs), [], 0, 0
+    """jobs cut into procs contiguous chunks of about equal computed lane
+    count, a job that takes an earlier job's result counting none: a chunk
+    ends at the job that brings the lanes so far to its share."""
+    total, chunks, start, done = sum(job[0] for job in jobs if job[-1] is None), [], 0, 0
     for i, job in enumerate(jobs):
-        done += job[0]
+        done += job[0] if job[-1] is None else 0
         if len(chunks) < procs - 1 and done * procs >= total * (len(chunks) + 1):
             chunks.append(jobs[start : i + 1])
             start = i + 1
@@ -941,17 +935,17 @@ def _chunks(jobs: list[tuple], procs: int) -> list[list[tuple]]:
 
 
 def _child(chunk: list[tuple], compute, fd: int) -> NoReturn:
-    """In a forked child: compute the chunk's jobs with lanes, write their
-    results to fd, one pickle each, and end the process without unwinding
-    the parent's stack. Every result is computed before any is written:
-    the parent reads only once its own chunk is done, and a full pipe
-    would stall the child until then. A child whose compute raises writes
-    nothing."""
+    """In a forked child: compute the chunk's jobs that take no earlier
+    job's result, write their results to fd, one pickle each, and end the
+    process without unwinding the parent's stack. Every result is computed
+    before any is written: the parent reads only once its own chunk is
+    done, and a full pipe would stall the child until then. A child whose
+    compute raises writes nothing."""
     import pickle
 
     status = 1
     try:
-        blobs = [pickle.dumps(compute(job), pickle.HIGHEST_PROTOCOL) for job in chunk if job[0]]
+        blobs = [pickle.dumps(compute(job), pickle.HIGHEST_PROTOCOL) for job in chunk if job[-1] is None]
         with open(fd, "wb") as out:
             out.writelines(blobs)
         status = 0
@@ -971,30 +965,29 @@ class _Tally:
     counted by list counts alone; only a lane that breaks is visited on
     its own.
 
-    run makes one ordered list of jobs, each a tuple whose first item is
-    its lane count: (lanes, row, first value index) for a batch of an
-    order-1 row's values, (0, write row, read row) for a twin read row,
-    and (lanes, None, plans) for a batch of packed id plans (ActionIds),
-    an order-1 skip plan being its bare id. _compute runs a batch job and
-    reads nothing the bookkeeping writes, so _fork_join may run it in a
-    child; _apply books each result in this process, in job
-    order. It adds attempts and no-output runs into two flat per-row int
-    lists, and hands the breaks to _keep, the one writer of breaks: a
-    break becomes one entry of each break column (plans, one packed int
-    each, kept for the replay pass; messages, signatures, factors and
-    persistent), and its index is listed in row_hits on every row its plan
-    touches; breaks come in plan order, then message order, whatever the
-    number of workers. When every job is applied, run derives each row's
+    run makes one ordered list of jobs, each (lanes, row, start, taken): a
+    batch of lanes plans from offset start, into the values of row, an
+    order-1 table row, or with row None into the one plan list, planned,
+    of packed id plans (ActionIds), an order-1 skip plan being its bare
+    id. taken is the index of the earlier job whose result the batch
+    takes, or None: at order 1 a read row twin to a write row
+    (_twin_rows) does not run, and its batch k takes the write row's
+    batch k, whose values are the same. _fork_join computes the other
+    jobs with _compute, which reads nothing the bookkeeping writes, so it
+    may run in a child. _apply books each result under its own job's
+    plans, in this process, in job order. It adds attempts and no-output
+    runs into two flat per-row int lists, and hands the breaks to _keep,
+    the one writer of breaks: a break becomes one entry of each break
+    column (plans, one packed int each, kept for the replay pass;
+    messages, signatures, factors and persistent), and its index is listed
+    in row_hits on every row its plan touches; breaks come in plan order,
+    then message order, whatever the number of workers. When every job is applied, run derives each row's
     successes, factor_p, factor_q and silent runs from those lists.
     _replay writes its verdicts into persistent by index, and
     report_breaks hands the columns, each plan decoded to its actions, to
     the report, which keeps nothing else of the tally. _replay unpacks
     plans with ActionIds.unpack; _faults and report_breaks, which unpack
     every plan they meet, run its loop inline.
-
-    At order 1 a read row twin to a write row (_twin_rows) does not run: it
-    takes the write row's batch results, booked by _apply under its own
-    row and action ids.
     """
 
     def __init__(self, key: CrtKey, program: Program, ids: ActionIds, runs: list):
@@ -1027,9 +1020,7 @@ class _Tally:
         # per table row, the indices of the breaks whose plans touch it
         self.row_hits: dict[int, list[int]] = defaultdict(list)
         self._attempts, self._no_output = [0] * len(self.table), [0] * len(self.table)
-        # per write row with a twin read row, its (job, result) pairs booked
-        # so far, until the twin's job books them again (order 1 only)
-        self._twin_batches: dict[int, list[tuple]] = {}
+        self.planned: list[IdPlan] = []  # the id plans the jobs run from offsets
         # (index, read slot or None, skipped indices) per table row: a skip
         # window has index -1 and its indices as the range, a data site its
         # faulted index and an empty range
@@ -1044,24 +1035,25 @@ class _Tally:
         """Run build_plans' plans in order, in batches of _BATCH, across up
         to `workers` processes. At order 1 (None) run the table in order
         instead: each zero and randomize row in batches of _BATCH of its
-        values, unless it is a twin read row, then the skip rows, one plan
-        each, in batches of _BATCH (enumerate_sites lists every skip window
-        after every data site). Then write each row's counts into rows,
-        which _replay reads."""
+        values, a twin read row's batches taking its write row's, then the
+        skip rows, one plan each, in batches of _BATCH (enumerate_sites
+        lists every skip window after every data site). Then write each
+        row's counts into rows, which _replay reads."""
         jobs = []
         if plans is None:
-            twins = _twin_rows(self.code, self.table)
-            self._twin_batches = {w: [] for w in twins.values()}
+            twins, first = _twin_rows(self.code, self.table), {}  # per row, its first job
             plans = []
             for r, t in enumerate(self.table):
                 if t.kind is FaultKind.SKIP:
                     plans.append(self.ids.base[r])
-                elif r in twins:
-                    jobs.append((0, twins[r], r))
-                else:
-                    n = len(t.values)
-                    jobs += [(min(_BATCH, n - s), r, s) for s in range(0, n, _BATCH)]
-        jobs += [(len(b), None, b) for b in (plans[s : s + _BATCH] for s in range(0, len(plans), _BATCH))]
+                    continue
+                n, first[r], w = len(t.values), len(jobs), twins.get(r)
+                jobs += [
+                    (min(_BATCH, n - s), r, s, None if w is None else first[w] + k)
+                    for k, s in enumerate(range(0, n, _BATCH))
+                ]
+        self.planned = plans
+        jobs += [(min(_BATCH, len(plans) - s), None, s, None) for s in range(0, len(plans), _BATCH)]
         _fork_join(jobs, self._compute, self._apply, workers)
         factors, p, q, row_hits = self.factors, self.key.p, self.key.q, self.row_hits
         for r, (row, attempts, none) in enumerate(zip(self.rows, self._attempts, self._no_output)):
@@ -1076,14 +1068,14 @@ class _Tally:
         Returns (no-output runs, None, hits) for a row batch, and (no-output
         runs per plan, None if there are none; the rows each plan touches;
         hits) for an id-plan batch, hits as _score gives them."""
-        lanes, r, arg = job
+        lanes, r, start, _taken = job
         if r is None:
-            faults, plan_rows = self._faults(arg)
+            faults, plan_rows = self._faults(self.planned[start : start + lanes])
             columns, none, hits = self._score(faults)
             return ([vs.count(None) for vs in zip(*columns)] if none else None), plan_rows, hits
         index, slot, _window = self._sites[r]
         # zero is randomize to 0
-        values = list(enumerate(v or 0 for v in self.table[r].values[arg : arg + lanes]))
+        values = list(enumerate(v or 0 for v in self.table[r].values[start : start + lanes]))
         if slot is None:
             faults = (lanes, {index: values}, {}, {})
         else:
@@ -1091,25 +1083,17 @@ class _Tally:
         _columns, none, hits = self._score(faults)
         return none, None, hits
 
-    def _apply(self, job: tuple, result: tuple | None) -> None:
-        """Book one job: a batch's attempts and no-output runs on the rows
-        its plans touch, and its breaks through _keep. A write row's batch
-        whose row has a twin is kept in _twin_batches; the twin's job books
-        each kept batch again, the read row in the write row's place."""
-        lanes, r, arg = job
-        if not lanes:
-            for (lanes, _w, s), result in self._twin_batches.pop(r):
-                self._apply((lanes, arg, s), result)
-            return
+    def _apply(self, job: tuple, result: tuple) -> None:
+        """Book one batch's result under its job's plans: attempts and
+        no-output runs on the rows they touch, and breaks through _keep."""
+        lanes, r, start, _taken = job
         ended, plan_rows, hits = result
         n_runs = len(self.runs)
         if r is not None:
-            if r in self._twin_batches:
-                self._twin_batches[r].append((job, result))
             self._attempts[r] += n_runs * lanes
             self._no_output[r] += ended
             if hits:
-                first = self.ids.base[r] + arg
+                first = self.ids.base[r] + start
                 self._keep(range(first, first + lanes), r, hits)
             return
         attempts, no_output = self._attempts, self._no_output
@@ -1118,7 +1102,7 @@ class _Tally:
                 attempts[row] += n_runs
                 no_output[row] += e
         if hits:
-            self._keep(arg, plan_rows, hits)
+            self._keep(self.planned[start : start + lanes], plan_rows, hits)
 
     def _keep(
         self, plans: list[IdPlan] | range, plan_rows: list[list[int]] | int, hits: list[tuple]

@@ -45,7 +45,6 @@ from .circuit import (
     check_runnable,
     dst_of,
     reads_of,
-    registers_of,
     rename_registers,
 )
 
@@ -312,29 +311,3 @@ def harden(program: Program, copies: int) -> Program:
 
     tail = {idx_map[i] for i in program.meta.output_tail if i in idx_map} | set(chain)
     return out.build(program.meta, output_tail=tuple(sorted(tail)))
-
-
-# -------------------------------------------------------------- comparison
-
-
-def program_isomorphic(a: Program, b: Program) -> bool:
-    """Same instruction stream up to a consistent register renaming.
-
-    Inputs must match by name and position; metadata is not compared.
-    """
-    if len(a.instrs) != len(b.instrs) or a.inputs != b.inputs:
-        return False
-    fwd: dict[str, str] = {}
-    rev: dict[str, str] = {}
-
-    def bind(x: str | None, y: str | None) -> bool:
-        if x is None or y is None:
-            return x is None and y is None
-        return fwd.setdefault(x, y) == y and rev.setdefault(y, x) == x
-
-    for ia, ib in zip(a.instrs, b.instrs):
-        # bind the registers field by field; what renaming leaves must match
-        pairs = list(zip(registers_of(ia), registers_of(ib)))
-        if not all(bind(x, y) for x, y in pairs) or rename_registers(ia, dict(pairs)) != ib:
-            return False
-    return True

@@ -17,7 +17,7 @@ from crtfi.circuit import (
     validate,
 )
 from crtfi.countermeasures import build, catalog, catalog_entry, program_inputs
-from crtfi.keytools import CrtKey, derive_crt
+from crtfi.keytools import CrtKey, crt_from_rsa, derive_crt, gen_key
 from crtfi.modmath import bellcore_extract, binomial_checksum, is_prime, mod_exp
 
 TINY = derive_crt(7, 11, 43)
@@ -179,3 +179,14 @@ def test_blomer_draws_are_build_time_constants():
     prog2 = build("blomer", TINY, r_bits=5, build_seed=1)
     out = execute(prog2, program_inputs(prog2, TINY, 2), seed=9)
     assert out.result == Signature(30)
+
+
+@pytest.mark.parametrize("bits", [32, 64])
+def test_blomer_builds_at_r_bits_16_on_wide_keys(bits):
+    # on these keys the first masking pair that qualifies is draw 459
+    key = crt_from_rsa(gen_key(bits, 2))
+    prog = build("blomer", key, r_bits=16, build_seed=0)
+    pair = [ins.value for ins in prog.instrs if getattr(ins, "dst", None) in ("r1", "r2")]
+    assert len(pair) == 2 and all(is_prime(r) and r.bit_length() == 16 for r in pair)
+    out = execute(prog, program_inputs(prog, key, 2), seed=0)
+    assert out.result == Signature(mod_exp(2, key.d, key.p * key.q))

@@ -43,7 +43,6 @@ from crtfi.faultengine import (
     build_plans,
     check_skip_subsumption,
     plan_persists,
-    plan_space_size,
     replay_plan,
     run_campaign,
     site_action_table,
@@ -55,6 +54,20 @@ from crtfi.modmath import bellcore_extract, is_prime
 from crtfi.transforms import harden, to_infective, to_testbased
 
 TINY = derive_crt(7, 11, 43)
+
+
+def plan_space_size(table, order):
+    """Number of plans faulting `order` distinct sites of the table."""
+    return faultengine._space_size(ActionIds(table).sizes, order)
+
+
+def fault_plan(ids, plan):
+    """The FaultAction tuple a packed plan stands for."""
+    acts = []
+    for a in ids.unpack(plan):
+        t = ids.table[ids.by_id[a >> ids.shift]]
+        acts.append(FaultAction(t.site, t.kind, t.values[a & ids.mask]))
+    return tuple(acts)
 
 
 def tiny_spec(**kw):
@@ -115,7 +128,7 @@ def test_higher_order_plans_never_fault_a_site_twice():
         plans, sampled, ids = build_plans(prog, spec, table)
         assert plans
         for plan in plans:
-            assert len({a.site for a in ids.fault_plan(plan)}) == spec.order, plan
+            assert len({a.site for a in fault_plan(ids, plan)}) == spec.order, plan
         if not sampled:
             # 18 sites with two actions each: C(18, 2) * 2 * 2
             assert len(plans) == plan_space_size(table, spec.order) == 612
@@ -198,19 +211,19 @@ def test_action_ids_ascend_in_plan_order_and_decode_as_the_reference(algo):
     # row r's value k has the id base[r] + k and decodes back to that action
     for r, t in enumerate(table):
         for k, v in enumerate(t.values):
-            assert ids.fault_plan(ids.base[r] + k) == (FaultAction(t.site, t.kind, v),)
+            assert fault_plan(ids, ids.base[r] + k) == (FaultAction(t.site, t.kind, v),)
     real = sorted(ids.base[r] + k for r, t in enumerate(table) for k in range(len(t.values)))
-    keys = [reference_plan_sort_key(ids.fault_plan(a)) for a in real]
+    keys = [reference_plan_sort_key(fault_plan(ids, a)) for a in real]
     assert all(a < b for a, b in zip(keys, keys[1:]))
     for g, group in enumerate(reference_site_groups(table)):
         for k in range(ids.sizes[g]):
-            assert ids.fault_plan(ids.nth(g, k)) == (reference_nth_action(group, k),)
+            assert fault_plan(ids, ids.nth(g, k)) == (reference_nth_action(group, k),)
 
 
 def assert_plans_are_the_reference(prog, spec, table, sampled):
     plans, was_sampled, ids = build_plans(prog, spec, table)
     assert was_sampled == sampled
-    assert [ids.fault_plan(p) for p in plans] == reference_plans(spec, table)
+    assert [fault_plan(ids, p) for p in plans] == reference_plans(spec, table)
     return plans
 
 
@@ -805,7 +818,7 @@ def batches(monkeypatch):
     faults, run_batch = faultengine._Tally._faults, FaultRunner.run_batch
 
     def gathering(self, batch):
-        seen["gathered"].append([self.ids.fault_plan(plan) for plan in batch])
+        seen["gathered"].append([fault_plan(self.ids, plan) for plan in batch])
         return faults(self, batch)
 
     def passing(self, lanes, writes, reads, skips):
@@ -838,7 +851,7 @@ def test_a_campaign_decodes_each_plan_once_for_all_messages(batches):
     # the plans in order, in batches of _BATCH, each gathered once
     size = faultengine._BATCH
     assert batches["gathered"] == [
-        [ids.fault_plan(p) for p in plans[s : s + size]] for s in range(0, len(plans), size)
+        [fault_plan(ids, p) for p in plans[s : s + size]] for s in range(0, len(plans), size)
     ]
     assert len(plans) == rep.plans_total > size  # two batches, the last one short
     # one pass per batch and message, message by message
@@ -1165,17 +1178,39 @@ def test_forked_order_one_campaigns_give_the_serial_bytes(forks, monkeypatch):
         got = run_campaign(replace(spec, workers=workers))
         assert (got.to_json(), got.to_csv()) == (want.to_json(), want.to_csv())
         _no_child_left()
-        # some twin read rows are booked in a later chunk than their write rows
-        # ran, and the skip rows, last in the table, run after chunk 0
-        chunks = faultengine._chunks(jobs, workers)
-        first = {}  # chunk of each row's first batch; None keys the id-plan batches
-        for c, chunk in enumerate(chunks):
-            for lanes, row, _arg in chunk:
-                if lanes:
-                    first.setdefault(row, c)
-        late = [w for c, chunk in enumerate(chunks) for lanes, w, _r in chunk if not lanes and first[w] < c]
-        assert late and first[None] > 0
+        # some twin read row batches are booked in a later chunk than the
+        # write row batches they take ran in, and the skip rows, last in the
+        # table, run as id-plan batches after chunk 0
+        chunk_of = [c for c, chunk in enumerate(faultengine._chunks(jobs, workers)) for _job in chunk]
+        late = [i for i, job in enumerate(jobs) if job[-1] is not None and chunk_of[job[-1]] < chunk_of[i]]
+        assert late and min(c for c, job in zip(chunk_of, jobs) if job[1] is None) > 0
     assert forks["forks"] == 1 + 2
+
+
+@pytest.mark.parametrize(
+    "kw", [dict(algo="shamir", **ALL_KINDS), dict(algo="unprotected", order=2, kinds=("zero", "skip"))]
+)
+def test_jobs_hold_ints_and_booked_jobs_are_never_computed(forks, monkeypatch, kw):
+    monkeypatch.setattr(faultengine, "_BATCH", 16)
+    computed = []
+    compute = faultengine._Tally._compute
+
+    def counting(self, job):
+        computed.append(job)
+        return compute(self, job)
+
+    monkeypatch.setattr(faultengine._Tally, "_compute", counting)
+    # one process, so every _compute call reaches the counter; order 2's
+    # space is enumerated whole
+    spec = tiny_spec(messages=(2, 3), workers=1, **kw)
+    assert not run_campaign(spec).sampled_plans
+    (jobs,) = forks["jobs"]
+    assert all(len(job) == 4 and all(x is None or type(x) is int for x in job) for job in jobs)
+    booked = [job for job in jobs if job[-1] is not None]
+    assert bool(booked) == (spec.order == 1)  # twin read rows are booked at order 1 only
+    assert all(jobs[job[-1]][-1] is None and job[-1] < i for i, job in enumerate(jobs) if job[-1] is not None)
+    assert len(computed) == len(jobs) - len(booked)
+    assert computed == [job for job in jobs if job[-1] is None]
 
 
 @pytest.mark.parametrize("algo", ["shamir", "aumuller", "vigilant"])
@@ -1250,6 +1285,37 @@ def test_one_worker_never_forks_and_a_failed_fork_runs_its_chunk_here(forks, mon
     monkeypatch.setattr(faultengine.os, "fork", failing)
     got = run_campaign(replace(spec, workers=2))
     assert tried and (got.to_json(), got.to_csv()) == (want.to_json(), want.to_csv())
+
+
+# ------------------------------------------------------------------ wide keys
+
+# a key of 64-bit primes with a 32-bit r, where a collision in a drawn ring
+# or a value class has negligible chance, against WIDE, the 8-bit key
+KEY64 = crt_from_rsa(gen_key(64, 2))
+
+
+def _structural_rows(algo, key, r_bits):
+    spec = CampaignSpec(
+        key=key, algo=algo, kinds=("zero", "randomize", "skip"), max_skip_len=2,
+        exhaustive_threshold=64, samples_per_site=8, seed=42, r_bits=r_bits, workers=1,
+    )
+    return {(r.site, r.kind) for r in run_campaign(spec).structural_rows()}
+
+
+@pytest.mark.parametrize(
+    "algo",
+    ["straightforward", "fixed-shamir", "aumuller", "aumuller-infective", "vigilant", "vigilant-simplified-infective"],
+)
+def test_correct_schemes_show_no_structural_row_on_a_wide_key(algo):
+    assert _structural_rows(algo, KEY64, 32) == set()
+
+
+# giraud-sketch is left out: its ladder is unrolled per exponent bit, so its
+# sites differ between the two widths
+@pytest.mark.parametrize("algo", ["unprotected", "shamir", "joye", "ciet-joye", "blomer"])
+def test_weak_schemes_break_on_a_wide_key_only_where_they_break_on_a_narrow_one(algo):
+    wide = _structural_rows(algo, KEY64, 24 if algo == "blomer" else 32)
+    assert wide and wide <= _structural_rows(algo, WIDE, 5)
 
 
 # ---------------------------------------------------------------- report store

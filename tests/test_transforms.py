@@ -24,7 +24,6 @@ from crtfi.transforms import (
     NotTestBased,
     UnrecognizedInfectionShape,
     harden,
-    program_isomorphic,
     to_infective,
     to_testbased,
 )
@@ -41,6 +40,28 @@ CHECKED = [
     "vigilant",
     "giraud-sketch",
 ]
+
+
+def program_isomorphic(a, b):
+    """Same instruction stream up to a consistent register renaming.
+
+    Inputs must match by name and position; metadata is not compared.
+    """
+    if len(a.instrs) != len(b.instrs) or a.inputs != b.inputs:
+        return False
+    fwd, rev = {}, {}
+
+    def bind(x, y):
+        if x is None or y is None:
+            return x is None and y is None
+        return fwd.setdefault(x, y) == y and rev.setdefault(y, x) == x
+
+    for ia, ib in zip(a.instrs, b.instrs):
+        # bind the registers field by field; what renaming leaves must match
+        pairs = list(zip(registers_of(ia), registers_of(ib)))
+        if not all(bind(x, y) for x, y in pairs) or rename_registers(ia, dict(pairs)) != ib:
+            return False
+    return True
 
 
 def run(program, message=2, seed=3, plan=()):
