@@ -65,6 +65,10 @@ Programs run on three paths that give the same results:
     run's rule: the plans may fault different sites, and an instruction is
     evaluated, once for all lanes and through the vector kernels, when some
     lane faults it or some lane changed a value it reads.
+    FaultRunner.outputs evaluates one instruction over a lane list of
+    replacements of one operand, the others at their baseline values, for
+    the campaigns' instruction groups: it runs the vector kernel on every
+    lane it takes, and the scalar rule only on the lanes it declines.
 
 Both runners start from a baseline execute() run and use the program's
 compiled form (Program.compiled, built once per Program). Each Program
@@ -997,7 +1001,8 @@ class FaultRunner:
     """Faulted runs of one program on one input map and seed.
 
     Construction runs the fault-free baseline through `execute` and keeps
-    it (`baseline`, `signature`). `run(plan)` gives the same ExecResult as
+    it (`baseline`, `signature`), and what each instruction stores in it
+    (`stored`, 0 where it stores nothing). `run(plan)` gives the same ExecResult as
     `execute(program, inputs, seed, plan).result`, without trace or draws,
     by recomputing only what the plan can change: starting at its first
     faulted index, an instruction is re-evaluated when it is faulted or
@@ -1007,7 +1012,8 @@ class FaultRunner:
     run. A plan that faults two or more indices takes its walk below its
     second faulted index from a record of its first fault, which the
     runner keeps (see `_first_walk`). `run_batch` applies the same rule
-    to many plans in one pass, and keeps no record. This relies on
+    to many plans in one pass, and keeps no record. `outputs` evaluates
+    one instruction over a lane list of one operand's replacements. This relies on
     def-before-use, write-once registers, so a program that `validate`
     rejects raises BuildError here. Campaigns get their runners from
     faultengine, which keeps them in Program._runners.
@@ -1025,9 +1031,9 @@ class FaultRunner:
         self._readers = code.readers
         self._top = code.top
         n = len(code.ops)
-        self._base = [0] * n
+        self.stored = [0] * n
         for idx, _reg, val in self.baseline.trace:
-            self._base[idx] = val
+            self.stored[idx] = val
         self._ret = n - 1  # validation puts Return last
         self._walks: dict[tuple, list] = {}  # first-fault records, see _first_walk
 
@@ -1042,7 +1048,7 @@ class FaultRunner:
         index order."""
         n = len(self._ops)
         writes, reads, skipped, pending = plan_faults(plan, n)
-        bound, readers, base, env = self._bound, self._readers, self._base, self._env
+        bound, readers, base, env = self._bound, self._readers, self.stored, self._env
         top = self._top
         own = pending  # the indices the plan faults or skips
         vals = base.copy()
@@ -1113,7 +1119,7 @@ class FaultRunner:
             vals[j] = v
             acc = acc_j
         if horizon < i2:
-            bound, readers, base, env = self._bound, self._readers, self._base, self._env
+            bound, readers, base, env = self._bound, self._readers, self.stored, self._env
             top = self._top
             pending = (acc | top[n - i1]) & (1 << (n - horizon)) - 1
             while pending:
@@ -1163,6 +1169,37 @@ class FaultRunner:
                 return v
         return writes.get(i, v)
 
+    def outputs(self, j: int, slot: int, values) -> list[int | Crash]:
+        """What instruction j, which stores a value, computes in each lane
+        when its read slot `slot` fetches that lane's value of values and
+        every other operand its baseline value: the value it stores, or
+        the Crash that ends the run there. The vector kernel takes the
+        lanes; where it declines a list (a modulus below 2, a value with no
+        inverse), the list is halved until each part is taken or is one
+        lane, which the scalar rule computes. So only the lanes the kernel
+        declines go through the scalar rule, all of them where there is no
+        kernel."""
+        _ins, rule, srcs, _slots, vector = self._ops[j]
+        xs = [self.stored[s] for s in srcs]
+        env = self._env
+
+        def evaluate(vs: list[int]) -> list:
+            if vector is not None:
+                xs[slot] = vs
+                out = vector(xs, j)
+                if out is not None:
+                    return out
+                if len(vs) > 1:
+                    half = len(vs) // 2
+                    return evaluate(vs[:half]) + evaluate(vs[half:])
+            out = []
+            for v in vs:
+                xs[slot] = v
+                out.append(rule(xs, env))
+            return out
+
+        return evaluate(list(values))
+
     def run_batch(
         self, lanes: int, writes: BatchWrites, reads: BatchReads, skips: BatchSkips
     ) -> list[ExecResult]:
@@ -1181,7 +1218,7 @@ class FaultRunner:
         a lane never ended keeps the baseline result, or Signature(0) when it
         skips the Return.
         """
-        readers, base, env, top = self._readers, self._base, self._env, self._top
+        readers, base, env, top = self._readers, self.stored, self._env, self._top
         n = len(self._ops)
         results = [self.baseline.result] * lanes
         mask = sum(1 << (n - 1 - i) for i in {*writes, *reads, *skips})

@@ -32,9 +32,10 @@ the fault-free baseline of their message; circuit.execute stays the
 reference that runs the baselines and judges skip-subsumption plans. A
 campaign runs its plans in batches of at most _BATCH, one lane per plan
 and one FaultRunner.run_batch pass per batch and message: the plan list at
-order 2 and above; at order 1 each zero and randomize row's values, then
-the skip rows. A batch's per-index fault lists are gathered once for all
-messages, and each pass is scored as soon as it returns, as one column:
+order 2 and above; at order 1 each instruction group's outputs (see
+below), each other zero and randomize row's values, then the skip rows.
+A batch's per-index fault lists are gathered once for all messages, and
+each pass is scored as soon as it returns, as one column:
 gcd(N, v - S) over the lanes' released values, so only a lane that breaks
 is visited on its own. One writer keeps every break as one entry of a
 few parallel columns (its id plan, message, released value and factor),
@@ -43,12 +44,27 @@ and silent counts are derived from those lists once every plan has run.
 A report keeps those columns, each plan decoded to its actions, and
 nothing else of the campaign, and builds AttackSuccess objects only where
 it is read: successes builds the whole list on first use, to_json only
-the few successes it lists per row. At order 1 a read
-fault whose register has one reader, naming it once, is the same fault
-as a write fault on that register's writer: such a read row, with the
-write row's values, is not run. Each of its batch jobs names the write
-row's batch job of the same values, and _fork_join applies it with that
-job's result, booked under its own row and action ids.
+the few successes it lists per row.
+
+At order 1 a fault at an instruction j that stores a value, whether a
+replaced operand read or a replaced stored value, reaches later
+instructions only through the value j stores, since registers are
+written once and defined before use: a read fault of value v is the
+write fault of u, what j computes from its baseline operands with v in
+the read slot, unless j crashes on it (the run ends there) or u is j's
+baseline value (the run releases the baseline signature). So the zero
+and randomize rows of j are one group (_output_groups), and each
+distinct u runs once per message, as a write lane at j; every row of the
+group books its lanes from those runs, lane by lane, then message by
+message. A read fault whose register has one reader, naming it once, is
+the same fault as a write fault on that register's writer: such a twin
+read row, with the write row's values, joins the writer's group, booked
+as its write row is. A group's other rows name the job that ran the
+group, and _fork_join applies each with that job's result, booked under
+its own row and action ids. A check's read rows, and the skip rows, run
+lane by lane. A report counts the lanes its campaign ran and booked
+(lanes_run, lanes_booked), never serialized.
+
 The replay probes run round-major: each round runs the successes still
 pending as run_batch lanes, one runner pass per batch and alternate
 message, scored as a column; plan_persists, which runs one plan at a time
@@ -78,8 +94,8 @@ import zlib
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
-from itertools import combinations, islice, product, repeat
-from operator import eq, itemgetter, sub
+from itertools import combinations, compress, count, filterfalse, islice, product, repeat
+from operator import eq, is_, itemgetter, sub
 from typing import NoReturn
 
 from .circuit import (
@@ -287,7 +303,11 @@ class _Breaks:
 class CampaignReport:
     """A campaign's outcome. The breaks are kept as columns (_Breaks), and
     successes builds their AttackSuccess list on first use; to_json builds
-    only the ones it lists."""
+    only the ones it lists. lanes_run counts the lanes the campaign's
+    faulted runs passed to FaultRunner.run_batch, and lanes_booked the
+    lanes it booked without running them (instruction groups,
+    _output_groups), each summed over messages; the replay pass is in
+    neither. Neither is serialized."""
 
     name: str
     digest: str
@@ -301,6 +321,8 @@ class CampaignReport:
     rows: list[SiteRow]
     breaks: _Breaks
     totals: dict = field(default_factory=dict)
+    lanes_run: int = 0
+    lanes_booked: int = 0
 
     @functools.cached_property
     def successes(self) -> list[AttackSuccess]:
@@ -847,33 +869,60 @@ def _twin_rows(code: CompiledProgram, table: list[SiteActions]) -> dict[int, int
     return twins
 
 
+def _output_groups(code: CompiledProgram, table: list[SiteActions]) -> dict[int, int]:
+    """Each order-1 row whose runs follow from what one instruction stores,
+    mapped to the first row of its instruction's group, whose job runs them.
+
+    A zero or randomize row on WriteOf(j) or ReadOf(j, slot) of an
+    instruction j that stores a value reaches later instructions only
+    through that value, registers being written once and defined before
+    they are read: a write row puts its value there, and a read row the
+    value u that j computes from its baseline operands with the slot's
+    replaced (_Tally._outputs). So every such row of j is one group. A
+    twin read row (_twin_rows) joins its write row's group: its lanes
+    store its values at the writer, as the write row's do. A check's read
+    rows store nothing and are in no group. Writes come before reads in
+    the table, so a group's first row is a write row.
+    """
+    ops, twins, first, groups = code.ops, _twin_rows(code, table), {}, {}
+    for r, t in enumerate(table):
+        if r in twins:
+            groups[r] = groups[twins[r]]
+        elif t.kind is not FaultKind.SKIP and dst_of(ops[t.site.index][0]) is not None:
+            groups[r] = first.setdefault(t.site.index, r)
+    return groups
+
+
 # plans per FaultRunner.run_batch pass
 _BATCH = 256
 
 
-def _fork_join(jobs: list[tuple], compute, apply, workers: int) -> None:
+def _fork_join(jobs: list[tuple], compute, apply, workers: int, cost) -> None:
     """apply(job, result) for every job, strictly in job order. A job's
     first item is its lane count and its last the index of the earlier job
-    whose result it takes, or None. A job that names one is not computed:
-    it is applied with that result, held from the earlier job's apply
-    until its own. What is held is thus the results of applied jobs whose
-    takers are still to come: for twin read rows, the write rows' batch
-    results until their read rows' batches.
+    whose result it takes, or None; cost(job) estimates what computing it
+    takes. A job that names one is not computed: it is applied with that
+    result. Several jobs may take one result, which is held from its own
+    job's apply until its last taker's. What is held is thus the results
+    of applied jobs whose last taker is still to come: at order 1, each
+    instruction group's result (_output_groups), from its write row's job
+    until its last read row's or twin read row's, after every write row.
 
     compute must be pure. With workers >= 2, on a process of one thread
     that can fork, and at least two computed jobs per process, the jobs
-    are cut into up to `workers` contiguous chunks (_chunks). A child
-    forked for each chunk after the first computes it and writes its
-    results to a pipe, one pickle each (_child); this process computes and
-    applies chunk 0 meanwhile, then loads each child's results in turn,
-    one pickle.load apiece, so that no unpickler memo keeps them alive.
+    are cut into up to `workers` contiguous chunks of about equal cost
+    (_chunks). A child forked for each chunk after the first computes it
+    and writes its results to a pipe, one pickle each (_child); this
+    process computes and applies chunk 0 meanwhile, then loads each
+    child's results in turn, one pickle.load apiece, so that no unpickler
+    memo keeps them alive.
     Where a child could not be forked, or its results stop short because
     it raised or died, this process computes the rest of its chunk, so a
     batch that fails raises what it raises in a serial run. Every child is
     killed if still running, and reaped, before this returns or raises.
     Otherwise every job is computed here.
     """
-    takers = {job[-1] for job in jobs}  # the indices of the jobs whose results are taken
+    last = {job[-1]: i for i, job in enumerate(jobs) if job[-1] is not None}  # per taken job, its last taker
     chunks, pids, streams = [jobs], [], [None]  # chunk 0 has no child
     procs = min(workers, sum(1 for job in jobs if job[-1] is None) // 2)
     try:
@@ -881,7 +930,7 @@ def _fork_join(jobs: list[tuple], compute, apply, workers: int) -> None:
             import pickle  # only a forked campaign pays for these imports
             import signal
 
-            chunks = _chunks(jobs, procs)
+            chunks = _chunks(jobs, procs, cost)
             for chunk in chunks[1:]:
                 r, w = os.pipe()
                 try:
@@ -899,7 +948,8 @@ def _fork_join(jobs: list[tuple], compute, apply, workers: int) -> None:
         held, i = {}, 0
         for chunk, stream in zip(chunks, streams):
             for job in chunk:
-                out = held.pop(job[-1], None)  # None unless the job takes a result
+                taken = job[-1]
+                out = held.pop(taken) if last.get(taken) == i else held.get(taken)  # None unless taken
                 if out is None and stream is not None:
                     try:
                         out = pickle.load(stream)
@@ -908,7 +958,7 @@ def _fork_join(jobs: list[tuple], compute, apply, workers: int) -> None:
                 if out is None:
                     out = compute(job)
                 apply(job, out)
-                if i in takers:
+                if i in last:
                     held[i] = out
                 i += 1
     finally:
@@ -920,13 +970,14 @@ def _fork_join(jobs: list[tuple], compute, apply, workers: int) -> None:
             os.waitpid(pid, 0)
 
 
-def _chunks(jobs: list[tuple], procs: int) -> list[list[tuple]]:
-    """jobs cut into procs contiguous chunks of about equal computed lane
-    count, a job that takes an earlier job's result counting none: a chunk
-    ends at the job that brings the lanes so far to its share."""
-    total, chunks, start, done = sum(job[0] for job in jobs if job[-1] is None), [], 0, 0
-    for i, job in enumerate(jobs):
-        done += job[0] if job[-1] is None else 0
+def _chunks(jobs: list[tuple], procs: int, cost) -> list[list[tuple]]:
+    """jobs cut into procs contiguous chunks of about equal cost, a job
+    that takes an earlier job's result costing nothing: a chunk ends at the
+    job that brings the cost so far to its share."""
+    costs = [0 if job[-1] is not None else cost(job) for job in jobs]
+    total, chunks, start, done = sum(costs), [], 0, 0
+    for i, c in enumerate(costs):
+        done += c
         if len(chunks) < procs - 1 and done * procs >= total * (len(chunks) + 1):
             chunks.append(jobs[start : i + 1])
             start = i + 1
@@ -969,20 +1020,27 @@ class _Tally:
     batch of lanes plans from offset start, into the values of row, an
     order-1 table row, or with row None into the one plan list, planned,
     of packed id plans (ActionIds), an order-1 skip plan being its bare
-    id. taken is the index of the earlier job whose result the batch
-    takes, or None: at order 1 a read row twin to a write row
-    (_twin_rows) does not run, and its batch k takes the write row's
-    batch k, whose values are the same. _fork_join computes the other
-    jobs with _compute, which reads nothing the bookkeeping writes, so it
-    may run in a child. _apply books each result under its own job's
-    plans, in this process, in job order. It adds attempts and no-output
-    runs into two flat per-row int lists, and hands the breaks to _keep,
-    the one writer of breaks: a break becomes one entry of each break
-    column (plans, one packed int each, kept for the replay pass;
-    messages, signatures, factors and persistent), and its index is listed
-    in row_hits on every row its plan touches; breaks come in plan order,
-    then message order, whatever the number of workers. When every job is applied, run derives each row's
-    successes, factor_p, factor_q and silent runs from those lists.
+    id. taken is the index of the earlier job whose result the job takes,
+    or None. At order 1 the zero and randomize rows of an instruction
+    that stores a value are one group (_output_groups), one whole-row job
+    each: the first row's job runs the group (_outputs), each distinct
+    value the instruction may store once per message, and the group's
+    other rows take its result. A read row twin to a write row
+    (_twin_rows) is in its write row's group, whose values it has. The
+    rows of no group (a check's read rows) run in batches of their
+    values. _fork_join
+    computes the jobs that take nothing with _compute, which reads
+    nothing the bookkeeping writes, so it may run in a child, and cuts
+    them into chunks by _cost. _apply books each result under its own
+    job's plans, in this process, in job order, and counts the lanes run
+    and booked. It adds attempts and no-output runs into two flat per-row
+    int lists, and hands the breaks to _keep, the one writer of breaks: a
+    break becomes one entry of each break column (plans, one packed int
+    each, kept for the replay pass; messages, signatures, factors and
+    persistent), and its index is listed in row_hits on every row its
+    plan touches; breaks come in plan order, then message order, whatever
+    the number of workers. When every job is applied, run derives each
+    row's successes, factor_p, factor_q and silent runs from those lists.
     _replay writes its verdicts into persistent by index, and
     report_breaks hands the columns, each plan decoded to its actions, to
     the report, which keeps nothing else of the tally. _replay unpacks
@@ -1021,6 +1079,11 @@ class _Tally:
         self.row_hits: dict[int, list[int]] = defaultdict(list)
         self._attempts, self._no_output = [0] * len(self.table), [0] * len(self.table)
         self.planned: list[IdPlan] = []  # the id plans the jobs run from offsets
+        # at order 1, per instruction group's first row the group's rows (_output_groups)
+        self._groups: dict[int, list[int]] = defaultdict(list)
+        # lanes booked and lanes run through FaultRunner.run_batch, each
+        # summed over messages (CampaignReport.lanes_run, lanes_booked)
+        self.lanes = self.ran = 0
         # (index, read slot or None, skipped indices) per table row: a skip
         # window has index -1 and its indices as the range, a data site its
         # faulted index and an empty range
@@ -1034,27 +1097,32 @@ class _Tally:
     def run(self, plans: list[IdPlan] | None, workers: int) -> None:
         """Run build_plans' plans in order, in batches of _BATCH, across up
         to `workers` processes. At order 1 (None) run the table in order
-        instead: each zero and randomize row in batches of _BATCH of its
-        values, a twin read row's batches taking its write row's, then the
-        skip rows, one plan each, in batches of _BATCH (enumerate_sites
-        lists every skip window after every data site). Then write each
-        row's counts into rows, which _replay reads."""
+        instead: each row of an instruction group (_output_groups), twin
+        read rows included, as one job, the group's first row's computing
+        the group and the others taking its result; each other zero and
+        randomize row (a check's read row) in batches of _BATCH of its
+        values; then the skip rows, one
+        plan each, in batches of _BATCH (enumerate_sites lists every skip
+        window after every data site). Then write each row's counts into
+        rows, which _replay reads."""
         jobs = []
         if plans is None:
-            twins, first = _twin_rows(self.code, self.table), {}  # per row, its first job
-            plans = []
+            groups = _output_groups(self.code, self.table)
+            for r, g in groups.items():
+                self._groups[g].append(r)
+            first, plans = {}, []  # per row, its first job
             for r, t in enumerate(self.table):
                 if t.kind is FaultKind.SKIP:
                     plans.append(self.ids.base[r])
                     continue
-                n, first[r], w = len(t.values), len(jobs), twins.get(r)
-                jobs += [
-                    (min(_BATCH, n - s), r, s, None if w is None else first[w] + k)
-                    for k, s in enumerate(range(0, n, _BATCH))
-                ]
+                n, g, first[r] = len(t.values), groups.get(r), len(jobs)
+                if g is None:
+                    jobs += [(min(_BATCH, n - s), r, s, None) for s in range(0, n, _BATCH)]
+                else:
+                    jobs.append((n, r, 0, None if g == r else first[g]))
         self.planned = plans
         jobs += [(min(_BATCH, len(plans) - s), None, s, None) for s in range(0, len(plans), _BATCH)]
-        _fork_join(jobs, self._compute, self._apply, workers)
+        _fork_join(jobs, self._compute, self._apply, workers, self._cost)
         factors, p, q, row_hits = self.factors, self.key.p, self.key.q, self.row_hits
         for r, (row, attempts, none) in enumerate(zip(self.rows, self._attempts, self._no_output)):
             hits = [factors[i] for i in row_hits.get(r, ())]
@@ -1062,17 +1130,35 @@ class _Tally:
             row.factor_p, row.factor_q = hits.count(p), hits.count(q)
             row.silent = attempts - none - len(hits)
 
+    def _cost(self, job: tuple) -> int:
+        """What computing a job takes, as _chunks weighs it: its lanes, or
+        its group's (_output_groups), each re-evaluating at most the
+        instructions from the one it faults to the Return; an id-plan
+        batch's lanes each all of them."""
+        lanes, r, _start, _taken = job
+        n = len(self.code.ops)
+        if r is None:
+            return lanes * n
+        if r in self._groups:
+            lanes = sum(len(self.table[g].values) for g in self._groups[r])
+        return lanes * (n - self._sites[r][0])
+
     def _compute(self, job: tuple) -> tuple:
-        """Run one batch job on every message. A row batch's faults come
-        from the row's values, an id-plan batch's from decoded ids (_faults).
-        Returns (no-output runs, None, hits) for a row batch, and (no-output
-        runs per plan, None if there are none; the rows each plan touches;
-        hits) for an id-plan batch, hits as _score gives them."""
+        """Run one job on every message: (lanes run, summed over messages;
+        what it books). A group's first row's job runs its group
+        (_outputs). A row batch's faults come from the row's values, an
+        id-plan batch's from decoded ids (_faults). A row job books {row:
+        (no-output runs, hits)} for each row it runs, an id-plan batch (no-
+        output runs per plan, None if there are none; the rows each plan
+        touches; hits), hits as _score gives them."""
         lanes, r, start, _taken = job
+        ran = lanes * len(self.runs)
         if r is None:
             faults, plan_rows = self._faults(self.planned[start : start + lanes])
             columns, none, hits = self._score(faults)
-            return ([vs.count(None) for vs in zip(*columns)] if none else None), plan_rows, hits
+            return ran, (([vs.count(None) for vs in zip(*columns)] if none else None), plan_rows, hits)
+        if r in self._groups:
+            return self._outputs(self._groups[r])
         index, slot, _window = self._sites[r]
         # zero is randomize to 0
         values = list(enumerate(v or 0 for v in self.table[r].values[start : start + lanes]))
@@ -1081,21 +1167,71 @@ class _Tally:
         else:
             faults = (lanes, {}, {index: [(k, slot, v) for k, v in values]}, {})
         _columns, none, hits = self._score(faults)
-        return none, None, hits
+        return ran, {r: (none, hits)}
+
+    def _outputs(self, rows: list[int]) -> tuple[int, dict]:
+        """Run one instruction group, rows in table order, on every message,
+        as _compute returns it: each distinct value instruction j may store
+        runs once per message, as a write lane at j, and each row's lanes
+        are booked from those runs, lane by lane, then message by message.
+        A write or zero lane's value, or a twin read row's, is its own
+        output. A read lane's output is what j computes from its baseline
+        operands with the read slot's replaced (FaultRunner.outputs): a
+        Crash ends the lane there, and j's baseline value releases the
+        baseline signature, so neither runs. Only the other outputs run, in
+        batches of _BATCH."""
+        table, sites, n, p, q = self.table, self._sites, self.n, self.key.p, self.key.q
+        j = sites[rows[0]][0]
+        none, found, ran = dict.fromkeys(rows, 0), {r: [] for r in rows}, 0
+        for m, runner, sig in self.runs:
+            outs = []
+            for r in rows:
+                index, slot, _window = sites[r]
+                values = (0,) if table[r].kind is FaultKind.ZERO else table[r].values  # zero is randomize to 0
+                # a twin read row's lanes store its values, as its write row's do
+                outs.append(values if slot is None or index != j else runner.outputs(j, slot, values))
+            seen = set().union(*outs)
+            seen.discard(runner.stored[j])
+            ended = set(filterfalse(int.__instancecheck__, seen))  # the Crashes
+            todo = list(seen - ended)
+            ran += len(todo)
+            leaked = {}
+            for s in range(0, len(todo), _BATCH):
+                chunk = todo[s : s + _BATCH]
+                results = runner.run_batch(len(chunk), {j: list(enumerate(chunk))}, {}, {})
+                released, _ended, leaks = _column(n, p, q, results, sig)
+                ended.update(compress(chunk, map(is_, released, repeat(None))))
+                leaked.update((chunk[k], (v, g)) for k, v, g in leaks)
+            for r, us in zip(rows, outs):
+                none[r] += sum(map(ended.__contains__, us))
+                if leaked:
+                    found[r] += [(k, m, *leaked[us[k]]) for k in compress(count(), map(leaked.__contains__, us))]
+        booked = {}
+        for r, hits in found.items():
+            hits.sort(key=itemgetter(0))  # stable: messages stay in order within a lane
+            booked[r] = none[r], list(zip(*hits))
+        return ran, booked
 
     def _apply(self, job: tuple, result: tuple) -> None:
-        """Book one batch's result under its job's plans: attempts and
-        no-output runs on the rows they touch, and breaks through _keep."""
-        lanes, r, start, _taken = job
-        ended, plan_rows, hits = result
+        """Book one job's result under its job's plans: attempts and
+        no-output runs on the rows they touch, and breaks through _keep. A
+        row job takes its row's entry out of the result as it books it. A
+        job that takes another job's result adds nothing to the lanes run."""
+        lanes, r, start, taken = job
+        ran, booked = result
         n_runs = len(self.runs)
+        self.lanes += lanes * n_runs
+        if taken is None:
+            self.ran += ran
         if r is not None:
+            ended, hits = booked.pop(r)  # a held result keeps only its takers' rows
             self._attempts[r] += n_runs * lanes
             self._no_output[r] += ended
             if hits:
                 first = self.ids.base[r] + start
                 self._keep(range(first, first + lanes), r, hits)
             return
+        ended, plan_rows, hits = booked
         attempts, no_output = self._attempts, self._no_output
         for touched, e in zip(plan_rows, ended or repeat(0)):
             for row in touched:
@@ -1233,7 +1369,9 @@ def run_campaign(spec: CampaignSpec) -> CampaignReport:
     bound = (2 / r_min) if r_min else None
     _replay(tally, program, spec, bound)
     rows = _classify_rows(tally.rows, bound)
-    return _report(program, spec, runs, r_min, plans_total, sampled, rows, tally.report_breaks())
+    report = _report(program, spec, runs, r_min, plans_total, sampled, rows, tally.report_breaks())
+    report.lanes_run, report.lanes_booked = tally.ran, tally.lanes - tally.ran
+    return report
 
 
 def _signed_baselines(program: Program, spec: CampaignSpec) -> list[tuple[int, FaultRunner, int]]:

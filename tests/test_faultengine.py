@@ -8,7 +8,7 @@ import random
 import tracemalloc
 import weakref
 from array import array
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import replace
 from itertools import combinations, product
 
@@ -27,6 +27,7 @@ from crtfi.circuit import (
     Signature,
     SkipRange,
     WriteOf,
+    dst_of,
     dump_program,
     enumerate_sites,
     execute,
@@ -861,34 +862,79 @@ def test_a_campaign_decodes_each_plan_once_for_all_messages(batches):
     assert rep.totals["attempts"] == 2 * 3 * rep.plans_total
 
 
-def test_order_one_runs_each_row_in_batches_of_its_actions(batches, monkeypatch):
-    monkeypatch.setattr(faultengine, "_BATCH", 3)  # to split rows and the 7 skip windows
-    # one process: a forked child's calls never reach the fixture
-    spec = tiny_spec(messages=(2, 3, 5), kinds=("zero", "randomize", "skip"), max_skip_len=1, workers=1)
-    rep = run_campaign(spec)
-    table = site_action_table(tiny_unprotected(), spec)
-    twins = faultengine._twin_rows(tiny_unprotected().compiled, table)
-    size = faultengine._BATCH
-    data = [t for r, t in enumerate(table) if t.kind is not FaultKind.SKIP and r not in twins]
-    skips = [t for t in table if t.kind is FaultKind.SKIP]
-    assert len(skips) % size and max(len(t.values) for t in data) > size
-    assert twins and all(isinstance(table[r].site, ReadOf) for r in twins)
-    # a data row's batches take its values in order, zero being randomize
-    # to 0, and decode no id; a twin read row runs nothing; the skip rows,
-    # last in the table, are gathered from their action ids
-    want = []
-    for t in data:
-        for s in range(0, len(t.values), size):
-            lanes = list(enumerate(v or 0 for v in t.values[s : s + size]))
+def _stored_at(prog, inputs, seed, j, plan):
+    """What instruction j stores when prog runs under plan, None where the
+    run ends at j (reference: execute's trace)."""
+    return dict((i, v) for i, _reg, v in execute(prog, inputs, seed=seed, plan=plan).trace).get(j)
+
+
+def reference_group_outputs(prog, inputs, seed, table, rows):
+    """The values an instruction group's rows (_output_groups) make its
+    instruction j store, but j's baseline value and the read lanes that end
+    at j: a write lane's value, a read lane's value as execute stores it."""
+    j = table[rows[0]].site.index
+    outs = set()
+    for r in rows:
+        t = table[r]
+        for v in t.values:
             if isinstance(t.site, WriteOf):
-                want.append((len(lanes), {"writes": {t.site.index: lanes}}))
+                outs.add(v or 0)
             else:
+                u = _stored_at(prog, inputs, seed, j, (FaultAction(t.site, FaultKind.RANDOMIZE, v or 0),))
+                if u is not None:
+                    outs.add(u)
+    return outs - {_stored_at(prog, inputs, seed, j, ())}
+
+
+def test_order_one_runs_each_row_in_batches_of_its_actions(batches, monkeypatch):
+    monkeypatch.setattr(faultengine, "_BATCH", 4)  # to split outputs, rows and the 18 skip windows
+    # one process: a forked child's calls never reach the fixture
+    spec = tiny_spec(
+        algo="straightforward", messages=(2, 3, 5), kinds=("zero", "randomize", "skip"), max_skip_len=1, workers=1
+    )
+    rep = run_campaign(spec)
+    prog = CATALOG["straightforward"]
+    table = site_action_table(prog, spec)
+    twins = faultengine._twin_rows(prog.compiled, table)
+    groups = faultengine._output_groups(prog.compiled, table)
+    size = faultengine._BATCH
+    checks = {r for r, t in enumerate(table) if t.kind is not FaultKind.SKIP and r not in groups}
+    skips = [t for t in table if t.kind is FaultKind.SKIP]
+    assert len(skips) % size and max(len(table[r].values) for r in checks) > size
+    assert twins and all(isinstance(table[r].site, ReadOf) for r in twins)
+    assert all(isinstance(table[r].site, ReadOf) and dst_of(prog.instrs[table[r].site.index]) is None for r in checks)
+    # an instruction group's first row runs the group's distinct outputs
+    # but the baseline value, each once per message, as write lanes at its
+    # instruction in batches, and decodes no id; a check's read row's
+    # batches take its values in order, zero being randomize to 0, and
+    # decode no id; a twin read row and a group's later rows run nothing;
+    # the skip rows, last in the table, are gathered from their action ids
+    passes = iter(batches["passes"])
+    for r, t in enumerate(table):
+        if groups.get(r) == r:
+            j = t.site.index
+            # a twin read row in the group has its write row's values
+            own = [g for g in groups if groups[g] == r and g not in twins]
+            for m in spec.messages:
+                want = reference_group_outputs(prog, program_inputs(prog, TINY, m), spec.seed, table, own)
+                got = []
+                for _ in range(-(-len(want) // size)):
+                    pm, lanes, faults = next(passes)
+                    assert (pm, list(faults), list(faults["writes"])) == (m, ["writes"], [j])
+                    assert [k for k, _u in faults["writes"][j]] == list(range(lanes))
+                    got += [u for _k, u in faults["writes"][j]]
+                assert sorted(got) == sorted(want)
+        elif r in checks:
+            for s in range(0, len(t.values), size):
+                lanes = list(enumerate(v or 0 for v in t.values[s : s + size]))
                 reads = [(k, t.site.slot, v) for k, v in lanes]
-                want.append((len(lanes), {"reads": {t.site.index: reads}}))
+                for m in spec.messages:
+                    assert next(passes) == (m, len(lanes), {"reads": {t.site.index: reads}})
     skip_batches = [skips[s : s + size] for s in range(0, len(skips), size)]
     for batch in skip_batches:
-        want.append((len(batch), {"skips": {t.site.first: [k] for k, t in enumerate(batch)}}))
-    assert batches["passes"] == [(m, k, faults) for k, faults in want for m in spec.messages]
+        for m in spec.messages:
+            assert next(passes) == (m, len(batch), {"skips": {t.site.first: [k] for k, t in enumerate(batch)}})
+    assert next(passes, None) is None
     assert batches["gathered"] == [[(FaultAction(t.site, t.kind),) for t in b] for b in skip_batches]
     assert rep.plans_total == plan_space_size(table, 1)
     assert rep.totals["attempts"] == 3 * rep.plans_total
@@ -980,13 +1026,32 @@ def test_score_outcome_reads_the_gcd_as_bellcore_extract(v, sig):
 
 
 class _Given:
-    """A stand-in runner whose run_batch gives lane k results[k % len(results)]."""
+    """A stand-in runner. run_batch gives lane k results[k % len(results)],
+    but where a batch only writes values at one index, as an instruction
+    group's runs do (_Tally._outputs), the lane writing u gets results[u %
+    len(results)]: like a real runner's, a write lane's result depends on
+    its value alone. An instruction stores 2 in the baseline (stored), and
+    output gives what it computes from a read lane's value: a Crash, the
+    baseline value 2, or another value."""
+
+    stored = [2] * 64
 
     def __init__(self, results):
         self.results = results
 
+    @staticmethod
+    def output(j, slot, v):
+        return Crash("bad-modulus") if v % 5 == 4 else (3 * v + slot + j) % 13
+
+    def outputs(self, j, slot, values):
+        return [self.output(j, slot, v) for v in values]
+
     def run_batch(self, lanes, writes, reads, skips):
-        return [self.results[k % len(self.results)] for k in range(lanes)]
+        n = len(self.results)
+        if not reads and not skips and len(writes) == 1:
+            (lane_values,) = writes.values()
+            return [self.results[u % n] for _k, u in lane_values]
+        return [self.results[k % n] for k in range(lanes)]
 
 
 _OUTCOMES = st.sampled_from(["baseline", "mod p", "mod q", "mod N", "unit", "error", "crash"])
@@ -1022,9 +1087,9 @@ def _columns(draw):
 @given(_columns(), st.sampled_from([1, 2]))
 def test_column_scoring_matches_score_outcome_run_by_run(columns, order):
     """_Tally's counts and break columns equal score_outcome's, called on each
-    result in plan order, then message order, at order 1 (row batches,
-    twin rows included, then the skip rows as one-id plans) and order 2
-    (plan batches)."""
+    result in plan order, then message order, at order 1 (instruction
+    groups, twin rows included, then the skip rows as one-id plans) and
+    order 2 (plan batches)."""
     kinds = ("zero", "randomize", "skip") if order == 1 else ("zero", "skip")
     spec = tiny_spec(order=order, kinds=kinds, plan_limit=40)
     prog = tiny_unprotected()
@@ -1035,19 +1100,47 @@ def test_column_scoring_matches_score_outcome_run_by_run(columns, order):
         mp.setattr(faultengine, "_BATCH", 4)
         tally = faultengine._Tally(TINY, prog, ids, runs)
         tally.run(plans, 1)
-    # plan, its rows, and its lane in the batch that ran it
+    # plan, its rows, and its result per message's results: unprotected has
+    # no check, so at order 1 every data row is in an instruction group,
+    # where a lane stores u, its write value, or a read value's output:
+    # a Crash ends it, the baseline value releases the signature, any other
+    # runs as results[u % len]; elsewhere lane k of a batch gets results[k % len]
+    twins = faultengine._twin_rows(prog.compiled, table)
+    assert not [t for t in table if t.kind is not FaultKind.SKIP and dst_of(prog.instrs[t.site.index]) is None]
+
+    def stored(t, v):
+        i, v = t.site.index, v or 0
+        return v if isinstance(t.site, WriteOf) else _Given.output(i, t.site.slot, v)
+
+    def by_value(u):
+        def result(sig, results):
+            if isinstance(u, Crash):
+                return u
+            return Signature(sig) if u == _Given.stored[0] else results[u % len(results)]
+
+        return result
+
+    def by_lane(k):
+        return lambda sig, results: results[k % len(results)]
+
     if order == 1:
         data = [r for r, t in enumerate(table) if t.kind is not FaultKind.SKIP]
         skips = [r for r, t in enumerate(table) if t.kind is FaultKind.SKIP]
-        lanes = [(ids.base[r] + k, [r], k % 4) for r in data for k in range(len(table[r].values))]
-        lanes += [(ids.base[r], [r], i % 4) for i, r in enumerate(skips)]
+        lanes = [
+            (ids.base[r] + k, [r], by_value(stored(table[twins.get(r, r)], v)))
+            for r in data for k, v in enumerate(table[r].values)
+        ]
+        lanes += [(ids.base[r], [r], by_lane(i % 4)) for i, r in enumerate(skips)]
     else:
-        lanes = [(plan, [ids.by_id[a >> ids.shift] for a in ids.unpack(plan)], i % 4) for i, plan in enumerate(plans)]
+        lanes = [
+            (plan, [ids.by_id[a >> ids.shift] for a in ids.unpack(plan)], by_lane(i % 4))
+            for i, plan in enumerate(plans)
+        ]
     counts = [[0] * 6 for _ in table]  # attempts, successes, factor_p, factor_q, no_output, silent
     successes = []
-    for plan, rows, lane in lanes:
+    for plan, rows, given in lanes:
         for m, (sig, results) in zip((2, 3, 5), columns):
-            res = results[lane % len(results)]
+            res = given(sig, results)
             tally_name, factor, side = faultengine.score_outcome(77, 7, 11, sig, res)
             for r in rows:
                 counts[r][0] += 1
@@ -1145,14 +1238,15 @@ def test_worker_pool_size_does_not_change_the_report():
 
 @pytest.fixture
 def forks(monkeypatch):
-    """Each job list run_campaign hands _fork_join, and a count of os.fork
-    calls, both kept in this process."""
-    seen = {"jobs": [], "forks": 0}
+    """Each job list run_campaign hands _fork_join, with its cost, and a
+    count of os.fork calls, all kept in this process."""
+    seen = {"jobs": [], "costs": [], "forks": 0}
     fork_join, fork = faultengine._fork_join, faultengine.os.fork
 
-    def recording(jobs, compute, apply, workers):
+    def recording(jobs, compute, apply, workers, cost):
         seen["jobs"].append(jobs)
-        return fork_join(jobs, compute, apply, workers)
+        seen["costs"].append(cost)
+        return fork_join(jobs, compute, apply, workers, cost)
 
     def counting():
         seen["forks"] += 1
@@ -1173,17 +1267,20 @@ def test_forked_order_one_campaigns_give_the_serial_bytes(forks, monkeypatch):
     spec = tiny_spec(algo="shamir", messages=(2, 3), **ALL_KINDS)
     want = run_campaign(replace(spec, workers=1))
     assert want.successes and forks["forks"] == 0
-    (jobs,) = forks["jobs"]
+    (jobs,), (cost,) = forks["jobs"], forks["costs"]
+    twins = faultengine._twin_rows(CATALOG["shamir"].compiled, site_action_table(CATALOG["shamir"], spec))
     for workers in (2, 3):
         got = run_campaign(replace(spec, workers=workers))
         assert (got.to_json(), got.to_csv()) == (want.to_json(), want.to_csv())
         _no_child_left()
-        # some twin read row batches are booked in a later chunk than the
-        # write row batches they take ran in, and the skip rows, last in the
-        # table, run as id-plan batches after chunk 0
-        chunk_of = [c for c, chunk in enumerate(faultengine._chunks(jobs, workers)) for _job in chunk]
+        # some twin read rows, and some later rows of an instruction group,
+        # are booked in a later chunk than the group's job they take ran
+        # in, and the skip rows, last in the table, run as id-plan batches
+        # after chunk 0
+        chunk_of = [c for c, chunk in enumerate(faultengine._chunks(jobs, workers, cost)) for _job in chunk]
         late = [i for i, job in enumerate(jobs) if job[-1] is not None and chunk_of[job[-1]] < chunk_of[i]]
-        assert late and min(c for c, job in zip(chunk_of, jobs) if job[1] is None) > 0
+        assert {jobs[i][1] in twins for i in late} == {True, False}
+        assert min(c for c, job in zip(chunk_of, jobs) if job[1] is None) > 0
     assert forks["forks"] == 1 + 2
 
 
@@ -1207,10 +1304,24 @@ def test_jobs_hold_ints_and_booked_jobs_are_never_computed(forks, monkeypatch, k
     (jobs,) = forks["jobs"]
     assert all(len(job) == 4 and all(x is None or type(x) is int for x in job) for job in jobs)
     booked = [job for job in jobs if job[-1] is not None]
-    assert bool(booked) == (spec.order == 1)  # twin read rows are booked at order 1 only
+    # instruction groups' later rows and twin read rows are booked at order 1 only
+    assert bool(booked) == (spec.order == 1)
     assert all(jobs[job[-1]][-1] is None and job[-1] < i for i, job in enumerate(jobs) if job[-1] is not None)
     assert len(computed) == len(jobs) - len(booked)
     assert computed == [job for job in jobs if job[-1] is None]
+    if spec.order == 1:
+        # each row of a group is one whole-row job, its first row's taken by
+        # every other row of the group, twin read rows of its write rows
+        # included: one result has several takers
+        prog = CATALOG[spec.algo]
+        table = site_action_table(prog, spec)
+        twins = faultengine._twin_rows(prog.compiled, table)
+        groups = faultengine._output_groups(prog.compiled, table)
+        assert twins and all(groups[r] == groups[w] for r, w in twins.items())
+        job_of = {job[1]: i for i, job in reversed(list(enumerate(jobs))) if job[1] is not None}
+        for r, g in groups.items():
+            assert jobs[job_of[r]] == (len(table[r].values), r, 0, None if g == r else job_of[g])
+        assert max(Counter(job[-1] for job in booked).values()) > 1
 
 
 @pytest.mark.parametrize("algo", ["shamir", "aumuller", "vigilant"])
@@ -1233,6 +1344,36 @@ def test_twin_read_rows_book_the_bytes_they_would_run(forks, monkeypatch, algo):
         rep = run_campaign(replace(spec, workers=workers))
         reports.add((rep.to_json(), rep.to_csv()))
         _no_child_left()
+    assert len(reports) == 1
+    assert forks["forks"] == 2
+
+
+@pytest.mark.parametrize("algo", sorted(CATALOG))
+def test_instruction_groups_book_the_bytes_every_lane_would_run(forks, monkeypatch, algo):
+    """An order-1 campaign gives the same JSON and CSV booking instruction
+    groups and twin read rows as running every lane, at workers 1 and 2.
+    At this threshold many whole domains are wider than the ring their
+    reader reduces by, so the groups book lanes beyond the twin rows'. lanes_run and lanes_booked say so, and add up to every lane."""
+    monkeypatch.setattr(faultengine, "_BATCH", 64)  # enough jobs to fork at workers=2
+    spec = tiny_spec(algo=algo, messages=(2, 75), exhaustive_threshold=3072, **ALL_KINDS)
+    prog = CATALOG[algo]
+    table = site_action_table(prog, spec)
+    twin_lanes = 2 * sum(len(table[r].values) for r in faultengine._twin_rows(prog.compiled, table))
+    reports = set()
+    for workers in (1, 2):
+        rep = run_campaign(replace(spec, workers=workers))
+        assert rep.lanes_run + rep.lanes_booked == 2 * rep.plans_total
+        assert rep.lanes_booked > twin_lanes
+        reports.add((rep.to_json(), rep.to_csv()))
+        _no_child_left()
+    with monkeypatch.context() as every_lane:
+        every_lane.setattr(faultengine, "_output_groups", lambda code, table: {})
+        every_lane.setattr(faultengine, "_twin_rows", lambda code, table: {})
+        for workers in (1, 2):
+            rep = run_campaign(replace(spec, workers=workers))
+            assert (rep.lanes_run, rep.lanes_booked) == (2 * rep.plans_total, 0)
+            reports.add((rep.to_json(), rep.to_csv()))
+            _no_child_left()
     assert len(reports) == 1
     assert forks["forks"] == 2
 

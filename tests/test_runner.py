@@ -26,6 +26,7 @@ result.
 
 import functools
 import math
+import random
 from collections import defaultdict
 from dataclasses import replace
 from operator import add, mul, sub
@@ -76,9 +77,10 @@ from crtfi.faultengine import (
     replay_plan,
     run_campaign,
     site_action_table,
+    site_domains,
     _runner,
 )
-from crtfi.keytools import derive_crt
+from crtfi.keytools import crt_from_rsa, derive_crt, gen_key
 from crtfi.transforms import harden, to_infective, to_testbased
 
 TINY = derive_crt(7, 11, 43)
@@ -850,6 +852,70 @@ def test_runner_matches_the_reference_on_the_whole_order_one_plan_list(name):
         for s in range(0, len(plans_), 37):
             chunks += r.run_batch(*batch(plans_[s : s + 37], n))
         assert chunks == want
+
+
+def assert_read_faults_are_write_faults(prog, inputs, seed, values_of):
+    """For every instruction j that stores a value and every read slot s of
+    it, and each value v of values_of(j, s, nominal): ReadOf(j, s) = v
+    gives what WriteOf(j) = u gives, u being what j's scalar rule computes
+    from its baseline operands with slot s's replaced by v, unless j
+    crashes on it (the run ends with that Crash) or u is j's baseline
+    value (the run releases the baseline result). FaultRunner.outputs
+    gives u, or the Crash, lane by lane. Returns the lanes checked."""
+    base = execute(prog, inputs, seed=seed)
+    regs, env, r = base.regs(), (inputs, seed), FaultRunner(prog, inputs, seed)
+    checked = 0
+    for j, (_ins, rule, operands, slots, dst) in enumerate(prog.steps):
+        if dst is None:
+            continue
+        xs = [regs.get(reg, 0) for reg in operands]
+        for s in range(slots):
+            values = values_of(j, s, xs[s])
+            for v, out in zip(values, r.outputs(j, s, values), strict=True):
+                u = rule(xs[:s] + [v] + xs[s + 1 :], env)
+                assert out == u, (prog.name, j, s, v)
+                got = execute(prog, inputs, seed=seed, plan=(_read(j, s, v),)).result
+                if u.__class__ is not int:
+                    assert isinstance(u, Crash) and got == u
+                elif u == regs[dst]:
+                    assert got == base.result
+                else:
+                    assert got == execute(prog, inputs, seed=seed, plan=(_write(j, u),)).result
+                checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("key", [TINY, crt_from_rsa(gen_key(8, 2))], ids=["tiny", "g82"])
+def test_a_read_fault_is_the_write_fault_of_its_instructions_output(key):
+    """The rule faultengine's instruction groups book by, on every catalog
+    program and three messages: values 0 and 1 (every modulus slot's
+    crashes), the nominal value, and samples of the read's domain."""
+    checked = 0
+    n = key.p * key.q
+    for entry in catalog():
+        prog = build(entry.algo, key, r_bits=5, build_seed=0)
+        for message in (2, 3, n - 2):
+            inputs = program_inputs(prog, key, message)
+            domains = site_domains(prog, execute(prog, inputs, seed=42).regs())
+
+            def values_of(j, s, nominal):
+                dom = domains[ReadOf(j, s)][0]
+                rng = random.Random(j * 31 + s)
+                return [0, 1, nominal, *(rng.randrange(dom) for _ in range(4))]
+
+            checked += assert_read_faults_are_write_faults(prog, inputs, 42, values_of)
+    assert checked > 5000
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_random_programs_fault_reads_as_the_writes_of_their_instructions_outputs(data):
+    prog, inputs, seed = data.draw(random_programs(), label="program")
+
+    def values_of(j, s, nominal):
+        return [0, 1, -1, nominal, *data.draw(st.lists(VALUES, max_size=4), label=f"values {j}.{s}")]
+
+    assert_read_faults_are_write_faults(prog, inputs, seed, values_of)
 
 
 def test_a_draw_moves_off_the_value_a_fault_plants_in_its_avoid_set():
